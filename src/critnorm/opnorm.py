@@ -6,6 +6,14 @@ a time is replaced by the exact maximizer of its linearized problem on the
 slot's ball, which never decreases the modulus of the value, so every
 reported number is an attained lower bound carrying a feasible witness.
 Restarts are seeded through child streams, making runs reproducible.
+
+All restarts of one ascent move together: slot k holds an (R, n_k) block
+whose row r is restart r, and one matmul against the coefficient tensor
+reshaped to 2-d serves every row, so the tensor is read once per slot per
+sweep.  A row that has converged is frozen and leaves the block, so each
+restart takes exactly the sweeps it would take on its own.  The price is an
+R * |T| / n_k intermediate per slot gradient: about 1.8 MB at m = 4, n = 24
+with R = 16, and about 7 MB for the four-fold retry.
 """
 
 from __future__ import annotations
@@ -16,9 +24,10 @@ import numpy as np
 
 from .exponents import ExtLike, as_ext
 from .rng import child_rng
-from .tensor import MultilinearForm, evaluate, lp_norm
+from .tensor import MultilinearForm, lp_norm
 
 __all__ = [
+    "AscentInvariantError",
     "NormEstimate",
     "dual_argmax",
     "spectral_norm",
@@ -27,7 +36,11 @@ __all__ = [
     "operator_norm",
 ]
 
-_AX = "abcdefghijklmnopqrstuvwxyz"
+
+class AscentInvariantError(ValueError):
+    """Block ascent broke an invariant that holds for every finite form: a
+    sweep lowered a value, a value left the finite range, or the best value
+    exceeded the l_1 coefficient bound.  No norm is reported."""
 
 
 @dataclass
@@ -56,43 +69,55 @@ class NormEstimate:
 def dual_argmax(c, p: ExtLike):
     """Maximize Re <c, x> over the unit l_p ball; returns (value, x).
 
-    The value is the conjugate norm ||c||_{p*}.  For finite p > 1 the
-    maximizer follows the stationarity profile |c_j|^(1/(p-1)) (normalized);
-    at p = 1 all weight goes to the first modulus-maximal coordinate; at
-    p = inf it is the conjugate phase vector.  Complex phases are conjugated
-    so the attained pairing is real.
+    ``c`` is one vector, giving a float value and a vector, or an (R, n)
+    block maximized row by row, giving an (R,) array of values and an (R, n)
+    block of maximizers.  The value is the conjugate norm ||c||_{p*}.  For
+    finite p > 1 the maximizer follows the stationarity profile
+    |c_j|^(1/(p-1)) (normalized); at p = 1 all weight goes to the first
+    modulus-maximal coordinate; at p = inf it is the conjugate phase vector.
+    Complex phases are conjugated so the attained pairing is real.  An
+    all-zero row gets the first unit vector and value 0.
     """
     p = as_ext(p)
     if p < 1:
         raise ValueError(f"unit balls require p >= 1, got {p}")
     c = np.asarray(c)
-    if c.ndim != 1 or c.size == 0:
-        raise ValueError("expected a nonempty vector")
-    mags = np.abs(c).astype(np.float64, copy=False)
-    if not mags.any():
-        x = np.zeros_like(c)
-        x[0] = 1
-        return 0.0, x
-    if np.iscomplexobj(c):
-        phase = np.ones(c.shape, dtype=np.complex128)
-        nz = mags > 0
-        phase[nz] = np.conj(c[nz]) / mags[nz]
+    if c.ndim not in (1, 2) or c.size == 0:
+        raise ValueError("expected a nonempty vector or (R, n) block")
+    C = c.reshape(-1, c.shape[-1])
+    mags = np.abs(C).astype(np.float64, copy=False)
+    scale = mags.max(axis=1)
+    zero = scale == 0
+    if np.iscomplexobj(C):
+        phase = np.conj(C) / np.where(mags > 0, mags, 1.0)
+        phase[mags == 0] = 1
     else:
-        phase = np.where(c < 0, -1.0, 1.0)
+        phase = np.where(C < 0, -1.0, 1.0)
     if p == 1:
-        j = int(np.argmax(mags))
-        x = np.zeros_like(phase)
-        x[j] = phase[j]
-        return float(mags[j]), x
-    if p.is_inf:
-        return float(mags.sum()), phase
-    e = float(p.fraction)
-    scale = float(mags.max())
-    profile = np.power(mags / scale, 1.0 / (e - 1.0))
-    x = phase * (profile / lp_norm(profile, p))
-    estar = e / (e - 1.0)
-    value = scale * float(np.power(mags / scale, estar).sum() ** (1.0 / estar))
-    return value, x
+        rows = np.arange(len(C))
+        j = np.argmax(mags, axis=1)
+        values = mags[rows, j]
+        X = np.zeros_like(phase)
+        X[rows, j] = phase[rows, j]
+    elif p.is_inf:
+        values = mags.sum(axis=1)
+        X = phase
+    else:
+        e = float(p.fraction)
+        ratio = mags / np.where(zero, 1.0, scale)[:, np.newaxis]
+        profile = np.power(ratio, 1.0 / (e - 1.0))
+        # the profile peaks at exactly 1, so this is lp_norm(profile, p)
+        norms = np.power(profile, e).sum(axis=1) ** (1.0 / e)
+        X = phase * (profile / np.where(zero, 1.0, norms)[:, np.newaxis])
+        estar = e / (e - 1.0)
+        values = scale * np.power(ratio, estar).sum(axis=1) ** (1.0 / estar)
+    if zero.any():
+        X[zero] = 0
+        X[zero, 0] = 1
+        values[zero] = 0.0
+    if c.ndim == 1:
+        return float(values[0]), X[0]
+    return values, X
 
 
 def spectral_norm(matrix) -> NormEstimate:
@@ -113,17 +138,29 @@ def spectral_norm(matrix) -> NormEstimate:
                         converged=True, maximizer=[x, y])
 
 
-def _slot_gradient(coeffs, xs, k):
-    """Contract all slots but k; the result is the slot-k linearization."""
-    m = coeffs.ndim
-    spec = [_AX[:m]]
-    ops = [coeffs]
-    for i, x in enumerate(xs):
-        if i == k:
-            continue
-        spec.append(_AX[i])
-        ops.append(x)
-    return np.einsum(",".join(spec) + "->" + _AX[k], *ops)
+def _slot_gradient(coeffs, X, k):
+    """Slot-k linearization at every row of the blocks ``X`` (one (R, n_i)
+    block per slot): row r contracts ``coeffs`` with X[i][r] in every slot
+    i != k.
+
+    One matmul contracts slot 0 (slot m-1 when k = 0) for all rows at once,
+    reading the tensor once; batched matrix-vector products then contract
+    the trailing slots down to k + 1 and the leading slots up to k - 1.
+    """
+    dims = coeffs.shape
+    m = len(dims)
+    R = len(X[0])
+    if k == 0:
+        G = X[m - 1] @ coeffs.reshape(-1, dims[m - 1]).T
+        last = m - 2
+    else:
+        G = X[0] @ coeffs.reshape(dims[0], -1)
+        last = m - 1
+    for i in range(last, k, -1):
+        G = np.matmul(G.reshape(R, -1, dims[i]), X[i][:, :, np.newaxis])[:, :, 0]
+    for i in range(1, k):
+        G = np.matmul(X[i][:, np.newaxis, :], G.reshape(R, dims[i], -1))[:, 0, :]
+    return G
 
 
 def _random_unit(rng, n, order, want_complex):
@@ -136,29 +173,57 @@ def _random_unit(rng, n, order, want_complex):
             return g / nrm
 
 
-def _ascend(T, xs, tol, max_iters):
-    """Sweep block maximizations until the value stalls.
+def _ascend(T, X, tol, max_iters):
+    """Sweep block maximizations over a block of restarts until each stalls.
 
-    Returns (value, xs, per-sweep values, converged).  Each block step sets
-    the current value to a conjugate norm of the slot gradient, which
-    dominates the previous modulus, so the per-sweep trace is nondecreasing
-    (asserted, with a tiny rounding allowance).
+    ``X`` holds one (R, n_k) start block per slot, row r being restart r;
+    the blocks are overwritten with the final rows.  A row freezes after the
+    first sweep that raised its value by at most ``tol`` relative; only the
+    remaining active rows are swept further, so every row takes exactly the
+    sweeps it would take alone.
+
+    Returns (values, X, trace, sweeps, converged): the (R,) final values,
+    the blocks, the (S, R) per-sweep trace (row s holds every value after
+    sweep s; a frozen row repeats its final value), the (R,) sweep counts
+    and the (R,) convergence flags.  Each block step sets a row's
+    value to a conjugate norm of its slot gradient, which dominates the
+    previous modulus, so the trace is nondecreasing; a decrease beyond a
+    tiny rounding allowance, or a non-finite value, raises
+    AscentInvariantError.
     """
-    prev = abs(evaluate(T, xs))
-    value = prev
+    coeffs, orders = T.coeffs, T.domain_p
+    active = np.arange(len(X[0]))
+    work = list(X)
+    prev = np.abs((_slot_gradient(coeffs, work, 0) * work[0]).sum(axis=1))
+    values = prev.copy()
+    sweeps = np.zeros(len(active), dtype=np.int64)
+    converged = np.zeros(len(active), dtype=bool)
     trace = []
-    converged = False
     for _ in range(max_iters):
         for k in range(T.arity):
-            grad = _slot_gradient(T.coeffs, xs, k)
-            value, xs[k] = dual_argmax(grad, T.domain_p[k])
-        trace.append(value)
-        assert value >= prev - 1e-9 * (1.0 + prev), "block step decreased the value"
-        if value - prev <= tol * max(value, 1e-300):
-            converged = True
-            break
+            value, work[k] = dual_argmax(_slot_gradient(coeffs, work, k), orders[k])
+        values[active] = value
+        sweeps[active] += 1
+        trace.append(values.copy())
+        if not np.isfinite(value).all():
+            raise AscentInvariantError(
+                "block ascent reached a non-finite value; are all coefficients finite?")
+        if not (value >= prev - 1e-9 * (1.0 + prev)).all():
+            raise AscentInvariantError("block step decreased the value")
+        done = value - prev <= tol * np.maximum(value, 1e-300)
         prev = value
-    return value, xs, trace, converged
+        if done.any():
+            converged[active[done]] = True
+            for x, w in zip(X, work):
+                x[active[done]] = w[done]
+            keep = ~done
+            active, prev = active[keep], prev[keep]
+            work = [w[keep] for w in work]
+            if not active.size:
+                break
+    for x, w in zip(X, work):
+        x[active] = w
+    return values, X, np.array(trace), sweeps, converged
 
 
 def ascent_norm(T: MultilinearForm, restarts: int = 16, tol: float = 1e-10,
@@ -166,9 +231,11 @@ def ascent_norm(T: MultilinearForm, restarts: int = 16, tol: float = 1e-10,
     """Best block-ascent value across seeded restarts: a certified lower bound.
 
     Restart r draws its start from the child stream (seed, r) on the slot
-    spheres, so a fixed seed reproduces the run exactly.  The reported value
-    never exceeds the l_1 coefficient bound, and the returned maximizer is
-    feasible and attains it.
+    spheres, so a fixed seed reproduces the run exactly.  The restarts are
+    swept together as one (R, n_k) block per slot (see ``_ascend``); the
+    first restart reaching the best value wins.  The reported value never
+    exceeds the l_1 coefficient bound (AscentInvariantError otherwise), and
+    the returned maximizer is feasible and attains it.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -184,21 +251,22 @@ def ascent_norm(T: MultilinearForm, restarts: int = 16, tol: float = 1e-10,
             unit.append(e)
         return NormEstimate(0.0, "ascent", restarts_used=0, iterations=0,
                             converged=True, maximizer=unit)
-    best_value = -np.inf
-    best_xs = None
-    best_conv = False
-    total_iters = 0
+    starts = []
     for r in range(restarts):
         rng = child_rng(seed, r)
-        xs = [_random_unit(rng, n, T.domain_p[k], T.is_complex)
-              for k, n in enumerate(T.dims)]
-        value, xs, trace, conv = _ascend(T, xs, tol, max_iters)
-        total_iters += len(trace)
-        if value > best_value:
-            best_value, best_xs, best_conv = value, xs, conv
-    assert best_value <= upper_bound_l1(T) * (1.0 + 1e-12) + 1e-12
-    return NormEstimate(float(best_value), "ascent", restarts_used=restarts,
-                        iterations=total_iters, converged=best_conv, maximizer=best_xs)
+        starts.append([_random_unit(rng, n, T.domain_p[k], T.is_complex)
+                       for k, n in enumerate(T.dims)])
+    X = [np.array([start[k] for start in starts]) for k in range(T.arity)]
+    values, X, _, sweeps, converged = _ascend(T, X, tol, max_iters)
+    best = int(np.argmax(values))
+    value = float(values[best])
+    bound = upper_bound_l1(T)
+    if not value <= bound * (1.0 + 1e-12) + 1e-12:
+        raise AscentInvariantError(
+            f"ascent value {value!r} exceeds the l1 coefficient bound {bound!r}")
+    return NormEstimate(value, "ascent", restarts_used=restarts,
+                        iterations=int(sweeps.sum()), converged=bool(converged[best]),
+                        maximizer=[x[best].copy() for x in X])
 
 
 def upper_bound_l1(T: MultilinearForm) -> float:

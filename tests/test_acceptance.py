@@ -245,10 +245,10 @@ def test_criterion_09_norm_calculus_properties():
     trace_ok = True
     for trial in range(10):
         T = MultilinearForm(rng.standard_normal((4, 4, 4)), domain_p=("3", "3", "3"))
-        xs = [_random_unit(rng, 4, T.domain_p[k], False) for k in range(3)]
-        _, _, trace, conv = _ascend(T, xs, 1e-10, 200)
-        trace_ok = trace_ok and conv
-        trace_ok = trace_ok and all(b >= a - 1e-9 * (1 + a)
+        X = [_random_unit(rng, 4, T.domain_p[k], False)[np.newaxis] for k in range(3)]
+        _, _, trace, _, conv = _ascend(T, X, 1e-10, 200)
+        trace_ok = trace_ok and conv.all()
+        trace_ok = trace_ok and all((b >= a - 1e-9 * (1 + a)).all()
                                     for a, b in zip(trace, trace[1:]))
     ok = ok and trace_ok
     # canonical basis has unit weak norm at the conjugate order

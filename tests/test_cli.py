@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from critnorm import make_gaussian_random, save_tensor
+from critnorm import MultilinearForm, make_gaussian_random, save_tensor
 from critnorm.cli import main
 
 
@@ -195,3 +195,19 @@ def test_console_script_entry_point():
                            "--m", "2"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "s = (inf, 2)" in proc.stdout
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_verify_on_a_nan_coefficient_is_exit_2(tmp_path, flags):
+    """A NaN coefficient breaks the ascent invariants: the run ends with a
+    message and exit 2, also under python -O, where asserts are stripped."""
+    coeffs = make_gaussian_random((4, 4, 4), seed=3).coeffs.copy()
+    coeffs[1, 2, 3] = np.nan
+    path = tmp_path / "nan.json"
+    save_tensor(MultilinearForm(coeffs), path)
+    proc = subprocess.run([sys.executable, *flags, "-m", "critnorm.cli", "verify",
+                           "--form", f"file:{path}"], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr and "finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "violations" not in proc.stdout

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from critnorm import (
+    AscentInvariantError,
     MultilinearForm,
     NormEstimate,
     ascent_norm,
@@ -22,13 +23,15 @@ from critnorm import (
     evaluate,
     lp_norm,
     make_dot,
+    make_gaussian_random,
     make_partial_dot,
     make_t0,
     operator_norm,
     spectral_norm,
     upper_bound_l1,
 )
-from critnorm.opnorm import _ascend, _random_unit
+from critnorm import opnorm
+from critnorm.opnorm import _ascend, _random_unit, _slot_gradient
 
 P_GRID = ("1", "4/3", "3/2", "2", "3", "inf")
 
@@ -83,9 +86,29 @@ def test_dual_argmax_zero_vector_and_errors():
     with pytest.raises(ValueError):
         dual_argmax(np.ones(2), "1/2")
     with pytest.raises(ValueError):
-        dual_argmax(np.ones((2, 2)), 2)
+        dual_argmax(np.ones((2, 2, 2)), 2)
     with pytest.raises(ValueError):
         dual_argmax(np.array([]), 2)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("p", ["1", "4/3", "2", "3", "inf"])
+def test_dual_argmax_block_matches_row_by_row_calls(p, field):
+    rng = np.random.default_rng(40)
+    C = rng.standard_normal((5, 6))
+    if field == "complex":
+        C = C + 1j * rng.standard_normal((5, 6))
+    C[1] *= 1e-3
+    C[2] = 0
+    values, X = dual_argmax(C, p)
+    assert values.shape == (5,)
+    assert X.shape == C.shape
+    for r in range(len(C)):
+        value, x = dual_argmax(C[r], p)
+        assert values[r] == value
+        assert np.array_equal(X[r], x)
+    assert values[2] == 0.0
+    assert np.array_equal(X[2], [1, 0, 0, 0, 0, 0])
 
 
 @settings(max_examples=100, deadline=None)
@@ -134,6 +157,45 @@ def test_spectral_norm_complex_witness_attains_with_real_pairing():
 def test_spectral_norm_rejects_non_matrices():
     with pytest.raises(ValueError):
         spectral_norm(np.ones((2, 2, 2)))
+
+
+# ---------------------------------------------------------- slot gradient
+
+_AX = "abcde"
+
+
+def _einsum_gradient(coeffs, xs, k):
+    """Reference: contract one restart's vectors into every slot but k."""
+    spec, ops = [_AX[:coeffs.ndim]], [coeffs]
+    for i, x in enumerate(xs):
+        if i != k:
+            spec.append(_AX[i])
+            ops.append(x)
+    return np.einsum(",".join(spec) + "->" + _AX[k], *ops)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("dims", [(5, 3), (1, 4), (4, 1), (3, 4, 2), (2, 1, 5),
+                                  (2, 3, 4, 2), (1, 3, 1, 2), (3, 2, 1, 3, 2),
+                                  (2, 2, 2, 2, 2)])
+def test_slot_gradient_matches_a_per_row_einsum(dims, field):
+    rng = np.random.default_rng(sum(dims) + 10 * len(dims))
+    R = 3
+
+    def draw(*shape):
+        z = rng.standard_normal(shape)
+        return z + 1j * rng.standard_normal(shape) if field == "complex" else z
+
+    coeffs = draw(*dims)
+    X = [draw(R, n) for n in dims]
+    for k in range(len(dims)):
+        G = _slot_gradient(coeffs, X, k)
+        assert G.shape == (R, dims[k])
+        for r in range(R):
+            ref = _einsum_gradient(coeffs, [x[r] for x in X], k)
+            # rounding scale: the same contraction over all moduli
+            size = _einsum_gradient(np.abs(coeffs), [np.abs(x[r]) for x in X], k)
+            assert np.all(np.abs(G[r] - ref) <= 1e-12 * size)
 
 
 # ------------------------------------------------------------- ascent_norm
@@ -215,13 +277,42 @@ def test_ascent_trace_is_nondecreasing():
         T = MultilinearForm(rng.standard_normal((4, 4, 4)),
                             domain_p=("3", "3", "3"))
         start = child_rng(100 + trial)
-        xs = [_random_unit(start, n, T.domain_p[k], False)
-              for k, n in enumerate(T.dims)]
-        value, _, trace, converged = _ascend(T, xs, 1e-10, 200)
-        assert converged
-        assert trace[-1] == value
+        starts = [[_random_unit(start, n, T.domain_p[k], False)
+                   for k, n in enumerate(T.dims)] for _ in range(4)]
+        X = [np.array([s[k] for s in starts]) for k in range(T.arity)]
+        values, _, trace, sweeps, converged = _ascend(T, X, 1e-10, 200)
+        assert converged.all()
+        assert np.array_equal(trace[-1], values)
+        assert len(trace) == sweeps.max()
         for a, b in zip(trace, trace[1:]):
-            assert b >= a - 1e-9 * (1 + a)
+            assert (b >= a - 1e-9 * (1 + a)).all()
+
+
+def test_ascent_sweep_counts_are_pinned():
+    """Sweep counts at the default settings.  Batching the restarts must
+    not move any restart's convergence, so these match the sweeps of one
+    restart at a time."""
+    est = ascent_norm(make_dot(3, 8))
+    assert (est.iterations, est.converged) == (113, True)
+    est = ascent_norm(make_gaussian_random((5, 4, 6), seed=11))
+    assert (est.iterations, est.converged) == (298, True)
+    assert est.value == pytest.approx(8.43981788789356, rel=1e-12)
+    est = ascent_norm(make_gaussian_random((4, 4, 4), seed=11, scalar_field="complex"))
+    assert (est.iterations, est.converged) == (523, True)
+    assert est.value == pytest.approx(9.57431180794739, rel=1e-12)
+
+
+def test_ascent_rejects_a_nan_coefficient():
+    coeffs = np.ones((3, 3, 3))
+    coeffs[0, 1, 2] = np.nan
+    with pytest.raises(AscentInvariantError, match="finite"):
+        ascent_norm(MultilinearForm(coeffs), restarts=2)
+
+
+def test_ascent_value_above_the_l1_bound_raises(monkeypatch):
+    monkeypatch.setattr(opnorm, "upper_bound_l1", lambda T: 0.0)
+    with pytest.raises(AscentInvariantError, match="l1 coefficient bound"):
+        ascent_norm(make_dot(3, 3), restarts=2)
 
 
 def test_ascent_complex_forms_report_modulus():
