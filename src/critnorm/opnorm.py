@@ -12,8 +12,11 @@ whose row r is restart r, and one matmul against the coefficient tensor
 reshaped to 2-d serves every row, so the tensor is read once per slot per
 sweep.  A row that has converged is frozen and leaves the block, so each
 restart takes exactly the sweeps it would take on its own.  The price is an
-R * |T| / n_k intermediate per slot gradient: about 1.8 MB at m = 4, n = 24
-with R = 16, and about 7 MB for the four-fold retry.
+intermediate of R * |T| / n elements per slot gradient, where n is the end
+slot contracted first (n_0 at k = m-1, n_{m-1} at k = 0, and the larger of
+the two in between): about 1.8 MB at m = 4, n = 24 with R = 16, and about
+7 MB for the four-fold retry.  Rows are chunked so that it never exceeds
+the larger of |T| and 2^20 elements.
 """
 
 from __future__ import annotations
@@ -138,27 +141,42 @@ def spectral_norm(matrix) -> NormEstimate:
                         converged=True, maximizer=[x, y])
 
 
+# Row-chunk cap, in elements, for the first contraction of _slot_gradient.
+_GRADIENT_CHUNK = 1 << 20
+
+
 def _slot_gradient(coeffs, X, k):
     """Slot-k linearization at every row of the blocks ``X`` (one (R, n_i)
     block per slot): row r contracts ``coeffs`` with X[i][r] in every slot
     i != k.
 
-    One matmul contracts slot 0 (slot m-1 when k = 0) for all rows at once,
-    reading the tensor once; batched matrix-vector products then contract
-    the trailing slots down to k + 1 and the leading slots up to k - 1.
+    One matmul contracts an end slot for all rows at once, reading the
+    tensor once: slot m-1 when k = 0, slot 0 when k = m-1, and otherwise
+    the larger of the two.  Batched matrix-vector products then contract the
+    remaining trailing slots down to k + 1 and leading slots up to k - 1.
+    The first product is R * |T| / n_end elements; when that exceeds
+    max(|T|, _GRADIENT_CHUNK) the rows go through in chunks that keep it
+    within that cap.  An arity-1 gradient is ``coeffs`` itself in every row.
     """
     dims = coeffs.shape
     m = len(dims)
     R = len(X[0])
-    if k == 0:
+    if m == 1:
+        return np.broadcast_to(coeffs, (R, dims[0]))
+    end = m - 1 if k == 0 or (k < m - 1 and dims[m - 1] > dims[0]) else 0
+    rows = max(1, max(coeffs.size, _GRADIENT_CHUNK) * dims[end] // coeffs.size)
+    if R > rows:
+        return np.concatenate([_slot_gradient(coeffs, [x[s:s + rows] for x in X], k)
+                               for s in range(0, R, rows)])
+    if end:
         G = X[m - 1] @ coeffs.reshape(-1, dims[m - 1]).T
-        last = m - 2
+        lo, hi = 0, m - 2
     else:
         G = X[0] @ coeffs.reshape(dims[0], -1)
-        last = m - 1
-    for i in range(last, k, -1):
+        lo, hi = 1, m - 1
+    for i in range(hi, k, -1):
         G = np.matmul(G.reshape(R, -1, dims[i]), X[i][:, :, np.newaxis])[:, :, 0]
-    for i in range(1, k):
+    for i in range(lo, k):
         G = np.matmul(X[i][:, np.newaxis, :], G.reshape(R, dims[i], -1))[:, 0, :]
     return G
 

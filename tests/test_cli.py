@@ -101,6 +101,13 @@ def test_norm_op_ascent_case(capsys):
     assert payload["iterations"] > 0
 
 
+def test_norm_op_on_an_arity_1_form(capsys):
+    assert main(["norm", "op", "--form", "gauss:dims=6", "--restarts", "4"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["method"] == "ascent"
+    assert payload["converged"] is True
+
+
 def test_norm_mixed_needs_orders(capsys):
     assert main(["norm", "mixed", "--form", "dot:m=2,n=4"]) == 2
     assert "--exponents" in capsys.readouterr().err

@@ -19,6 +19,7 @@ from critnorm import (
     NormEstimate,
     ascent_norm,
     child_rng,
+    conjugate,
     dual_argmax,
     evaluate,
     lp_norm,
@@ -175,10 +176,14 @@ def _einsum_gradient(coeffs, xs, k):
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
-@pytest.mark.parametrize("dims", [(5, 3), (1, 4), (4, 1), (3, 4, 2), (2, 1, 5),
-                                  (2, 3, 4, 2), (1, 3, 1, 2), (3, 2, 1, 3, 2),
-                                  (2, 2, 2, 2, 2)])
-def test_slot_gradient_matches_a_per_row_einsum(dims, field):
+@pytest.mark.parametrize("chunk", ["whole", "chunked"])
+@pytest.mark.parametrize("dims", [(4,), (1,), (5, 3), (1, 4), (4, 1), (3, 4, 2),
+                                  (2, 1, 5), (2, 3, 4, 2), (1, 3, 1, 2),
+                                  (3, 2, 1, 3, 2), (2, 2, 2, 2, 2)])
+def test_slot_gradient_matches_a_per_row_einsum(dims, field, chunk, monkeypatch):
+    if chunk == "chunked":
+        # a one-element cap sends at most n_end rows through each matmul
+        monkeypatch.setattr(opnorm, "_GRADIENT_CHUNK", 1)
     rng = np.random.default_rng(sum(dims) + 10 * len(dims))
     R = 3
 
@@ -234,6 +239,20 @@ def test_ascent_witness_is_feasible_and_attains():
     for x, p in zip(est.maximizer, T.domain_p):
         assert lp_norm(x, p) <= 1 + 1e-9
     assert abs(evaluate(T, est.maximizer)) == pytest.approx(est.value, rel=1e-12)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("p", ["1", "4/3", "2", "inf"])
+def test_ascent_on_an_arity_1_form_is_the_dual_norm(p, field):
+    rng = np.random.default_rng(8)
+    c = rng.standard_normal(6)
+    if field == "complex":
+        c = c + 1j * rng.standard_normal(6)
+    est = ascent_norm(MultilinearForm(c, domain_p=(p,)), restarts=4, seed=2)
+    assert est.value == pytest.approx(lp_norm(c, conjugate(p)), rel=1e-12)
+    assert est.converged
+    assert lp_norm(est.maximizer[0], p) <= 1 + 1e-12
+    assert abs(evaluate(MultilinearForm(c), est.maximizer)) == pytest.approx(est.value, rel=1e-12)
 
 
 def test_ascent_zero_form():
