@@ -30,6 +30,7 @@ __all__ = [
     "as_ext",
     "ExponentVector",
     "InapplicableError",
+    "ExponentInvariantError",
     "conjugate",
     "tail_sum",
     "criterion",
@@ -243,6 +244,13 @@ class InapplicableError(ValueError):
     """The inclusion-shift preconditions fail for the given (r, p, q)."""
 
 
+class ExponentInvariantError(ValueError):
+    """Exact exponent arithmetic broke an identity it guarantees for every
+    valid input (an entry below 1 after a passed applicability check, or a
+    derived critical family whose slot-2 order is not the arity).  This is a
+    defect of the arithmetic, not of the input; no exponents are returned."""
+
+
 def conjugate(p: ExtLike) -> ExtRational:
     """Conjugate order p* with 1/p + 1/p* = 1; conjugate(1) = inf, conjugate(inf) = 1."""
     p = as_ext(p)
@@ -316,10 +324,10 @@ def inclusion_exponents(r: ExtLike, p: Sequence[ExtLike], q: Sequence[ExtLike]) 
     for k in range(1, m + 1):
         inv = inv_r - tail_sum(p, k).fraction + tail_sum(q, k).fraction
         if inv < 0:
-            raise ArithmeticError(f"1/s_{k} = {inv} < 0 despite applicability")
+            raise ExponentInvariantError(f"1/s_{k} = {inv} < 0 despite applicability")
         s_k = ExtRational.from_reciprocal(inv)
         if not s_k.is_inf and s_k.fraction < 1:
-            raise ArithmeticError(f"s_{k} = {s_k} < 1 despite applicability")
+            raise ExponentInvariantError(f"s_{k} = {s_k} < 1 despite applicability")
         entries.append(s_k)
     return ExponentVector(entries)
 
@@ -357,7 +365,8 @@ def critical_exponents(m: int, variant: str = "derived") -> ExponentVector:
             ExponentVector.uniform(conjugate(m), base),
         )
         s = ExponentVector((INF, *tail))
-        assert s[1] == m, "slot-2 order must equal the arity"
+        if s[1] != m:
+            raise ExponentInvariantError(f"derived slot-2 order {s[1]} must equal the arity {m}")
         return s
     if variant == "corollary-derived":
         return inclusion_exponents(

@@ -1,7 +1,11 @@
 """Operator norms of multilinear forms over products of lp unit balls.
 
 The bilinear l_2 x l_2 case is a largest singular value and is solved
-exactly (LAPACK).  Everything else runs block-coordinate ascent: one slot at
+exactly: LAPACK's values-only SVD gives sigma, and one shifted
+inverse-iteration solve on the Gram matrix gives the attaining pair, so the
+singular vectors are never formed.  A full SVD runs only below 16 on the
+short side, where it is cheaper, on the zero matrix, and when the solve
+misses sigma.  Everything else runs block-coordinate ascent: one slot at
 a time is replaced by the exact maximizer of its linearized problem on the
 slot's ball, which never decreases the modulus of the value, so every
 reported number is an attained lower bound carrying a feasible witness.
@@ -123,22 +127,69 @@ def dual_argmax(c, p: ExtLike):
     return values, X
 
 
+# Smallest short side at which singular values plus a Gram solve beat one
+# full (thin) SVD; below it the full SVD runs directly.
+_WITNESS_MIN_DIM = 16
+# Shift of the Gram solve: just past the top eigenvalue 1 of (A / sigma)^H (A / sigma).
+_GRAM_SHIFT = 1.0 + 2.0 ** -40
+
+
 def spectral_norm(matrix) -> NormEstimate:
     """Largest singular value, with an attaining pair for the bilinear form.
 
     This equals the operator norm of the induced bilinear form on l_2 x l_2;
     for complex coefficients the witness absorbs the conjugate phases so the
     plain (unconjugated) pairing attains the value.
+
+    sigma comes from the values-only SVD.  The witness is one step of
+    shifted inverse iteration: with B = A / sigma in the taller orientation
+    (A^T / sigma for a wide A), solve (B^H B - (1 + 2^-40) I) v = 1, so v
+    lies along the top right singular vector, and set u = B v / ||B v||.  A
+    full SVD runs instead when the short side is below 16, where it is
+    cheaper, when A is zero (giving e_0, e_0), and when ||B v|| < 1 - 1e-13,
+    i.e. the all-ones start missed the top singular vector.  Non-finite
+    entries raise ValueError before LAPACK sees them.
     """
     A = np.asarray(matrix)
     if A.ndim != 2:
         raise ValueError("expected a matrix")
-    U, S, Vh = np.linalg.svd(A)
+    if not np.isfinite(A).all():
+        raise ValueError("spectral norm needs finite entries")
+    if min(A.shape) >= _WITNESS_MIN_DIM:
+        sigma = float(np.linalg.svd(A, compute_uv=False)[0])
+        _check_finite_sigma(sigma)
+        pair = _gram_witness(A, sigma) if sigma > 0 else None
+        if pair is not None:
+            return NormEstimate(sigma, "exact-singular", maximizer=pair)
+    U, S, Vh = np.linalg.svd(A, full_matrices=False)
     sigma = float(S[0])
-    x = np.conj(U[:, 0])
-    y = np.conj(Vh[0, :])
-    return NormEstimate(sigma, "exact-singular", restarts_used=0, iterations=0,
-                        converged=True, maximizer=[x, y])
+    _check_finite_sigma(sigma)
+    return NormEstimate(sigma, "exact-singular", maximizer=[np.conj(U[:, 0]), np.conj(Vh[0])])
+
+
+def _check_finite_sigma(sigma):
+    if not np.isfinite(sigma):
+        raise ValueError(f"largest singular value is {sigma}; the entries are too large")
+
+
+def _gram_witness(A, sigma):
+    """Unit pair [x, y] with x^T A y = sigma from one shifted Gram solve, or
+    None when the solve does not reach sigma within 1e-13 relative."""
+    wide = A.shape[0] < A.shape[1]
+    B = (A.T if wide else A) / sigma
+    G = B.conj().T @ B
+    G.flat[::len(G) + 1] -= _GRAM_SHIFT
+    try:
+        v = np.linalg.solve(G, np.ones(len(G), dtype=G.dtype))
+    except np.linalg.LinAlgError:
+        return None
+    v /= np.linalg.norm(v)
+    u = B @ v
+    norm = np.linalg.norm(u)
+    if not norm >= 1.0 - 1e-13:
+        return None
+    u = np.conj(u / norm)
+    return [v, u] if wide else [u, v]
 
 
 # Row-chunk cap, in elements, for the first contraction of _slot_gradient.

@@ -117,7 +117,11 @@ def mixed_norm(T, orders) -> float:
     infinite order takes the maximum of the level below.  Exact orders are
     converted to double precision once; the global maximum modulus is
     factored out first, which makes the result exactly homogeneous and keeps
-    large orders stable.  Accepts a form or a bare array.
+    large orders stable.  A non-finite maximum modulus raises ValueError.
+    Where a level holds zeros only its nonzero entries are raised to the
+    power (0^e = 0, so the sums are the same bits); on sparse tensors such
+    as the dot forms this skips nearly all of the work.  Accepts a form or
+    a bare array.
     """
     arr = T.coeffs if isinstance(T, MultilinearForm) else np.asarray(T)
     s = orders if isinstance(orders, ExponentVector) else ExponentVector(orders)
@@ -127,15 +131,19 @@ def mixed_norm(T, orders) -> float:
     if work.size == 0:
         return 0.0
     scale = float(work.max())
+    if not math.isfinite(scale):
+        raise ValueError(f"mixed norm needs finite coefficients, got a modulus of {scale}")
     if scale == 0.0:
         return 0.0
-    work = work / scale
+    work /= scale
     for order in reversed(s):
         if order.is_inf:
             work = work.max(axis=-1)
         else:
             e = float(order.fraction)
-            work = np.power(work, e).sum(axis=-1) ** (1.0 / e)
+            # work is always a fresh array here, so it is raised in place
+            np.power(work, e, out=work, where=True if work.min() > 0 else work > 0)
+            work = work.sum(axis=-1) ** (1.0 / e)
     return float(work) * scale
 
 
@@ -241,6 +249,7 @@ def to_dict(T: MultilinearForm) -> dict:
 
 
 def from_dict(payload: dict) -> MultilinearForm:
+    """Inverse of ``to_dict``; a NaN or inf coefficient raises ValueError."""
     m = int(payload["m"])
     dims = tuple(int(d) for d in payload["dims"])
     if len(dims) != m:
@@ -256,6 +265,8 @@ def from_dict(payload: dict) -> MultilinearForm:
         arr = np.array([complex(re, im) for re, im in raw], dtype=np.complex128).reshape(dims)
     else:
         raise ValueError(f"unknown scalar field {scalar!r}")
+    if not np.isfinite(arr).all():
+        raise ValueError("coefficients must be finite; the tensor holds NaN or inf")
     domain = payload.get("domain_p")
     return MultilinearForm(arr, domain_p=ExponentVector(domain) if domain else None)
 

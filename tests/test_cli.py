@@ -192,6 +192,52 @@ def test_inclusion_instance_inapplicable(capsys):
     assert "inapplicable:" in capsys.readouterr().err
 
 
+def test_verify_on_an_inf_coefficient_is_exit_2_without_warnings(tmp_path):
+    """An inf in a saved tensor is refused when the file is loaded: exit 2
+    with one message, and no NumPy RuntimeWarning or traceback on stderr."""
+    coeffs = make_gaussian_random((4, 4), seed=3).coeffs.copy()
+    coeffs[1, 2] = np.inf
+    path = tmp_path / "inf.json"
+    save_tensor(MultilinearForm(coeffs, domain_p=(2, 2)), path)
+    for argv in (["verify", "--form", f"file:{path}"],
+                 ["norm", "op", "--form", f"file:{path}"]):
+        proc = subprocess.run([sys.executable, "-m", "critnorm.cli", *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "error:" in proc.stderr and "finite" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+
+def test_norm_mixed_on_a_nan_coefficient_is_exit_2(tmp_path, capsys):
+    coeffs = make_gaussian_random((4, 4), seed=3).coeffs.copy()
+    coeffs[0, 0] = np.nan
+    path = tmp_path / "nan.json"
+    save_tensor(MultilinearForm(coeffs), path)
+    assert main(["norm", "mixed", "--form", f"file:{path}", "--exponents", "derived"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_a_broken_exponent_identity_is_exit_2(flags):
+    """The slot-2 check of critical_exponents survives python -O and the CLI
+    turns it into exit 2 with a message."""
+    script = ("import sys\n"
+              "from critnorm import exponents\n"
+              "from critnorm.cli import main\n"
+              "exponents.inclusion_exponents = "
+              "lambda r, p, q: exponents.ExponentVector(['5'] * len(p))\n"
+              "sys.exit(main(['exponents', '--m', '3']))\n")
+    proc = subprocess.run([sys.executable, *flags, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "error: derived slot-2 order 5 must equal the arity 3" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_unknown_command_raises_usage():
     with pytest.raises(SystemExit):
         main(["optimize"])

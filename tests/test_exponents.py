@@ -12,8 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from critnorm import exponents
 from critnorm import (
     CONSTANT_CHOICES,
+    ExponentInvariantError,
     ExponentVector,
     ExtRational,
     INF,
@@ -164,6 +166,24 @@ def test_critical_family_structure_all_m_to_100():
         assert all(s[i] >= s[i + 1] for i in range(m - 1))
         assert all(s[k] >= low[k] for k in range(m))
         assert s[1] == low[1]  # equality holds in the first summed slot only
+
+
+def test_a_broken_derived_family_raises_instead_of_asserting(monkeypatch):
+    """The slot-2 identity s_2 = m is checked by an exception, so it holds
+    under python -O as well; it is a ValueError, which the CLI maps to exit 2."""
+    monkeypatch.setattr(exponents, "inclusion_exponents",
+                        lambda r, p, q: ExponentVector(["5"] * len(p)))
+    with pytest.raises(ExponentInvariantError, match="slot-2 order 5 must equal the arity 3"):
+        critical_exponents(3)
+    assert issubclass(ExponentInvariantError, ValueError)
+
+
+def test_an_entry_below_the_budget_raises_an_invariant_error(monkeypatch):
+    """With the applicability budget forced positive, the negative reciprocal
+    of r = 2, p = (1, 1), q = (inf, inf) reaches the per-slot check."""
+    monkeypatch.setattr(exponents, "criterion", lambda r, p, q: ExtRational(1))
+    with pytest.raises(ExponentInvariantError, match="1/s_1 = -3/2 < 0"):
+        inclusion_exponents(2, "1,1", "inf,inf")
 
 
 def test_variant_registry():

@@ -160,6 +160,122 @@ def test_spectral_norm_rejects_non_matrices():
         spectral_norm(np.ones((2, 2, 2)))
 
 
+def _spectral_cases():
+    rng = np.random.default_rng(21)
+    cases = {}
+    for shape in [(3, 5), (5, 3), (16, 16), (40, 17), (17, 40), (64, 64)]:
+        for field in ("real", "complex"):
+            A = rng.standard_normal(shape)
+            if field == "complex":
+                A = A + 1j * rng.standard_normal(shape)
+            cases[f"{field}-{shape[0]}x{shape[1]}"] = A
+    cases["1x1"] = np.array([[-2.5]])
+    cases["1xn"] = rng.standard_normal((1, 30))
+    cases["nx1"] = rng.standard_normal((30, 1)) * 1j
+    cases["eye5"] = np.eye(5)
+    cases["eye20"] = np.eye(20)
+    cases["t0-64x256"] = make_t0(64, 256).coeffs
+    cases["near-tie"] = np.diag([1.0, 1.0 + 1e-13, 1.0 - 1e-9, 0.5])
+    cases["near-tie-20"] = np.diag([1.0, 1.0 + 1e-13, 1.0 - 1e-9, 0.5] * 5)
+    A = rng.standard_normal((24, 30)) + 1j * rng.standard_normal((24, 30))
+    cases["huge"] = A * 1e200
+    cases["tiny"] = A * 1e-200
+    return cases
+
+
+_SPECTRAL_CASES = _spectral_cases()
+
+
+@pytest.mark.parametrize("witness_min_dim", [None, 1], ids=["default", "always-gram"])
+@pytest.mark.parametrize("name", sorted(_SPECTRAL_CASES))
+def test_spectral_norm_matches_the_full_svd_and_attains(name, witness_min_dim, monkeypatch):
+    """sigma agrees with the full SVD and the witness is a unit pair whose
+    plain pairing attains it, on the direct-SVD path for small matrices and
+    on the Gram-solve path (forced for every size with ``always-gram``)."""
+    if witness_min_dim is not None:
+        monkeypatch.setattr(opnorm, "_WITNESS_MIN_DIM", witness_min_dim)
+    A = _SPECTRAL_CASES[name]
+    est = spectral_norm(A)
+    sigma = np.linalg.svd(A, compute_uv=False)[0]
+    assert est.value == pytest.approx(sigma, rel=1e-13)
+    assert est.method == "exact-singular"
+    x, y = est.maximizer
+    assert x.shape == (A.shape[0],) and y.shape == (A.shape[1],)
+    assert np.linalg.norm(x) == pytest.approx(1.0, rel=1e-12)
+    assert np.linalg.norm(y) == pytest.approx(1.0, rel=1e-12)
+    val = complex(x @ A @ y)
+    assert val.real == pytest.approx(est.value, rel=1e-12)
+    assert val.imag == pytest.approx(0.0, abs=1e-12 * est.value)
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (20, 30)])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_spectral_norm_of_the_zero_matrix_is_zero_at_e0(shape, dtype):
+    est = spectral_norm(np.zeros(shape, dtype=dtype))
+    assert est.value == 0.0
+    x, y = est.maximizer
+    np.testing.assert_array_equal(x, np.eye(shape[0])[0])
+    np.testing.assert_array_equal(y, np.eye(shape[1])[0])
+
+
+def _svd_spy(monkeypatch):
+    """Record compute_uv of every np.linalg.svd call."""
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return calls
+
+
+def test_spectral_norm_takes_one_values_only_svd_on_a_generic_matrix(monkeypatch):
+    calls = _svd_spy(monkeypatch)
+    spectral_norm(np.random.default_rng(22).standard_normal((64, 64)))
+    assert calls == [False]
+
+
+def test_spectral_norm_runs_the_full_svd_below_the_witness_size(monkeypatch):
+    calls = _svd_spy(monkeypatch)
+    spectral_norm(np.random.default_rng(23).standard_normal((6, 40)))
+    assert calls == [True]
+
+
+@pytest.mark.parametrize("case", ["2x2", "20x20"])
+def test_spectral_norm_falls_back_when_the_ones_start_misses(case, monkeypatch):
+    """The top right singular vector (1, -1, 0, ...)/sqrt(2) is orthogonal to
+    the all-ones start, so the Gram solve misses sigma and the full SVD runs."""
+    if case == "2x2":
+        monkeypatch.setattr(opnorm, "_WITNESS_MIN_DIM", 1)
+        A = np.array([[1.0, -1.0], [0.0, 0.0]])
+    else:
+        A = np.zeros((20, 20))
+        A[0, :2] = [2.0, -2.0]
+        A[2:, 2:] = np.eye(18)
+    calls = _svd_spy(monkeypatch)
+    est = spectral_norm(A)
+    assert calls == [False, True]
+    assert est.value == pytest.approx(math.sqrt(2) * A[0, 0], rel=1e-15)
+    x, y = est.maximizer
+    assert x @ A @ y == pytest.approx(est.value, rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("n", [2, 20])
+def test_spectral_norm_rejects_non_finite_entries(bad, n):
+    A = np.eye(n)
+    A[0, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        spectral_norm(A)
+
+
+def test_spectral_norm_rejects_an_overflowing_singular_value():
+    with pytest.raises(ValueError, match="too large"):
+        spectral_norm(np.full((2, 2), 1e308))
+
+
 # ---------------------------------------------------------- slot gradient
 
 _AX = "abcde"

@@ -16,10 +16,15 @@ from critnorm import (
     ExponentVector,
     MultilinearForm,
     conjugate,
+    critical_exponents,
     evaluate,
     from_dict,
     load_tensor,
     lp_norm,
+    make_dot,
+    make_gaussian_random,
+    make_partial_dot,
+    make_t0,
     minkowski_gap,
     mixed_norm,
     save_tensor,
@@ -136,6 +141,58 @@ def test_mixed_norm_extreme_magnitudes_do_not_overflow():
     B = np.full((4,), 1e-200)
     assert mixed_norm(B, ExponentVector(("1000",))) == pytest.approx(
         1e-200 * 4 ** 0.001, rel=1e-12)
+
+
+def _mixed_norm_reference(arr, orders):
+    """The nested norm with every entry raised to its power, zeros included."""
+    work = np.abs(arr).astype(np.float64)
+    scale = float(work.max())
+    work = work / scale
+    for order in reversed(ExponentVector(orders)):
+        if order.is_inf:
+            work = work.max(axis=-1)
+        else:
+            e = float(order.fraction)
+            work = np.power(work, e).sum(axis=-1) ** (1.0 / e)
+    return float(work) * scale
+
+
+def _zero_skip_cases():
+    rng = np.random.default_rng(17)
+    holes = rng.standard_normal((6, 7, 5))
+    holes[rng.random(holes.shape) < 0.6] = 0.0
+    holes[2] = 0.0                       # a zero block reaches the outer levels
+    return {
+        "dot-m4n12": make_dot(4, 12).coeffs,
+        "partial-m4n12r1": make_partial_dot(4, 12, 1).coeffs,
+        "t0-8x30": make_t0(8, 30).coeffs,
+        "dense-real": make_gaussian_random((9, 8, 7), seed=5).coeffs,
+        "dense-complex": make_gaussian_random((6, 5, 4, 3), seed=5, scalar_field="complex").coeffs,
+        "holes": holes,
+        "holes-complex": holes * (1 - 2j),
+    }
+
+
+_ZERO_SKIP_CASES = _zero_skip_cases()
+
+
+@pytest.mark.parametrize("name", sorted(_ZERO_SKIP_CASES))
+def test_mixed_norm_zero_skip_is_bit_identical_to_the_plain_formula(name):
+    arr = _ZERO_SKIP_CASES[name]
+    m = arr.ndim
+    families = [critical_exponents(m)] if m > 1 else []
+    families += [ExponentVector.uniform(o, m) for o in ("1", "2", "7/3")]
+    families += [ExponentVector(("3/2", "inf", "5", "1")[:m])]
+    for orders in families:
+        assert mixed_norm(arr, orders) == _mixed_norm_reference(arr, orders), orders
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf)])
+def test_mixed_norm_rejects_non_finite_coefficients(bad):
+    A = np.ones((3, 3), dtype=complex if isinstance(bad, complex) else float)
+    A[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        mixed_norm(A, "inf,2")
 
 
 def test_all_inf_mixed_norm_is_the_max_modulus():
@@ -302,3 +359,14 @@ def test_from_dict_validation():
     bad = dict(good, scalar="quaternion")
     with pytest.raises(ValueError):
         from_dict(bad)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("scalar", ["real", "complex"])
+def test_from_dict_rejects_non_finite_coefficients(bad, scalar, tmp_path):
+    coeffs = np.eye(2, dtype=complex if scalar == "complex" else float)
+    coeffs[0, 1] = bad
+    path = tmp_path / "bad.json"
+    save_tensor(MultilinearForm(coeffs), path)   # building a form still accepts them
+    with pytest.raises(ValueError, match="finite"):
+        load_tensor(path)
