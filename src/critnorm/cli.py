@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .exponents import (
     CONSTANT_CHOICES,
@@ -37,14 +38,6 @@ from .witnesses import parse_form_spec
 __all__ = ["main"]
 
 
-def _ext(text: str) -> ExtRational:
-    return ExtRational(text)
-
-
-def _vector(text: str) -> ExponentVector:
-    return ExponentVector.parse(text)
-
-
 def _sweep(text: str) -> tuple:
     return tuple(int(v) for v in text.split(","))
 
@@ -62,7 +55,7 @@ def _decimal_list(s) -> list:
     return ["inf" if v.is_inf else float(_fmt(float(v))) for v in s]
 
 
-def _experiment_options(sub: argparse.ArgumentParser) -> None:
+def _experiment_options(sub: argparse.ArgumentParser, runner) -> None:
     sub.add_argument("--form", help="form spec, e.g. gauss:m=3 or file:tensor.json")
     sub.add_argument("--n", type=int, help="dimension per slot for size-free specs")
     sub.add_argument("--trials", type=int, default=1)
@@ -74,16 +67,21 @@ def _experiment_options(sub: argparse.ArgumentParser) -> None:
                      help="write the full report to this path")
     sub.add_argument("--format", choices=("json", "csv"),
                      help="report format (default: by --out extension, else json)")
+    sub.set_defaults(handler=_cmd_experiment, runner=runner)
 
 
-def _write_report(report, args) -> None:
+_CONFIG_FIELDS = frozenset(f.name for f in fields(ExperimentConfig))
+
+
+def _cmd_experiment(args) -> int:
+    """Run ``args.runner`` on the config named by the subcommand's options;
+    every option whose dest is an ExperimentConfig field goes in as is."""
+    cfg = ExperimentConfig(experiment=args.command,
+                           **{k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS})
+    report = args.runner(cfg)
     if args.output:
         fmt = args.format or ("csv" if args.output.endswith(".csv") else "json")
         report.write(args.output, fmt)
-
-
-def _finish(report, args) -> int:
-    _write_report(report, args)
     parts = [f"{report.experiment}: {report.summary['trials']} trials",
              f"{report.violations} violations"]
     if "max_ratio" in report.summary:
@@ -158,7 +156,7 @@ def _cmd_norm(args) -> int:
         if args.exponents in VARIANTS:
             orders = critical_exponents(T.arity, args.exponents)
         else:
-            orders = ExponentVector.parse(args.exponents)
+            orders = ExponentVector(args.exponents)
         print(_fmt(mixed_norm(T, orders)))
         return 0
     est = operator_norm(T, restarts=args.restarts, tol=args.tol,
@@ -168,49 +166,6 @@ def _cmd_norm(args) -> int:
                       "iterations": est.iterations,
                       "converged": est.converged}))
     return 0
-
-
-def _cmd_verify(args) -> int:
-    cfg = ExperimentConfig(
-        experiment="verify", form=args.form, n=args.n, exponents=args.exponents,
-        variant=args.variant, constant=args.constant, trials=args.trials,
-        seed=args.seed, restarts=args.restarts, tol=args.tol,
-        max_iters=args.max_iters)
-    return _finish(run_verify(cfg), args)
-
-
-def _cmd_sharpness(args) -> int:
-    cfg = ExperimentConfig(
-        experiment="sharpness", form=args.form, sweep=args.sweep,
-        exponents=args.exponents, variant=args.variant, constant=args.constant,
-        seed=args.seed, restarts=args.restarts, tol=args.tol,
-        max_iters=args.max_iters)
-    return _finish(run_sharpness(cfg), args)
-
-
-def _cmd_bilinear_law(args) -> int:
-    cfg = ExperimentConfig(
-        experiment="bilinear-law", form=args.form, n=args.n, a=args.a, b=args.b,
-        trials=args.trials, seed=args.seed, restarts=args.restarts,
-        tol=args.tol, max_iters=args.max_iters)
-    return _finish(run_bilinear_law(cfg), args)
-
-
-def _cmd_base_hl(args) -> int:
-    cfg = ExperimentConfig(
-        experiment="base-hl", form=args.form, m=args.m, n=args.n,
-        trials=args.trials, seed=args.seed, restarts=args.restarts,
-        tol=args.tol, max_iters=args.max_iters)
-    return _finish(run_base_hl(cfg), args)
-
-
-def _cmd_inclusion_instance(args) -> int:
-    cfg = ExperimentConfig(
-        experiment="inclusion-instance", form=args.form, n=args.n, r=args.r,
-        p=args.p, q=args.q, space=args.space, trials=args.trials,
-        datasets=args.datasets, seed=args.seed, restarts=args.restarts,
-        tol=args.tol, max_iters=args.max_iters)
-    return _finish(run_inclusion_instance(cfg), args)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -225,19 +180,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--m", type=int)
     sub.add_argument("--variant", choices=VARIANTS, default="derived")
     sub.add_argument("--constant", choices=CONSTANT_CHOICES, default="abstract")
-    sub.add_argument("--r", type=_ext)
-    sub.add_argument("--p", type=_vector)
-    sub.add_argument("--q", type=_vector)
+    sub.add_argument("--r", type=ExtRational)
+    sub.add_argument("--p", type=ExponentVector)
+    sub.add_argument("--q", type=ExponentVector)
     sub.add_argument("--json", action="store_true",
                      help="print one JSON object instead of text lines")
     sub.set_defaults(handler=_cmd_exponents)
 
     sub = subs.add_parser("admissible", help="test the bilinear exponent "
                           "admissibility conditions")
-    sub.add_argument("--p", type=_ext, required=True)
-    sub.add_argument("--q", type=_ext, required=True)
-    sub.add_argument("--a", type=_ext, required=True)
-    sub.add_argument("--b", type=_ext, required=True)
+    sub.add_argument("--p", type=ExtRational, required=True)
+    sub.add_argument("--q", type=ExtRational, required=True)
+    sub.add_argument("--a", type=ExtRational, required=True)
+    sub.add_argument("--b", type=ExtRational, required=True)
     sub.set_defaults(handler=_cmd_admissible)
 
     sub = subs.add_parser("norm", help="evaluate one norm of one form")
@@ -255,43 +210,38 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=_cmd_norm)
 
     sub = subs.add_parser("verify", help="check the critical inequality over trials")
-    sub.add_argument("--exponents", type=_vector)
+    sub.add_argument("--exponents", type=ExponentVector)
     sub.add_argument("--variant", choices=VARIANTS, default="derived")
     sub.add_argument("--constant", choices=CONSTANT_CHOICES, default="abstract")
-    _experiment_options(sub)
-    sub.set_defaults(handler=_cmd_verify)
+    _experiment_options(sub, run_verify)
 
     sub = subs.add_parser("sharpness", help="fit ratio growth across dimensions")
     sub.add_argument("--sweep", type=_sweep, required=True,
                      help="comma list of dimensions, e.g. 4,8,16,32,64")
-    sub.add_argument("--exponents", type=_vector)
+    sub.add_argument("--exponents", type=ExponentVector)
     sub.add_argument("--variant", choices=VARIANTS, default="derived")
     sub.add_argument("--constant", choices=CONSTANT_CHOICES, default="abstract")
-    _experiment_options(sub)
-    sub.set_defaults(handler=_cmd_sharpness)
+    _experiment_options(sub, run_sharpness)
 
     sub = subs.add_parser("bilinear-law", help="check the dimension-weighted "
                           "bilinear mixed-norm bound")
-    sub.add_argument("--a", type=_ext, required=True)
-    sub.add_argument("--b", type=_ext, required=True)
-    _experiment_options(sub)
-    sub.set_defaults(handler=_cmd_bilinear_law)
+    sub.add_argument("--a", type=ExtRational, required=True)
+    sub.add_argument("--b", type=ExtRational, required=True)
+    _experiment_options(sub, run_bilinear_law)
 
     sub = subs.add_parser("base-hl", help="check the full-l_2 coefficient bound "
                           "on the widened domain")
     sub.add_argument("--m", type=int, required=True)
-    _experiment_options(sub)
-    sub.set_defaults(handler=_cmd_base_hl)
+    _experiment_options(sub, run_base_hl)
 
     sub = subs.add_parser("inclusion-instance", help="compare summing quotients "
                           "empirically for one (r, p, q) instance")
-    sub.add_argument("--r", type=_ext, required=True)
-    sub.add_argument("--p", type=_vector, required=True)
-    sub.add_argument("--q", type=_vector, required=True)
-    sub.add_argument("--space", type=_ext)
+    sub.add_argument("--r", type=ExtRational, required=True)
+    sub.add_argument("--p", type=ExponentVector, required=True)
+    sub.add_argument("--q", type=ExponentVector, required=True)
+    sub.add_argument("--space", type=ExtRational)
     sub.add_argument("--datasets", type=int, default=6)
-    _experiment_options(sub)
-    sub.set_defaults(handler=_cmd_inclusion_instance)
+    _experiment_options(sub, run_inclusion_instance)
 
     return parser
 

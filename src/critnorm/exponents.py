@@ -18,6 +18,7 @@ and against the hard floor m/(k-1).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,18 +39,17 @@ __all__ = [
     "VARIANTS",
     "critical_exponents",
     "PowerOfTwo",
-    "theorem_constant",
     "CONSTANT_CHOICES",
     "inequality_constant",
     "BilinearAdmissibility",
     "bilinear_admissibility",
-    "admissible_bilinear",
     "critical_bilinear_admissible",
 ]
 
 ExtLike = Union["ExtRational", int, Fraction, str]
 
 
+@functools.total_ordering
 class ExtRational:
     """An exact rational number extended with +infinity.
 
@@ -57,7 +57,8 @@ class ExtRational:
     lowest terms with positive denominator); infinity is the unique value
     with ``is_inf``.  The type is totally ordered with infinity on top,
     supports addition, and has exact reciprocals with ``reciprocal(inf) == 0``.
-    Floats are rejected on input: exactness is the point.
+    Floats are rejected on input: exactness is the point.  A token with a
+    zero denominator, such as ``"1/0"``, is a ValueError.
     """
 
     __slots__ = ("_frac",)
@@ -79,7 +80,10 @@ class ExtRational:
             if tok in {"inf", "+inf", "infinity", "oo"}:
                 self._frac = None
             else:
-                self._frac = Fraction(tok)
+                try:
+                    self._frac = Fraction(tok)
+                except ZeroDivisionError:
+                    raise ValueError(f"{value!r} has a zero denominator") from None
         elif isinstance(value, float):
             raise TypeError(
                 "floats are inexact; pass an int, a Fraction or a 'num/den' string"
@@ -128,7 +132,7 @@ class ExtRational:
         if isinstance(other, (int, Fraction, str)):
             try:
                 return ExtRational(other)
-            except (ValueError, ZeroDivisionError, TypeError):
+            except (ValueError, TypeError):
                 return None
         return None
 
@@ -146,24 +150,6 @@ class ExtRational:
         if o is None:
             return NotImplemented
         return self._key() < o._key()
-
-    def __le__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._key() <= o._key()
-
-    def __gt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._key() > o._key()
-
-    def __ge__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._key() >= o._key()
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -223,15 +209,8 @@ class ExponentVector(tuple):
         return super().__new__(cls, items)
 
     @classmethod
-    def parse(cls, text: str) -> "ExponentVector":
-        return cls(text)
-
-    @classmethod
     def uniform(cls, order: ExtLike, m: int) -> "ExponentVector":
         return cls((as_ext(order),) * m)
-
-    def floats(self) -> tuple[float, ...]:
-        return tuple(float(e) for e in self)
 
     def __str__(self):
         return "(" + ", ".join(str(e) for e in self) + ")"
@@ -385,25 +364,19 @@ def critical_exponents(m: int, variant: str = "derived") -> ExponentVector:
 
 @dataclass(frozen=True)
 class PowerOfTwo:
-    """Exact power base**exponent together with its floating value."""
+    """Exact power 2**exponent together with its floating value."""
 
     exponent: Fraction
-    base: int = 2
 
     @property
     def value(self) -> float:
-        return float(self.base) ** float(self.exponent)
+        return 2.0 ** float(self.exponent)
 
     def __str__(self):
-        return f"{self.base}^({self.exponent})"
+        return f"2^({self.exponent})"
 
 
 CONSTANT_CHOICES = ("abstract", "theorem")
-
-
-def theorem_constant(m: int) -> PowerOfTwo:
-    """Growth constant 2^((m-2)/2) attached to the critical family at arity m."""
-    return inequality_constant(m, "abstract")
 
 
 def inequality_constant(m: int, choice: str = "abstract") -> PowerOfTwo:
@@ -466,11 +439,6 @@ def bilinear_admissibility(p: ExtLike, q: ExtLike, a: ExtLike, b: ExtLike) -> Bi
             f"1/a + 1/b = {_recip(a) + _recip(b)} > 3/2 - (1/p + 1/q) = {budget}"
         )
     return BilinearAdmissibility(not failures, tuple(failures), a_thr, b_thr, budget)
-
-
-def admissible_bilinear(p: ExtLike, q: ExtLike, a: ExtLike, b: ExtLike) -> bool:
-    """Boolean form of :func:`bilinear_admissibility`."""
-    return bilinear_admissibility(p, q, a, b).ok
 
 
 def critical_bilinear_admissible(a: ExtLike, b: ExtLike) -> bool:

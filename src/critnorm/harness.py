@@ -10,9 +10,10 @@ report is a pure function of its configuration (re-running writes identical
 bytes).  Ratio denominators prefer a form's closed-form norm and otherwise
 fall back to the exact singular value or the seeded ascent; ascent is a
 lower bound, which can only inflate ratios, so violation counts err on the
-loud side, and an ascent-backed violation is retried with four times the
-restarts before it is reported.  Floating output is written at 12
-significant digits.
+loud side.  Verify, sharpness and base-hl share one trial check: an
+ascent-backed violation is retried with four times the restarts before it
+is reported, and the verdict ``not ratio <= limit`` counts a NaN ratio as a
+violation.  Floating output is written at 12 significant digits.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ from .exponents import (
     inclusion_exponents,
     inequality_constant,
 )
-from .opnorm import operator_norm
+from .opnorm import operator_norm, weak_norm
 from .rng import child_rng, child_seed
-from .tensor import MultilinearForm, lp_norm, mixed_norm, weak_norm
+from .tensor import MultilinearForm, lp_norm, mixed_norm
 from .witnesses import FormFactory, parse_form_spec
 
 __all__ = [
@@ -245,6 +246,27 @@ def _denominator(T: MultilinearForm, cfg: ExperimentConfig, *seed_path: int):
     return est.value, est.method
 
 
+def _check_trial(T: MultilinearForm, lhs: float, C: float,
+                 cfg: ExperimentConfig, t: int) -> dict:
+    """One trial of lhs <= C * ||T||: norm, method, ratio, retried, violation.
+
+    The denominator is seeded from (t, 1); an ascent-backed ratio above
+    C * (1 + SLACK_ASCENT) is retried once at four times the restarts,
+    seeded from (t, 2).  The verdict is ``not ratio <= limit``, so a NaN
+    ratio is a violation, never a pass.
+    """
+    norm, method = _denominator(T, cfg, t, 1)
+    ratio = _ratio(lhs, norm)
+    retried = method == "ascent" and not ratio <= C * (1 + SLACK_ASCENT)
+    if retried:
+        est = operator_norm(T, restarts=4 * cfg.restarts, tol=cfg.tol,
+                            max_iters=cfg.max_iters, seed=child_seed(cfg.seed, t, 2))
+        norm, method = est.value, est.method
+        ratio = _ratio(lhs, norm)
+    return {"norm": norm, "method": method, "ratio": ratio, "retried": retried,
+            "violation": not ratio <= C * (1 + _slack_for(method))}
+
+
 def _ratio(lhs: float, denom: float) -> float:
     if denom == 0.0:
         return 0.0 if lhs == 0.0 else math.inf
@@ -289,25 +311,8 @@ def run_verify(cfg: ExperimentConfig) -> ExperimentReport:
         elif len(s) != T.arity:
             raise ValueError("form arity changed between trials")
         lhs = mixed_norm(T, s)
-        denom, method = _denominator(T, cfg, t, 1)
-        ratio = _ratio(lhs, denom)
-        retried = False
-        if method == "ascent" and ratio > C * (1 + _slack_for(method)):
-            est = operator_norm(T, restarts=4 * cfg.restarts, tol=cfg.tol,
-                                max_iters=cfg.max_iters, seed=child_seed(cfg.seed, t, 2))
-            denom, method, retried = est.value, est.method, True
-            ratio = _ratio(lhs, denom)
-        bad = ratio > C * (1 + _slack_for(method))
-        records.append({
-            "trial": t,
-            "dims": "x".join(map(str, T.dims)),
-            "lhs": lhs,
-            "norm": denom,
-            "method": method,
-            "ratio": ratio,
-            "retried": retried,
-            "violation": bad,
-        })
+        records.append({"trial": t, "dims": "x".join(map(str, T.dims)), "lhs": lhs,
+                        **_check_trial(T, lhs, C, cfg, t)})
     summary = _summary(records, {"constant": C})
     return ExperimentReport("verify", _echo(cfg, {"exponents_used": str(s)}),
                             records, summary)
@@ -319,10 +324,14 @@ def run_sharpness(cfg: ExperimentConfig) -> ExperimentReport:
     A zero fitted slope is what a tight family looks like; a positive slope
     certifies that the configured orders cannot carry a dimension-free
     constant on this family.  When the fit residual exceeds 0.02 the smallest
-    sweep point is dropped and both fits are reported.
+    sweep point is dropped and both fits are reported.  Each point is
+    checked like a verify trial, ascent retry included.
     """
     if not cfg.sweep or len(cfg.sweep) < 3:
         raise ValueError("sharpness needs a sweep of at least 3 dimensions")
+    if cfg.trials != 1 or cfg.n is not None:
+        raise ValueError("sharpness takes its dimensions from the sweep and runs "
+                         "one form per point; drop --trials and --n")
     fac = _factory(cfg)
     records = []
     pts = []
@@ -334,18 +343,10 @@ def run_sharpness(cfg: ExperimentConfig) -> ExperimentReport:
             s = _resolve_exponents(cfg, T.arity)
             C = inequality_constant(T.arity, cfg.constant).value
         lhs = mixed_norm(T, s)
-        denom, method = _denominator(T, cfg, i, 1)
-        ratio = _ratio(lhs, denom)
-        bad = ratio > C * (1 + _slack_for(method))
-        pts.append((n, ratio))
-        records.append({
-            "n": n,
-            "lhs": lhs,
-            "norm": denom,
-            "method": method,
-            "ratio": ratio,
-            "violation": bad,
-        })
+        rec = {"n": n, "lhs": lhs, **_check_trial(T, lhs, C, cfg, i)}
+        del rec["retried"]   # the sharpness report keeps its columns
+        pts.append((n, rec["ratio"]))
+        records.append(rec)
     fit = fit_growth(pts)
     trimmed = fit_growth(pts[1:]) if fit.residual > 0.02 and len(pts) > 3 else None
     summary = _summary(records, {"constant": C, "slope": fit.slope})
@@ -422,25 +423,8 @@ def run_base_hl(cfg: ExperimentConfig) -> ExperimentReport:
         if T.arity != base_arity:
             raise ValueError(f"expected arity-{base_arity} forms for m = {m}")
         lhs = mixed_norm(T, full_l2)
-        denom, method = _denominator(T, cfg, t, 1)
-        ratio = _ratio(lhs, denom)
-        retried = False
-        if method == "ascent" and ratio > C * (1 + _slack_for(method)):
-            est = operator_norm(T, restarts=4 * cfg.restarts, tol=cfg.tol,
-                                max_iters=cfg.max_iters, seed=child_seed(cfg.seed, t, 2))
-            denom, method, retried = est.value, est.method, True
-            ratio = _ratio(lhs, denom)
-        bad = ratio > C * (1 + _slack_for(method))
-        records.append({
-            "trial": t,
-            "dims": "x".join(map(str, T.dims)),
-            "lhs": lhs,
-            "norm": denom,
-            "method": method,
-            "ratio": ratio,
-            "retried": retried,
-            "violation": bad,
-        })
+        records.append({"trial": t, "dims": "x".join(map(str, T.dims)), "lhs": lhs,
+                        **_check_trial(T, lhs, C, cfg, t)})
     summary = _summary(records, {"constant": C})
     return ExperimentReport("base-hl", _echo(cfg, {"domain": str(dom)}), records, summary)
 

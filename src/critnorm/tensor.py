@@ -1,4 +1,4 @@
-"""Dense multilinear forms and their mixed, weak and comparison norms.
+"""Dense multilinear forms and their mixed and comparison norms.
 
 An arity-m form on l_{p_1} x ... x l_{p_m} is stored as its dense coefficient
 tensor a[j_1, ..., j_m] = T(e_{j_1}, ..., e_{j_m}), row-major, float64 or
@@ -6,25 +6,25 @@ complex128.  The mixed norm nests one l_s reduction per axis, innermost axis
 first, with an infinite order meaning a running maximum; the leading modulus
 is factored out before any exponentiation so extreme orders neither overflow
 nor underflow.  JSON interchange keeps the flat row-major coefficient list
-with complex entries as [re, im] pairs.
+with complex entries as [re, im] pairs.  Weak norms of vector sequences
+are operator norms, so they live in critnorm.opnorm.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .exponents import ExponentVector, ExtLike, ExtRational, as_ext, conjugate
+from .exponents import ExponentVector, ExtLike, as_ext
 
 __all__ = [
     "MultilinearForm",
     "evaluate",
     "mixed_norm",
     "lp_norm",
-    "weak_norm",
     "minkowski_gap",
     "to_dict",
     "from_dict",
@@ -38,14 +38,12 @@ class MultilinearForm:
 
     ``domain_p`` defaults to the critical choice: every slot on l_m where m
     is the arity.  ``analytic_norm`` is optional closed-form operator norm
-    metadata (on the stored domain); ``analytic_norm_derived`` marks values
-    extrapolated beyond the directly argued cases.
+    metadata (on the stored domain).
     """
 
-    __slots__ = ("coeffs", "domain_p", "analytic_norm", "analytic_norm_derived")
+    __slots__ = ("coeffs", "domain_p", "analytic_norm")
 
-    def __init__(self, coeffs, domain_p=None, analytic_norm=None,
-                 analytic_norm_derived=False):
+    def __init__(self, coeffs, domain_p=None, analytic_norm=None):
         arr = np.asarray(coeffs)
         if arr.ndim < 1:
             raise ValueError("coefficients must carry at least one axis")
@@ -68,7 +66,6 @@ class MultilinearForm:
                 raise ValueError(f"slot {i} domain order {e} < 1; unit balls need p >= 1")
         self.domain_p = domain_p
         self.analytic_norm = None if analytic_norm is None else float(analytic_norm)
-        self.analytic_norm_derived = bool(analytic_norm_derived)
 
     @property
     def arity(self) -> int:
@@ -162,36 +159,6 @@ def lp_norm(x, order: ExtLike) -> float:
     if scale == 0.0:
         return 0.0
     return scale * float(np.power(a / scale, e).sum() ** (1.0 / e))
-
-
-def weak_norm(vectors, p: ExtLike, space_q: ExtLike, *, restarts: int = 8,
-              tol: float = 1e-12, max_iters: int = 200, seed: int = 0) -> float:
-    """Weak-l_p norm of a finite sequence of vectors living in l_{space_q}^n.
-
-    Equals the operator norm of the map c -> sum_k c_k x_k from the unit
-    l_{p*} ball into l_{space_q}.  The l_2 -> l_2 case (p = 2 into q = 2) is
-    a largest singular value and is computed exactly; every other case runs
-    the seeded block ascent on the induced bilinear pairing, so the value is
-    an attained lower bound.  ``vectors`` are the rows of a 2-d array.
-    """
-    X = np.asarray(vectors)
-    if X.ndim == 1:
-        X = X[np.newaxis, :]
-    if X.ndim != 2:
-        raise ValueError("pass the sequence as rows of a 2-d array")
-    p = as_ext(p)
-    if p < 1:
-        raise ValueError(f"weak norms need p >= 1, got {p}")
-    q = as_ext(space_q)
-    if q < 1:
-        raise ValueError(f"the container space needs q >= 1, got {q}")
-    from .opnorm import ascent_norm, spectral_norm  # deferred: opnorm builds on this module
-
-    if p == 2 and q == 2:
-        return spectral_norm(X).value
-    pairing = MultilinearForm(X, domain_p=(conjugate(p), conjugate(q)))
-    return ascent_norm(pairing, restarts=restarts, tol=tol, max_iters=max_iters,
-                       seed=seed).value
 
 
 def minkowski_gap(matrix, p: ExtLike, q: ExtLike) -> float:

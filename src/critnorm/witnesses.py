@@ -44,8 +44,8 @@ def make_partial_dot(m: int, n: int, r: int) -> MultilinearForm:
 
     On the l_m domain the norm is n^(r/m): Hoelder across the m-r live slots,
     attained by uniform vectors n^(-1/m)(1,...,1) with the pinned slots at
-    e_1.  The same argument extends past r = 2, where the metadata is marked
-    as derived and cross-checked numerically rather than quoted.
+    e_1.  The same argument extends past r = 2, where the value is
+    cross-checked numerically rather than quoted.
     """
     if m < 2:
         raise ValueError(f"arity must be >= 2, got {m}")
@@ -57,8 +57,7 @@ def make_partial_dot(m: int, n: int, r: int) -> MultilinearForm:
     idx = tuple(np.zeros(n, dtype=int) for _ in range(r)) + \
         tuple(np.arange(n) for _ in range(m - r))
     coeffs[idx] = 1.0
-    return MultilinearForm(coeffs, analytic_norm=float(n) ** (r / m),
-                           analytic_norm_derived=r > 2)
+    return MultilinearForm(coeffs, analytic_norm=float(n) ** (r / m))
 
 
 def make_t0(n1: int, n2: int) -> MultilinearForm:
@@ -147,17 +146,6 @@ class FormFactory:
         if domain_p is not None:
             T = T.with_domain(domain_p)
         return T
-
-    def arity(self):
-        """Arity when knowable without building the form (None for files)."""
-        P, k = self.params, self.kind
-        if k in ("dot", "partial", "sign"):
-            return P["m"]
-        if k == "t0":
-            return 2
-        if k == "gauss":
-            return len(P["dims"]) if "dims" in P else P.get("m")
-        return None
 
     @staticmethod
     def _dim(pinned, n):

@@ -166,6 +166,14 @@ def test_sharpness_violations_exit_one(capsys):
     assert "violation at" in out
 
 
+def test_sharpness_refuses_trials_and_n(capsys):
+    assert main(["sharpness", "--form", "partial:m=3,r=1", "--sweep", "4,8,16",
+                 "--trials", "5", "--n", "99"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "--trials" in captured.err
+
+
 def test_bilinear_law_cli(capsys):
     assert main(["bilinear-law", "--form", "t0:n1=4,n2=64",
                  "--a", "1", "--b", "inf"]) == 0
@@ -236,6 +244,19 @@ def test_a_broken_exponent_identity_is_exit_2(flags):
     assert proc.returncode == 2
     assert "error: derived slot-2 order 5 must equal the arity 3" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["admissible", "--p", "1/0", "--q", "4", "--a", "2", "--b", "inf"],
+    ["verify", "--exponents", "inf,1/0"],
+], ids=["admissible", "verify"])
+def test_a_zero_denominator_is_a_usage_error(argv):
+    proc = subprocess.run([sys.executable, "-m", "critnorm.cli", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "usage:" in proc.stderr and "1/0" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_unknown_command_raises_usage():

@@ -3,12 +3,14 @@ serialization, and the behavior of each experiment on forms whose answers
 are known in closed form.
 """
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from critnorm import harness
 from critnorm import (
     ExperimentConfig,
     ExponentVector,
@@ -17,6 +19,7 @@ from critnorm import (
     InapplicableError,
     SLACK_ASCENT,
     SLACK_EXACT,
+    child_seed,
     fit_growth,
     run_base_hl,
     run_bilinear_law,
@@ -107,6 +110,65 @@ def test_verify_explicit_exponents_override_the_variant():
     assert rep.violations == 0
 
 
+def _low_estimates(monkeypatch, low):
+    """Route harness.operator_norm through the real one, cutting the value of
+    the calls numbered in ``low`` (1-based) a thousandfold, which puts any
+    ratio far above its constant.  Returns the log of (kwargs, value)."""
+    real = harness.operator_norm
+    log = []
+
+    def fake(T, **kwargs):
+        est = real(T, **kwargs)
+        if len(log) + 1 in low:
+            est = dataclasses.replace(est, value=est.value * 1e-3)
+        log.append((kwargs, est.value))
+        return est
+
+    monkeypatch.setattr(harness, "operator_norm", fake)
+    return log
+
+
+def _assert_one_retry(log):
+    """The first two calls are trial 0's estimate and its 4x retry, at the
+    default seed 42 and 16 restarts."""
+    assert log[0][0]["restarts"] == 16
+    assert log[0][0]["seed"] == child_seed(42, 0, 1)
+    assert log[1][0]["restarts"] == 64
+    assert log[1][0]["seed"] == child_seed(42, 0, 2)
+
+
+_RETRYING_RUNS = [
+    (run_verify, ExperimentConfig(experiment="verify", form="gauss:m=3", n=6)),
+    (run_base_hl, ExperimentConfig(experiment="base-hl", m=3, n=6)),
+]
+
+
+@pytest.mark.parametrize("run, cfg", _RETRYING_RUNS, ids=["verify", "base-hl"])
+def test_a_low_first_estimate_is_retried_and_cleared(monkeypatch, run, cfg):
+    log = _low_estimates(monkeypatch, low={1})
+    rec = run(cfg).trials[0]
+    assert len(log) == 2
+    _assert_one_retry(log)
+    assert rec["retried"] is True
+    assert rec["violation"] is False
+    assert rec["method"] == "ascent"
+    assert rec["norm"] == log[1][1]
+    assert rec["ratio"] == rec["lhs"] / rec["norm"]
+
+
+@pytest.mark.parametrize("run, cfg", _RETRYING_RUNS, ids=["verify", "base-hl"])
+def test_a_violation_that_survives_the_retry_is_reported(monkeypatch, run, cfg):
+    log = _low_estimates(monkeypatch, low={1, 2})
+    rep = run(cfg)
+    rec = rep.trials[0]
+    assert len(log) == 2
+    _assert_one_retry(log)
+    assert rec["retried"] is True
+    assert rec["violation"] is True
+    assert rec["norm"] == log[1][1]
+    assert rep.violations == 1
+
+
 def test_verify_needs_a_form():
     with pytest.raises(ValueError):
         run_verify(ExperimentConfig(experiment="verify"))
@@ -130,6 +192,26 @@ def test_sharpness_printed_variant_grows_like_the_twelfth_root():
     assert rep.growth["slope"] == pytest.approx(1 / 12, abs=1e-10)
     # growth above the constant is a per-point violation at large n
     assert rep.summary["slope"] == rep.growth["slope"]
+
+
+def test_sharpness_retries_a_low_first_estimate(monkeypatch):
+    log = _low_estimates(monkeypatch, low={1})
+    cfg = ExperimentConfig(experiment="sharpness", form="gauss:m=3", sweep=(3, 4, 5))
+    rep = run_sharpness(cfg)
+    assert len(log) == 4   # one retry at the first point, none after
+    _assert_one_retry(log)
+    rec = rep.trials[0]
+    assert rec["norm"] == log[1][1]
+    assert rec["violation"] is False
+    assert list(rec) == ["n", "lhs", "norm", "method", "ratio", "violation"]
+    assert rep.violations == 0
+
+
+@pytest.mark.parametrize("extra", [{"trials": 5}, {"n": 99}, {"trials": 5, "n": 99}])
+def test_sharpness_refuses_trials_and_n(extra):
+    with pytest.raises(ValueError, match="sweep"):
+        run_sharpness(ExperimentConfig(experiment="sharpness", form="partial:m=3,r=1",
+                                       sweep=(4, 8, 16), **extra))
 
 
 def test_sharpness_needs_three_points():

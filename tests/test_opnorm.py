@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from critnorm import (
     AscentInvariantError,
     MultilinearForm,
-    NormEstimate,
     ascent_norm,
     child_rng,
     conjugate,
@@ -472,10 +471,3 @@ def test_operator_norm_exact_case_value():
     est = operator_norm(make_t0(4, 16))
     assert est.method == "exact-singular"
     assert est.value == pytest.approx(4.0, rel=1e-12)
-
-
-def test_norm_estimate_analytic_constructor():
-    est = NormEstimate.analytic(2.5)
-    assert est.method == "analytic"
-    assert est.value == 2.5
-    assert est.converged

@@ -43,7 +43,6 @@ def test_partial_dot_pins_leading_slots():
     assert T.coeffs[0, 2, 2] == 1.0
     assert T.coeffs[1, 2, 2] == 0.0
     assert T.analytic_norm == pytest.approx(4 ** (1 / 3), rel=1e-15)
-    assert not T.analytic_norm_derived
     assert make_partial_dot(3, 4, 0).analytic_norm == 1.0
 
 
@@ -66,7 +65,6 @@ def test_partial_dot_mixed_norm_drops_below_the_norm_past_one_pin():
         got = mixed_norm(T, s)
         assert got == pytest.approx(float(n) ** float(s[r].reciprocal()), rel=1e-12)
         assert got < T.analytic_norm
-    assert make_partial_dot(5, 5, 3).analytic_norm_derived
 
 
 def test_partial_dot_range_checks():
@@ -81,7 +79,7 @@ def test_partial_dot_range_checks():
 def test_t0_structure_and_norm():
     T = make_t0(3, 9)
     assert T.dims == (3, 9)
-    assert T.domain_p == ExponentVector.parse("2,2")
+    assert T.domain_p == ExponentVector("2,2")
     assert np.array_equal(T.coeffs[0], np.ones(9))
     assert np.array_equal(T.coeffs[1], np.zeros(9))
     assert T.analytic_norm == 3.0
@@ -116,7 +114,6 @@ def test_parse_pinned_spec_builds_without_arguments():
     fac = parse_form_spec("partial:m=3,n=8,r=1")
     T = fac.make()
     assert T.dims == (8, 8, 8)
-    assert fac.arity() == 3
 
 
 def test_parse_family_spec_takes_sweep_dimension_and_seed():
@@ -142,7 +139,6 @@ def test_gauss_dims_spec():
     fac = parse_form_spec("gauss:dims=2x3x4,seed=5")
     T = fac.make()
     assert T.dims == (2, 3, 4)
-    assert fac.arity() == 3
     with pytest.raises(ValueError):
         fac.make(n=8)   # explicit dims exclude a sweep dimension
 
@@ -156,7 +152,6 @@ def test_t0_spec_defaults_second_dimension_to_the_sweep():
     fac = parse_form_spec("t0:n1=4")
     assert fac.make(n=64).dims == (4, 64)
     assert parse_form_spec("t0:n1=4,n2=9").make().dims == (4, 9)
-    assert fac.arity() == 2
 
 
 def test_file_spec_round_trip(tmp_path):
@@ -166,7 +161,6 @@ def test_file_spec_round_trip(tmp_path):
     fac = parse_form_spec(f"file:{path}")
     U = fac.make()
     assert np.array_equal(U.coeffs, T.coeffs)
-    assert fac.arity() is None
     with pytest.raises(ValueError):
         fac.make(n=3)
 
