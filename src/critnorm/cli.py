@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
 
 from .exponents import (
     CONSTANT_CHOICES,
@@ -24,6 +23,7 @@ from .exponents import (
     inequality_constant,
 )
 from .harness import (
+    READS,
     ExperimentConfig,
     run_base_hl,
     run_bilinear_law,
@@ -55,14 +55,16 @@ def _decimal_list(s) -> list:
     return ["inf" if v.is_inf else float(_fmt(float(v))) for v in s]
 
 
-def _experiment_options(sub: argparse.ArgumentParser, runner) -> None:
-    sub.add_argument("--form", help="form spec, e.g. gauss:m=3 or file:tensor.json")
-    sub.add_argument("--n", type=int, help="dimension per slot for size-free specs")
-    sub.add_argument("--trials", type=int, default=1)
-    sub.add_argument("--seed", type=int, default=42)
-    sub.add_argument("--restarts", type=int, default=16)
-    sub.add_argument("--tol", type=float, default=1e-10)
-    sub.add_argument("--max-iters", type=int, default=500)
+def _experiment_options(sub: argparse.ArgumentParser, experiment: str, runner) -> None:
+    """Report options, plus the shared settings ``experiment`` reads (READS);
+    an option left unset keeps its ExperimentConfig default."""
+    shared = {"form": {"help": "form spec, e.g. gauss:m=3 or file:tensor.json"},
+              "n": {"type": int, "help": "dimension per slot for size-free specs"},
+              "trials": {"type": int}, "seed": {"type": int}, "restarts": {"type": int},
+              "tol": {"type": float}, "max_iters": {"type": int}}
+    for dest in READS[experiment]:
+        if dest in shared:
+            sub.add_argument("--" + dest.replace("_", "-"), **shared[dest])
     sub.add_argument("--out", "--output", dest="output",
                      help="write the full report to this path")
     sub.add_argument("--format", choices=("json", "csv"),
@@ -70,26 +72,19 @@ def _experiment_options(sub: argparse.ArgumentParser, runner) -> None:
     sub.set_defaults(handler=_cmd_experiment, runner=runner)
 
 
-_CONFIG_FIELDS = frozenset(f.name for f in fields(ExperimentConfig))
-
-
 def _cmd_experiment(args) -> int:
-    """Run ``args.runner`` on the config named by the subcommand's options;
-    every option whose dest is an ExperimentConfig field goes in as is."""
-    cfg = ExperimentConfig(experiment=args.command,
-                           **{k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS})
+    """Run ``args.runner`` on the config named by the subcommand's options:
+    every setting the experiment reads, as given, or its default if unset."""
+    given = {k: getattr(args, k) for k in READS[args.command]}
+    cfg = ExperimentConfig(args.command, **{k: v for k, v in given.items() if v is not None})
     report = args.runner(cfg)
     if args.output:
         fmt = args.format or ("csv" if args.output.endswith(".csv") else "json")
         report.write(args.output, fmt)
-    parts = [f"{report.experiment}: {report.summary['trials']} trials",
-             f"{report.violations} violations"]
-    if "max_ratio" in report.summary:
-        parts.append(f"max ratio {_fmt(report.summary['max_ratio'])}")
-    if "constant" in report.summary:
-        parts.append(f"constant {_fmt(report.summary['constant'])}")
-    if "slope" in report.summary:
-        parts.append(f"slope {_fmt(report.summary['slope'])}")
+    summary = report.summary
+    parts = [f"{report.experiment}: {summary['trials']} trials",
+             f"{report.violations} violations", f"max ratio {_fmt(summary['max_ratio'])}"]
+    parts += [f"{key} {_fmt(summary[key])}" for key in ("constant", "slope") if key in summary]
     print(", ".join(parts))
     for rec in report.trials:
         if rec.get("violation"):
@@ -211,28 +206,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("verify", help="check the critical inequality over trials")
     sub.add_argument("--exponents", type=ExponentVector)
-    sub.add_argument("--variant", choices=VARIANTS, default="derived")
-    sub.add_argument("--constant", choices=CONSTANT_CHOICES, default="abstract")
-    _experiment_options(sub, run_verify)
+    sub.add_argument("--variant", choices=VARIANTS)
+    sub.add_argument("--constant", choices=CONSTANT_CHOICES)
+    _experiment_options(sub, "verify", run_verify)
 
     sub = subs.add_parser("sharpness", help="fit ratio growth across dimensions")
     sub.add_argument("--sweep", type=_sweep, required=True,
                      help="comma list of dimensions, e.g. 4,8,16,32,64")
     sub.add_argument("--exponents", type=ExponentVector)
-    sub.add_argument("--variant", choices=VARIANTS, default="derived")
-    sub.add_argument("--constant", choices=CONSTANT_CHOICES, default="abstract")
-    _experiment_options(sub, run_sharpness)
+    sub.add_argument("--variant", choices=VARIANTS)
+    sub.add_argument("--constant", choices=CONSTANT_CHOICES)
+    _experiment_options(sub, "sharpness", run_sharpness)
 
     sub = subs.add_parser("bilinear-law", help="check the dimension-weighted "
                           "bilinear mixed-norm bound")
     sub.add_argument("--a", type=ExtRational, required=True)
     sub.add_argument("--b", type=ExtRational, required=True)
-    _experiment_options(sub, run_bilinear_law)
+    _experiment_options(sub, "bilinear-law", run_bilinear_law)
 
     sub = subs.add_parser("base-hl", help="check the full-l_2 coefficient bound "
                           "on the widened domain")
     sub.add_argument("--m", type=int, required=True)
-    _experiment_options(sub, run_base_hl)
+    _experiment_options(sub, "base-hl", run_base_hl)
 
     sub = subs.add_parser("inclusion-instance", help="compare summing quotients "
                           "empirically for one (r, p, q) instance")
@@ -240,8 +235,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--p", type=ExponentVector, required=True)
     sub.add_argument("--q", type=ExponentVector, required=True)
     sub.add_argument("--space", type=ExtRational)
-    sub.add_argument("--datasets", type=int, default=6)
-    _experiment_options(sub, run_inclusion_instance)
+    sub.add_argument("--datasets", type=int)
+    _experiment_options(sub, "inclusion-instance", run_inclusion_instance)
 
     return parser
 

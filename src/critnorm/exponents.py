@@ -204,7 +204,7 @@ class ExponentVector(tuple):
         if not items:
             raise ValueError("exponent vector needs at least one entry")
         for e in items:
-            if not e.is_inf and e.fraction <= 0:
+            if e <= 0:
                 raise ValueError(f"norm orders must be positive, got {e}")
         return super().__new__(cls, items)
 
@@ -424,7 +424,7 @@ def bilinear_admissibility(p: ExtLike, q: ExtLike, a: ExtLike, b: ExtLike) -> Bi
             "1/p + 1/q >= 1 is the critical line; this predicate covers only the subcritical range"
         )
     for name, e in (("a", a), ("b", b)):
-        if not e.is_inf and e.fraction <= 0:
+        if e <= 0:
             raise ValueError(f"{name} must be positive, got {e}")
     a_thr = conjugate(q)
     b_thr = ExtRational.from_reciprocal(gap)
@@ -445,6 +445,6 @@ def critical_bilinear_admissible(a: ExtLike, b: ExtLike) -> bool:
     """On the critical bilinear line only b = inf with a >= 2 survives."""
     a, b = as_ext(a), as_ext(b)
     for name, e in (("a", a), ("b", b)):
-        if not e.is_inf and e.fraction <= 0:
+        if e <= 0:
             raise ValueError(f"{name} must be positive, got {e}")
     return b.is_inf and a >= 2

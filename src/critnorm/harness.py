@@ -12,8 +12,9 @@ fall back to the exact singular value or the seeded ascent; ascent is a
 lower bound, which can only inflate ratios, so violation counts err on the
 loud side.  Verify, sharpness and base-hl share one trial check: an
 ascent-backed violation is retried with four times the restarts before it
-is reported, and the verdict ``not ratio <= limit`` counts a NaN ratio as a
-violation.  Floating output is written at 12 significant digits.
+is reported.  Every verdict is ``not ratio <= limit``, so a NaN ratio is a
+violation.  A report's config block echoes only the settings its experiment
+reads (``READS``).  Floating output is written at 12 significant digits.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .exponents import (
     inclusion_exponents,
     inequality_constant,
 )
-from .opnorm import operator_norm, weak_norm
+from .opnorm import operator_norm, spectral_norm, weak_norm
 from .rng import child_rng, child_seed
 from .tensor import MultilinearForm, lp_norm, mixed_norm
 from .witnesses import FormFactory, parse_form_spec
@@ -61,7 +62,7 @@ SLACK_EXACT = 1e-9    # analytic or singular-value denominators are exact
 
 @dataclass
 class ExperimentConfig:
-    """Settings for one harness run; fields irrelevant to an experiment stay None."""
+    """Settings for one harness run; each experiment reads the fields READS names."""
 
     experiment: str
     form: str | None = None
@@ -207,19 +208,29 @@ def _csv_cell(v):
     return "" if v is None else str(v)
 
 
-def _echo(cfg: ExperimentConfig, extra: dict | None = None) -> dict:
+# The ExperimentConfig fields each runner reads, in config-block order: the
+# settings the CLI offers an experiment and the only ones its report echoes.
+READS = {
+    "verify": ("form", "n", "variant", "constant", "trials", "seed", "restarts",
+               "tol", "max_iters", "exponents"),
+    "sharpness": ("form", "variant", "constant", "seed", "restarts", "tol",
+                  "max_iters", "sweep", "exponents"),
+    "bilinear-law": ("form", "n", "trials", "seed", "a", "b"),
+    "base-hl": ("form", "m", "n", "trials", "seed", "restarts", "tol", "max_iters"),
+    "inclusion-instance": ("form", "n", "trials", "datasets", "seed", "r", "p", "q",
+                           "space"),
+}
+
+
+def _echo(cfg: ExperimentConfig, experiment: str, extra: dict | None = None) -> dict:
+    """The config block of a report: every set field that ``experiment`` reads."""
     out: dict = {"experiment": cfg.experiment}
-    for key in ("form", "m", "n", "variant", "constant", "trials", "datasets",
-                "seed", "restarts", "tol", "max_iters"):
+    for key in READS[experiment]:
         v = getattr(cfg, key)
+        if isinstance(v, (ExtRational, ExponentVector)):
+            v = str(v)
         if v is not None:
-            out[key] = v
-    if cfg.sweep is not None:
-        out["sweep"] = list(cfg.sweep)
-    for key in ("exponents", "a", "b", "r", "p", "q", "space"):
-        v = getattr(cfg, key)
-        if v is not None:
-            out[key] = str(v)
+            out[key] = list(v) if key == "sweep" else v
     if extra:
         out.update(extra)
     return out
@@ -263,8 +274,9 @@ def _check_trial(T: MultilinearForm, lhs: float, C: float,
                             max_iters=cfg.max_iters, seed=child_seed(cfg.seed, t, 2))
         norm, method = est.value, est.method
         ratio = _ratio(lhs, norm)
+    slack = SLACK_ASCENT if method == "ascent" else SLACK_EXACT
     return {"norm": norm, "method": method, "ratio": ratio, "retried": retried,
-            "violation": not ratio <= C * (1 + _slack_for(method))}
+            "violation": not ratio <= C * (1 + slack)}
 
 
 def _ratio(lhs: float, denom: float) -> float:
@@ -273,16 +285,12 @@ def _ratio(lhs: float, denom: float) -> float:
     return lhs / denom
 
 
-def _slack_for(method: str) -> float:
-    return SLACK_ASCENT if method == "ascent" else SLACK_EXACT
-
-
 def _summary(records, extra: dict | None = None) -> dict:
     ratios = [rec["ratio"] for rec in records]
     out = {
         "trials": len(records),
         "violations": sum(1 for rec in records if rec["violation"]),
-        "max_ratio": max(ratios),
+        "max_ratio": float(np.max(ratios)),   # NaN if any ratio is NaN
         "mean_ratio": math.fsum(ratios) / len(ratios),
     }
     if extra:
@@ -314,7 +322,7 @@ def run_verify(cfg: ExperimentConfig) -> ExperimentReport:
         records.append({"trial": t, "dims": "x".join(map(str, T.dims)), "lhs": lhs,
                         **_check_trial(T, lhs, C, cfg, t)})
     summary = _summary(records, {"constant": C})
-    return ExperimentReport("verify", _echo(cfg, {"exponents_used": str(s)}),
+    return ExperimentReport("verify", _echo(cfg, "verify", {"exponents_used": str(s)}),
                             records, summary)
 
 
@@ -331,7 +339,7 @@ def run_sharpness(cfg: ExperimentConfig) -> ExperimentReport:
         raise ValueError("sharpness needs a sweep of at least 3 dimensions")
     if cfg.trials != 1 or cfg.n is not None:
         raise ValueError("sharpness takes its dimensions from the sweep and runs "
-                         "one form per point; drop --trials and --n")
+                         "one form per point; leave trials and n unset")
     fac = _factory(cfg)
     records = []
     pts = []
@@ -342,6 +350,10 @@ def run_sharpness(cfg: ExperimentConfig) -> ExperimentReport:
         if s is None:
             s = _resolve_exponents(cfg, T.arity)
             C = inequality_constant(T.arity, cfg.constant).value
+        elif T.dims == dims:
+            raise ValueError(f"the form spec pins the swept dimension: n = {cfg.sweep[i - 1]} "
+                             f"and n = {n} build the same {'x'.join(map(str, dims))} form")
+        dims = T.dims
         lhs = mixed_norm(T, s)
         rec = {"n": n, "lhs": lhs, **_check_trial(T, lhs, C, cfg, i)}
         del rec["retried"]   # the sharpness report keeps its columns
@@ -350,7 +362,7 @@ def run_sharpness(cfg: ExperimentConfig) -> ExperimentReport:
     fit = fit_growth(pts)
     trimmed = fit_growth(pts[1:]) if fit.residual > 0.02 and len(pts) > 3 else None
     summary = _summary(records, {"constant": C, "slope": fit.slope})
-    return ExperimentReport("sharpness", _echo(cfg, {"exponents_used": str(s)}),
+    return ExperimentReport("sharpness", _echo(cfg, "sharpness", {"exponents_used": str(s)}),
                             records, summary, growth=fit.as_dict(),
                             growth_trimmed=trimmed.as_dict() if trimmed else None)
 
@@ -359,14 +371,15 @@ def run_bilinear_law(cfg: ExperimentConfig) -> ExperimentReport:
     """Check mixed_norm(U, (b, a)) <= n1^(1/b) * n2^(1/a - 1/2) * ||U||.
 
     Forms must be bilinear on l_2 x l_2 (rows are the outer level b, columns
-    the inner level a).  The reported ratio is the attainment against the
+    the inner level a), so every denominator is closed-form or the exact
+    singular value.  The reported ratio is the attainment against the
     dimension-weighted bound, 1 meaning the law is tight on that form.
     """
     if cfg.a is None or cfg.b is None:
         raise ValueError("bilinear-law needs a and b")
     a, b = cfg.a, cfg.b
     for name, e in (("a", a), ("b", b)):
-        if not e.is_inf and e.fraction <= 0:
+        if e <= 0:
             raise ValueError(f"{name} must be positive, got {e}")
     fac = _factory(cfg)
     orders = ExponentVector((b, a))
@@ -381,10 +394,12 @@ def run_bilinear_law(cfg: ExperimentConfig) -> ExperimentReport:
             raise ValueError("bilinear-law forms must live on l_2 x l_2")
         n1, n2 = U.dims
         lhs = mixed_norm(U, orders)
-        denom, method = _denominator(U, cfg, t, 1)
+        denom, method = U.analytic_norm, "analytic"
+        if denom is None:
+            denom, method = spectral_norm(U.coeffs).value, "exact-singular"
         bound = (n1 ** inv_b) * (n2 ** (inv_a - 0.5)) * denom
         ratio = _ratio(lhs, bound)
-        bad = ratio > 1 + _slack_for(method)
+        bad = not ratio <= 1 + SLACK_EXACT
         records.append({
             "trial": t,
             "n1": n1,
@@ -397,7 +412,7 @@ def run_bilinear_law(cfg: ExperimentConfig) -> ExperimentReport:
             "violation": bad,
         })
     summary = _summary(records)
-    return ExperimentReport("bilinear-law", _echo(cfg), records, summary)
+    return ExperimentReport("bilinear-law", _echo(cfg, "bilinear-law"), records, summary)
 
 
 def run_base_hl(cfg: ExperimentConfig) -> ExperimentReport:
@@ -426,7 +441,8 @@ def run_base_hl(cfg: ExperimentConfig) -> ExperimentReport:
         records.append({"trial": t, "dims": "x".join(map(str, T.dims)), "lhs": lhs,
                         **_check_trial(T, lhs, C, cfg, t)})
     summary = _summary(records, {"constant": C})
-    return ExperimentReport("base-hl", _echo(cfg, {"domain": str(dom)}), records, summary)
+    return ExperimentReport("base-hl", _echo(cfg, "base-hl", {"domain": str(dom)}),
+                            records, summary)
 
 
 def _battery_data(dims, space, seed, trial, d, want_complex):
@@ -476,7 +492,9 @@ def run_inclusion_instance(cfg: ExperimentConfig) -> ExperimentReport:
     estimate over the base estimate.  The norm-1 inclusion predicts <= 1 up
     to estimation slack for the empirical summing norms of one form; on a
     single data set the pointwise ratio can legitimately exceed 1, which is
-    why the battery maximum is compared rather than per-data ratios.
+    why the battery maximum is compared rather than per-data ratios.  Weak
+    norms run at their own fixed ascent settings, and a NaN quotient makes
+    the trial a violation.
     """
     if cfg.r is None or cfg.p is None or cfg.q is None:
         raise ValueError("inclusion-instance needs r, p and q")
@@ -506,12 +524,13 @@ def run_inclusion_instance(cfg: ExperimentConfig) -> ExperimentReport:
                 wseed = child_seed(cfg.seed, t, d, k, 7)
                 den_base *= weak_norm(X.T, cfg.p[k], space, seed=wseed)
                 den_target *= weak_norm(X.T, cfg.q[k], space, seed=wseed)
+            # np.maximum keeps a NaN quotient, so the ratio and verdict flag it
             if den_base > 0:
-                q_base = max(q_base, num_base / den_base)
+                q_base = float(np.maximum(q_base, num_base / den_base))
             if den_target > 0:
-                q_target = max(q_target, num_target / den_target)
+                q_target = float(np.maximum(q_target, num_target / den_target))
         ratio = _ratio(q_target, q_base)
-        bad = ratio > 1 + SLACK_ASCENT
+        bad = not ratio <= 1 + SLACK_ASCENT
         records.append({
             "trial": t,
             "base_quotient": q_base,
@@ -521,5 +540,5 @@ def run_inclusion_instance(cfg: ExperimentConfig) -> ExperimentReport:
         })
     summary = _summary(records)
     return ExperimentReport("inclusion-instance",
-                            _echo(cfg, {"target_orders": str(target)}),
+                            _echo(cfg, "inclusion-instance", {"target_orders": str(target)}),
                             records, summary)

@@ -23,8 +23,8 @@ the two in between): about 1.8 MB at m = 4, n = 24 with R = 16, and about
 the larger of |T| and 2^20 elements.
 
 Weak norms of finite vector sequences are operator norms of the induced
-pairing, so ``weak_norm`` lives here too: exact on l_2 into l_2, the same
-block ascent otherwise.
+pairing, so ``weak_norm`` lives here too and goes through ``operator_norm``
+at fixed ascent settings.
 """
 
 from __future__ import annotations
@@ -97,7 +97,12 @@ def dual_argmax(c, p: ExtLike):
     scale = mags.max(axis=1)
     zero = scale == 0
     if np.iscomplexobj(C):
-        phase = np.conj(C) / np.where(mags > 0, mags, 1.0)
+        div = np.where(mags > 0, mags, 1.0)
+        tiny = div < 1e-300
+        if tiny.any():   # complex division forms 1/|c|: rescale subnormal c exactly
+            C = np.where(tiny, C * 2.0 ** 600, C)
+            div[tiny] = np.abs(C[tiny])
+        phase = np.conj(C) / div
         phase[mags == 0] = 1
     else:
         phase = np.where(C < 0, -1.0, 1.0)
@@ -339,15 +344,18 @@ def ascent_norm(T: MultilinearForm, restarts: int = 16, tol: float = 1e-10,
                         maximizer=[x[best].copy() for x in X])
 
 
-def weak_norm(vectors, p: ExtLike, space_q: ExtLike, *, restarts: int = 8,
-              tol: float = 1e-12, max_iters: int = 200, seed: int = 0) -> float:
+# The fixed ascent settings of weak_norm.
+_WEAK_RESTARTS, _WEAK_TOL, _WEAK_MAX_ITERS = 8, 1e-12, 200
+
+
+def weak_norm(vectors, p: ExtLike, space_q: ExtLike, *, seed: int = 0) -> float:
     """Weak-l_p norm of a finite sequence of vectors living in l_{space_q}^n.
 
     Equals the operator norm of the map c -> sum_k c_k x_k from the unit
-    l_{p*} ball into l_{space_q}.  The l_2 -> l_2 case (p = 2 into q = 2) is
-    a largest singular value and is computed exactly; every other case runs
-    the seeded block ascent on the induced bilinear pairing, so the value is
-    an attained lower bound.  ``vectors`` are the rows of a 2-d array.
+    l_{p*} ball into l_{space_q}, i.e. of the pairing on l_{p*} x l_{q*},
+    which ``operator_norm`` gives exactly for p = q = 2 and otherwise as an
+    attained lower bound from the seeded ascent at the fixed settings above.
+    ``vectors`` are the rows of a 2-d array.
     """
     X = np.asarray(vectors)
     if X.ndim == 1:
@@ -360,11 +368,9 @@ def weak_norm(vectors, p: ExtLike, space_q: ExtLike, *, restarts: int = 8,
     q = as_ext(space_q)
     if q < 1:
         raise ValueError(f"the container space needs q >= 1, got {q}")
-    if p == 2 and q == 2:
-        return spectral_norm(X).value
     pairing = MultilinearForm(X, domain_p=(conjugate(p), conjugate(q)))
-    return ascent_norm(pairing, restarts=restarts, tol=tol, max_iters=max_iters,
-                       seed=seed).value
+    return operator_norm(pairing, restarts=_WEAK_RESTARTS, tol=_WEAK_TOL,
+                         max_iters=_WEAK_MAX_ITERS, seed=seed).value
 
 
 def upper_bound_l1(T: MultilinearForm) -> float:

@@ -174,26 +174,11 @@ def minkowski_gap(matrix, p: ExtLike, q: ExtLike) -> float:
         raise ValueError("entries must be nonnegative")
     p, q = as_ext(p), as_ext(q)
     for name, e in (("p", p), ("q", q)):
-        if not e.is_inf and e.fraction <= 0:
+        if e <= 0:
             raise ValueError(f"{name} must be positive, got {e}")
     if q < p:
         raise ValueError(f"needs p <= q, got p = {p} > q = {q}")
-    if A.size == 0:
-        return 0.0
-    scale = float(A.max())
-    if scale == 0.0:
-        return 0.0
-    W = A / scale
-
-    def reduce(arr, order, axis):
-        if order.is_inf:
-            return arr.max(axis=axis)
-        e = float(order.fraction)
-        return np.power(arr, e).sum(axis=axis) ** (1.0 / e)
-
-    left = float(reduce(reduce(W, p, 1), q, 0))
-    right = float(reduce(reduce(W, q, 0), p, 0))
-    return (right - left) * scale
+    return mixed_norm(A.T, (p, q)) - mixed_norm(A, (q, p))
 
 
 def to_dict(T: MultilinearForm) -> dict:

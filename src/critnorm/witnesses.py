@@ -30,13 +30,7 @@ __all__ = [
 
 def make_dot(m: int, n: int) -> MultilinearForm:
     """Diagonal contraction sum_j x^(1)_j ... x^(m)_j; norm 1 on the l_m domain."""
-    if m < 2:
-        raise ValueError(f"arity must be >= 2, got {m}")
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    coeffs = np.zeros((n,) * m)
-    coeffs[tuple(np.arange(n) for _ in range(m))] = 1.0
-    return MultilinearForm(coeffs, analytic_norm=1.0)
+    return make_partial_dot(m, n, 0)
 
 
 def make_partial_dot(m: int, n: int, r: int) -> MultilinearForm:

@@ -1,5 +1,6 @@
 """Command line behavior: output, exit codes, and report files."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -7,8 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from critnorm import MultilinearForm, make_gaussian_random, save_tensor
-from critnorm.cli import main
+from critnorm import ExperimentConfig, MultilinearForm, make_gaussian_random, save_tensor
+from critnorm.cli import _build_parser, main
+from critnorm.harness import READS
 
 
 def test_exponents_critical_family(capsys):
@@ -167,11 +169,41 @@ def test_sharpness_violations_exit_one(capsys):
 
 
 def test_sharpness_refuses_trials_and_n(capsys):
-    assert main(["sharpness", "--form", "partial:m=3,r=1", "--sweep", "4,8,16",
-                 "--trials", "5", "--n", "99"]) == 2
+    # sharpness reads neither, so argparse does not offer them
+    with pytest.raises(SystemExit) as exc:
+        main(["sharpness", "--form", "partial:m=3,r=1", "--sweep", "4,8,16",
+              "--trials", "5", "--n", "99"])
+    assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err and "--trials" in captured.err
+
+
+# experiment -> (a valid command line, the options it does not read)
+_UNREAD_OPTIONS = {
+    "sharpness": (["--form", "dot:m=3", "--sweep", "4,8,16"], ("--n", "--trials")),
+    "bilinear-law": (["--form", "t0:n1=4", "--n", "8", "--a", "1", "--b", "inf"],
+                     ("--restarts", "--tol", "--max-iters")),
+    "inclusion-instance": (["--r", "2", "--p", "2,2", "--q", "4,4", "--n", "3"],
+                           ("--restarts", "--tol", "--max-iters")),
+}
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c, (_, flags) in _UNREAD_OPTIONS.items()
+                                           for f in flags])
+def test_options_an_experiment_never_reads_are_rejected(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *_UNREAD_OPTIONS[command][0], flag, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["partial:m=3,n=8,r=1", "t0:n1=4,n2=16"])
+def test_sharpness_refuses_a_spec_that_pins_the_swept_dimension(spec, capsys):
+    assert main(["sharpness", "--form", spec, "--sweep", "4,8,16"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: the form spec pins the swept dimension" in captured.err
 
 
 def test_bilinear_law_cli(capsys):
@@ -285,3 +317,43 @@ def test_verify_on_a_nan_coefficient_is_exit_2(tmp_path, flags):
     assert "error:" in proc.stderr and "finite" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert "violations" not in proc.stdout
+
+
+# ------------------------------------------------------- experiment settings
+
+_EXPERIMENT_RUNS = {
+    "verify": ["--form", "gauss:m=2", "--n", "3", "--exponents", "inf,2"],
+    "sharpness": ["--form", "dot:m=2", "--sweep", "2,3,4"],
+    "bilinear-law": ["--form", "t0:n1=2", "--n", "4", "--a", "2", "--b", "inf"],
+    "base-hl": ["--m", "3", "--n", "3"],
+    "inclusion-instance": ["--r", "2", "--p", "2,2", "--q", "4,4", "--n", "3",
+                           "--datasets", "2", "--space", "2"],
+}
+# keys a runner adds to its config block besides the settings it reads
+_REPORT_EXTRAS = {"experiment", "exponents_used", "domain", "target_orders"}
+
+
+def test_each_experiment_offers_exactly_the_settings_it_reads():
+    pinned = {
+        "verify": "form n trials seed exponents variant constant restarts tol max_iters",
+        "sharpness": "form sweep exponents variant constant seed restarts tol max_iters",
+        "bilinear-law": "form n trials seed a b",
+        "base-hl": "form m n trials seed restarts tol max_iters",
+        "inclusion-instance": "form n trials datasets seed r p q space",
+    }
+    assert {name: set(reads) for name, reads in READS.items()} == \
+        {name: set(fields.split()) for name, fields in pinned.items()}
+    subparsers = next(a for a in _build_parser()._actions if a.dest == "command")
+    config_fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    for name, reads in READS.items():
+        dests = {a.dest for a in subparsers.choices[name]._actions}
+        assert dests & config_fields == set(reads), name
+
+
+@pytest.mark.parametrize("name", sorted(_EXPERIMENT_RUNS))
+def test_a_report_config_echoes_only_settings_the_run_read(name, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main([name, *_EXPERIMENT_RUNS[name], "--out", str(out)]) == 0
+    config = json.loads(out.read_text())["config"]
+    assert set(config) <= set(READS[name]) | _REPORT_EXTRAS
+    assert config["experiment"] == name

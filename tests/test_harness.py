@@ -4,6 +4,7 @@ are known in closed form.
 """
 
 import dataclasses
+import itertools
 import json
 import math
 
@@ -252,6 +253,26 @@ def test_bilinear_law_requires_the_l2_domain():
                                           form="t0:n1=2,n2=2", a=2))
 
 
+def _nan_mixed_norm(monkeypatch, calls):
+    """Patch the runners' mixed_norm to return NaN on the listed calls
+    (counted from 0; None means every call)."""
+    real = harness.mixed_norm
+    count = itertools.count()
+
+    def fake(T, orders):
+        i = next(count)
+        return math.nan if calls is None or i in calls else real(T, orders)
+    monkeypatch.setattr(harness, "mixed_norm", fake)
+
+
+def test_a_nan_bilinear_ratio_is_a_violation(monkeypatch):
+    _nan_mixed_norm(monkeypatch, None)
+    rep = run_bilinear_law(ExperimentConfig(experiment="bilinear-law", form="t0:n1=4",
+                                            n=8, a=1, b="inf", trials=2))
+    assert rep.violations == 2
+    assert all(math.isnan(rec["ratio"]) and rec["violation"] for rec in rep.trials)
+
+
 # ------------------------------------------------------------------- base-hl
 
 def test_base_hl_bilinear_case_matches_the_frobenius_identity():
@@ -291,6 +312,27 @@ def test_inclusion_instance_worked_shift():
     assert rep.config["target_orders"] == "(3, 12/5)"
     for rec in rep.trials:
         assert rec["ratio"] <= 1 + SLACK_ASCENT
+
+
+@pytest.mark.parametrize("calls", [None, {0}, {3}], ids=["every", "first-base", "a-target"])
+def test_a_nan_quotient_makes_the_inclusion_trial_a_violation(monkeypatch, calls):
+    """Each data set calls mixed_norm for the base, then the target
+    numerator; one NaN quotient anywhere in the battery flags the trial."""
+    _nan_mixed_norm(monkeypatch, calls)
+    cfg = ExperimentConfig(experiment="inclusion-instance", r=2,
+                           p="4/3,4/3", q="3/2,3/2", n=4, trials=1, datasets=3)
+    rep = run_inclusion_instance(cfg)
+    assert rep.violations == 1
+    assert math.isnan(rep.trials[0]["ratio"])
+
+
+def test_a_nan_ratio_after_a_finite_one_is_the_summary_maximum(monkeypatch):
+    _nan_mixed_norm(monkeypatch, {6})   # the first call of trial 1 (3 data sets)
+    cfg = ExperimentConfig(experiment="inclusion-instance", r=2,
+                           p="4/3,4/3", q="3/2,3/2", n=4, trials=2, datasets=3)
+    rep = run_inclusion_instance(cfg)
+    assert [rec["violation"] for rec in rep.trials] == [False, True]
+    assert math.isnan(rep.summary["max_ratio"])
 
 
 def test_inclusion_instance_propagates_inapplicability():

@@ -7,6 +7,7 @@ value, and domination by cheap upper bounds.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +78,20 @@ def test_dual_argmax_complex_phases_are_conjugated():
     paired = complex(np.dot(c, x))
     assert paired.imag == pytest.approx(0.0, abs=1e-15)
     assert paired.real == pytest.approx(value, rel=1e-14)
+
+
+@pytest.mark.parametrize("p", ["1", "4/3", "2", "3", "inf"])
+def test_dual_argmax_complex_subnormal_entry_gives_a_finite_unit_maximizer(p):
+    c = np.array([1 + 1j, 3e-318 + 1e-318j, 0, -2j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, x = dual_argmax(c, p)
+    assert np.isfinite(x).all()
+    assert lp_norm(x, p) == pytest.approx(1.0, rel=1e-12)
+    assert value == pytest.approx(lp_norm(c, conjugate(p)), rel=1e-12)
+    paired = complex(np.dot(c, x))
+    assert paired.real == pytest.approx(value, rel=1e-12)
+    assert paired.imag == pytest.approx(0.0, abs=1e-12)
 
 
 def test_dual_argmax_zero_vector_and_errors():

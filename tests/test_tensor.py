@@ -5,6 +5,7 @@ integer matrices, the 2x2 identity comparison gap 2 - sqrt(2), singular
 values of small stacked bases.
 """
 
+import inspect
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from critnorm import (
     make_t0,
     minkowski_gap,
     mixed_norm,
+    operator_norm,
     save_tensor,
     to_dict,
     weak_norm,
@@ -275,6 +277,16 @@ def test_weak_norm_canonical_basis_is_one_at_the_conjugate_order():
     for m in (2, 3, 4):
         w = weak_norm(np.eye(6), conjugate(m), m, seed=2)
         assert w == pytest.approx(1.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("p, q", [(3, 4), (2, 2)])
+def test_weak_norm_is_the_pairing_operator_norm_at_fixed_settings(p, q):
+    # the seed is the only setting a caller passes
+    assert list(inspect.signature(weak_norm).parameters) == ["vectors", "p", "space_q", "seed"]
+    X = make_gaussian_random((3, 5), seed=4).coeffs
+    pairing = MultilinearForm(X, domain_p=(conjugate(p), conjugate(q)))
+    want = operator_norm(pairing, restarts=8, tol=1e-12, max_iters=200, seed=9).value
+    assert weak_norm(X, p, q, seed=9) == want
 
 
 def test_weak_norm_input_validation():
