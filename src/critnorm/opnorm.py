@@ -12,15 +12,17 @@ reported number is an attained lower bound carrying a feasible witness.
 Restarts are seeded through child streams, making runs reproducible.
 
 All restarts of one ascent move together: slot k holds an (R, n_k) block
-whose row r is restart r, and one matmul against the coefficient tensor
-reshaped to 2-d serves every row, so the tensor is read once per slot per
-sweep.  A row that has converged is frozen and leaves the block, so each
-restart takes exactly the sweeps it would take on its own.  The price is an
-intermediate of R * |T| / n elements per slot gradient, where n is the end
-slot contracted first (n_0 at k = m-1, n_{m-1} at k = 0, and the larger of
-the two in between): about 1.8 MB at m = 4, n = 24 with R = 16, and about
-7 MB for the four-fold retry.  Rows are chunked so that it never exceeds
-the larger of |T| and 2^20 elements.
+whose row r is restart r, and matmuls against the coefficient tensor
+reshaped to 2-d serve every row.  A sweep reads the tensor twice, whatever
+the arity: once for the slot-0 gradient, contracted from the last slot, and
+once for the prefix P = x_0 . T, from which every later slot's gradient is
+contracted while the new x_k are folded in (see ``_sweep``).  A row that
+has converged is frozen and leaves the block, so each restart takes the
+sweeps it would take on its own.  The price is two intermediates, of
+R * |T| / n_{m-1} and R * |T| / n_0 elements, never alive together: about
+1.8 MB at m = 4, n = 24 with R = 16, and about 7 MB for the four-fold
+retry.  Rows are chunked so that neither exceeds the larger of |T| and
+2^20 elements.
 
 Weak norms of finite vector sequences are operator norms of the induced
 pairing, so ``weak_norm`` lives here too and goes through ``operator_norm``
@@ -87,7 +89,8 @@ def dual_argmax(c, p: ExtLike):
     all-zero row gets the first unit vector and value 0.
     """
     p = as_ext(p)
-    if p < 1:
+    e = None if p.is_inf else p.fraction
+    if e is not None and e < 1:
         raise ValueError(f"unit balls require p >= 1, got {p}")
     c = np.asarray(c)
     if c.ndim not in (1, 2) or c.size == 0:
@@ -106,17 +109,17 @@ def dual_argmax(c, p: ExtLike):
         phase[mags == 0] = 1
     else:
         phase = np.where(C < 0, -1.0, 1.0)
-    if p == 1:
+    if e == 1:
         rows = np.arange(len(C))
         j = np.argmax(mags, axis=1)
         values = mags[rows, j]
         X = np.zeros_like(phase)
         X[rows, j] = phase[rows, j]
-    elif p.is_inf:
+    elif e is None:
         values = mags.sum(axis=1)
         X = phase
     else:
-        e = float(p.fraction)
+        e = float(e)
         ratio = mags / np.where(zero, 1.0, scale)[:, np.newaxis]
         profile = np.power(ratio, 1.0 / (e - 1.0))
         # the profile peaks at exactly 1, so this is lp_norm(profile, p)
@@ -198,44 +201,66 @@ def _gram_witness(A, sigma):
     return [v, u] if wide else [u, v]
 
 
-# Row-chunk cap, in elements, for the first contraction of _slot_gradient.
+# Row-chunk cap, in elements, for the two tensor-sized intermediates of a sweep.
 _GRADIENT_CHUNK = 1 << 20
 
 
-def _slot_gradient(coeffs, X, k):
-    """Slot-k linearization at every row of the blocks ``X`` (one (R, n_i)
+def _first_slot_gradient(coeffs, X):
+    """Slot-0 linearization at every row of the blocks ``X`` (one (R, n_i)
     block per slot): row r contracts ``coeffs`` with X[i][r] in every slot
-    i != k.
+    i >= 1.  One matmul contracts slot m-1 for all rows, reading the tensor
+    once into R * |T| / n_{m-1} elements; batched matrix-vector products
+    then contract slots m-2 down to 1.  An arity-1 gradient is ``coeffs``
+    itself in every row."""
+    dims = coeffs.shape
+    R = len(X[0])
+    if len(dims) == 1:
+        return np.broadcast_to(coeffs, (R, dims[0]))
+    G = X[-1] @ coeffs.reshape(-1, dims[-1]).T
+    for i in range(len(dims) - 2, 0, -1):
+        G = np.matmul(G.reshape(R, -1, dims[i]), X[i][:, :, np.newaxis])[:, :, 0]
+    return G
 
-    One matmul contracts an end slot for all rows at once, reading the
-    tensor once: slot m-1 when k = 0, slot 0 when k = m-1, and otherwise
-    the larger of the two.  Batched matrix-vector products then contract the
-    remaining trailing slots down to k + 1 and leading slots up to k - 1.
-    The first product is R * |T| / n_end elements; when that exceeds
-    max(|T|, _GRADIENT_CHUNK) the rows go through in chunks that keep it
-    within that cap.  An arity-1 gradient is ``coeffs`` itself in every row.
+
+def _sweep(coeffs, X, orders):
+    """One Gauss-Seidel sweep over every row of the blocks ``X``: slot k is
+    replaced by ``dual_argmax`` of its gradient at the new slots 0..k-1 and
+    the old slots k+1..m-1.  Returns (before, after, X): the (R,) moduli of
+    the value at the entering rows and after the sweep, and the new blocks.
+
+    The tensor is read twice.  The slot-0 gradient is contracted from the
+    tail (see ``_first_slot_gradient``); then the prefix P = x_0 . T, an
+    R * |T| / n_0 block, is formed.  Slot k >= 1 takes its gradient from P
+    by contracting the old trailing slots m-1..k+1, and its new x_k is then
+    folded into P, so the last slot's gradient is P itself.  Rows are
+    independent, so when either intermediate would exceed
+    max(|T|, _GRADIENT_CHUNK) elements the rows sweep in chunks that keep
+    both within that cap.
     """
     dims = coeffs.shape
     m = len(dims)
     R = len(X[0])
-    if m == 1:
-        return np.broadcast_to(coeffs, (R, dims[0]))
-    end = m - 1 if k == 0 or (k < m - 1 and dims[m - 1] > dims[0]) else 0
-    rows = max(1, max(coeffs.size, _GRADIENT_CHUNK) * dims[end] // coeffs.size)
+    rows = max(1, max(coeffs.size, _GRADIENT_CHUNK) * min(dims[0], dims[-1]) // coeffs.size)
     if R > rows:
-        return np.concatenate([_slot_gradient(coeffs, [x[s:s + rows] for x in X], k)
-                               for s in range(0, R, rows)])
-    if end:
-        G = X[m - 1] @ coeffs.reshape(-1, dims[m - 1]).T
-        lo, hi = 0, m - 2
-    else:
-        G = X[0] @ coeffs.reshape(dims[0], -1)
-        lo, hi = 1, m - 1
-    for i in range(hi, k, -1):
-        G = np.matmul(G.reshape(R, -1, dims[i]), X[i][:, :, np.newaxis])[:, :, 0]
-    for i in range(lo, k):
-        G = np.matmul(X[i][:, np.newaxis, :], G.reshape(R, dims[i], -1))[:, 0, :]
-    return G
+        parts = [_sweep(coeffs, [x[s:s + rows] for x in X], orders)
+                 for s in range(0, R, rows)]
+        before, after, blocks = zip(*parts)
+        return np.concatenate(before), np.concatenate(after), \
+            [np.concatenate(b) for b in zip(*blocks)]
+    G = _first_slot_gradient(coeffs, X)
+    before = np.abs((G * X[0]).sum(axis=1))
+    X = list(X)
+    value, X[0] = dual_argmax(G, orders[0])
+    if m > 1:
+        P = X[0] @ coeffs.reshape(dims[0], -1)
+    for k in range(1, m):
+        G = P
+        for i in range(m - 1, k, -1):
+            G = np.matmul(G.reshape(R, -1, dims[i]), X[i][:, :, np.newaxis])[:, :, 0]
+        value, X[k] = dual_argmax(G, orders[k])
+        if k < m - 1:
+            P = np.matmul(X[k][:, np.newaxis, :], P.reshape(R, dims[k], -1))[:, 0, :]
+    return before, value, X
 
 
 def _random_unit(rng, n, order, want_complex):
@@ -252,31 +277,32 @@ def _ascend(T, X, tol, max_iters):
     """Sweep block maximizations over a block of restarts until each stalls.
 
     ``X`` holds one (R, n_k) start block per slot, row r being restart r;
-    the blocks are overwritten with the final rows.  A row freezes after the
-    first sweep that raised its value by at most ``tol`` relative; only the
-    remaining active rows are swept further, so every row takes exactly the
-    sweeps it would take alone.
+    the blocks are overwritten with the final rows.  Each sweep is one
+    ``_sweep``: two reads of the tensor, an R * |T| / n_0 prefix, and row
+    chunks that keep every intermediate within max(|T|, _GRADIENT_CHUNK)
+    elements.  A row freezes after the first sweep that raised its value
+    above the modulus at its entering rows by at most ``tol`` relative;
+    only the remaining active rows are swept further, so every row takes
+    the sweeps it would take alone.
 
     Returns (values, X, trace, sweeps, converged): the (R,) final values,
     the blocks, the (S, R) per-sweep trace (row s holds every value after
     sweep s; a frozen row repeats its final value), the (R,) sweep counts
     and the (R,) convergence flags.  Each block step sets a row's
     value to a conjugate norm of its slot gradient, which dominates the
-    previous modulus, so the trace is nondecreasing; a decrease beyond a
-    tiny rounding allowance, or a non-finite value, raises
-    AscentInvariantError.
+    previous modulus, so the trace is nondecreasing; a sweep that ends
+    below its entering modulus beyond a tiny rounding allowance, or a
+    non-finite value, raises AscentInvariantError.
     """
     coeffs, orders = T.coeffs, T.domain_p
     active = np.arange(len(X[0]))
     work = list(X)
-    prev = np.abs((_slot_gradient(coeffs, work, 0) * work[0]).sum(axis=1))
-    values = prev.copy()
+    values = np.zeros(len(active))
     sweeps = np.zeros(len(active), dtype=np.int64)
     converged = np.zeros(len(active), dtype=bool)
     trace = []
     for _ in range(max_iters):
-        for k in range(T.arity):
-            value, work[k] = dual_argmax(_slot_gradient(coeffs, work, k), orders[k])
+        prev, value, work = _sweep(coeffs, work, orders)
         values[active] = value
         sweeps[active] += 1
         trace.append(values.copy())
@@ -286,13 +312,12 @@ def _ascend(T, X, tol, max_iters):
         if not (value >= prev - 1e-9 * (1.0 + prev)).all():
             raise AscentInvariantError("block step decreased the value")
         done = value - prev <= tol * np.maximum(value, 1e-300)
-        prev = value
         if done.any():
             converged[active[done]] = True
             for x, w in zip(X, work):
                 x[active[done]] = w[done]
             keep = ~done
-            active, prev = active[keep], prev[keep]
+            active = active[keep]
             work = [w[keep] for w in work]
             if not active.size:
                 break

@@ -33,7 +33,7 @@ from critnorm import (
     upper_bound_l1,
 )
 from critnorm import opnorm
-from critnorm.opnorm import _ascend, _random_unit, _slot_gradient
+from critnorm.opnorm import _ascend, _random_unit, _sweep
 
 P_GRID = ("1", "4/3", "3/2", "2", "3", "inf")
 
@@ -290,9 +290,10 @@ def test_spectral_norm_rejects_an_overflowing_singular_value():
         spectral_norm(np.full((2, 2), 1e308))
 
 
-# ---------------------------------------------------------- slot gradient
+# ------------------------------------------------------------------- sweep
 
 _AX = "abcde"
+_SWEEP_ORDERS = ("3/2", "1", "inf", "3", "3/2")
 
 
 def _einsum_gradient(coeffs, xs, k):
@@ -311,11 +312,15 @@ def _einsum_gradient(coeffs, xs, k):
                                   (2, 1, 5), (2, 3, 4, 2), (1, 3, 1, 2),
                                   (3, 2, 1, 3, 2), (2, 2, 2, 2, 2)])
 def test_slot_gradient_matches_a_per_row_einsum(dims, field, chunk, monkeypatch):
+    """Every slot gradient of one sweep matches the einsum gradient of a
+    one-row Gauss-Seidel sweep: slot k maximizes the gradient at the new
+    slots 0..k-1 and the old slots k+1..m-1 through ``dual_argmax``."""
     if chunk == "chunked":
-        # a one-element cap sends at most n_end rows through each matmul
+        # a one-element cap leaves min(n_0, n_{m-1}) rows per chunk
         monkeypatch.setattr(opnorm, "_GRADIENT_CHUNK", 1)
     rng = np.random.default_rng(sum(dims) + 10 * len(dims))
     R = 3
+    orders = _SWEEP_ORDERS[:len(dims)]
 
     def draw(*shape):
         z = rng.standard_normal(shape)
@@ -323,14 +328,21 @@ def test_slot_gradient_matches_a_per_row_einsum(dims, field, chunk, monkeypatch)
 
     coeffs = draw(*dims)
     X = [draw(R, n) for n in dims]
-    for k in range(len(dims)):
-        G = _slot_gradient(coeffs, X, k)
-        assert G.shape == (R, dims[k])
-        for r in range(R):
-            ref = _einsum_gradient(coeffs, [x[r] for x in X], k)
-            # rounding scale: the same contraction over all moduli
-            size = _einsum_gradient(np.abs(coeffs), [np.abs(x[r]) for x in X], k)
-            assert np.all(np.abs(G[r] - ref) <= 1e-12 * size)
+    before, after, Y = _sweep(coeffs, X, orders)
+    assert before.shape == after.shape == (R,)
+    assert [y.shape for y in Y] == [(R, n) for n in dims]
+    for r in range(R):
+        xs = [x[r] for x in X]
+        # rounding scale: the same contraction over all moduli
+        size = evaluate(MultilinearForm(np.abs(coeffs)), [np.abs(x) for x in xs])
+        assert abs(before[r] - abs(evaluate(MultilinearForm(coeffs), xs))) <= 1e-12 * size
+        for k, p in enumerate(orders):
+            ref = _einsum_gradient(coeffs, xs, k)
+            scale = lp_norm(_einsum_gradient(np.abs(coeffs), [np.abs(x) for x in xs], k),
+                            conjugate(p))
+            value, xs[k] = dual_argmax(ref, p)
+            assert np.all(np.abs(Y[k][r] - xs[k]) <= 1e-12 * scale / value)
+        assert abs(after[r] - value) <= 1e-12 * scale
 
 
 # ------------------------------------------------------------- ascent_norm
