@@ -7,7 +7,10 @@ inclusion-shift instance checks.
 
 Every randomized ingredient draws from child streams of the run seed, so a
 report is a pure function of its configuration (re-running writes identical
-bytes).  Ratio denominators prefer a form's closed-form norm and otherwise
+bytes).  A spec with no free seed (a seedless kind such as ``dot``, ``t0``
+or ``file``) is one form, so a run builds it and its lhs once and reuses
+them in every trial; ascent denominators still draw per-trial seeds.
+Ratio denominators prefer a form's closed-form norm and otherwise
 fall back to the exact singular value or the seeded ascent; ascent is a
 lower bound, which can only inflate ratios, so violation counts err on the
 loud side.  Verify, sharpness and base-hl share one trial check: an
@@ -249,6 +252,25 @@ def _resolve_exponents(cfg: ExperimentConfig, arity: int) -> ExponentVector:
     return s
 
 
+def _trial_forms(fac: FormFactory, cfg: ExperimentConfig, measure, domain_p=None):
+    """Yield (t, T, measure(T)) for each trial t of a run.
+
+    Trial t draws its form from the child seed (t, 0).  A spec that leaves
+    no seed free (``FormFactory.takes_seed``) gives every trial the same
+    form, so it is built and measured once and repeated.  A spec that pins
+    seed= runs one trial only: more would count one form many times.
+    """
+    if cfg.trials > 1 and "seed" in fac.params:
+        raise ValueError(f"the form spec pins seed={fac.params['seed']}, so all "
+                         f"{cfg.trials} trials would be one form; drop seed= or run one trial")
+    T = None
+    for t in range(cfg.trials):
+        if T is None or fac.takes_seed:
+            T = fac.make(n=cfg.n, seed=child_seed(cfg.seed, t, 0), domain_p=domain_p)
+            value = measure(T)
+        yield t, T, value
+
+
 def _denominator(T: MultilinearForm, cfg: ExperimentConfig, *seed_path: int):
     if T.analytic_norm is not None:
         return T.analytic_norm, "analytic"
@@ -307,20 +329,18 @@ def run_verify(cfg: ExperimentConfig) -> ExperimentReport:
     available and the seeded ascent otherwise (slack 0.05, retried at 4x
     restarts before a violation is reported).
     """
-    fac = _factory(cfg)
-    records = []
-    s = None
-    C = None
-    for t in range(cfg.trials):
-        T = fac.make(n=cfg.n, seed=child_seed(cfg.seed, t, 0))
-        if s is None:
+    s = C = None
+
+    def lhs_of(T):
+        nonlocal s, C
+        if s is None:   # every trial's form has the first one's arity
             s = _resolve_exponents(cfg, T.arity)
             C = inequality_constant(T.arity, cfg.constant).value
-        elif len(s) != T.arity:
-            raise ValueError("form arity changed between trials")
-        lhs = mixed_norm(T, s)
-        records.append({"trial": t, "dims": "x".join(map(str, T.dims)), "lhs": lhs,
-                        **_check_trial(T, lhs, C, cfg, t)})
+        return mixed_norm(T, s)
+
+    records = [{"trial": t, "dims": "x".join(map(str, T.dims)), "lhs": lhs,
+                **_check_trial(T, lhs, C, cfg, t)}
+               for t, T, lhs in _trial_forms(_factory(cfg), cfg, lhs_of)]
     summary = _summary(records, {"constant": C})
     return ExperimentReport("verify", _echo(cfg, "verify", {"exponents_used": str(s)}),
                             records, summary)
@@ -341,6 +361,9 @@ def run_sharpness(cfg: ExperimentConfig) -> ExperimentReport:
         raise ValueError("sharpness takes its dimensions from the sweep and runs "
                          "one form per point; leave trials and n unset")
     fac = _factory(cfg)
+    if not fac.takes_n:
+        raise ValueError(f"the form spec pins the swept dimension: every n in "
+                         f"{','.join(map(str, cfg.sweep))} would build the same form")
     records = []
     pts = []
     s = None
@@ -350,10 +373,6 @@ def run_sharpness(cfg: ExperimentConfig) -> ExperimentReport:
         if s is None:
             s = _resolve_exponents(cfg, T.arity)
             C = inequality_constant(T.arity, cfg.constant).value
-        elif T.dims == dims:
-            raise ValueError(f"the form spec pins the swept dimension: n = {cfg.sweep[i - 1]} "
-                             f"and n = {n} build the same {'x'.join(map(str, dims))} form")
-        dims = T.dims
         lhs = mixed_norm(T, s)
         rec = {"n": n, "lhs": lhs, **_check_trial(T, lhs, C, cfg, i)}
         del rec["retried"]   # the sharpness report keeps its columns
@@ -385,15 +404,17 @@ def run_bilinear_law(cfg: ExperimentConfig) -> ExperimentReport:
     orders = ExponentVector((b, a))
     inv_b = float(b.reciprocal())
     inv_a = float(a.reciprocal())
-    records = []
-    for t in range(cfg.trials):
-        U = fac.make(n=cfg.n, seed=child_seed(cfg.seed, t, 0))
+
+    def lhs_of(U):
         if U.arity != 2:
             raise ValueError("bilinear-law needs arity-2 forms")
         if not all(e == 2 for e in U.domain_p):
             raise ValueError("bilinear-law forms must live on l_2 x l_2")
+        return mixed_norm(U, orders)
+
+    records = []
+    for t, U, lhs in _trial_forms(fac, cfg, lhs_of):
         n1, n2 = U.dims
-        lhs = mixed_norm(U, orders)
         denom, method = U.analytic_norm, "analytic"
         if denom is None:
             denom, method = spectral_norm(U.coeffs).value, "exact-singular"
@@ -432,14 +453,15 @@ def run_base_hl(cfg: ExperimentConfig) -> ExperimentReport:
     fac = parse_form_spec(cfg.form) if cfg.form else parse_form_spec(f"gauss:m={base_arity}")
     C = inequality_constant(m, "abstract").value
     full_l2 = ExponentVector.uniform(2, base_arity)
-    records = []
-    for t in range(cfg.trials):
-        T = fac.make(n=cfg.n, seed=child_seed(cfg.seed, t, 0), domain_p=dom)
+
+    def lhs_of(T):
         if T.arity != base_arity:
             raise ValueError(f"expected arity-{base_arity} forms for m = {m}")
-        lhs = mixed_norm(T, full_l2)
-        records.append({"trial": t, "dims": "x".join(map(str, T.dims)), "lhs": lhs,
-                        **_check_trial(T, lhs, C, cfg, t)})
+        return mixed_norm(T, full_l2)
+
+    records = [{"trial": t, "dims": "x".join(map(str, T.dims)), "lhs": lhs,
+                **_check_trial(T, lhs, C, cfg, t)}
+               for t, T, lhs in _trial_forms(fac, cfg, lhs_of, dom)]
     summary = _summary(records, {"constant": C})
     return ExperimentReport("base-hl", _echo(cfg, "base-hl", {"domain": str(dom)}),
                             records, summary)
@@ -506,11 +528,13 @@ def run_inclusion_instance(cfg: ExperimentConfig) -> ExperimentReport:
     fac = parse_form_spec(cfg.form) if cfg.form else parse_form_spec(f"gauss:m={m}")
     base = ExponentVector.uniform(cfg.r, m)
     dom = ExponentVector.uniform(space, m)
-    records = []
-    for t in range(cfg.trials):
-        T = fac.make(n=cfg.n, seed=child_seed(cfg.seed, t, 0), domain_p=dom)
+
+    def check_arity(T):
         if T.arity != m:
             raise ValueError(f"expected arity-{m} forms to match p and q")
+
+    records = []
+    for t, T, _ in _trial_forms(fac, cfg, check_arity, dom):
         q_base = 0.0
         q_target = 0.0
         for d in range(cfg.datasets):

@@ -1,14 +1,16 @@
 """Operator norms of multilinear forms over products of lp unit balls.
 
 The bilinear l_2 x l_2 case is a largest singular value and is solved
-exactly: LAPACK's values-only SVD gives sigma, and one shifted
-inverse-iteration solve on the Gram matrix gives the attaining pair, so the
-singular vectors are never formed.  A full SVD runs only below 16 on the
-short side, where it is cheaper, on the zero matrix, and when the solve
-misses sigma.  Everything else runs block-coordinate ascent: one slot at
-a time is replaced by the exact maximizer of its linearized problem on the
-slot's ball, which never decreases the modulus of the value, so every
-reported number is an attained lower bound carrying a feasible witness.
+exactly: LAPACK's values-only SVD gives sigma, and that is all a call
+computes.  The attaining pair is computed on the first read of the
+estimate's ``maximizer``: one shifted inverse-iteration solve on the Gram
+matrix, so the singular vectors are never formed, or a full SVD below 16
+on the short side, where it is cheaper, on the zero matrix, and when the
+solve misses sigma.  Everything else runs block-coordinate ascent: one
+slot at a time is replaced by the exact maximizer of its linearized
+problem on the slot's ball, which never decreases the modulus of the value,
+so every reported number is an attained lower bound carrying a feasible
+witness.
 Restarts are seeded through child streams, making runs reproducible.
 
 All restarts of one ascent move together: slot k holds an (R, n_k) block
@@ -57,6 +59,26 @@ class AscentInvariantError(ValueError):
     exceeded the l_1 coefficient bound.  No norm is reported."""
 
 
+class _Witness:
+    """``NormEstimate.maximizer``: stores the attaining vectors, or a function
+    of no arguments that computes them, called on the first read and then
+    replaced by its result."""
+
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return None   # the dataclass default
+        v = obj.__dict__[self.slot]
+        if callable(v):
+            v = obj.__dict__[self.slot] = v()
+        return v
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.slot] = value
+
+
 @dataclass
 class NormEstimate:
     """A norm value plus how it was obtained.
@@ -65,7 +87,10 @@ class NormEstimate:
     are attained lower bounds: the stored maximizer is feasible on the
     domain balls and reproduces ``value`` under ``evaluate``.  ``iterations``
     counts sweeps summed over restarts; ``converged`` refers to the restart
-    that produced the reported value.
+    that produced the reported value.  ``maximizer`` may also be given as a
+    function of no arguments; it then runs on the first read of
+    ``maximizer``, which is how an exact-singular estimate computes its
+    attaining pair only when asked for it.
     """
 
     value: float
@@ -73,7 +98,7 @@ class NormEstimate:
     restarts_used: int = 0
     iterations: int = 0
     converged: bool = True
-    maximizer: list | None = None
+    maximizer: list | None = _Witness()
 
 
 def dual_argmax(c, p: ExtLike):
@@ -150,40 +175,50 @@ def spectral_norm(matrix) -> NormEstimate:
     for complex coefficients the witness absorbs the conjugate phases so the
     plain (unconjugated) pairing attains the value.
 
-    sigma comes from the values-only SVD.  The witness is one step of
-    shifted inverse iteration: with B = A / sigma in the taller orientation
-    (A^T / sigma for a wide A), solve (B^H B - (1 + 2^-40) I) v = 1, so v
-    lies along the top right singular vector, and set u = B v / ||B v||.  A
-    full SVD runs instead when the short side is below 16, where it is
-    cheaper, when A is zero (giving e_0, e_0), and when ||B v|| < 1 - 1e-13,
-    i.e. the all-ones start missed the top singular vector.  Non-finite
-    entries raise ValueError before LAPACK sees them.
+    sigma comes from the values-only SVD, the only factorization a call
+    makes.  Non-finite entries raise ValueError before LAPACK sees them, and
+    so does a sigma that overflows.  The attaining pair is computed the first
+    time ``maximizer`` is read (see ``_singular_pair``) and then kept; a
+    read-only matrix, such as a form's coefficients, is shared with it, any
+    other is copied.
     """
     A = np.asarray(matrix)
     if A.ndim != 2:
         raise ValueError("expected a matrix")
     if not np.isfinite(A).all():
         raise ValueError("spectral norm needs finite entries")
-    if min(A.shape) >= _WITNESS_MIN_DIM:
-        sigma = float(np.linalg.svd(A, compute_uv=False)[0])
-        _check_finite_sigma(sigma)
-        pair = _gram_witness(A, sigma) if sigma > 0 else None
-        if pair is not None:
-            return NormEstimate(sigma, "exact-singular", maximizer=pair)
-    U, S, Vh = np.linalg.svd(A, full_matrices=False)
-    sigma = float(S[0])
-    _check_finite_sigma(sigma)
-    return NormEstimate(sigma, "exact-singular", maximizer=[np.conj(U[:, 0]), np.conj(Vh[0])])
-
-
-def _check_finite_sigma(sigma):
+    sigma = float(np.linalg.svd(A, compute_uv=False)[0])
     if not np.isfinite(sigma):
         raise ValueError(f"largest singular value is {sigma}; the entries are too large")
+    if A.flags.writeable:
+        A = A.copy()
+    return NormEstimate(sigma, "exact-singular", maximizer=lambda: _singular_pair(A, sigma))
+
+
+def _singular_pair(A, sigma):
+    """Unit pair [x, y] with x^T A y = sigma, the largest singular value of A.
+
+    One step of shifted inverse iteration (``_gram_witness``) gives it when
+    the short side is at least 16.  A full (thin) SVD gives it instead when
+    the short side is below 16, where it is cheaper, when A is zero (giving
+    e_0, e_0), and when the Gram solve misses sigma.
+    """
+    if min(A.shape) >= _WITNESS_MIN_DIM and sigma > 0:
+        pair = _gram_witness(A, sigma)
+        if pair is not None:
+            return pair
+    U, _, Vh = np.linalg.svd(A, full_matrices=False)
+    return [np.conj(U[:, 0]), np.conj(Vh[0])]
 
 
 def _gram_witness(A, sigma):
     """Unit pair [x, y] with x^T A y = sigma from one shifted Gram solve, or
-    None when the solve does not reach sigma within 1e-13 relative."""
+    None when the solve does not reach sigma within 1e-13 relative.
+
+    With B = A / sigma in the taller orientation (A^T / sigma for a wide A),
+    solve (B^H B - (1 + 2^-40) I) v = 1, so v lies along the top right
+    singular vector, and set u = B v / ||B v||.  ||B v|| < 1 - 1e-13 means
+    the all-ones start missed the top singular vector."""
     wide = A.shape[0] < A.shape[1]
     B = (A.T if wide else A) / sigma
     G = B.conj().T @ B
@@ -398,9 +433,19 @@ def weak_norm(vectors, p: ExtLike, space_q: ExtLike, *, seed: int = 0) -> float:
                          max_iters=_WEAK_MAX_ITERS, seed=seed).value
 
 
+# Elements per block of upper_bound_l1: 512 KiB of moduli, under the peak of
+# the ascent it checks.
+_L1_BLOCK = 1 << 16
+
+
 def upper_bound_l1(T: MultilinearForm) -> float:
-    """Sum of coefficient moduli; dominates the norm on any p >= 1 balls."""
-    return float(np.abs(T.coeffs).sum())
+    """Sum of coefficient moduli; dominates the norm on any p >= 1 balls.
+
+    The moduli are summed in blocks of ``_L1_BLOCK`` elements, so no copy
+    the size of the tensor is made."""
+    flat = T.coeffs.reshape(-1)
+    return float(sum(np.abs(flat[s:s + _L1_BLOCK]).sum()
+                     for s in range(0, flat.size, _L1_BLOCK)))
 
 
 def operator_norm(T: MultilinearForm, restarts: int = 16, tol: float = 1e-10,

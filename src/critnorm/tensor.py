@@ -36,6 +36,7 @@ __all__ = [
 class MultilinearForm:
     """Immutable dense m-linear form with per-slot domain orders.
 
+    The coefficients must be finite: a NaN or inf entry raises ValueError.
     ``domain_p`` defaults to the critical choice: every slot on l_m where m
     is the arity.  ``analytic_norm`` is optional closed-form operator norm
     metadata (on the stored domain).
@@ -51,6 +52,8 @@ class MultilinearForm:
             raise ValueError(f"all dimensions must be positive, got {arr.shape}")
         dtype = np.complex128 if np.iscomplexobj(arr) else np.float64
         arr = np.array(arr, dtype=dtype, order="C", copy=True)
+        if not np.isfinite(arr).all():
+            raise ValueError("coefficients must be finite; the tensor holds NaN or inf")
         arr.setflags(write=False)
         self.coeffs = arr
         if domain_p is None:
@@ -201,7 +204,8 @@ def to_dict(T: MultilinearForm) -> dict:
 
 
 def from_dict(payload: dict) -> MultilinearForm:
-    """Inverse of ``to_dict``; a NaN or inf coefficient raises ValueError."""
+    """Inverse of ``to_dict``; a NaN or inf coefficient raises ValueError
+    (from ``MultilinearForm``)."""
     m = int(payload["m"])
     dims = tuple(int(d) for d in payload["dims"])
     if len(dims) != m:
@@ -217,8 +221,6 @@ def from_dict(payload: dict) -> MultilinearForm:
         arr = np.array([complex(re, im) for re, im in raw], dtype=np.complex128).reshape(dims)
     else:
         raise ValueError(f"unknown scalar field {scalar!r}")
-    if not np.isfinite(arr).all():
-        raise ValueError("coefficients must be finite; the tensor holds NaN or inf")
     domain = payload.get("domain_p")
     return MultilinearForm(arr, domain_p=ExponentVector(domain) if domain else None)
 

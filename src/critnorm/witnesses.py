@@ -102,21 +102,36 @@ _KINDS = {
 class FormFactory:
     """A parsed form spec; ``make`` builds a concrete form.
 
-    A dimension or seed pinned inside the spec always wins over the values
-    passed to ``make``, so a fully pinned spec denotes one fixed form while
-    an unpinned one denotes a family (the harness fills n per sweep point
-    and a child seed per trial).
+    ``takes_n`` and ``takes_seed`` state what a spec leaves free.  A spec
+    that pins its dimensions refuses an ``n`` passed to ``make``; a seed
+    pinned in the spec wins over a passed one, and a seedless kind ignores
+    it.  So a spec with no free seed denotes one form per dimension, while a
+    random one denotes a family (the harness fills n per sweep point and a
+    child seed per trial).
     """
 
     kind: str
     params: dict = field(default_factory=dict)
 
+    @property
+    def takes_n(self) -> bool:
+        """Whether ``make`` reads its ``n``: the spec pins no dimension."""
+        if self.kind == "file" or "dims" in self.params:
+            return False
+        return ("n2" if self.kind == "t0" else "n") not in self.params
+
+    @property
+    def takes_seed(self) -> bool:
+        """Whether ``make`` reads its ``seed``: a random kind with no seed pinned."""
+        return self.kind in ("sign", "gauss") and "seed" not in self.params
+
     def make(self, n=None, seed=None, domain_p=None) -> MultilinearForm:
         P = self.params
         k = self.kind
+        if n is not None and not self.takes_n:
+            raise ValueError(f"the {k} form spec fixes its dimensions, "
+                             f"so a separate n = {n} cannot apply")
         if k == "file":
-            if n is not None:
-                raise ValueError("file-backed forms have fixed dimensions")
             T = load_tensor(P["path"])
         elif k == "dot":
             T = make_dot(P["m"], self._dim(P.get("n"), n))
@@ -132,8 +147,6 @@ class FormFactory:
                 if "m" not in P:
                     raise ValueError("gauss forms need dims=AxBx... or m= plus a dimension")
                 dims = (self._dim(P.get("n"), n),) * P["m"]
-            elif n is not None:
-                raise ValueError("explicit dims and a sweep dimension cannot both be given")
             T = make_gaussian_random(dims, self._seed(P, seed), P.get("scalar", "real"))
         else:
             raise ValueError(f"unknown form kind {self.kind!r}")

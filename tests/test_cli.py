@@ -8,9 +8,18 @@ import sys
 import numpy as np
 import pytest
 
-from critnorm import ExperimentConfig, MultilinearForm, make_gaussian_random, save_tensor
+from critnorm import ExperimentConfig, make_gaussian_random, save_tensor, to_dict
 from critnorm.cli import _build_parser, main
 from critnorm.harness import READS
+
+
+def _save_with_bad_entry(T, index, bad, path):
+    """Write ``T`` as ``save_tensor`` does, with the coefficient at ``index``
+    replaced by ``bad``: a form refuses a non-finite entry, a file can hold one."""
+    payload = to_dict(T)
+    payload["coeffs"][int(np.ravel_multi_index(index, T.dims))] = bad
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
 
 
 def test_exponents_critical_family(capsys):
@@ -206,6 +215,24 @@ def test_sharpness_refuses_a_spec_that_pins_the_swept_dimension(spec, capsys):
     assert "error: the form spec pins the swept dimension" in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--form", "dot:m=3,n=8", "--n", "16"],
+     "error: the dot form spec fixes its dimensions, so a separate n = 16 cannot apply"),
+    (["verify", "--form", "gauss:m=3,seed=1", "--n", "6", "--trials", "3"],
+     "error: the form spec pins seed=1, so all 3 trials would be one form"),
+    (["bilinear-law", "--form", "t0:n1=4,n2=16", "--n", "8", "--a", "1", "--b", "inf"],
+     "error: the t0 form spec fixes its dimensions"),
+    (["norm", "op", "--form", "gauss:dims=4x4,seed=1", "--n", "8"],
+     "error: the gauss form spec fixes its dimensions"),
+], ids=["pinned-n", "pinned-seed", "pinned-n2", "pinned-dims"])
+def test_a_spec_that_pins_what_an_option_sets_is_exit_2(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message)
+    assert captured.err.count("\n") == 1
+
+
 def test_bilinear_law_cli(capsys):
     assert main(["bilinear-law", "--form", "t0:n1=4,n2=64",
                  "--a", "1", "--b", "inf"]) == 0
@@ -235,10 +262,9 @@ def test_inclusion_instance_inapplicable(capsys):
 def test_verify_on_an_inf_coefficient_is_exit_2_without_warnings(tmp_path):
     """An inf in a saved tensor is refused when the file is loaded: exit 2
     with one message, and no NumPy RuntimeWarning or traceback on stderr."""
-    coeffs = make_gaussian_random((4, 4), seed=3).coeffs.copy()
-    coeffs[1, 2] = np.inf
     path = tmp_path / "inf.json"
-    save_tensor(MultilinearForm(coeffs, domain_p=(2, 2)), path)
+    T = make_gaussian_random((4, 4), seed=3).with_domain((2, 2))
+    _save_with_bad_entry(T, (1, 2), np.inf, path)
     for argv in (["verify", "--form", f"file:{path}"],
                  ["norm", "op", "--form", f"file:{path}"]):
         proc = subprocess.run([sys.executable, "-m", "critnorm.cli", *argv],
@@ -251,10 +277,8 @@ def test_verify_on_an_inf_coefficient_is_exit_2_without_warnings(tmp_path):
 
 
 def test_norm_mixed_on_a_nan_coefficient_is_exit_2(tmp_path, capsys):
-    coeffs = make_gaussian_random((4, 4), seed=3).coeffs.copy()
-    coeffs[0, 0] = np.nan
     path = tmp_path / "nan.json"
-    save_tensor(MultilinearForm(coeffs), path)
+    _save_with_bad_entry(make_gaussian_random((4, 4), seed=3), (0, 0), np.nan, path)
     assert main(["norm", "mixed", "--form", f"file:{path}", "--exponents", "derived"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -305,12 +329,11 @@ def test_console_script_entry_point():
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
 def test_verify_on_a_nan_coefficient_is_exit_2(tmp_path, flags):
-    """A NaN coefficient breaks the ascent invariants: the run ends with a
-    message and exit 2, also under python -O, where asserts are stripped."""
-    coeffs = make_gaussian_random((4, 4, 4), seed=3).coeffs.copy()
-    coeffs[1, 2, 3] = np.nan
+    """A NaN coefficient in a tensor file is refused when the form is built:
+    the run ends with a message and exit 2, also under python -O, where
+    asserts are stripped."""
     path = tmp_path / "nan.json"
-    save_tensor(MultilinearForm(coeffs), path)
+    _save_with_bad_entry(make_gaussian_random((4, 4, 4), seed=3), (1, 2, 3), np.nan, path)
     proc = subprocess.run([sys.executable, *flags, "-m", "critnorm.cli", "verify",
                            "--form", f"file:{path}"], capture_output=True, text=True)
     assert proc.returncode == 2

@@ -11,11 +11,12 @@ import math
 import numpy as np
 import pytest
 
-from critnorm import harness
+from critnorm import harness, opnorm
 from critnorm import (
     ExperimentConfig,
     ExponentVector,
     ExtRational,
+    FormFactory,
     GrowthFit,
     InapplicableError,
     SLACK_ASCENT,
@@ -168,6 +169,47 @@ def test_a_violation_that_survives_the_retry_is_reported(monkeypatch, run, cfg):
     assert rec["violation"] is True
     assert rec["norm"] == log[1][1]
     assert rep.violations == 1
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` with a call counter; returns the list of calls."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_a_seedless_form_is_built_and_measured_once(monkeypatch):
+    """A dot spec is one form: three trials build it and take its mixed norm
+    once, and record what a build per trial records."""
+    cfg = ExperimentConfig(experiment="verify", form="dot:m=4", n=6, trials=3)
+    with monkeypatch.context() as mp:
+        makes = _count_calls(mp, FormFactory, "make")
+        lhs = _count_calls(mp, harness, "mixed_norm")
+        once = run_verify(cfg)
+    assert (len(makes), len(lhs)) == (1, 1)
+    with monkeypatch.context() as mp:
+        mp.setattr(FormFactory, "takes_seed", property(lambda self: True))
+        makes = _count_calls(mp, FormFactory, "make")
+        per_trial = run_verify(cfg)
+    assert len(makes) == 3
+    assert once.trials == per_trial.trials
+    assert once.to_json() == per_trial.to_json()
+
+
+def test_exact_denominators_never_form_the_singular_pair(monkeypatch):
+    """verify reads only the value of an exact-singular estimate, so the
+    Gram solve that builds the attaining pair never runs."""
+    witness = _count_calls(monkeypatch, opnorm, "_gram_witness")
+    rep = run_verify(ExperimentConfig(experiment="verify", form="gauss:dims=64x64",
+                                      trials=5))
+    assert [t["method"] for t in rep.trials] == ["exact-singular"] * 5
+    assert witness == []
 
 
 def test_verify_needs_a_form():

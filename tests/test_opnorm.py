@@ -232,29 +232,48 @@ def test_spectral_norm_of_the_zero_matrix_is_zero_at_e0(shape, dtype):
     np.testing.assert_array_equal(y, np.eye(shape[1])[0])
 
 
-def _svd_spy(monkeypatch):
-    """Record compute_uv of every np.linalg.svd call."""
+def _linalg_spy(monkeypatch):
+    """Record every np.linalg.svd call as its compute_uv flag, and every
+    np.linalg.solve call as "solve"."""
     calls = []
-    svd = np.linalg.svd
+    svd, solve = np.linalg.svd, np.linalg.solve
 
-    def spy(a, *args, **kwargs):
+    def svd_spy(a, *args, **kwargs):
         calls.append(kwargs.get("compute_uv", True))
         return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", spy)
+    def solve_spy(a, b):
+        calls.append("solve")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "svd", svd_spy)
+    monkeypatch.setattr(np.linalg, "solve", solve_spy)
     return calls
 
 
+def _read_witness_twice(est, calls):
+    """The calls the first read of ``est.maximizer`` makes; a second read makes none."""
+    before = len(calls)
+    pair = est.maximizer
+    made = calls[before:]
+    assert est.maximizer is pair
+    assert len(calls) == before + len(made)
+    return made
+
+
 def test_spectral_norm_takes_one_values_only_svd_on_a_generic_matrix(monkeypatch):
-    calls = _svd_spy(monkeypatch)
-    spectral_norm(np.random.default_rng(22).standard_normal((64, 64)))
+    calls = _linalg_spy(monkeypatch)
+    est = spectral_norm(np.random.default_rng(22).standard_normal((64, 64)))
     assert calls == [False]
+    assert _read_witness_twice(est, calls) == ["solve"]
 
 
 def test_spectral_norm_runs_the_full_svd_below_the_witness_size(monkeypatch):
-    calls = _svd_spy(monkeypatch)
-    spectral_norm(np.random.default_rng(23).standard_normal((6, 40)))
-    assert calls == [True]
+    calls = _linalg_spy(monkeypatch)
+    est = spectral_norm(np.random.default_rng(23).standard_normal((6, 40)))
+    assert calls == [False]
+    assert _read_witness_twice(est, calls) == [True]
+    assert calls == [False, True]
 
 
 @pytest.mark.parametrize("case", ["2x2", "20x20"])
@@ -268,12 +287,25 @@ def test_spectral_norm_falls_back_when_the_ones_start_misses(case, monkeypatch):
         A = np.zeros((20, 20))
         A[0, :2] = [2.0, -2.0]
         A[2:, 2:] = np.eye(18)
-    calls = _svd_spy(monkeypatch)
+    calls = _linalg_spy(monkeypatch)
     est = spectral_norm(A)
-    assert calls == [False, True]
+    assert calls == [False]
     assert est.value == pytest.approx(math.sqrt(2) * A[0, 0], rel=1e-15)
+    assert _read_witness_twice(est, calls) == ["solve", True]
+    assert [c for c in calls if c != "solve"] == [False, True]
     x, y = est.maximizer
     assert x @ A @ y == pytest.approx(est.value, rel=1e-12)
+
+
+def test_spectral_witness_ignores_later_writes_to_the_matrix():
+    """The pair is computed on the first read, from the matrix as it was
+    when the norm was taken."""
+    A = np.random.default_rng(24).standard_normal((20, 30))
+    est = spectral_norm(A)
+    A[:] = 0.0
+    x, y = est.maximizer
+    B = np.random.default_rng(24).standard_normal((20, 30))
+    assert x @ B @ y == pytest.approx(est.value, rel=1e-12)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -505,10 +537,11 @@ def test_ascent_calls_dual_argmax_through_the_module_name(monkeypatch):
 
 
 def test_ascent_rejects_a_nan_coefficient():
+    """A NaN coefficient is refused when the form is built, so no ascent starts."""
     coeffs = np.ones((3, 3, 3))
     coeffs[0, 1, 2] = np.nan
-    with pytest.raises(AscentInvariantError, match="finite"):
-        ascent_norm(MultilinearForm(coeffs), restarts=2)
+    with pytest.raises(ValueError, match="finite"):
+        MultilinearForm(coeffs)
 
 
 def test_ascent_value_above_the_l1_bound_raises(monkeypatch):

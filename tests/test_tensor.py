@@ -6,6 +6,7 @@ values of small stacked bases.
 """
 
 import inspect
+import json
 import math
 
 import numpy as np
@@ -377,8 +378,15 @@ def test_from_dict_validation():
 @pytest.mark.parametrize("scalar", ["real", "complex"])
 def test_from_dict_rejects_non_finite_coefficients(bad, scalar, tmp_path):
     coeffs = np.eye(2, dtype=complex if scalar == "complex" else float)
-    coeffs[0, 1] = bad
+    payload = to_dict(MultilinearForm(coeffs))
+    payload["coeffs"][1] = [bad, 0.0] if scalar == "complex" else bad
+    with pytest.raises(ValueError, match="finite"):
+        from_dict(payload)
     path = tmp_path / "bad.json"
-    save_tensor(MultilinearForm(coeffs), path)   # building a form still accepts them
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
     with pytest.raises(ValueError, match="finite"):
         load_tensor(path)
+    coeffs[0, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        MultilinearForm(coeffs)

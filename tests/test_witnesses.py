@@ -130,9 +130,31 @@ def test_parse_family_spec_takes_sweep_dimension_and_seed():
 
 def test_pinned_values_win_over_passed_ones():
     fac = parse_form_spec("sign:m=2,n=4,seed=3")
-    T = fac.make(n=64, seed=999)
+    T = fac.make(seed=999)
     assert T.dims == (4, 4)
     assert np.array_equal(T.coeffs, make_sign_random(2, 4, 3).coeffs)
+
+
+@pytest.mark.parametrize("spec, takes_n, takes_seed", [
+    ("dot:m=3", True, False),
+    ("dot:m=3,n=8", False, False),
+    ("partial:m=3,r=1", True, False),
+    ("partial:m=3,n=8,r=1", False, False),
+    ("t0:n1=4", True, False),
+    ("t0:n1=4,n2=16", False, False),
+    ("sign:m=2", True, True),
+    ("sign:m=2,n=4,seed=3", False, False),
+    ("gauss:m=3", True, True),
+    ("gauss:m=3,seed=1", True, False),
+    ("gauss:dims=2x3", False, True),
+    ("file:form.json", False, False),
+])
+def test_factory_states_what_a_spec_leaves_free(spec, takes_n, takes_seed):
+    fac = parse_form_spec(spec)
+    assert (fac.takes_n, fac.takes_seed) == (takes_n, takes_seed)
+    if not takes_n:   # a pinned dimension refuses a passed one before any build
+        with pytest.raises(ValueError, match="fixes its dimensions, so a separate n = 16"):
+            fac.make(n=16, seed=1)
 
 
 def test_gauss_dims_spec():
