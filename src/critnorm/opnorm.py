@@ -26,6 +26,13 @@ R * |T| / n_{m-1} and R * |T| / n_0 elements, never alive together: about
 retry.  Rows are chunked so that neither exceeds the larger of |T| and
 2^20 elements.
 
+Each block step is ``dual_argmax``, whose cost on the small blocks of most
+sweeps is a fixed number of NumPy calls, so an ascent trims it: each slot's
+order is resolved once into a ``_Ball`` holding its float exponents, a real
+block with no zero row takes a straight-line path, and a sweep asks only
+its last slot for the conjugate norm (``value=False`` elsewhere), since
+that is the only value it reports.
+
 Weak norms of finite vector sequences are operator norms of the induced
 pairing, so ``weak_norm`` lives here too and goes through ``operator_norm``
 at fixed ascent settings.
@@ -101,26 +108,71 @@ class NormEstimate:
     maximizer: list | None = _Witness()
 
 
-def dual_argmax(c, p: ExtLike):
+class _Ball:
+    """A slot's unit l_p ball with its order resolved once.
+
+    ``kind`` is "1", "finite" (1 < p < inf) or "inf".  A finite ball also
+    holds the float exponents of the stationarity profile: ``profile`` =
+    1/(p-1), ``e`` = p, ``inv_e`` = 1/p, ``estar`` = p* and ``inv_estar`` =
+    1/p*.  ``_ascend`` builds one per slot, so the sweeps' block steps skip
+    parsing and comparing exact orders."""
+
+    __slots__ = ("kind", "profile", "e", "inv_e", "estar", "inv_estar")
+
+    def __init__(self, p: ExtLike):
+        p = as_ext(p)
+        if p.is_inf:
+            self.kind = "inf"
+            return
+        if p.fraction < 1:
+            raise ValueError(f"unit balls require p >= 1, got {p}")
+        if p.fraction == 1:
+            self.kind = "1"
+            return
+        self.kind = "finite"
+        e = float(p.fraction)
+        self.profile = 1.0 / (e - 1.0)
+        self.e, self.inv_e = e, 1.0 / e
+        self.estar = e / (e - 1.0)
+        self.inv_estar = 1.0 / self.estar
+
+
+def dual_argmax(c, p: ExtLike | _Ball, *, value: bool = True):
     """Maximize Re <c, x> over the unit l_p ball; returns (value, x).
 
     ``c`` is one vector, giving a float value and a vector, or an (R, n)
     block maximized row by row, giving an (R,) array of values and an (R, n)
-    block of maximizers.  The value is the conjugate norm ||c||_{p*}.  For
-    finite p > 1 the maximizer follows the stationarity profile
-    |c_j|^(1/(p-1)) (normalized); at p = 1 all weight goes to the first
-    modulus-maximal coordinate; at p = inf it is the conjugate phase vector.
-    Complex phases are conjugated so the attained pairing is real.  An
-    all-zero row gets the first unit vector and value 0.
+    block of maximizers.  ``p`` is an order (``ExtLike``) or a ``_Ball``
+    already resolved from one.  The value is the conjugate norm ||c||_{p*};
+    with ``value=False`` it is not computed and None is returned in its
+    place, the maximizers being the same.  For finite p > 1 the maximizer
+    follows the stationarity profile |c_j|^(1/(p-1)) (normalized); at p = 1
+    all weight goes to the first modulus-maximal coordinate; at p = inf it
+    is the conjugate phase vector.  Complex phases are conjugated so the
+    attained pairing is real.  An all-zero row gets the first unit vector
+    and value 0.
+
+    A real float64 block with no all-zero row at finite p > 1 takes a
+    straight-line path; it runs the same arithmetic as the general one, so
+    both give the same bits.
     """
-    p = as_ext(p)
-    e = None if p.is_inf else p.fraction
-    if e is not None and e < 1:
-        raise ValueError(f"unit balls require p >= 1, got {p}")
+    ball = p if isinstance(p, _Ball) else _Ball(p)
     c = np.asarray(c)
     if c.ndim not in (1, 2) or c.size == 0:
         raise ValueError("expected a nonempty vector or (R, n) block")
     C = c.reshape(-1, c.shape[-1])
+    if ball.kind == "finite" and C.dtype == np.float64:
+        mags = np.abs(C)
+        scale = mags.max(axis=1)
+        if scale.all():
+            ratio = mags / scale[:, np.newaxis]
+            profile = np.power(ratio, ball.profile)
+            norms = np.power(profile, ball.e).sum(axis=1) ** ball.inv_e
+            X = np.where(C < 0, -1.0, 1.0) * (profile / norms[:, np.newaxis])
+            values = None
+            if value:
+                values = scale * np.power(ratio, ball.estar).sum(axis=1) ** ball.inv_estar
+            return _shaped(c, values, X)
     mags = np.abs(C).astype(np.float64, copy=False)
     scale = mags.max(axis=1)
     zero = scale == 0
@@ -134,30 +186,36 @@ def dual_argmax(c, p: ExtLike):
         phase[mags == 0] = 1
     else:
         phase = np.where(C < 0, -1.0, 1.0)
-    if e == 1:
+    values = None
+    if ball.kind == "1":
         rows = np.arange(len(C))
         j = np.argmax(mags, axis=1)
         values = mags[rows, j]
         X = np.zeros_like(phase)
         X[rows, j] = phase[rows, j]
-    elif e is None:
+    elif ball.kind == "inf":
         values = mags.sum(axis=1)
         X = phase
     else:
-        e = float(e)
         ratio = mags / np.where(zero, 1.0, scale)[:, np.newaxis]
-        profile = np.power(ratio, 1.0 / (e - 1.0))
+        profile = np.power(ratio, ball.profile)
         # the profile peaks at exactly 1, so this is lp_norm(profile, p)
-        norms = np.power(profile, e).sum(axis=1) ** (1.0 / e)
+        norms = np.power(profile, ball.e).sum(axis=1) ** ball.inv_e
         X = phase * (profile / np.where(zero, 1.0, norms)[:, np.newaxis])
-        estar = e / (e - 1.0)
-        values = scale * np.power(ratio, estar).sum(axis=1) ** (1.0 / estar)
+        if value:
+            values = scale * np.power(ratio, ball.estar).sum(axis=1) ** ball.inv_estar
     if zero.any():
         X[zero] = 0
         X[zero, 0] = 1
-        values[zero] = 0.0
+        if values is not None:
+            values[zero] = 0.0
+    return _shaped(c, values if value else None, X)
+
+
+def _shaped(c, values, X):
+    """``dual_argmax``'s result in the shape of its input ``c``."""
     if c.ndim == 1:
-        return float(values[0]), X[0]
+        return (None if values is None else float(values[0])), X[0]
     return values, X
 
 
@@ -260,8 +318,11 @@ def _first_slot_gradient(coeffs, X):
 def _sweep(coeffs, X, orders):
     """One Gauss-Seidel sweep over every row of the blocks ``X``: slot k is
     replaced by ``dual_argmax`` of its gradient at the new slots 0..k-1 and
-    the old slots k+1..m-1.  Returns (before, after, X): the (R,) moduli of
-    the value at the entering rows and after the sweep, and the new blocks.
+    the old slots k+1..m-1, on the ball ``orders[k]`` (an order or a
+    ``_Ball``).  Returns (before, after, X): the (R,) moduli of the value at
+    the entering rows and after the sweep, and the new blocks.  Only the
+    last slot's step computes its conjugate norm, which is ``after``; the
+    others ask ``dual_argmax`` for the maximizers alone.
 
     The tensor is read twice.  The slot-0 gradient is contracted from the
     tail (see ``_first_slot_gradient``); then the prefix P = x_0 . T, an
@@ -285,14 +346,14 @@ def _sweep(coeffs, X, orders):
     G = _first_slot_gradient(coeffs, X)
     before = np.abs((G * X[0]).sum(axis=1))
     X = list(X)
-    value, X[0] = dual_argmax(G, orders[0])
+    value, X[0] = dual_argmax(G, orders[0], value=m == 1)
     if m > 1:
         P = X[0] @ coeffs.reshape(dims[0], -1)
     for k in range(1, m):
         G = P
         for i in range(m - 1, k, -1):
             G = np.matmul(G.reshape(R, -1, dims[i]), X[i][:, :, np.newaxis])[:, :, 0]
-        value, X[k] = dual_argmax(G, orders[k])
+        value, X[k] = dual_argmax(G, orders[k], value=k == m - 1)
         if k < m - 1:
             P = np.matmul(X[k][:, np.newaxis, :], P.reshape(R, dims[k], -1))[:, 0, :]
     return before, value, X
@@ -318,47 +379,50 @@ def _ascend(T, X, tol, max_iters):
     elements.  A row freezes after the first sweep that raised its value
     above the modulus at its entering rows by at most ``tol`` relative;
     only the remaining active rows are swept further, so every row takes
-    the sweeps it would take alone.
+    the sweeps it would take alone.  Each slot's ball is resolved once, as
+    a ``_Ball``, for the whole ascent.
 
-    Returns (values, X, trace, sweeps, converged): the (R,) final values,
-    the blocks, the (S, R) per-sweep trace (row s holds every value after
-    sweep s; a frozen row repeats its final value), the (R,) sweep counts
-    and the (R,) convergence flags.  Each block step sets a row's
-    value to a conjugate norm of its slot gradient, which dominates the
-    previous modulus, so the trace is nondecreasing; a sweep that ends
-    below its entering modulus beyond a tiny rounding allowance, or a
-    non-finite value, raises AscentInvariantError.
+    Returns (values, X, sweeps, converged): the (R,) final values, the
+    blocks, the (R,) sweep counts and the (R,) convergence flags.  Each
+    block step sets a row's value to a conjugate norm of its slot gradient,
+    which dominates the previous modulus, so a row's value never decreases;
+    a sweep that ends below its entering modulus beyond a tiny rounding
+    allowance raises AscentInvariantError.  So does a non-finite value,
+    which a form with finite coefficients reaches only when float64
+    arithmetic overflows; NumPy's overflow and invalid-value warnings are
+    silenced for the ascent, since that error reports the overflow.
     """
-    coeffs, orders = T.coeffs, T.domain_p
+    coeffs = T.coeffs
+    balls = [_Ball(p) for p in T.domain_p]
     active = np.arange(len(X[0]))
     work = list(X)
     values = np.zeros(len(active))
     sweeps = np.zeros(len(active), dtype=np.int64)
     converged = np.zeros(len(active), dtype=bool)
-    trace = []
-    for _ in range(max_iters):
-        prev, value, work = _sweep(coeffs, work, orders)
-        values[active] = value
-        sweeps[active] += 1
-        trace.append(values.copy())
-        if not np.isfinite(value).all():
-            raise AscentInvariantError(
-                "block ascent reached a non-finite value; are all coefficients finite?")
-        if not (value >= prev - 1e-9 * (1.0 + prev)).all():
-            raise AscentInvariantError("block step decreased the value")
-        done = value - prev <= tol * np.maximum(value, 1e-300)
-        if done.any():
-            converged[active[done]] = True
-            for x, w in zip(X, work):
-                x[active[done]] = w[done]
-            keep = ~done
-            active = active[keep]
-            work = [w[keep] for w in work]
-            if not active.size:
-                break
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max_iters):
+            prev, value, work = _sweep(coeffs, work, balls)
+            values[active] = value
+            sweeps[active] += 1
+            if not np.isfinite(value).all():
+                raise AscentInvariantError(
+                    "block ascent overflowed float64 arithmetic and reached a non-finite "
+                    "value; rescale the form's coefficients")
+            if not (value >= prev - 1e-9 * (1.0 + prev)).all():
+                raise AscentInvariantError("block step decreased the value")
+            done = value - prev <= tol * np.maximum(value, 1e-300)
+            if done.any():
+                converged[active[done]] = True
+                for x, w in zip(X, work):
+                    x[active[done]] = w[done]
+                keep = ~done
+                active = active[keep]
+                work = [w[keep] for w in work]
+                if not active.size:
+                    break
     for x, w in zip(X, work):
         x[active] = w
-    return values, X, np.array(trace), sweeps, converged
+    return values, X, sweeps, converged
 
 
 def ascent_norm(T: MultilinearForm, restarts: int = 16, tol: float = 1e-10,
@@ -392,7 +456,7 @@ def ascent_norm(T: MultilinearForm, restarts: int = 16, tol: float = 1e-10,
         starts.append([_random_unit(rng, n, T.domain_p[k], T.is_complex)
                        for k, n in enumerate(T.dims)])
     X = [np.array([start[k] for start in starts]) for k in range(T.arity)]
-    values, X, _, sweeps, converged = _ascend(T, X, tol, max_iters)
+    values, X, sweeps, converged = _ascend(T, X, tol, max_iters)
     best = int(np.argmax(values))
     value = float(values[best])
     bound = upper_bound_l1(T)

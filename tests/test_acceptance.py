@@ -38,6 +38,7 @@ from critnorm import (
     tail_sum,
     weak_norm,
 )
+from critnorm import opnorm
 from critnorm.opnorm import _ascend, _random_unit
 
 
@@ -201,7 +202,7 @@ def test_criterion_08_widened_domain_coefficient_bound():
             f"every time (max ratio {rep.summary['max_ratio']:.6f})")
 
 
-def test_criterion_09_norm_calculus_properties():
+def test_criterion_09_norm_calculus_properties(monkeypatch):
     rng = child_rng(9)
     grid = [ExtRational(t) for t in ("1", "3/2", "2", "3")] + [ExtRational("inf")]
     ok = True
@@ -241,13 +242,26 @@ def test_criterion_09_norm_calculus_properties():
             z = _random_unit(rng, 12, p, False)
             dual_ok = dual_ok and float(np.dot(c, z)) <= value * (1 + 1e-12)
     ok = ok and dual_ok
-    # block ascent never decreases across sweeps
+    # block ascent never decreases, within a sweep or across sweeps
+    sweeps = []
+    sweep = opnorm._sweep
+
+    def recording(coeffs, X, orders):
+        before, after, Y = sweep(coeffs, X, orders)
+        sweeps.append((before, after))
+        return before, after, Y
+
+    monkeypatch.setattr(opnorm, "_sweep", recording)
     trace_ok = True
     for trial in range(10):
         T = MultilinearForm(rng.standard_normal((4, 4, 4)), domain_p=("3", "3", "3"))
         X = [_random_unit(rng, 4, T.domain_p[k], False)[np.newaxis] for k in range(3)]
-        _, _, trace, _, conv = _ascend(T, X, 1e-10, 200)
-        trace_ok = trace_ok and conv.all()
+        sweeps.clear()
+        values, _, _, conv = _ascend(T, X, 1e-10, 200)
+        trace = [after for _, after in sweeps]
+        trace_ok = trace_ok and conv.all() and np.array_equal(trace[-1], values)
+        trace_ok = trace_ok and all((b >= a - 1e-9 * (1 + a)).all()
+                                    for a, b in sweeps)
         trace_ok = trace_ok and all((b >= a - 1e-9 * (1 + a)).all()
                                     for a, b in zip(trace, trace[1:]))
     ok = ok and trace_ok

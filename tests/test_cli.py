@@ -4,11 +4,13 @@ import dataclasses
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from critnorm import ExperimentConfig, make_gaussian_random, save_tensor, to_dict
+from critnorm import (ExperimentConfig, MultilinearForm, make_gaussian_random, save_tensor,
+                      to_dict)
 from critnorm.cli import _build_parser, main
 from critnorm.harness import READS
 
@@ -274,6 +276,32 @@ def test_verify_on_an_inf_coefficient_is_exit_2_without_warnings(tmp_path):
         assert "RuntimeWarning" not in proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("flags", [None, ["-O"]], ids=["in-process", "optimized"])
+def test_an_ascent_that_overflows_is_exit_2_without_warnings(flags, tmp_path, capsys):
+    """Huge but finite coefficients overflow float64 inside the ascent: exit
+    2 with one ``error:`` line that says so, no NumPy RuntimeWarning and no
+    stdout, also under python -O."""
+    path = tmp_path / "huge.json"
+    save_tensor(MultilinearForm(np.full((3, 3, 3), 1e308)), path)
+    for argv in (["verify", "--form", f"file:{path}"],
+                 ["norm", "op", "--form", f"file:{path}"]):
+        if flags is None:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(argv)
+            out, err = capsys.readouterr()
+            assert not caught
+        else:
+            proc = subprocess.run([sys.executable, *flags, "-m", "critnorm.cli", *argv],
+                                  capture_output=True, text=True)
+            code, out, err = proc.returncode, proc.stdout, proc.stderr
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and "overflowed" in lines[0]
 
 
 def test_norm_mixed_on_a_nan_coefficient_is_exit_2(tmp_path, capsys):

@@ -126,6 +126,31 @@ def test_dual_argmax_block_matches_row_by_row_calls(p, field):
     assert np.array_equal(X[2], [1, 0, 0, 0, 0, 0])
 
 
+@pytest.mark.parametrize("shape", [(7,), (5, 7)], ids=["1-d", "2-d"])
+@pytest.mark.parametrize("p", ["1", "4/3", "3/2", "2", "3", "4", "12/5", "inf"])
+def test_dual_argmax_fast_path_is_bit_identical_to_the_general_path(p, shape):
+    """A real float64 block with no all-zero row takes the straight-line
+    path; one appended all-zero row sends the same rows through the general
+    path.  Both give the same bits.  ``value=False`` gives the same
+    maximizers and no value, and a ``_Ball`` gives what its order does."""
+    rng = np.random.default_rng(41)
+    C = rng.standard_normal(shape) * np.logspace(-3, 3, shape[-1])
+    padded = np.vstack([C.reshape(-1, shape[-1]), np.zeros(shape[-1])])
+    fast_v, fast_X = dual_argmax(C, p)
+    general_v, general_X = dual_argmax(padded, p)
+    assert np.asarray(fast_v).tobytes() == general_v[:-1].tobytes()
+    assert fast_X.tobytes() == general_X[:-1].tobytes()
+    none, lean_X = dual_argmax(C, p, value=False)
+    assert none is None
+    assert lean_X.tobytes() == fast_X.tobytes()
+    none, lean_X = dual_argmax(padded, p, value=False)
+    assert none is None
+    assert lean_X.tobytes() == general_X.tobytes()
+    ball_v, ball_X = dual_argmax(C, opnorm._Ball(p))
+    assert np.asarray(ball_v).tobytes() == np.asarray(fast_v).tobytes()
+    assert ball_X.tobytes() == fast_X.tobytes()
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=1, max_size=8),
        st.sampled_from(P_GRID), st.integers(0, 2**31 - 1))
@@ -462,9 +487,28 @@ def test_ascent_validation():
         ascent_norm(T, max_iters=0)
 
 
-def test_ascent_trace_is_nondecreasing():
-    """Each block maximization dominates the previous value, so the sweep
-    trace can only go up (within rounding)."""
+def _record_sweeps(monkeypatch):
+    """Wrap ``opnorm._sweep`` so each call appends its (before, after) row
+    values to the returned list.  A chunked sweep would also record its
+    chunks, so callers keep blocks under the chunk cap."""
+    recorded = []
+    sweep = opnorm._sweep
+
+    def recording(coeffs, X, orders):
+        before, after, Y = sweep(coeffs, X, orders)
+        recorded.append((before.copy(), after.copy()))
+        return before, after, Y
+
+    monkeypatch.setattr(opnorm, "_sweep", recording)
+    return recorded
+
+
+def test_ascent_trace_is_nondecreasing(monkeypatch):
+    """Each block maximization dominates the previous value, so every row's
+    value can only go up (within rounding): within a sweep, and from one
+    sweep to the next.  The per-row trace is rebuilt from the recorded
+    sweeps by freezing rows as ``_ascend`` does."""
+    recorded = _record_sweeps(monkeypatch)
     rng = np.random.default_rng(30)
     for trial in range(10):
         T = MultilinearForm(rng.standard_normal((4, 4, 4)),
@@ -473,12 +517,25 @@ def test_ascent_trace_is_nondecreasing():
         starts = [[_random_unit(start, n, T.domain_p[k], False)
                    for k, n in enumerate(T.dims)] for _ in range(4)]
         X = [np.array([s[k] for s in starts]) for k in range(T.arity)]
-        values, _, trace, sweeps, converged = _ascend(T, X, 1e-10, 200)
+        recorded.clear()
+        values, _, sweeps, converged = _ascend(T, X, 1e-10, 200)
         assert converged.all()
-        assert np.array_equal(trace[-1], values)
-        assert len(trace) == sweeps.max()
-        for a, b in zip(trace, trace[1:]):
-            assert (b >= a - 1e-9 * (1 + a)).all()
+        assert len(recorded) == sweeps.max()
+        trace = np.zeros(len(values))
+        counts = np.zeros(len(values), dtype=np.int64)
+        active = np.arange(len(values))
+        for s, (before, after) in enumerate(recorded):
+            assert len(after) == len(active)
+            assert (after >= before - 1e-9 * (1 + before)).all()
+            if s:
+                a = trace[active]
+                assert (after >= a - 1e-9 * (1 + a)).all()
+            trace[active] = after
+            counts[active] += 1
+            active = active[after - before > 1e-10 * np.maximum(after, 1e-300)]
+        assert not active.size
+        assert np.array_equal(trace, values)
+        assert np.array_equal(counts, sweeps)
 
 
 def test_ascent_sweep_counts_are_pinned():
@@ -522,18 +579,23 @@ def test_ascent_row_chunks_are_independent(dims, monkeypatch):
 
 def test_ascent_calls_dual_argmax_through_the_module_name(monkeypatch):
     """Tracing wraps ``opnorm.dual_argmax``; the sweep must call that name,
-    once per slot for each block of rows it sweeps."""
+    once per slot for each block of rows it sweeps, in slot order.  Only
+    the last slot's call asks for the value, the one the sweep reports."""
     calls = []
 
-    def counting(c, p):
-        calls.append(p)
-        return dual_argmax(c, p)
+    def counting(c, p, **kwargs):
+        calls.append((np.shape(c)[-1], kwargs.get("value", True)))
+        return dual_argmax(c, p, **kwargs)
 
     monkeypatch.setattr(opnorm, "dual_argmax", counting)
     T = make_gaussian_random((4, 3, 5), seed=2)
     ascent_norm(T, restarts=4, seed=1)
     assert calls
     assert len(calls) % T.arity == 0
+    m = T.arity
+    for i, (n, value) in enumerate(calls):
+        assert n == T.dims[i % m]
+        assert value == (i % m == m - 1)
 
 
 def test_ascent_rejects_a_nan_coefficient():
