@@ -28,10 +28,10 @@ retry.  Rows are chunked so that neither exceeds the larger of |T| and
 
 Each block step is ``dual_argmax``, whose cost on the small blocks of most
 sweeps is a fixed number of NumPy calls, so an ascent trims it: each slot's
-order is resolved once into a ``_Ball`` holding its float exponents, a real
-block with no zero row takes a straight-line path, and a sweep asks only
-its last slot for the conjugate norm (``value=False`` elsewhere), since
-that is the only value it reports.
+order is resolved once into a ``_Ball`` holding its float exponents, the
+zero-row guards run only when a block has an all-zero row, and a sweep
+asks only its last slot for the conjugate norm (``value=False``
+elsewhere), since that is the only value it reports.
 
 Weak norms of finite vector sequences are operator norms of the induced
 pairing, so ``weak_norm`` lives here too and goes through ``operator_norm``
@@ -142,41 +142,26 @@ def dual_argmax(c, p: ExtLike | _Ball, *, value: bool = True):
 
     ``c`` is one vector, giving a float value and a vector, or an (R, n)
     block maximized row by row, giving an (R,) array of values and an (R, n)
-    block of maximizers.  ``p`` is an order (``ExtLike``) or a ``_Ball``
-    already resolved from one.  The value is the conjugate norm ||c||_{p*};
-    with ``value=False`` it is not computed and None is returned in its
-    place, the maximizers being the same.  For finite p > 1 the maximizer
-    follows the stationarity profile |c_j|^(1/(p-1)) (normalized); at p = 1
-    all weight goes to the first modulus-maximal coordinate; at p = inf it
-    is the conjugate phase vector.  Complex phases are conjugated so the
-    attained pairing is real.  An all-zero row gets the first unit vector
-    and value 0.
-
-    A real float64 block with no all-zero row at finite p > 1 takes a
-    straight-line path; it runs the same arithmetic as the general one, so
-    both give the same bits.
+    block of maximizers.  ``p`` is an order (``ExtLike``); the ascent passes
+    the module's internal ``_Ball`` resolved from it instead.  The value is
+    the conjugate norm ||c||_{p*}; with ``value=False`` it is not computed
+    and None is returned in its place, the maximizers being the same.  For
+    finite p > 1 the maximizer follows the stationarity profile
+    |c_j|^(1/(p-1)) (normalized); at p = 1 all weight goes to the first
+    modulus-maximal coordinate; at p = inf it is the conjugate phase vector.
+    Complex phases are conjugated so the attained pairing is real.  An
+    all-zero row gets the first unit vector and value 0; the guards for it
+    run only when such a row is present.
     """
     ball = p if isinstance(p, _Ball) else _Ball(p)
     c = np.asarray(c)
     if c.ndim not in (1, 2) or c.size == 0:
         raise ValueError("expected a nonempty vector or (R, n) block")
     C = c.reshape(-1, c.shape[-1])
-    if ball.kind == "finite" and C.dtype == np.float64:
-        mags = np.abs(C)
-        scale = mags.max(axis=1)
-        if scale.all():
-            ratio = mags / scale[:, np.newaxis]
-            profile = np.power(ratio, ball.profile)
-            norms = np.power(profile, ball.e).sum(axis=1) ** ball.inv_e
-            X = np.where(C < 0, -1.0, 1.0) * (profile / norms[:, np.newaxis])
-            values = None
-            if value:
-                values = scale * np.power(ratio, ball.estar).sum(axis=1) ** ball.inv_estar
-            return _shaped(c, values, X)
     mags = np.abs(C).astype(np.float64, copy=False)
     scale = mags.max(axis=1)
-    zero = scale == 0
-    if np.iscomplexobj(C):
+    zero = None if scale.all() else scale == 0
+    if C.dtype.kind == "c":
         div = np.where(mags > 0, mags, 1.0)
         tiny = div < 1e-300
         if tiny.any():   # complex division forms 1/|c|: rescale subnormal c exactly
@@ -197,23 +182,22 @@ def dual_argmax(c, p: ExtLike | _Ball, *, value: bool = True):
         values = mags.sum(axis=1)
         X = phase
     else:
-        ratio = mags / np.where(zero, 1.0, scale)[:, np.newaxis]
+        ratio = mags / (scale if zero is None else np.where(zero, 1.0, scale))[:, np.newaxis]
         profile = np.power(ratio, ball.profile)
         # the profile peaks at exactly 1, so this is lp_norm(profile, p)
         norms = np.power(profile, ball.e).sum(axis=1) ** ball.inv_e
-        X = phase * (profile / np.where(zero, 1.0, norms)[:, np.newaxis])
+        if zero is not None:
+            norms = np.where(zero, 1.0, norms)
+        X = phase * (profile / norms[:, np.newaxis])
         if value:
             values = scale * np.power(ratio, ball.estar).sum(axis=1) ** ball.inv_estar
-    if zero.any():
+    if zero is not None:
         X[zero] = 0
         X[zero, 0] = 1
         if values is not None:
             values[zero] = 0.0
-    return _shaped(c, values if value else None, X)
-
-
-def _shaped(c, values, X):
-    """``dual_argmax``'s result in the shape of its input ``c``."""
+    if not value:
+        values = None
     if c.ndim == 1:
         return (None if values is None else float(values[0])), X[0]
     return values, X
@@ -318,8 +302,8 @@ def _first_slot_gradient(coeffs, X):
 def _sweep(coeffs, X, orders):
     """One Gauss-Seidel sweep over every row of the blocks ``X``: slot k is
     replaced by ``dual_argmax`` of its gradient at the new slots 0..k-1 and
-    the old slots k+1..m-1, on the ball ``orders[k]`` (an order or a
-    ``_Ball``).  Returns (before, after, X): the (R,) moduli of the value at
+    the old slots k+1..m-1, on the ball ``orders[k]`` (a ``_Ball``).
+    Returns (before, after, X): the (R,) moduli of the value at
     the entering rows and after the sweep, and the new blocks.  Only the
     last slot's step computes its conjugate norm, which is ``after``; the
     others ask ``dual_argmax`` for the maximizers alone.

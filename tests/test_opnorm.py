@@ -126,29 +126,34 @@ def test_dual_argmax_block_matches_row_by_row_calls(p, field):
     assert np.array_equal(X[2], [1, 0, 0, 0, 0, 0])
 
 
+@pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("shape", [(7,), (5, 7)], ids=["1-d", "2-d"])
 @pytest.mark.parametrize("p", ["1", "4/3", "3/2", "2", "3", "4", "12/5", "inf"])
-def test_dual_argmax_fast_path_is_bit_identical_to_the_general_path(p, shape):
-    """A real float64 block with no all-zero row takes the straight-line
-    path; one appended all-zero row sends the same rows through the general
-    path.  Both give the same bits.  ``value=False`` gives the same
-    maximizers and no value, and a ``_Ball`` gives what its order does."""
+def test_dual_argmax_zero_row_guards_keep_the_other_rows_bits(p, shape, field):
+    """A block with no all-zero row skips the zero-row guards; one appended
+    all-zero row makes them run.  The other rows keep the same bits either
+    way.  ``value=False`` gives the same maximizers and no value, and a
+    ``_Ball`` gives what its order does."""
     rng = np.random.default_rng(41)
     C = rng.standard_normal(shape) * np.logspace(-3, 3, shape[-1])
-    padded = np.vstack([C.reshape(-1, shape[-1]), np.zeros(shape[-1])])
-    fast_v, fast_X = dual_argmax(C, p)
-    general_v, general_X = dual_argmax(padded, p)
-    assert np.asarray(fast_v).tobytes() == general_v[:-1].tobytes()
-    assert fast_X.tobytes() == general_X[:-1].tobytes()
+    if field == "complex":
+        C = C + 1j * rng.standard_normal(shape)
+    padded = np.vstack([C.reshape(-1, shape[-1]), np.zeros(shape[-1], dtype=C.dtype)])
+    plain_v, plain_X = dual_argmax(C, p)
+    guarded_v, guarded_X = dual_argmax(padded, p)
+    assert np.asarray(plain_v).tobytes() == guarded_v[:-1].tobytes()
+    assert plain_X.tobytes() == guarded_X[:-1].tobytes()
+    assert guarded_v[-1] == 0.0
+    assert np.array_equal(guarded_X[-1], np.eye(shape[-1])[0])
     none, lean_X = dual_argmax(C, p, value=False)
     assert none is None
-    assert lean_X.tobytes() == fast_X.tobytes()
+    assert lean_X.tobytes() == plain_X.tobytes()
     none, lean_X = dual_argmax(padded, p, value=False)
     assert none is None
-    assert lean_X.tobytes() == general_X.tobytes()
+    assert lean_X.tobytes() == guarded_X.tobytes()
     ball_v, ball_X = dual_argmax(C, opnorm._Ball(p))
-    assert np.asarray(ball_v).tobytes() == np.asarray(fast_v).tobytes()
-    assert ball_X.tobytes() == fast_X.tobytes()
+    assert np.asarray(ball_v).tobytes() == np.asarray(plain_v).tobytes()
+    assert ball_X.tobytes() == plain_X.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
