@@ -8,6 +8,7 @@ completed run that found violations (or a false admissibility answer),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -55,7 +56,7 @@ def _decimal_list(s) -> list:
     return ["inf" if v.is_inf else float(_fmt(float(v))) for v in s]
 
 
-def _experiment_options(sub: argparse.ArgumentParser, experiment: str, runner) -> None:
+def _experiment_options(sub: argparse.ArgumentParser, experiment: str) -> None:
     """Report options, plus the shared settings ``experiment`` reads (READS);
     an option left unset keeps its ExperimentConfig default."""
     shared = {"form": {"help": "form spec, e.g. gauss:m=3 or file:tensor.json"},
@@ -69,15 +70,20 @@ def _experiment_options(sub: argparse.ArgumentParser, experiment: str, runner) -
                      help="write the full report to this path")
     sub.add_argument("--format", choices=("json", "csv"),
                      help="report format (default: by --out extension, else json)")
-    sub.set_defaults(handler=_cmd_experiment, runner=runner)
+    sub.set_defaults(handler=_cmd_experiment)
 
 
 def _cmd_experiment(args) -> int:
-    """Run ``args.runner`` on the config named by the subcommand's options:
-    every setting the experiment reads, as given, or its default if unset."""
+    """Run the subcommand's experiment on the config named by its options:
+    every setting the experiment reads, as given, or its default if unset.
+    The runner is looked up here, in this module's globals, rather than
+    stored in the parser, which is built once: a runner rebound later (a
+    tracing wrapper, say) is the one that runs."""
     given = {k: getattr(args, k) for k in READS[args.command]}
     cfg = ExperimentConfig(args.command, **{k: v for k, v in given.items() if v is not None})
-    report = args.runner(cfg)
+    runner = {"verify": run_verify, "sharpness": run_sharpness, "bilinear-law": run_bilinear_law,
+              "base-hl": run_base_hl, "inclusion-instance": run_inclusion_instance}
+    report = runner[args.command](cfg)
     if args.output:
         fmt = args.format or ("csv" if args.output.endswith(".csv") else "json")
         report.write(args.output, fmt)
@@ -163,7 +169,12 @@ def _cmd_norm(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The whole command line parser, built once per process.  It depends on
+    module constants alone and holds no per-call state: ``parse_args``
+    returns a fresh namespace on every call, so ``main`` reuses it.  It
+    stores no harness runner either; ``_cmd_experiment`` looks that up."""
     parser = argparse.ArgumentParser(
         prog="critnorm",
         description="Verify and stress-test critical mixed-norm inequalities "
@@ -208,7 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--exponents", type=ExponentVector)
     sub.add_argument("--variant", choices=VARIANTS)
     sub.add_argument("--constant", choices=CONSTANT_CHOICES)
-    _experiment_options(sub, "verify", run_verify)
+    _experiment_options(sub, "verify")
 
     sub = subs.add_parser("sharpness", help="fit ratio growth across dimensions")
     sub.add_argument("--sweep", type=_sweep, required=True,
@@ -216,18 +227,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--exponents", type=ExponentVector)
     sub.add_argument("--variant", choices=VARIANTS)
     sub.add_argument("--constant", choices=CONSTANT_CHOICES)
-    _experiment_options(sub, "sharpness", run_sharpness)
+    _experiment_options(sub, "sharpness")
 
     sub = subs.add_parser("bilinear-law", help="check the dimension-weighted "
                           "bilinear mixed-norm bound")
     sub.add_argument("--a", type=ExtRational, required=True)
     sub.add_argument("--b", type=ExtRational, required=True)
-    _experiment_options(sub, "bilinear-law", run_bilinear_law)
+    _experiment_options(sub, "bilinear-law")
 
     sub = subs.add_parser("base-hl", help="check the full-l_2 coefficient bound "
                           "on the widened domain")
     sub.add_argument("--m", type=int, required=True)
-    _experiment_options(sub, "base-hl", run_base_hl)
+    _experiment_options(sub, "base-hl")
 
     sub = subs.add_parser("inclusion-instance", help="compare summing quotients "
                           "empirically for one (r, p, q) instance")
@@ -236,14 +247,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--q", type=ExponentVector, required=True)
     sub.add_argument("--space", type=ExtRational)
     sub.add_argument("--datasets", type=int)
-    _experiment_options(sub, "inclusion-instance", run_inclusion_instance)
+    _experiment_options(sub, "inclusion-instance")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except InapplicableError as exc:

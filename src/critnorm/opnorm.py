@@ -19,8 +19,10 @@ reshaped to 2-d serve every row.  A sweep reads the tensor twice, whatever
 the arity: once for the slot-0 gradient, contracted from the last slot, and
 once for the prefix P = x_0 . T, from which every later slot's gradient is
 contracted while the new x_k are folded in (see ``_sweep``).  A row that
-has converged is frozen and leaves the block, so each restart takes the
-sweeps it would take on its own.  The price is two intermediates, of
+has converged is frozen and leaves the block, so each restart follows the
+ascent it would follow on its own up to rounding: BLAS rounds a row of a
+matrix product according to where it falls in the row block, so a value
+may move in the last bit.  The price is two intermediates, of
 R * |T| / n_{m-1} and R * |T| / n_0 elements, never alive together: about
 1.8 MB at m = 4, n = 24 with R = 16, and about 7 MB for the four-fold
 retry.  Rows are chunked so that neither exceeds the larger of |T| and
@@ -46,7 +48,7 @@ import numpy as np
 
 from .exponents import ExtLike, as_ext, conjugate
 from .rng import child_rng
-from .tensor import MultilinearForm, lp_norm
+from .tensor import MultilinearForm
 
 __all__ = [
     "AscentInvariantError",
@@ -343,14 +345,43 @@ def _sweep(coeffs, X, orders):
     return before, value, X
 
 
-def _random_unit(rng, n, order, want_complex):
-    while True:
-        g = rng.standard_normal(n)
-        if want_complex:
-            g = g + 1j * rng.standard_normal(n)
-        nrm = lp_norm(g, order)
-        if nrm > 0:
-            return g / nrm
+def _normalize_rows(A, order: ExtLike):
+    """Scale each row of the block ``A`` onto the unit l_p sphere, in place,
+    and return ``A``.  Every row must be nonzero.  A row's norm is rounded
+    exactly as ``lp_norm`` rounds it: row max, the power sum of the scaled
+    moduli, then its root taken one row at a time, since a vectorized root
+    may round differently."""
+    p = as_ext(order)
+    a = np.abs(A).astype(np.float64, copy=False)
+    scale = a.max(axis=1)
+    if p.is_inf:
+        norms = scale
+    else:
+        e = float(p.fraction)
+        sums = np.power(a / scale[:, np.newaxis], e).sum(axis=1)
+        norms = np.array([s * float(t ** (1.0 / e)) for s, t in zip(scale, sums)])
+    A /= norms[:, np.newaxis]
+    return A
+
+
+def _unit_starts(T: MultilinearForm, restarts: int, seed: int) -> list:
+    """The seeded ascent starts: one (restarts, n_k) block per slot, row r
+    drawn from the child stream (seed, r), slot after slot, a Gaussian
+    vector (plus i times one for a complex form) redrawn while all zero,
+    then scaled onto the slot's unit sphere by ``_normalize_rows``."""
+    cplx = T.is_complex
+    X = [np.empty((restarts, n), dtype=complex if cplx else float) for n in T.dims]
+    for r in range(restarts):
+        rng = child_rng(seed, r)
+        for x in X:
+            while True:
+                g = rng.standard_normal(x.shape[1])
+                if cplx:
+                    g = g + 1j * rng.standard_normal(x.shape[1])
+                if g.any():
+                    break
+            x[r] = g
+    return [_normalize_rows(x, p) for x, p in zip(X, T.domain_p)]
 
 
 def _ascend(T, X, tol, max_iters):
@@ -362,9 +393,10 @@ def _ascend(T, X, tol, max_iters):
     chunks that keep every intermediate within max(|T|, _GRADIENT_CHUNK)
     elements.  A row freezes after the first sweep that raised its value
     above the modulus at its entering rows by at most ``tol`` relative;
-    only the remaining active rows are swept further, so every row takes
-    the sweeps it would take alone.  Each slot's ball is resolved once, as
-    a ``_Ball``, for the whole ascent.
+    only the remaining active rows are swept further, so every row follows
+    the ascent it would follow alone, up to the last-bit rounding of its
+    place in the row block.  Each slot's ball is resolved once, as a
+    ``_Ball``, for the whole ascent.
 
     Returns (values, X, sweeps, converged): the (R,) final values, the
     blocks, the (R,) sweep counts and the (R,) convergence flags.  Each
@@ -434,12 +466,7 @@ def ascent_norm(T: MultilinearForm, restarts: int = 16, tol: float = 1e-10,
             unit.append(e)
         return NormEstimate(0.0, "ascent", restarts_used=0, iterations=0,
                             converged=True, maximizer=unit)
-    starts = []
-    for r in range(restarts):
-        rng = child_rng(seed, r)
-        starts.append([_random_unit(rng, n, T.domain_p[k], T.is_complex)
-                       for k, n in enumerate(T.dims)])
-    X = [np.array([start[k] for start in starts]) for k in range(T.arity)]
+    X = _unit_starts(T, restarts, seed)
     values, X, sweeps, converged = _ascend(T, X, tol, max_iters)
     best = int(np.argmax(values))
     value = float(values[best])

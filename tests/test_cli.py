@@ -408,3 +408,47 @@ def test_a_report_config_echoes_only_settings_the_run_read(name, tmp_path, capsy
     config = json.loads(out.read_text())["config"]
     assert set(config) <= set(READS[name]) | _REPORT_EXTRAS
     assert config["experiment"] == name
+
+
+def test_the_cached_parser_carries_nothing_from_one_call_to_the_next(tmp_path, capsys):
+    """``main`` reuses one parser per process; an option given in one call
+    must not reach the next, and a usage error must not break it."""
+    assert _build_parser() is _build_parser()
+    norm = ["norm", "op", "--form", "dot:m=3", "--n", "8"]
+    assert main([*norm, "--seed", "5"]) == 0
+    seeded = capsys.readouterr().out
+    assert main(norm) == 0
+    default = capsys.readouterr().out
+    assert main([*norm, "--seed", "42"]) == 0
+    assert default == capsys.readouterr().out != seeded
+
+    verify = ["verify", "--form", "gauss:m=2", "--n", "3", "--exponents", "inf,2"]
+    assert main([*verify, "--trials", "2", "--out", str(tmp_path / "a.json")]) == 0
+    assert main([*verify, "--out", str(tmp_path / "b.json")]) == 0
+    a = json.loads((tmp_path / "a.json").read_text())
+    b = json.loads((tmp_path / "b.json").read_text())
+    assert (a["config"]["trials"], b["config"]["trials"]) == (2, 1)
+
+    with pytest.raises(SystemExit) as exc:
+        main([*verify, "--no-such-option"])
+    assert exc.value.code == 2
+    assert main(verify) == 0
+    assert "verify: 1 trials" in capsys.readouterr().out
+
+
+def test_a_runner_rebound_after_the_parser_is_built_is_the_one_that_runs(monkeypatch, capsys):
+    """Tracing rebinds the harness runners in every critnorm module; the
+    once-built parser must not keep calling the originals."""
+    from critnorm import cli
+
+    _build_parser()
+    calls = []
+
+    def counting(cfg):
+        calls.append(cfg.experiment)
+        return original(cfg)
+
+    original = cli.run_verify
+    monkeypatch.setattr(cli, "run_verify", counting)
+    assert main(["verify", "--form", "gauss:m=2", "--n", "3", "--exponents", "inf,2"]) == 0
+    assert calls == ["verify"]

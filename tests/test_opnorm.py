@@ -33,7 +33,7 @@ from critnorm import (
     upper_bound_l1,
 )
 from critnorm import opnorm
-from critnorm.opnorm import _ascend, _random_unit, _sweep
+from critnorm.opnorm import _ascend, _normalize_rows, _sweep, _unit_starts
 
 P_GRID = ("1", "4/3", "3/2", "2", "3", "inf")
 
@@ -165,8 +165,7 @@ def test_dual_argmax_beats_random_feasible_competitors(entries, p, seed):
     assert lp_norm(x, p) <= 1 + 1e-12
     assert float(np.dot(c, x)) >= value - 1e-12 * (1 + value)
     rng = child_rng(seed)
-    for _ in range(50):
-        z = _random_unit(rng, c.size, p, False)
+    for z in _normalize_rows(rng.standard_normal((50, c.size)), p):
         assert float(np.dot(c, z)) <= value * (1 + 1e-12) + 1e-12
 
 
@@ -518,10 +517,7 @@ def test_ascent_trace_is_nondecreasing(monkeypatch):
     for trial in range(10):
         T = MultilinearForm(rng.standard_normal((4, 4, 4)),
                             domain_p=("3", "3", "3"))
-        start = child_rng(100 + trial)
-        starts = [[_random_unit(start, n, T.domain_p[k], False)
-                   for k, n in enumerate(T.dims)] for _ in range(4)]
-        X = [np.array([s[k] for s in starts]) for k in range(T.arity)]
+        X = _unit_starts(T, 4, 100 + trial)
         recorded.clear()
         values, _, sweeps, converged = _ascend(T, X, 1e-10, 200)
         assert converged.all()
@@ -541,6 +537,28 @@ def test_ascent_trace_is_nondecreasing(monkeypatch):
         assert not active.size
         assert np.array_equal(trace, values)
         assert np.array_equal(counts, sweeps)
+
+
+@pytest.mark.parametrize("p", ("1", "4/3", "3/2", "2", "3", "12/5", "inf"))
+@pytest.mark.parametrize("field", ("real", "complex"))
+def test_unit_starts_match_one_vector_at_a_time(p, field):
+    """The start blocks are drawn and normalized a block at a time, yet each
+    row is bit-identical to drawing restart r's vectors from the child
+    stream (seed, r), slot after slot, and dividing each by its lp_norm."""
+    for n in (1, 3, 8):
+        for seed in range(4):
+            T = make_gaussian_random((n, n + 1), seed=1, scalar_field=field)
+            T = MultilinearForm(T.coeffs, domain_p=(p, "3"))
+            X = _unit_starts(T, 5, seed)
+            for r in range(5):
+                rng = child_rng(seed, r)
+                for k, size in enumerate(T.dims):
+                    g = rng.standard_normal(size)
+                    if field == "complex":
+                        g = g + 1j * rng.standard_normal(size)
+                    ref = g / lp_norm(g, T.domain_p[k])
+                    assert X[k][r].dtype == ref.dtype
+                    assert X[k][r].tobytes() == ref.tobytes()
 
 
 def test_ascent_sweep_counts_are_pinned():
