@@ -40,7 +40,7 @@ from .exponents import (
     inclusion_exponents,
     inequality_constant,
 )
-from .opnorm import operator_norm, spectral_norm, weak_norm
+from .opnorm import is_spectral_case, operator_norm, spectral_norm, weak_norm
 from .rng import child_rng, child_seed
 from .tensor import MultilinearForm, lp_norm, mixed_norm
 from .witnesses import FormFactory, parse_form_spec
@@ -272,10 +272,15 @@ def _trial_forms(fac: FormFactory, cfg: ExperimentConfig, measure, domain_p=None
 
 
 def _denominator(T: MultilinearForm, cfg: ExperimentConfig, *seed_path: int):
+    """(value, method) of T's norm: closed form, exact singular value, or
+    the seeded ascent; the child seed is derived only for the ascent."""
     if T.analytic_norm is not None:
         return T.analytic_norm, "analytic"
-    est = operator_norm(T, restarts=cfg.restarts, tol=cfg.tol,
-                        max_iters=cfg.max_iters, seed=child_seed(cfg.seed, *seed_path))
+    if is_spectral_case(T):
+        est = spectral_norm(T.coeffs)
+    else:
+        est = operator_norm(T, restarts=cfg.restarts, tol=cfg.tol,
+                            max_iters=cfg.max_iters, seed=child_seed(cfg.seed, *seed_path))
     return est.value, est.method
 
 

@@ -1,7 +1,8 @@
 """Operator norms of multilinear forms over products of lp unit balls.
 
 The bilinear l_2 x l_2 case is a largest singular value and is solved
-exactly: LAPACK's values-only SVD gives sigma, and that is all a call
+exactly: sigma is the square root of the top Gram eigenvalue (one product
+on the short side and one LAPACK eigenvalue call), and that is all a call
 computes.  The attaining pair is computed on the first read of the
 estimate's ``maximizer``: one shifted inverse-iteration solve on the Gram
 matrix, so the singular vectors are never formed, or a full SVD below 16
@@ -42,6 +43,7 @@ at fixed ascent settings.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +60,7 @@ __all__ = [
     "ascent_norm",
     "weak_norm",
     "upper_bound_l1",
+    "is_spectral_case",
     "operator_norm",
 ]
 
@@ -219,24 +222,67 @@ def spectral_norm(matrix) -> NormEstimate:
     for complex coefficients the witness absorbs the conjugate phases so the
     plain (unconjugated) pairing attains the value.
 
-    sigma comes from the values-only SVD, the only factorization a call
-    makes.  Non-finite entries raise ValueError before LAPACK sees them, and
-    so does a sigma that overflows.  The attaining pair is computed the first
-    time ``maximizer`` is read (see ``_singular_pair``) and then kept; a
-    read-only matrix, such as a form's coefficients, is shared with it, any
-    other is copied.
+    sigma is the square root of the top eigenvalue of the Gram matrix on the
+    short side (see ``_largest_singular_value``), the only LAPACK call a
+    call makes.  Squaring costs the top eigenvalue no relative accuracy: the
+    rounding errors of forming G and of the eigensolver perturb it by a
+    small multiple of eps * ||G||_2, and ||G||_2 is that eigenvalue itself;
+    only the small singular values get lost.  Non-finite entries raise
+    ValueError before LAPACK sees them, and so does a sigma that overflows.
+    The attaining pair is computed the first time ``maximizer`` is read (see
+    ``_singular_pair``) and then kept; a read-only matrix, such as a form's
+    coefficients, is shared with it, any other is copied.
     """
     A = np.asarray(matrix)
     if A.ndim != 2:
         raise ValueError("expected a matrix")
     if not np.isfinite(A).all():
         raise ValueError("spectral norm needs finite entries")
-    sigma = float(np.linalg.svd(A, compute_uv=False)[0])
-    if not np.isfinite(sigma):
+    sigma = _largest_singular_value(A)
+    if not math.isfinite(sigma):
         raise ValueError(f"largest singular value is {sigma}; the entries are too large")
     if A.flags.writeable:
         A = A.copy()
     return NormEstimate(sigma, "exact-singular", maximizer=lambda: _singular_pair(A, sigma))
+
+
+# Largest moduli for which the Gram matrix is formed from the matrix as it
+# is: its top eigenvalue then lies between 2^-400 and 2^400 times the number
+# of entries, where no product that matters over- or underflows and LAPACK
+# does not rescale.
+_GRAM_UNSCALED = (2.0 ** -200, 2.0 ** 200)
+
+
+def _largest_singular_value(A) -> float:
+    """sigma_max of a finite matrix, as sqrt(lambda_max(B B^H)) * 2^s.
+
+    B is A in the wide orientation (A^T for a tall A) times 2^-s, where 2^s
+    is the power of two at the largest modulus, taken over the real and
+    imaginary parts; it is applied only when that modulus lies outside
+    ``_GRAM_UNSCALED``.  Power-of-two scaling is exact, so huge and tiny
+    matrices lose nothing to it.  A real B is multiplied by its own
+    transpose, which NumPy hands to BLAS as a symmetric rank-k update.  A
+    1 x 1 Gram matrix is its own eigenvalue, and the zero matrix gives 0;
+    neither calls LAPACK.  The product is formed in float64 or complex128
+    whatever A's dtype.  A sigma past the float range is returned as inf.
+    """
+    if A.dtype.char not in "dD":
+        A = A.astype(np.result_type(A.dtype, np.float64))
+    if A.dtype.kind == "c":
+        top = max(float(np.abs(A.real).max()), float(np.abs(A.imag).max()))
+    else:
+        top = float(np.abs(A).max())
+    if top == 0.0:
+        return 0.0
+    s = 0
+    if not _GRAM_UNSCALED[0] <= top < _GRAM_UNSCALED[1]:
+        s = max(math.frexp(top)[1] - 1, -1023)   # 2^s <= top < 2^(s+1), or top is subnormal
+        A = A * 2.0 ** -s
+    if A.shape[0] > A.shape[1]:
+        A = A.T
+    G = A @ A.conj().T
+    top_eig = G[0, 0].real if len(G) == 1 else np.linalg.eigvalsh(G)[-1]
+    return math.sqrt(max(float(top_eig), 0.0)) * 2.0 ** s
 
 
 def _singular_pair(A, sigma):
@@ -523,9 +569,15 @@ def upper_bound_l1(T: MultilinearForm) -> float:
                      for s in range(0, flat.size, _L1_BLOCK)))
 
 
+def is_spectral_case(T: MultilinearForm) -> bool:
+    """Whether ``operator_norm`` takes T's norm exactly, as the largest
+    singular value: a bilinear form on l_2 x l_2.  No seed is used then."""
+    return T.arity == 2 and all(e == 2 for e in T.domain_p)
+
+
 def operator_norm(T: MultilinearForm, restarts: int = 16, tol: float = 1e-10,
                   max_iters: int = 500, seed: int = 42) -> NormEstimate:
     """Dispatch: exact singular value on the bilinear l_2 case, ascent otherwise."""
-    if T.arity == 2 and all(e == 2 for e in T.domain_p):
+    if is_spectral_case(T):
         return spectral_norm(T.coeffs)
     return ascent_norm(T, restarts=restarts, tol=tol, max_iters=max_iters, seed=seed)

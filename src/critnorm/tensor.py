@@ -12,6 +12,7 @@ are operator norms, so they live in critnorm.opnorm.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from typing import Sequence
@@ -31,6 +32,13 @@ __all__ = [
     "save_tensor",
     "load_tensor",
 ]
+
+
+@functools.cache
+def _critical_domain(m: int) -> ExponentVector:
+    """The default domain of an arity-m form, every slot on l_m; built once
+    per arity and shared, since an ExponentVector is immutable."""
+    return ExponentVector.uniform(m, m)
 
 
 class MultilinearForm:
@@ -57,16 +65,17 @@ class MultilinearForm:
         arr.setflags(write=False)
         self.coeffs = arr
         if domain_p is None:
-            domain_p = ExponentVector.uniform(arr.ndim, arr.ndim)
-        elif not isinstance(domain_p, ExponentVector):
-            domain_p = ExponentVector(domain_p)
-        if len(domain_p) != arr.ndim:
-            raise ValueError(
-                f"domain orders: expected {arr.ndim} entries, got {len(domain_p)}"
-            )
-        for i, e in enumerate(domain_p, start=1):
-            if e < 1:
-                raise ValueError(f"slot {i} domain order {e} < 1; unit balls need p >= 1")
+            domain_p = _critical_domain(arr.ndim)
+        else:
+            if not isinstance(domain_p, ExponentVector):
+                domain_p = ExponentVector(domain_p)
+            if len(domain_p) != arr.ndim:
+                raise ValueError(
+                    f"domain orders: expected {arr.ndim} entries, got {len(domain_p)}"
+                )
+            for i, e in enumerate(domain_p, start=1):
+                if e < 1:
+                    raise ValueError(f"slot {i} domain order {e} < 1; unit balls need p >= 1")
         self.domain_p = domain_p
         self.analytic_norm = None if analytic_norm is None else float(analytic_norm)
 
@@ -198,7 +207,7 @@ def to_dict(T: MultilinearForm) -> dict:
         "scalar": T.scalar_field,
         "coeffs": coeffs,
     }
-    if T.domain_p != ExponentVector.uniform(T.arity, T.arity):
+    if T.domain_p != _critical_domain(T.arity):
         payload["domain_p"] = [str(e) for e in T.domain_p]
     return payload
 

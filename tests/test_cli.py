@@ -304,6 +304,33 @@ def test_an_ascent_that_overflows_is_exit_2_without_warnings(flags, tmp_path, ca
         assert lines[0].startswith("error: ") and "overflowed" in lines[0]
 
 
+@pytest.mark.parametrize("flags", [None, ["-O"]], ids=["in-process", "optimized"])
+def test_an_overflowing_singular_value_is_exit_2_without_warnings(flags, tmp_path, capsys):
+    """A bilinear l_2 form with finite entries of 1e308 has a largest
+    singular value past the float range: exit 2 with one ``error:`` line
+    that says the entries are too large, no warning and no stdout, also
+    under python -O."""
+    path = tmp_path / "huge.json"
+    save_tensor(MultilinearForm(np.full((2, 2), 1e308), domain_p=(2, 2)), path)
+    for argv in (["verify", "--form", f"file:{path}"],
+                 ["norm", "op", "--form", f"file:{path}"]):
+        if flags is None:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(argv)
+            out, err = capsys.readouterr()
+            assert not caught
+        else:
+            proc = subprocess.run([sys.executable, *flags, "-m", "critnorm.cli", *argv],
+                                  capture_output=True, text=True)
+            code, out, err = proc.returncode, proc.stdout, proc.stderr
+        assert code == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and "too large" in lines[0]
+
+
 def test_norm_mixed_on_a_nan_coefficient_is_exit_2(tmp_path, capsys):
     path = tmp_path / "nan.json"
     _save_with_bad_entry(make_gaussian_random((4, 4), seed=3), (0, 0), np.nan, path)

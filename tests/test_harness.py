@@ -212,6 +212,20 @@ def test_exact_denominators_never_form_the_singular_pair(monkeypatch):
     assert witness == []
 
 
+def test_an_exact_denominator_derives_no_seed(monkeypatch):
+    """The exact singular value uses no seed, so an l_2 bilinear verify run
+    derives only its form seeds (t, 0); an ascent run also derives each
+    trial's denominator seed (t, 1)."""
+    seeds = _count_calls(monkeypatch, harness, "child_seed")
+    rep = run_verify(ExperimentConfig(experiment="verify", form="gauss:m=2", n=5, trials=3))
+    assert [t["method"] for t in rep.trials] == ["exact-singular"] * 3
+    assert seeds == [(42, t, 0) for t in range(3)]
+    seeds.clear()
+    rep = run_verify(ExperimentConfig(experiment="verify", form="gauss:m=3", n=4, trials=2))
+    assert [t["method"] for t in rep.trials] == ["ascent"] * 2
+    assert seeds == [(42, 0, 0), (42, 0, 1), (42, 1, 0), (42, 1, 1)]
+
+
 def test_verify_needs_a_form():
     with pytest.raises(ValueError):
         run_verify(ExperimentConfig(experiment="verify"))

@@ -223,6 +223,11 @@ def _spectral_cases():
     A = rng.standard_normal((24, 30)) + 1j * rng.standard_normal((24, 30))
     cases["huge"] = A * 1e200
     cases["tiny"] = A * 1e-200
+    cases["huge-1e300"] = rng.standard_normal((20, 18)) * 1e300
+    cases["tiny-1e-300"] = rng.standard_normal((18, 20)) * 1e-300
+    cases["subnormal"] = rng.standard_normal((12, 9)) * 1e-310
+    cases["complex-1xn"] = rng.standard_normal((1, 30)) + 1j * rng.standard_normal((1, 30))
+    cases["complex-nx1"] = rng.standard_normal((30, 1)) + 1j * rng.standard_normal((30, 1))
     return cases
 
 
@@ -251,6 +256,16 @@ def test_spectral_norm_matches_the_full_svd_and_attains(name, witness_min_dim, m
     assert val.imag == pytest.approx(0.0, abs=1e-12 * est.value)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.complex64, np.int64, np.bool_])
+def test_spectral_norm_works_in_double_precision_whatever_the_dtype(dtype):
+    """The Gram matrix of a single-precision or integer matrix is formed in
+    float64 or complex128, so sigma keeps double-precision accuracy."""
+    A = (np.random.default_rng(26).standard_normal((9, 7)) * 4).astype(dtype)
+    A64 = A.astype(np.result_type(A.dtype, np.float64))
+    sigma = np.linalg.svd(A64, compute_uv=False)[0]
+    assert spectral_norm(A).value == pytest.approx(sigma, rel=1e-13)
+
+
 @pytest.mark.parametrize("shape", [(3, 5), (20, 30)])
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 def test_spectral_norm_of_the_zero_matrix_is_zero_at_e0(shape, dtype):
@@ -262,20 +277,26 @@ def test_spectral_norm_of_the_zero_matrix_is_zero_at_e0(shape, dtype):
 
 
 def _linalg_spy(monkeypatch):
-    """Record every np.linalg.svd call as its compute_uv flag, and every
-    np.linalg.solve call as "solve"."""
+    """Record every np.linalg.svd call as its compute_uv flag, every
+    np.linalg.eigvalsh call as "eigvalsh" and every np.linalg.solve call as
+    "solve"."""
     calls = []
-    svd, solve = np.linalg.svd, np.linalg.solve
+    svd, eigvalsh, solve = np.linalg.svd, np.linalg.eigvalsh, np.linalg.solve
 
     def svd_spy(a, *args, **kwargs):
         calls.append(kwargs.get("compute_uv", True))
         return svd(a, *args, **kwargs)
+
+    def eigvalsh_spy(a, *args, **kwargs):
+        calls.append("eigvalsh")
+        return eigvalsh(a, *args, **kwargs)
 
     def solve_spy(a, b):
         calls.append("solve")
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "svd", svd_spy)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh_spy)
     monkeypatch.setattr(np.linalg, "solve", solve_spy)
     return calls
 
@@ -290,19 +311,35 @@ def _read_witness_twice(est, calls):
     return made
 
 
-def test_spectral_norm_takes_one_values_only_svd_on_a_generic_matrix(monkeypatch):
+def test_spectral_norm_takes_one_gram_eigenvalue_on_a_generic_matrix(monkeypatch):
+    rng = np.random.default_rng(22)
     calls = _linalg_spy(monkeypatch)
-    est = spectral_norm(np.random.default_rng(22).standard_normal((64, 64)))
-    assert calls == [False]
-    assert _read_witness_twice(est, calls) == ["solve"]
+    for shape in [(64, 64), (40, 70), (70, 40)]:
+        for A in (rng.standard_normal(shape),
+                  rng.standard_normal(shape) + 1j * rng.standard_normal(shape)):
+            calls.clear()
+            est = spectral_norm(A)
+            assert calls == ["eigvalsh"]
+            assert _read_witness_twice(est, calls) == ["solve"]
 
 
 def test_spectral_norm_runs_the_full_svd_below_the_witness_size(monkeypatch):
     calls = _linalg_spy(monkeypatch)
     est = spectral_norm(np.random.default_rng(23).standard_normal((6, 40)))
-    assert calls == [False]
+    assert calls == ["eigvalsh"]
     assert _read_witness_twice(est, calls) == [True]
-    assert calls == [False, True]
+    assert calls == ["eigvalsh", True]
+
+
+@pytest.mark.parametrize("shape", [(1, 30), (30, 1), (1, 1)])
+def test_spectral_norm_of_a_vector_calls_no_lapack(shape, monkeypatch):
+    """A 1 x 1 Gram matrix is its own eigenvalue, so sigma is the vector's
+    l_2 norm without an eigenvalue call; the zero matrix needs none either."""
+    A = np.random.default_rng(25).standard_normal(shape)
+    calls = _linalg_spy(monkeypatch)
+    assert spectral_norm(A).value == pytest.approx(math.sqrt((A * A).sum()), rel=1e-15)
+    assert spectral_norm(np.zeros((20, 30))).value == 0.0
+    assert calls == []
 
 
 @pytest.mark.parametrize("case", ["2x2", "20x20"])
@@ -318,10 +355,10 @@ def test_spectral_norm_falls_back_when_the_ones_start_misses(case, monkeypatch):
         A[2:, 2:] = np.eye(18)
     calls = _linalg_spy(monkeypatch)
     est = spectral_norm(A)
-    assert calls == [False]
+    assert calls == ["eigvalsh"]
     assert est.value == pytest.approx(math.sqrt(2) * A[0, 0], rel=1e-15)
     assert _read_witness_twice(est, calls) == ["solve", True]
-    assert [c for c in calls if c != "solve"] == [False, True]
+    assert [c for c in calls if c != "solve"] == ["eigvalsh", True]
     x, y = est.maximizer
     assert x @ A @ y == pytest.approx(est.value, rel=1e-12)
 

@@ -53,6 +53,19 @@ def test_form_defaults_to_the_critical_domain():
     assert T.analytic_norm is None
 
 
+def test_the_default_domain_is_shared_and_an_explicit_one_is_checked():
+    T = MultilinearForm(np.ones((2, 2, 2)))
+    assert MultilinearForm(np.zeros((4, 3, 5))).domain_p is T.domain_p
+    assert MultilinearForm(np.ones(3)).domain_p == ExponentVector("1")
+    with pytest.raises(ValueError, match="< 1"):
+        MultilinearForm(np.ones((2, 2)), domain_p=ExponentVector("1/2, 2"))
+    with pytest.raises(ValueError, match="< 1"):
+        T.with_domain((3, "1/2", 3))
+    assert T.with_domain(None).domain_p is T.domain_p
+    assert "domain_p" not in to_dict(T.with_domain((3, 3, 3)))
+    assert to_dict(T.with_domain((3, 3, 4)))["domain_p"] == ["3", "3", "4"]
+
+
 def test_form_coefficients_are_frozen_copies():
     src = np.ones((2, 2))
     T = MultilinearForm(src)
