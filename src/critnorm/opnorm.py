@@ -50,7 +50,7 @@ import numpy as np
 
 from .exponents import ExtLike, as_ext, conjugate
 from .rng import child_rng
-from .tensor import MultilinearForm
+from .tensor import CHUNK_ELEMENTS, MultilinearForm
 
 __all__ = [
     "AscentInvariantError",
@@ -554,19 +554,14 @@ def weak_norm(vectors, p: ExtLike, space_q: ExtLike, *, seed: int = 0) -> float:
                          max_iters=_WEAK_MAX_ITERS, seed=seed).value
 
 
-# Elements per block of upper_bound_l1: 512 KiB of moduli, under the peak of
-# the ascent it checks.
-_L1_BLOCK = 1 << 16
-
-
 def upper_bound_l1(T: MultilinearForm) -> float:
     """Sum of coefficient moduli; dominates the norm on any p >= 1 balls.
 
-    The moduli are summed in blocks of ``_L1_BLOCK`` elements, so no copy
-    the size of the tensor is made."""
+    The moduli are summed in chunks of ``CHUNK_ELEMENTS`` elements, so no
+    copy the size of the tensor is made."""
     flat = T.coeffs.reshape(-1)
-    return float(sum(np.abs(flat[s:s + _L1_BLOCK]).sum()
-                     for s in range(0, flat.size, _L1_BLOCK)))
+    return float(sum(np.abs(flat[s:s + CHUNK_ELEMENTS]).sum()
+                     for s in range(0, flat.size, CHUNK_ELEMENTS)))
 
 
 def is_spectral_case(T: MultilinearForm) -> bool:

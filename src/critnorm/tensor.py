@@ -8,6 +8,15 @@ is factored out before any exponentiation so extreme orders neither overflow
 nor underflow.  JSON interchange keeps the flat row-major coefficient list
 with complex entries as [re, im] pairs.  Weak norms of vector sequences
 are operator norms, so they live in critnorm.opnorm.
+
+Memory: a form's coefficient array is the only tensor-sized array that stays
+alive.  A form takes over an array that is already C-contiguous float64 or
+complex128, read-only, and owned by a read-only array (itself or its base),
+so the builders in critnorm.witnesses, ``from_dict`` and ``with_domain``
+make no second copy; any other array is copied.  The finiteness check and
+``mixed_norm`` work in chunks of at most ``CHUNK_ELEMENTS`` elements (or one
+leading-axis row, if a row is larger), so their scratch stays bounded
+whatever the tensor size.
 """
 
 from __future__ import annotations
@@ -34,6 +43,11 @@ __all__ = [
 ]
 
 
+# Elements per chunk of every chunked reduction over a coefficient tensor
+# (2 MiB of float64 moduli).
+CHUNK_ELEMENTS = 1 << 18
+
+
 @functools.cache
 def _critical_domain(m: int) -> ExponentVector:
     """The default domain of an arity-m form, every slot on l_m; built once
@@ -48,6 +62,14 @@ class MultilinearForm:
     ``domain_p`` defaults to the critical choice: every slot on l_m where m
     is the arity.  ``analytic_norm`` is optional closed-form operator norm
     metadata (on the stored domain).
+
+    The form shares ``coeffs`` instead of copying it when the array is
+    already C-contiguous float64 or complex128, read-only, and its memory
+    belongs to a read-only array that owns it (the array itself or its
+    base); a builder hands a fresh array over by marking it read-only.  Any
+    other input, a read-only view of a writeable array included, is copied.
+    Finiteness is checked in chunks of ``CHUNK_ELEMENTS``, so beyond the
+    coefficients themselves construction allocates at most one chunk.
     """
 
     __slots__ = ("coeffs", "domain_p", "analytic_norm")
@@ -59,10 +81,16 @@ class MultilinearForm:
         if any(d < 1 for d in arr.shape):
             raise ValueError(f"all dimensions must be positive, got {arr.shape}")
         dtype = np.complex128 if np.iscomplexobj(arr) else np.float64
-        arr = np.array(arr, dtype=dtype, order="C", copy=True)
-        if not np.isfinite(arr).all():
-            raise ValueError("coefficients must be finite; the tensor holds NaN or inf")
-        arr.setflags(write=False)
+        owner = arr if arr.base is None else arr.base
+        if not (arr.dtype == dtype and arr.flags.c_contiguous and not arr.flags.writeable
+                and isinstance(owner, np.ndarray) and owner.flags.owndata
+                and not owner.flags.writeable):
+            arr = np.array(arr, dtype=dtype, order="C", copy=True)
+            arr.setflags(write=False)
+        flat = arr.reshape(-1)
+        for i in range(0, flat.size, CHUNK_ELEMENTS):
+            if not np.isfinite(flat[i:i + CHUNK_ELEMENTS]).all():
+                raise ValueError("coefficients must be finite; the tensor holds NaN or inf")
         self.coeffs = arr
         if domain_p is None:
             domain_p = _critical_domain(arr.ndim)
@@ -97,7 +125,8 @@ class MultilinearForm:
 
     def with_domain(self, domain_p) -> "MultilinearForm":
         """Same coefficients on different unit balls (analytic metadata drops,
-        since a closed-form norm is tied to its domain)."""
+        since a closed-form norm is tied to its domain).  The two forms share
+        one coefficient array."""
         return MultilinearForm(self.coeffs, domain_p)
 
     def __repr__(self):
@@ -131,21 +160,56 @@ def mixed_norm(T, orders) -> float:
     power (0^e = 0, so the sums are the same bits); on sparse tensors such
     as the dot forms this skips nearly all of the work.  Accepts a form or
     a bare array.
+
+    A tensor of more than ``CHUNK_ELEMENTS`` elements is reduced in chunks
+    of leading-axis rows, each at most ``CHUNK_ELEMENTS`` elements or one
+    row: one pass takes the maximum modulus, a second applies every level
+    but the outermost to each chunk, and the outermost level then runs over
+    the per-row results.  A row's sums do not depend on the rows beside it,
+    so the result is bit for bit that of a single chunk, and the scratch
+    stays at a few chunks instead of a tensor-sized copy of the moduli.
     """
     arr = T.coeffs if isinstance(T, MultilinearForm) else np.asarray(T)
     s = orders if isinstance(orders, ExponentVector) else ExponentVector(orders)
     if len(s) != arr.ndim:
         raise ValueError(f"expected {arr.ndim} orders for arity {arr.ndim}, got {len(s)}")
-    work = np.abs(arr).astype(np.float64, copy=False)
-    if work.size == 0:
+    if arr.size == 0:
         return 0.0
-    scale = float(work.max())
-    if not math.isfinite(scale):
-        raise ValueError(f"mixed norm needs finite coefficients, got a modulus of {scale}")
+    rows = CHUNK_ELEMENTS * arr.shape[0] // arr.size
+    if rows >= arr.shape[0]:
+        work = np.abs(arr)
+        scale = _finite_scale(work.max())
+        if scale == 0.0:
+            return 0.0
+        return float(_reduce_levels(work, s, scale)) * scale
+    rows = max(rows, 1)
+    starts = range(0, arr.shape[0], rows)
+    scale = max(_finite_scale(np.abs(arr[i:i + rows]).max()) for i in starts)
     if scale == 0.0:
         return 0.0
-    work /= scale
-    for order in reversed(s):
+    outer, *inner = s
+    heads = np.empty(arr.shape[0])
+    for i in starts:
+        heads[i:i + rows] = _reduce_levels(np.abs(arr[i:i + rows]), inner, scale)
+    return float(_reduce_levels(heads, (outer,))) * scale
+
+
+def _finite_scale(top) -> float:
+    scale = float(top)
+    if not math.isfinite(scale):
+        raise ValueError(f"mixed norm needs finite coefficients, got a modulus of {scale}")
+    return scale
+
+
+def _reduce_levels(work, orders, scale=None):
+    """Apply ``orders`` to the trailing axes of ``work``, a fresh array of
+    moduli (divided by ``scale`` first when one is given), innermost (last
+    order, last axis) first.  A chunk passed as a temporary is held by this
+    frame alone, so it is freed as soon as its first level is reduced."""
+    if scale is not None:
+        work = work.astype(np.float64, copy=False)
+        work /= scale
+    for order in reversed(orders):
         if order.is_inf:
             work = work.max(axis=-1)
         else:
@@ -153,7 +217,7 @@ def mixed_norm(T, orders) -> float:
             # work is always a fresh array here, so it is raised in place
             np.power(work, e, out=work, where=True if work.min() > 0 else work > 0)
             work = work.sum(axis=-1) ** (1.0 / e)
-    return float(work) * scale
+    return work
 
 
 def lp_norm(x, order: ExtLike) -> float:
@@ -213,24 +277,45 @@ def to_dict(T: MultilinearForm) -> dict:
 
 
 def from_dict(payload: dict) -> MultilinearForm:
-    """Inverse of ``to_dict``; a NaN or inf coefficient raises ValueError
-    (from ``MultilinearForm``)."""
-    m = int(payload["m"])
-    dims = tuple(int(d) for d in payload["dims"])
+    """Inverse of ``to_dict``.  A payload that is not a dict with ``m``,
+    ``dims``, ``scalar`` and a ``coeffs`` list of the right length and shape,
+    or that holds a NaN or inf coefficient, raises ValueError.  The parsed
+    array is handed to the form without a second copy."""
+    if not isinstance(payload, dict):
+        raise ValueError("a tensor file must hold a JSON object")
+    missing = [k for k in ("m", "dims", "scalar", "coeffs") if k not in payload]
+    if missing:
+        raise ValueError(f"tensor file lacks {', '.join(map(repr, missing))}")
+    raw = payload["coeffs"]
+    domain = payload.get("domain_p")
+    if not all(isinstance(v, list) for v in (payload["dims"], raw, domain or [])):
+        raise ValueError("tensor file: dims, coeffs and domain_p must be lists")
+    try:
+        m = int(payload["m"])
+        dims = tuple(int(d) for d in payload["dims"])
+    except TypeError as exc:
+        raise ValueError(f"tensor file: m and dims must be integers ({exc})") from None
     if len(dims) != m:
         raise ValueError(f"dims has {len(dims)} entries but m = {m}")
     scalar = payload["scalar"]
-    raw = payload["coeffs"]
     size = math.prod(dims)
     if len(raw) != size:
         raise ValueError(f"expected {size} coefficients, got {len(raw)}")
     if scalar == "real":
-        arr = np.array(raw, dtype=np.float64).reshape(dims)
+        shape = (size,)
     elif scalar == "complex":
-        arr = np.array([complex(re, im) for re, im in raw], dtype=np.complex128).reshape(dims)
+        shape = (size, 2)
     else:
         raise ValueError(f"unknown scalar field {scalar!r}")
-    domain = payload.get("domain_p")
+    try:
+        flat = np.array(raw, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        flat = None
+    if flat is None or flat.shape != shape:
+        kind = "[re, im] pairs of numbers" if scalar == "complex" else "numbers"
+        raise ValueError(f"{scalar} coefficients must be {kind}")
+    flat.setflags(write=False)
+    arr = (flat.view(np.complex128) if scalar == "complex" else flat).reshape(dims)
     return MultilinearForm(arr, domain_p=ExponentVector(domain) if domain else None)
 
 

@@ -28,6 +28,13 @@ __all__ = [
 ]
 
 
+def _frozen(coeffs: np.ndarray) -> np.ndarray:
+    """Mark a freshly built array read-only, so the form takes it over
+    instead of copying it."""
+    coeffs.setflags(write=False)
+    return coeffs
+
+
 def make_dot(m: int, n: int) -> MultilinearForm:
     """Diagonal contraction sum_j x^(1)_j ... x^(m)_j; norm 1 on the l_m domain."""
     return make_partial_dot(m, n, 0)
@@ -51,7 +58,7 @@ def make_partial_dot(m: int, n: int, r: int) -> MultilinearForm:
     idx = tuple(np.zeros(n, dtype=int) for _ in range(r)) + \
         tuple(np.arange(n) for _ in range(m - r))
     coeffs[idx] = 1.0
-    return MultilinearForm(coeffs, analytic_norm=float(n) ** (r / m))
+    return MultilinearForm(_frozen(coeffs), analytic_norm=float(n) ** (r / m))
 
 
 def make_t0(n1: int, n2: int) -> MultilinearForm:
@@ -60,7 +67,7 @@ def make_t0(n1: int, n2: int) -> MultilinearForm:
         raise ValueError(f"dimensions must be >= 1, got ({n1}, {n2})")
     coeffs = np.zeros((n1, n2))
     coeffs[0, :] = 1.0
-    return MultilinearForm(coeffs, domain_p=(2, 2), analytic_norm=float(n2) ** 0.5)
+    return MultilinearForm(_frozen(coeffs), domain_p=(2, 2), analytic_norm=float(n2) ** 0.5)
 
 
 def make_sign_random(m: int, n: int, seed: int) -> MultilinearForm:
@@ -70,8 +77,10 @@ def make_sign_random(m: int, n: int, seed: int) -> MultilinearForm:
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     rng = child_rng(seed)
-    coeffs = rng.integers(0, 2, size=(n,) * m).astype(np.float64) * 2.0 - 1.0
-    return MultilinearForm(coeffs)
+    coeffs = rng.integers(0, 2, size=(n,) * m).astype(np.float64)
+    coeffs *= 2.0
+    coeffs -= 1.0
+    return MultilinearForm(_frozen(coeffs))
 
 
 def make_gaussian_random(dims, seed: int, scalar_field: str = "real") -> MultilinearForm:
@@ -80,12 +89,15 @@ def make_gaussian_random(dims, seed: int, scalar_field: str = "real") -> Multili
     if not dims:
         raise ValueError("dims must be nonempty")
     rng = child_rng(seed)
-    coeffs = rng.standard_normal(dims)
-    if scalar_field == "complex":
-        coeffs = coeffs + 1j * rng.standard_normal(dims)
-    elif scalar_field != "real":
+    if scalar_field == "real":
+        coeffs = rng.standard_normal(dims)
+    elif scalar_field == "complex":
+        coeffs = np.empty(dims, dtype=np.complex128)
+        coeffs.real = rng.standard_normal(dims)
+        coeffs.imag = rng.standard_normal(dims)
+    else:
         raise ValueError(f"unknown scalar field {scalar_field!r}")
-    return MultilinearForm(coeffs)
+    return MultilinearForm(_frozen(coeffs))
 
 
 _KINDS = {

@@ -278,6 +278,30 @@ def test_verify_on_an_inf_coefficient_is_exit_2_without_warnings(tmp_path):
         assert proc.stdout == ""
 
 
+_MALFORMED_FILES = {
+    "missing-coeffs": {"m": 2, "dims": [2, 2], "scalar": "real"},
+    "coeffs-not-a-list": {"m": 2, "dims": [2, 2], "scalar": "real", "coeffs": 4},
+    "complex-not-pairs": {"m": 2, "dims": [2, 2], "scalar": "complex",
+                          "coeffs": [1, 2, 3, 4]},
+    "complex-ragged-pairs": {"m": 2, "dims": [2, 2], "scalar": "complex",
+                             "coeffs": [[1, 2], [3], [5, 6], [7, 8]]},
+    "not-an-object": [1, 2, 3, 4],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED_FILES))
+def test_a_malformed_tensor_file_is_exit_2_with_one_error_line(name, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_MALFORMED_FILES[name]), encoding="utf-8")
+    for argv in (["norm", "op", "--form", f"file:{path}"],
+                 ["verify", "--form", f"file:{path}"]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 @pytest.mark.parametrize("flags", [None, ["-O"]], ids=["in-process", "optimized"])
 def test_an_ascent_that_overflows_is_exit_2_without_warnings(flags, tmp_path, capsys):
     """Huge but finite coefficients overflow float64 inside the ascent: exit

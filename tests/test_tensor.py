@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from critnorm import tensor
 from critnorm import (
     ExponentVector,
     MultilinearForm,
@@ -73,6 +74,54 @@ def test_form_coefficients_are_frozen_copies():
     assert T.coeffs[0, 0] == 1.0
     with pytest.raises(ValueError):
         T.coeffs[0, 0] = 5.0
+
+
+def test_form_takes_over_a_read_only_array_it_may_keep():
+    own = np.ones((3, 4))
+    own.setflags(write=False)
+    assert MultilinearForm(own).coeffs is own
+    pairs = np.arange(24.0)
+    pairs.setflags(write=False)
+    view = pairs.view(np.complex128).reshape(3, 4)
+    assert MultilinearForm(view).coeffs is view
+
+
+def test_form_copies_any_array_it_may_not_keep():
+    base = np.ones((3, 3))
+    view = base[:]
+    view.setflags(write=False)
+    assert not np.shares_memory(MultilinearForm(view).coeffs, base)
+    for arr in (np.ones((3, 3), dtype=np.float32), np.ones((3, 4)).T):
+        arr.setflags(write=False)
+        T = MultilinearForm(arr)
+        assert not np.shares_memory(T.coeffs, arr)
+        assert T.coeffs.dtype == np.float64 and T.coeffs.flags.c_contiguous
+
+
+def test_with_domain_shares_the_coefficients(traced_peak):
+    T = make_gaussian_random((24,) * 4, seed=3)
+    U, peak = traced_peak(lambda: T.with_domain((2, 2, 2, 2)))
+    assert np.shares_memory(T.coeffs, U.coeffs)
+    # one bool chunk of the finiteness check, against a tensor 8x its size
+    assert peak < 2 * tensor.CHUNK_ELEMENTS < T.coeffs.nbytes
+
+
+@pytest.mark.parametrize("scalar", ["real", "complex"])
+def test_the_chunked_finiteness_check_reaches_the_last_chunk(scalar, monkeypatch):
+    dtype = np.complex128 if scalar == "complex" else np.float64
+    bad = complex(1.0, np.nan) if scalar == "complex" else np.nan
+    big = np.ones(tensor.CHUNK_ELEMENTS + 3, dtype=dtype)
+    big[-1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        MultilinearForm(big)
+    monkeypatch.setattr(tensor, "CHUNK_ELEMENTS", 4)
+    small = np.ones((3, 5), dtype=dtype)
+    MultilinearForm(small)
+    small[2, 4] = bad
+    with pytest.raises(ValueError, match="finite"):
+        MultilinearForm(small)
+    with pytest.raises(ValueError, match="finite"):
+        mixed_norm(small, "2,2")
 
 
 def test_form_validation():
@@ -211,6 +260,34 @@ def test_mixed_norm_rejects_non_finite_coefficients(bad):
         mixed_norm(A, "inf,2")
 
 
+def _chunking_cases():
+    cases = dict(_ZERO_SKIP_CASES)
+    rng = np.random.default_rng(23)
+    cases["arity-1"] = rng.standard_normal(11)
+    cases["arity-1-complex"] = rng.standard_normal(9) * (2 + 1j)
+    cases["all-zero-leading-rows"] = np.concatenate(
+        [np.zeros((3, 4, 2)), rng.standard_normal((2, 4, 2))])
+    return cases
+
+
+_CHUNKING_CASES = _chunking_cases()
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7, 50])
+@pytest.mark.parametrize("name", sorted(_CHUNKING_CASES))
+def test_chunked_mixed_norm_is_bit_identical_to_one_chunk(name, chunk, monkeypatch):
+    arr = _CHUNKING_CASES[name]
+    m = arr.ndim
+    families = [critical_exponents(m)] if m > 1 else [ExponentVector("inf")]
+    families += [ExponentVector.uniform(o, m) for o in ("1", "2", "7/3", "inf")]
+    families += [ExponentVector(("3/2", "inf", "5", "1")[:m]),
+                 ExponentVector(("inf", "5/2", "inf", "3")[:m])]
+    whole = [mixed_norm(arr, orders) for orders in families]
+    monkeypatch.setattr(tensor, "CHUNK_ELEMENTS", chunk)
+    chunked = [mixed_norm(arr, orders) for orders in families]
+    assert [v.hex() for v in chunked] == [v.hex() for v in whole]
+
+
 def test_all_inf_mixed_norm_is_the_max_modulus():
     rng = np.random.default_rng(11)
     A = rng.standard_normal((3, 4, 5))
@@ -346,6 +423,20 @@ def test_minkowski_gap_is_nonnegative(A, data):
     assert gap >= -1e-12 * max(W.max(), 1.0)
 
 
+# ---------------------------------------------------------------- memory
+#
+# Peaks are tracemalloc's count of bytes allocated during the call (see the
+# traced_peak fixture), so each bound is exact rather than a loose RSS read.
+
+def test_mixed_norm_scratch_is_bounded_by_the_chunk(traced_peak):
+    T = make_dot(4, 40)
+    assert T.coeffs.size > 4 * tensor.CHUNK_ELEMENTS
+    value, peak = traced_peak(lambda: mixed_norm(T, critical_exponents(4)))
+    assert value == 1.0
+    # one chunk of float64 moduli plus its zero mask, never two chunks
+    assert peak <= 1.5 * tensor.CHUNK_ELEMENTS * 8
+
+
 # ------------------------------------------------------------------ interchange
 
 def test_json_round_trip_real(tmp_path):
@@ -385,6 +476,49 @@ def test_from_dict_validation():
     bad = dict(good, scalar="quaternion")
     with pytest.raises(ValueError):
         from_dict(bad)
+
+
+_GOOD_PAYLOAD = {"m": 2, "dims": [2, 2], "scalar": "complex",
+                 "coeffs": [[1, 2], [3, 4], [5, 6], [7, 8]]}
+MALFORMED_PAYLOADS = {
+    "not-an-object": [1, 2],
+    "missing-coeffs": {k: v for k, v in _GOOD_PAYLOAD.items() if k != "coeffs"},
+    "missing-m": {k: v for k, v in _GOOD_PAYLOAD.items() if k != "m"},
+    "coeffs-not-a-list": dict(_GOOD_PAYLOAD, coeffs="abcd"),
+    "dims-not-a-list": dict(_GOOD_PAYLOAD, dims=4),
+    "domain-not-a-list": dict(_GOOD_PAYLOAD, domain_p=5),
+    "m-not-a-number": dict(_GOOD_PAYLOAD, m=None),
+    "complex-scalars": dict(_GOOD_PAYLOAD, coeffs=[1, 2, 3, 4]),
+    "complex-triple": dict(_GOOD_PAYLOAD, coeffs=[[1, 2], [3, 4], [5, 6, 0], [7, 8]]),
+    "complex-single": dict(_GOOD_PAYLOAD, coeffs=[[1, 2], [3], [5, 6], [7, 8]]),
+    "complex-object": dict(_GOOD_PAYLOAD, coeffs=[[1, 2], [3, {}], [5, 6], [7, 8]]),
+    "real-pairs": dict(_GOOD_PAYLOAD, scalar="real"),
+    "real-object": dict(_GOOD_PAYLOAD, scalar="real", coeffs=[1, 2, {}, 4]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_PAYLOADS))
+def test_from_dict_refuses_malformed_payloads_with_value_error(name):
+    from_dict(_GOOD_PAYLOAD)
+    pattern = r"\[re, im\] pairs" if name.startswith("complex") else None
+    with pytest.raises(ValueError, match=pattern):
+        from_dict(MALFORMED_PAYLOADS[name])
+
+
+@pytest.mark.parametrize("scalar", ["real", "complex"])
+def test_from_dict_is_bit_exact_and_keeps_the_parsed_array(scalar):
+    T = make_gaussian_random((16, 12), seed=9, scalar_field=scalar)
+    payload = to_dict(T)
+    U = from_dict(payload)
+    assert U.coeffs.tobytes() == T.coeffs.tobytes()
+    if scalar == "complex":
+        expected = np.array([complex(re, im) for re, im in payload["coeffs"]])
+        assert U.coeffs.tobytes() == expected.tobytes()
+    # a copy made by the form would own its data; the parsed array is a
+    # flat float64 list of values (of [re, im] pairs for complex forms)
+    parsed = U.coeffs.base
+    assert parsed.dtype == np.float64 and parsed.shape == (
+        (U.coeffs.size, 2) if scalar == "complex" else (U.coeffs.size,))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])

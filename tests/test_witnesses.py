@@ -1,5 +1,7 @@
 """Witness form constructors and the compact form-spec language."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,45 @@ def test_gaussian_random_real_and_complex():
         make_gaussian_random((3, 4), seed=1, scalar_field="rational")
     with pytest.raises(ValueError):
         make_gaussian_random((), seed=1)
+
+
+# Leading 16 hex digits of the sha256 of each form's coefficient bytes, as
+# drawn before the builders filled their arrays in place: the streams and the
+# arithmetic that turns draws into coefficients must not move.
+_COEFF_DIGESTS = {
+    (0, "real"): "788cd3f4e13a868c",
+    (0, "complex"): "235236349a0693cd",
+    (0, "sign"): "2ba980f61c8ec547",
+    (7, "real"): "b4302218a3cf2bb9",
+    (7, "complex"): "f9078b37738991ba",
+    (7, "sign"): "30d3bc7affb99b58",
+    (2024, "real"): "44edadf43831d542",
+    (2024, "complex"): "7d16d18dae914a2a",
+    (2024, "sign"): "d2b53788c064ea43",
+}
+
+
+@pytest.mark.parametrize("seed, kind", sorted(_COEFF_DIGESTS))
+def test_random_coefficients_are_bit_identical_to_the_frozen_draws(seed, kind):
+    if kind == "sign":
+        T = make_sign_random(3, 5, seed)
+    else:
+        T = make_gaussian_random((5, 4, 3), seed, kind)
+    digest = hashlib.sha256(T.coeffs.tobytes()).hexdigest()[:16]
+    assert digest == _COEFF_DIGESTS[seed, kind]
+
+
+def test_builders_hand_their_array_to_the_form(traced_peak):
+    T, peak = traced_peak(lambda: make_dot(4, 40))
+    assert peak <= 1.1 * T.coeffs.nbytes
+    G, peak = traced_peak(lambda: make_gaussian_random((24,) * 4, seed=3))
+    assert peak <= 1.5 * G.coeffs.nbytes
+    # the complex array plus one float64 draw of half its size
+    C, peak = traced_peak(lambda: make_gaussian_random((24,) * 4, 3, "complex"))
+    assert peak <= 1.6 * C.coeffs.nbytes
+    for form in (T, G, make_sign_random(3, 4, 1), make_t0(3, 4),
+                 make_gaussian_random((3, 4), 1, "complex")):
+        assert form.coeffs.flags.owndata and not form.coeffs.flags.writeable
 
 
 # ---------------------------------------------------------------- factories
