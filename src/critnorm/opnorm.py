@@ -16,25 +16,27 @@ Restarts are seeded through child streams, making runs reproducible.
 
 All restarts of one ascent move together: slot k holds an (R, n_k) block
 whose row r is restart r, and matmuls against the coefficient tensor
-reshaped to 2-d serve every row.  A sweep reads the tensor twice, whatever
-the arity: once for the slot-0 gradient, contracted from the last slot, and
-once for the prefix P = x_0 . T, from which every later slot's gradient is
-contracted while the new x_k are folded in (see ``_sweep``).  A row that
-has converged is frozen and leaves the block, so each restart follows the
-ascent it would follow on its own up to rounding: BLAS rounds a row of a
-matrix product according to where it falls in the row block, so a value
-may move in the last bit.  The price is two intermediates, of
-R * |T| / n_{m-1} and R * |T| / n_0 elements, never alive together: about
-1.8 MB at m = 4, n = 24 with R = 16, and about 7 MB for the four-fold
-retry.  Rows are chunked so that neither exceeds the larger of |T| and
-2^20 elements.
+serve every row.  A sweep reads the tensor twice, whatever the arity, and
+both reads walk it along its rows: once for the slot-0 gradient,
+contracted from slot 1 forward, and once for the prefix P = x_0 . T, from
+which every later slot's gradient is contracted while the new x_k are
+folded in (see ``_sweep``).  A row that has converged is frozen and leaves
+the block, so each restart follows the ascent it would follow on its own
+up to rounding: BLAS rounds a row of a matrix product according to where
+it falls in the row block, so a value may move in the last bit.  The price
+is two intermediates, of R * |T| / n_1 and R * |T| / n_0 elements, never
+alive together, so one scratch buffer per ascent holds both: about 1.8 MB
+at m = 4, n = 24 with R = 16, and about 7 MB for the four-fold retry.
+Rows are chunked so that neither exceeds the larger of |T| and 2^20
+elements.
 
 Each block step is ``dual_argmax``, whose cost on the small blocks of most
 sweeps is a fixed number of NumPy calls, so an ascent trims it: each slot's
-order is resolved once into a ``_Ball`` holding its float exponents, the
-zero-row guards run only when a block has an all-zero row, and a sweep
-asks only its last slot for the conjugate norm (``value=False``
-elsewhere), since that is the only value it reports.
+order is resolved once into a ``_Ball`` holding its float exponents, a
+finite order takes one ``np.power`` per block, the zero-row guards run
+only when a block has an all-zero row, and a sweep asks only its last slot
+for the conjugate norm (``value=False`` elsewhere), since that is the only
+value it reports.
 
 Weak norms of finite vector sequences are operator norms of the induced
 pairing, so ``weak_norm`` lives here too and goes through ``operator_norm``
@@ -118,11 +120,11 @@ class _Ball:
 
     ``kind`` is "1", "finite" (1 < p < inf) or "inf".  A finite ball also
     holds the float exponents of the stationarity profile: ``profile`` =
-    1/(p-1), ``e`` = p, ``inv_e`` = 1/p, ``estar`` = p* and ``inv_estar`` =
-    1/p*.  ``_ascend`` builds one per slot, so the sweeps' block steps skip
-    parsing and comparing exact orders."""
+    1/(p-1), ``inv_e`` = 1/p and ``inv_estar`` = 1/p*.  ``_ascend`` builds
+    one per slot, so the sweeps' block steps skip parsing and comparing
+    exact orders."""
 
-    __slots__ = ("kind", "profile", "e", "inv_e", "estar", "inv_estar")
+    __slots__ = ("kind", "profile", "inv_e", "inv_estar")
 
     def __init__(self, p: ExtLike):
         p = as_ext(p)
@@ -137,9 +139,8 @@ class _Ball:
         self.kind = "finite"
         e = float(p.fraction)
         self.profile = 1.0 / (e - 1.0)
-        self.e, self.inv_e = e, 1.0 / e
-        self.estar = e / (e - 1.0)
-        self.inv_estar = 1.0 / self.estar
+        self.inv_e = 1.0 / e
+        self.inv_estar = 1.0 / (e / (e - 1.0))
 
 
 def dual_argmax(c, p: ExtLike | _Ball, *, value: bool = True):
@@ -152,7 +153,10 @@ def dual_argmax(c, p: ExtLike | _Ball, *, value: bool = True):
     the conjugate norm ||c||_{p*}; with ``value=False`` it is not computed
     and None is returned in its place, the maximizers being the same.  For
     finite p > 1 the maximizer follows the stationarity profile
-    |c_j|^(1/(p-1)) (normalized); at p = 1 all weight goes to the first
+    |c_j|^(1/(p-1)) (normalized), the one ``np.power`` of the step: with
+    the moduli scaled by their row maximum, profile * modulus is the p-th
+    power of the profile, which gives its norm, and the p*-th power of the
+    modulus, which gives the value; at p = 1 all weight goes to the first
     modulus-maximal coordinate; at p = inf it is the conjugate phase vector.
     Complex phases are conjugated so the attained pairing is real.  An
     all-zero row gets the first unit vector and value 0; the guards for it
@@ -189,13 +193,15 @@ def dual_argmax(c, p: ExtLike | _Ball, *, value: bool = True):
     else:
         ratio = mags / (scale if zero is None else np.where(zero, 1.0, scale))[:, np.newaxis]
         profile = np.power(ratio, ball.profile)
-        # the profile peaks at exactly 1, so this is lp_norm(profile, p)
-        norms = np.power(profile, ball.e).sum(axis=1) ** ball.inv_e
+        # profile * ratio is both profile ** p and ratio ** p*; the profile
+        # peaks at exactly 1, so sums ** (1/p) is lp_norm(profile, p)
+        sums = (profile * ratio).sum(axis=1)
+        norms = sums ** ball.inv_e
         if zero is not None:
             norms = np.where(zero, 1.0, norms)
         X = phase * (profile / norms[:, np.newaxis])
         if value:
-            values = scale * np.power(ratio, ball.estar).sum(axis=1) ** ball.inv_estar
+            values = scale * sums ** ball.inv_estar
     if zero is not None:
         X[zero] = 0
         X[zero, 0] = 1
@@ -330,21 +336,60 @@ def _gram_witness(A, sigma):
 _GRADIENT_CHUNK = 1 << 20
 
 
-def _first_slot_gradient(coeffs, X):
+def _chunk_rows(dims, size: int) -> int:
+    """Rows of one sweep chunk: the most rows for which neither tensor-sized
+    intermediate, of R * |T| / n_1 or R * |T| / n_0 elements (at arity 2
+    only the latter is formed, at arity 1 neither), exceeds
+    max(|T|, _GRADIENT_CHUNK); at least one."""
+    return max(1, max(size, _GRADIENT_CHUNK) * min(dims[:2]) // size)
+
+
+def _scratch_view(scratch, shape):
+    """The leading elements of the 1-d buffer ``scratch`` as a C-contiguous
+    array of ``shape``, or None (a fresh array) when there is no buffer."""
+    return None if scratch is None else scratch[:math.prod(shape)].reshape(shape)
+
+
+def _first_slot_gradient(coeffs, X, scratch=None):
     """Slot-0 linearization at every row of the blocks ``X`` (one (R, n_i)
     block per slot): row r contracts ``coeffs`` with X[i][r] in every slot
-    i >= 1.  One matmul contracts slot m-1 for all rows, reading the tensor
-    once into R * |T| / n_{m-1} elements; batched matrix-vector products
-    then contract slots m-2 down to 1.  An arity-1 gradient is ``coeffs``
-    itself in every row."""
+    i >= 1.  From arity 3 on, one batched matmul contracts slot 1 for all
+    rows, reading the tensor along its rows (no transposed panel for BLAS
+    to pack) into an (n_0, R, |T| / (n_0 n_1)) block of R * |T| / n_1
+    elements, written into ``scratch`` when one is given; row-vector
+    products then contract slots 2..m-1 from the front, the last one
+    straight into the (R, n_0) gradient.  At arity 2 slot 1 is the last
+    slot, and one product X[1] @ T^T gives the gradient.  An arity-1
+    gradient is ``coeffs`` itself in every row."""
     dims = coeffs.shape
     R = len(X[0])
     if len(dims) == 1:
         return np.broadcast_to(coeffs, (R, dims[0]))
-    G = X[-1] @ coeffs.reshape(-1, dims[-1]).T
-    for i in range(len(dims) - 2, 0, -1):
-        G = np.matmul(G.reshape(R, -1, dims[i]), X[i][:, :, np.newaxis])[:, :, 0]
-    return G
+    if len(dims) == 2:
+        return X[1] @ coeffs.T
+    Y = np.matmul(X[1], coeffs.reshape(dims[0], dims[1], -1),
+                  out=_scratch_view(scratch, (dims[0], R, coeffs.size // (dims[0] * dims[1]))))
+    for i in range(2, len(dims) - 1):
+        Y = np.matmul(X[i][:, np.newaxis, :], Y.reshape(dims[0], R, dims[i], -1))[:, :, 0, :]
+    return np.matmul(Y.transpose(1, 0, 2), X[-1][:, :, np.newaxis])[:, :, 0]
+
+
+class _Slots(list):
+    """The ``_Ball`` of each slot of one ascent on ``coeffs``, plus
+    ``scratch``: a 1-d buffer of the tensor's dtype that the sweeps write
+    their tensor-sized intermediates into (see ``_sweep``), sized for the
+    larger of them at a chunk of at most ``rows`` rows.  It is None at
+    arity 1, whose sweeps form no intermediate."""
+
+    __slots__ = ("scratch",)
+
+    def __init__(self, coeffs, orders, rows: int):
+        super().__init__(_Ball(p) for p in orders)
+        self.scratch = None
+        if coeffs.ndim > 1:
+            rows = min(rows, _chunk_rows(coeffs.shape, coeffs.size))
+            self.scratch = np.empty(rows * coeffs.size // min(coeffs.shape[:2]),
+                                    dtype=coeffs.dtype)
 
 
 def _sweep(coeffs, X, orders):
@@ -356,31 +401,37 @@ def _sweep(coeffs, X, orders):
     last slot's step computes its conjugate norm, which is ``after``; the
     others ask ``dual_argmax`` for the maximizers alone.
 
-    The tensor is read twice.  The slot-0 gradient is contracted from the
-    tail (see ``_first_slot_gradient``); then the prefix P = x_0 . T, an
+    The tensor is read twice, both times along its rows.  The slot-0
+    gradient is contracted from slot 1 forward (see
+    ``_first_slot_gradient``); then the prefix P = x_0 . T, an
     R * |T| / n_0 block, is formed.  Slot k >= 1 takes its gradient from P
     by contracting the old trailing slots m-1..k+1, and its new x_k is then
     folded into P, so the last slot's gradient is P itself.  Rows are
     independent, so when either intermediate would exceed
-    max(|T|, _GRADIENT_CHUNK) elements the rows sweep in chunks that keep
-    both within that cap.
+    max(|T|, _GRADIENT_CHUNK) elements the rows sweep in chunks of
+    ``_chunk_rows`` rows, which keep both within that cap.  The two are
+    never alive together, so when ``orders`` is an ascent's ``_Slots``,
+    whose scratch buffer holds the larger, both are
+    written into it and the sweep allocates nothing tensor-sized.
     """
     dims = coeffs.shape
     m = len(dims)
     R = len(X[0])
-    rows = max(1, max(coeffs.size, _GRADIENT_CHUNK) * min(dims[0], dims[-1]) // coeffs.size)
+    rows = _chunk_rows(dims, coeffs.size)
     if R > rows:
         parts = [_sweep(coeffs, [x[s:s + rows] for x in X], orders)
                  for s in range(0, R, rows)]
         before, after, blocks = zip(*parts)
         return np.concatenate(before), np.concatenate(after), \
             [np.concatenate(b) for b in zip(*blocks)]
-    G = _first_slot_gradient(coeffs, X)
+    scratch = getattr(orders, "scratch", None)
+    G = _first_slot_gradient(coeffs, X, scratch)
     before = np.abs((G * X[0]).sum(axis=1))
     X = list(X)
     value, X[0] = dual_argmax(G, orders[0], value=m == 1)
     if m > 1:
-        P = X[0] @ coeffs.reshape(dims[0], -1)
+        P = np.matmul(X[0], coeffs.reshape(dims[0], -1),
+                      out=_scratch_view(scratch, (R, coeffs.size // dims[0])))
     for k in range(1, m):
         G = P
         for i in range(m - 1, k, -1):
@@ -435,14 +486,17 @@ def _ascend(T, X, tol, max_iters):
 
     ``X`` holds one (R, n_k) start block per slot, row r being restart r;
     the blocks are overwritten with the final rows.  Each sweep is one
-    ``_sweep``: two reads of the tensor, an R * |T| / n_0 prefix, and row
-    chunks that keep every intermediate within max(|T|, _GRADIENT_CHUNK)
-    elements.  A row freezes after the first sweep that raised its value
-    above the modulus at its entering rows by at most ``tol`` relative;
-    only the remaining active rows are swept further, so every row follows
-    the ascent it would follow alone, up to the last-bit rounding of its
-    place in the row block.  Each slot's ball is resolved once, as a
-    ``_Ball``, for the whole ascent.
+    ``_sweep``: two reads of the tensor into intermediates of R * |T| / n_1
+    and R * |T| / n_0 elements, in row chunks that keep each within
+    max(|T|, _GRADIENT_CHUNK) elements.  Both are written into one scratch
+    buffer, allocated once with the slot balls as a ``_Slots`` and sized
+    for the larger at the first sweep's chunk, so no sweep allocates or
+    frees a tensor-sized block.  A row freezes after the first sweep that
+    raised its value above the modulus at its entering rows by at most
+    ``tol`` relative; only the remaining active rows are swept further, so
+    every row follows the ascent it would follow alone, up to the last-bit
+    rounding of its place in the row block.  Each slot's ball is resolved
+    once, as a ``_Ball``, for the whole ascent.
 
     Returns (values, X, sweeps, converged): the (R,) final values, the
     blocks, the (R,) sweep counts and the (R,) convergence flags.  Each
@@ -455,7 +509,7 @@ def _ascend(T, X, tol, max_iters):
     silenced for the ascent, since that error reports the overflow.
     """
     coeffs = T.coeffs
-    balls = [_Ball(p) for p in T.domain_p]
+    balls = _Slots(coeffs, T.domain_p, len(X[0]))
     active = np.arange(len(X[0]))
     work = list(X)
     values = np.zeros(len(active))

@@ -70,14 +70,28 @@ def make_t0(n1: int, n2: int) -> MultilinearForm:
     return MultilinearForm(_frozen(coeffs), domain_p=(2, 2), analytic_norm=float(n2) ** 0.5)
 
 
+# Elements per slice of the int64 sign draws: 256 KiB, the bytes of the bool
+# chunk that the form's finiteness check allocates anyway.
+_SIGN_SLICE = 1 << 15
+
+
 def make_sign_random(m: int, n: int, seed: int) -> MultilinearForm:
-    """Independent uniform +-1 coefficients from the seed's child stream."""
+    """Independent uniform +-1 coefficients from the seed's child stream.
+
+    The int64 draws of ``rng.integers(0, 2, ...)`` are made slice by slice,
+    ``_SIGN_SLICE`` elements at a time, straight into the float64 tensor,
+    so no int64 array of the tensor's size is made.  A draw below 2 takes
+    one 32-bit word of the stream and is never rejected, so the slices
+    read the stream exactly as one draw of the whole tensor does."""
     if m < 2:
         raise ValueError(f"arity must be >= 2, got {m}")
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     rng = child_rng(seed)
-    coeffs = rng.integers(0, 2, size=(n,) * m).astype(np.float64)
+    coeffs = np.empty((n,) * m)
+    flat = coeffs.reshape(-1)
+    for s in range(0, flat.size, _SIGN_SLICE):
+        flat[s:s + _SIGN_SLICE] = rng.integers(0, 2, size=min(_SIGN_SLICE, flat.size - s))
     coeffs *= 2.0
     coeffs -= 1.0
     return MultilinearForm(_frozen(coeffs))

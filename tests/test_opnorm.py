@@ -156,6 +156,35 @@ def test_dual_argmax_zero_row_guards_keep_the_other_rows_bits(p, shape, field):
     assert ball_X.tobytes() == plain_X.tobytes()
 
 
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("p", ["5/4", "3/2", "2", "3", "4", "7"])
+def test_dual_argmax_block_values_norms_and_pairings(p, field):
+    """Row by row, at 1e-13 relative: the value is the conjugate norm of the
+    row, the maximizer has unit l_p norm, and it pairs with the row to the
+    value.  The block mixes rows spread over 24 decades, all-zero rows and,
+    when complex, subnormal rows near 1e-309, whose moduli still carry 48
+    bits; a subnormal row's pairing is taken at 2^600 times the row, which
+    power-of-two scaling leaves exact."""
+    rng = np.random.default_rng(42)
+    shape = (12, 9)
+    C = rng.standard_normal(shape) * np.logspace(-12, 12, shape[0])[:, np.newaxis]
+    if field == "complex":
+        C = C + 1j * rng.standard_normal(shape) * np.abs(C)
+        C[4] = (rng.standard_normal(9) + 1j * rng.standard_normal(9)) * 1e-309
+        C[7] = np.where(np.arange(9) % 2, 3 * C[4], 0)
+    C[2] = 0
+    C[9] = 0
+    values, X = dual_argmax(C, p)
+    for c, x, value in zip(C, X, values):
+        assert lp_norm(x, p) == pytest.approx(1.0, rel=1e-13)
+        assert value == pytest.approx(lp_norm(c, conjugate(p)), rel=1e-13)
+        scaled = 2.0 ** 600 if np.abs(c).max() < 1e-300 else 1.0
+        paired = complex(np.dot(c * scaled, x))
+        assert paired.real == pytest.approx(value * scaled, rel=1e-13)
+        assert paired.imag == pytest.approx(0.0, abs=1e-13 * (value * scaled))
+    assert values[2] == values[9] == 0.0
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=1, max_size=8),
        st.sampled_from(P_GRID), st.integers(0, 2**31 - 1))
@@ -408,16 +437,19 @@ def _einsum_gradient(coeffs, xs, k):
 @pytest.mark.parametrize("chunk", ["whole", "chunked"])
 @pytest.mark.parametrize("dims", [(4,), (1,), (5, 3), (1, 4), (4, 1), (3, 4, 2),
                                   (2, 1, 5), (2, 3, 4, 2), (1, 3, 1, 2),
-                                  (3, 2, 1, 3, 2), (2, 2, 2, 2, 2)])
+                                  (3, 2, 1, 3, 2), (2, 2, 2, 2, 2),
+                                  (3, 1, 4), (2, 5, 1, 3), (4, 6, 2)])
 def test_slot_gradient_matches_a_per_row_einsum(dims, field, chunk, monkeypatch):
     """Every slot gradient of one sweep matches the einsum gradient of a
     one-row Gauss-Seidel sweep: slot k maximizes the gradient at the new
-    slots 0..k-1 and the old slots k+1..m-1 through ``dual_argmax``."""
+    slots 0..k-1 and the old slots k+1..m-1 through ``dual_argmax``.  Row
+    counts 1, 2, 3 and 16 take different BLAS paths; the last dims have n_1
+    apart from both n_0 and n_{m-1}.  A sweep writing its intermediates
+    into an ascent's scratch buffer (a ``_Slots``) gives the same bits."""
     if chunk == "chunked":
-        # a one-element cap leaves min(n_0, n_{m-1}) rows per chunk
+        # a one-element cap leaves min(n_0, n_1) rows per chunk
         monkeypatch.setattr(opnorm, "_GRADIENT_CHUNK", 1)
     rng = np.random.default_rng(sum(dims) + 10 * len(dims))
-    R = 3
     orders = _SWEEP_ORDERS[:len(dims)]
 
     def draw(*shape):
@@ -425,22 +457,63 @@ def test_slot_gradient_matches_a_per_row_einsum(dims, field, chunk, monkeypatch)
         return z + 1j * rng.standard_normal(shape) if field == "complex" else z
 
     coeffs = draw(*dims)
-    X = [draw(R, n) for n in dims]
-    before, after, Y = _sweep(coeffs, X, orders)
-    assert before.shape == after.shape == (R,)
-    assert [y.shape for y in Y] == [(R, n) for n in dims]
-    for r in range(R):
-        xs = [x[r] for x in X]
-        # rounding scale: the same contraction over all moduli
-        size = evaluate(MultilinearForm(np.abs(coeffs)), [np.abs(x) for x in xs])
-        assert abs(before[r] - abs(evaluate(MultilinearForm(coeffs), xs))) <= 1e-12 * size
-        for k, p in enumerate(orders):
-            ref = _einsum_gradient(coeffs, xs, k)
-            scale = lp_norm(_einsum_gradient(np.abs(coeffs), [np.abs(x) for x in xs], k),
-                            conjugate(p))
-            value, xs[k] = dual_argmax(ref, p)
-            assert np.all(np.abs(Y[k][r] - xs[k]) <= 1e-12 * scale / value)
-        assert abs(after[r] - value) <= 1e-12 * scale
+    for R in (3, 1, 2, 16):
+        X = [draw(R, n) for n in dims]
+        before, after, Y = _sweep(coeffs, X, orders)
+        assert before.shape == after.shape == (R,)
+        assert [y.shape for y in Y] == [(R, n) for n in dims]
+        slots = opnorm._Slots(coeffs, orders, R)
+        into_scratch = _sweep(coeffs, X, slots)
+        assert [a.tobytes() for a in (before, after, *Y)] == \
+            [a.tobytes() for a in (into_scratch[0], into_scratch[1], *into_scratch[2])]
+        for r in range(R):
+            xs = [x[r] for x in X]
+            # rounding scale: the same contraction over all moduli
+            size = evaluate(MultilinearForm(np.abs(coeffs)), [np.abs(x) for x in xs])
+            assert abs(before[r] - abs(evaluate(MultilinearForm(coeffs), xs))) <= 1e-12 * size
+            for k, p in enumerate(orders):
+                ref = _einsum_gradient(coeffs, xs, k)
+                scale = lp_norm(_einsum_gradient(np.abs(coeffs), [np.abs(x) for x in xs], k),
+                                conjugate(p))
+                value, xs[k] = dual_argmax(ref, p)
+                assert np.all(np.abs(Y[k][r] - xs[k]) <= 1e-12 * scale / value)
+            assert abs(after[r] - value) <= 1e-12 * scale
+
+
+def test_a_sweep_allocates_one_tensor_sized_intermediate(traced_peak):
+    """On gauss m=4 n=24 at R=16, one sweep allocates one intermediate of
+    R * |T| / min(n_0, n_1) elements, besides the (R, n^2) contractions of
+    it and (R, n) blocks; with an ascent's scratch buffer it allocates no
+    tensor-sized block at all."""
+    T = make_gaussian_random((24,) * 4, seed=1)
+    R, n = 16, 24
+    rng = np.random.default_rng(2)
+    X = [rng.standard_normal((R, n)) for _ in range(4)]
+    orders = ("4",) * 4
+    intermediate = R * T.coeffs.size // n * 8
+    contraction = R * n * n * 8
+    block = R * n * 8
+    _, peak = traced_peak(lambda: _sweep(T.coeffs, X, orders))
+    assert intermediate <= peak <= intermediate + contraction + 8 * block
+    slots = opnorm._Slots(T.coeffs, orders, R)
+    assert slots.scratch.nbytes == intermediate
+    _, peak = traced_peak(lambda: _sweep(T.coeffs, X, slots))
+    assert peak <= contraction + 16 * block
+
+
+def test_sweep_chunks_keep_the_slot_1_intermediate_within_the_cap(traced_peak, monkeypatch):
+    """With n_1 the smallest side, the R * |T| / n_1 intermediate sets the
+    chunk: at a cap of |T| elements a chunk has n_1 = 4 rows, where a rule
+    on n_0 or n_{m-1} would sweep all 32 rows at once into 8 |T|.  The
+    rest of the peak is the (R, n) blocks the chunks return."""
+    monkeypatch.setattr(opnorm, "_GRADIENT_CHUNK", 1)
+    coeffs = np.random.default_rng(3).standard_normal((64, 4, 64))
+    R = 32
+    X = [np.random.default_rng(4).standard_normal((R, n)) for n in coeffs.shape]
+    orders = ("3",) * 3
+    _, peak = traced_peak(lambda: _sweep(coeffs, X, orders))
+    assert peak <= 1.5 * coeffs.nbytes
+    assert opnorm._Slots(coeffs, orders, R).scratch.nbytes == coeffs.nbytes
 
 
 # ------------------------------------------------------------- ascent_norm

@@ -20,6 +20,8 @@ from critnorm import (
     save_tensor,
     spectral_norm,
 )
+from critnorm import witnesses
+from critnorm.rng import child_rng
 
 
 # ------------------------------------------------------------- constructors
@@ -147,6 +149,25 @@ def test_builders_hand_their_array_to_the_form(traced_peak):
     for form in (T, G, make_sign_random(3, 4, 1), make_t0(3, 4),
                  make_gaussian_random((3, 4), 1, "complex")):
         assert form.coeffs.flags.owndata and not form.coeffs.flags.writeable
+
+
+def test_sign_random_peaks_at_one_tensor(traced_peak):
+    """The sign draws go slice by slice into the float64 tensor, so no int64
+    copy of it is made: the peak is the tensor plus the form's finiteness
+    chunk (1% of it here)."""
+    T, peak = traced_peak(lambda: make_sign_random(4, 40, seed=3))
+    assert peak <= 1.1 * T.coeffs.nbytes
+
+
+@pytest.mark.parametrize("m, n, slice_", [(2, 5, 7), (3, 5, 1), (4, 24, None),
+                                          (3, 64, None), (4, 40, None)])
+def test_sign_random_slices_read_the_stream_as_one_draw(m, n, slice_, monkeypatch):
+    """Drawing in slices, of any size, gives the bits of one int64 draw of
+    the whole tensor mapped to +-1."""
+    if slice_ is not None:
+        monkeypatch.setattr(witnesses, "_SIGN_SLICE", slice_)
+    whole = child_rng(9).integers(0, 2, size=(n,) * m).astype(np.float64) * 2.0 - 1.0
+    assert make_sign_random(m, n, seed=9).coeffs.tobytes() == whole.tobytes()
 
 
 # ---------------------------------------------------------------- factories
