@@ -43,7 +43,6 @@ __all__ = [
     "inequality_constant",
     "BilinearAdmissibility",
     "bilinear_admissibility",
-    "critical_bilinear_admissible",
 ]
 
 ExtLike = Union["ExtRational", int, Fraction, str]
@@ -411,9 +410,8 @@ def bilinear_admissibility(p: ExtLike, q: ExtLike, a: ExtLike, b: ExtLike) -> Bi
     For p, q in [2, inf] with 1/p + 1/q < 1 the pair must satisfy
     a >= q/(q-1), b >= pq/(pq-p-q) and 1/a + 1/b <= 3/2 - (1/p + 1/q).
     Infinite endpoints follow from the same reciprocal arithmetic: q/(q-1)
-    is conjugate(q) and pq/(pq-p-q) is 1/(1 - 1/p - 1/q).  The line
-    1/p + 1/q = 1 is out of scope here (see
-    :func:`critical_bilinear_admissible`).
+    is conjugate(q) and pq/(pq-p-q) is 1/(1 - 1/p - 1/q).  The critical
+    line 1/p + 1/q = 1 is out of scope and raises ValueError.
     """
     p, q, a, b = as_ext(p), as_ext(q), as_ext(a), as_ext(b)
     if p < 2 or q < 2:
@@ -439,12 +437,3 @@ def bilinear_admissibility(p: ExtLike, q: ExtLike, a: ExtLike, b: ExtLike) -> Bi
             f"1/a + 1/b = {_recip(a) + _recip(b)} > 3/2 - (1/p + 1/q) = {budget}"
         )
     return BilinearAdmissibility(not failures, tuple(failures), a_thr, b_thr, budget)
-
-
-def critical_bilinear_admissible(a: ExtLike, b: ExtLike) -> bool:
-    """On the critical bilinear line only b = inf with a >= 2 survives."""
-    a, b = as_ext(a), as_ext(b)
-    for name, e in (("a", a), ("b", b)):
-        if e <= 0:
-            raise ValueError(f"{name} must be positive, got {e}")
-    return b.is_inf and a >= 2

@@ -420,9 +420,7 @@ def run_bilinear_law(cfg: ExperimentConfig) -> ExperimentReport:
     records = []
     for t, U, lhs in _trial_forms(fac, cfg, lhs_of):
         n1, n2 = U.dims
-        denom, method = U.analytic_norm, "analytic"
-        if denom is None:
-            denom, method = spectral_norm(U.coeffs).value, "exact-singular"
+        denom, method = _denominator(U, cfg)
         bound = (n1 ** inv_b) * (n2 ** (inv_a - 0.5)) * denom
         ratio = _ratio(lhs, bound)
         bad = not ratio <= 1 + SLACK_EXACT

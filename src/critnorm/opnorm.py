@@ -2,16 +2,11 @@
 
 The bilinear l_2 x l_2 case is a largest singular value and is solved
 exactly: sigma is the square root of the top Gram eigenvalue (one product
-on the short side and one LAPACK eigenvalue call), and that is all a call
-computes.  The attaining pair is computed on the first read of the
-estimate's ``maximizer``: one shifted inverse-iteration solve on the Gram
-matrix, so the singular vectors are never formed, or a full SVD below 16
-on the short side, where it is cheaper, on the zero matrix, and when the
-solve misses sigma.  Everything else runs block-coordinate ascent: one
-slot at a time is replaced by the exact maximizer of its linearized
-problem on the slot's ball, which never decreases the modulus of the value,
-so every reported number is an attained lower bound carrying a feasible
-witness.
+on the short side and one LAPACK eigenvalue call), and that value is all
+the case reports.  Everything else runs block-coordinate ascent: one slot
+at a time is replaced by the exact maximizer of its linearized problem on
+the slot's ball, which never decreases the modulus of the value, so every
+reported number is an attained lower bound carrying a feasible witness.
 Restarts are seeded through child streams, making runs reproducible.
 
 All restarts of one ascent move together: slot k holds an (R, n_k) block
@@ -73,38 +68,16 @@ class AscentInvariantError(ValueError):
     exceeded the l_1 coefficient bound.  No norm is reported."""
 
 
-class _Witness:
-    """``NormEstimate.maximizer``: stores the attaining vectors, or a function
-    of no arguments that computes them, called on the first read and then
-    replaced by its result."""
-
-    def __set_name__(self, owner, name):
-        self.slot = "_" + name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return None   # the dataclass default
-        v = obj.__dict__[self.slot]
-        if callable(v):
-            v = obj.__dict__[self.slot] = v()
-        return v
-
-    def __set__(self, obj, value):
-        obj.__dict__[self.slot] = value
-
-
 @dataclass
 class NormEstimate:
     """A norm value plus how it was obtained.
 
     ``method`` is "exact-singular", "ascent" or "analytic".  Ascent values
     are attained lower bounds: the stored maximizer is feasible on the
-    domain balls and reproduces ``value`` under ``evaluate``.  ``iterations``
-    counts sweeps summed over restarts; ``converged`` refers to the restart
-    that produced the reported value.  ``maximizer`` may also be given as a
-    function of no arguments; it then runs on the first read of
-    ``maximizer``, which is how an exact-singular estimate computes its
-    attaining pair only when asked for it.
+    domain balls and reproduces ``value`` under ``evaluate``.  An
+    exact-singular estimate is sigma alone, with no maximizer.
+    ``iterations`` counts sweeps summed over restarts; ``converged`` refers
+    to the restart that produced the reported value.
     """
 
     value: float
@@ -112,7 +85,7 @@ class NormEstimate:
     restarts_used: int = 0
     iterations: int = 0
     converged: bool = True
-    maximizer: list | None = _Witness()
+    maximizer: list | None = None
 
 
 class _Ball:
@@ -214,20 +187,10 @@ def dual_argmax(c, p: ExtLike | _Ball, *, value: bool = True):
     return values, X
 
 
-# Smallest short side at which singular values plus a Gram solve beat one
-# full (thin) SVD; below it the full SVD runs directly.
-_WITNESS_MIN_DIM = 16
-# Shift of the Gram solve: just past the top eigenvalue 1 of (A / sigma)^H (A / sigma).
-_GRAM_SHIFT = 1.0 + 2.0 ** -40
-
-
 def spectral_norm(matrix) -> NormEstimate:
-    """Largest singular value, with an attaining pair for the bilinear form.
+    """Largest singular value sigma of a matrix, as an exact-singular estimate.
 
-    This equals the operator norm of the induced bilinear form on l_2 x l_2;
-    for complex coefficients the witness absorbs the conjugate phases so the
-    plain (unconjugated) pairing attains the value.
-
+    This equals the operator norm of the induced bilinear form on l_2 x l_2.
     sigma is the square root of the top eigenvalue of the Gram matrix on the
     short side (see ``_largest_singular_value``), the only LAPACK call a
     call makes.  Squaring costs the top eigenvalue no relative accuracy: the
@@ -235,9 +198,6 @@ def spectral_norm(matrix) -> NormEstimate:
     small multiple of eps * ||G||_2, and ||G||_2 is that eigenvalue itself;
     only the small singular values get lost.  Non-finite entries raise
     ValueError before LAPACK sees them, and so does a sigma that overflows.
-    The attaining pair is computed the first time ``maximizer`` is read (see
-    ``_singular_pair``) and then kept; a read-only matrix, such as a form's
-    coefficients, is shared with it, any other is copied.
     """
     A = np.asarray(matrix)
     if A.ndim != 2:
@@ -247,9 +207,7 @@ def spectral_norm(matrix) -> NormEstimate:
     sigma = _largest_singular_value(A)
     if not math.isfinite(sigma):
         raise ValueError(f"largest singular value is {sigma}; the entries are too large")
-    if A.flags.writeable:
-        A = A.copy()
-    return NormEstimate(sigma, "exact-singular", maximizer=lambda: _singular_pair(A, sigma))
+    return NormEstimate(sigma, "exact-singular")
 
 
 # Largest moduli for which the Gram matrix is formed from the matrix as it
@@ -289,47 +247,6 @@ def _largest_singular_value(A) -> float:
     G = A @ A.conj().T
     top_eig = G[0, 0].real if len(G) == 1 else np.linalg.eigvalsh(G)[-1]
     return math.sqrt(max(float(top_eig), 0.0)) * 2.0 ** s
-
-
-def _singular_pair(A, sigma):
-    """Unit pair [x, y] with x^T A y = sigma, the largest singular value of A.
-
-    One step of shifted inverse iteration (``_gram_witness``) gives it when
-    the short side is at least 16.  A full (thin) SVD gives it instead when
-    the short side is below 16, where it is cheaper, when A is zero (giving
-    e_0, e_0), and when the Gram solve misses sigma.
-    """
-    if min(A.shape) >= _WITNESS_MIN_DIM and sigma > 0:
-        pair = _gram_witness(A, sigma)
-        if pair is not None:
-            return pair
-    U, _, Vh = np.linalg.svd(A, full_matrices=False)
-    return [np.conj(U[:, 0]), np.conj(Vh[0])]
-
-
-def _gram_witness(A, sigma):
-    """Unit pair [x, y] with x^T A y = sigma from one shifted Gram solve, or
-    None when the solve does not reach sigma within 1e-13 relative.
-
-    With B = A / sigma in the taller orientation (A^T / sigma for a wide A),
-    solve (B^H B - (1 + 2^-40) I) v = 1, so v lies along the top right
-    singular vector, and set u = B v / ||B v||.  ||B v|| < 1 - 1e-13 means
-    the all-ones start missed the top singular vector."""
-    wide = A.shape[0] < A.shape[1]
-    B = (A.T if wide else A) / sigma
-    G = B.conj().T @ B
-    G.flat[::len(G) + 1] -= _GRAM_SHIFT
-    try:
-        v = np.linalg.solve(G, np.ones(len(G), dtype=G.dtype))
-    except np.linalg.LinAlgError:
-        return None
-    v /= np.linalg.norm(v)
-    u = B @ v
-    norm = np.linalg.norm(u)
-    if not norm >= 1.0 - 1e-13:
-        return None
-    u = np.conj(u / norm)
-    return [v, u] if wide else [u, v]
 
 
 # Row-chunk cap, in elements, for the two tensor-sized intermediates of a sweep.

@@ -35,7 +35,6 @@ __all__ = [
     "evaluate",
     "mixed_norm",
     "lp_norm",
-    "minkowski_gap",
     "to_dict",
     "from_dict",
     "save_tensor",
@@ -235,26 +234,6 @@ def lp_norm(x, order: ExtLike) -> float:
     if scale == 0.0:
         return 0.0
     return scale * float(np.power(a / scale, e).sum() ** (1.0 / e))
-
-
-def minkowski_gap(matrix, p: ExtLike, q: ExtLike) -> float:
-    """Columns-inside minus rows-inside mixed norm of a nonnegative matrix.
-
-    For 0 < p <= q <= inf the value l_q(rows of l_p) never exceeds
-    l_p(columns of l_q), so the gap is nonnegative up to rounding.
-    """
-    A = np.asarray(matrix, dtype=np.float64)
-    if A.ndim != 2:
-        raise ValueError("expected a matrix")
-    if (A < 0).any():
-        raise ValueError("entries must be nonnegative")
-    p, q = as_ext(p), as_ext(q)
-    for name, e in (("p", p), ("q", q)):
-        if e <= 0:
-            raise ValueError(f"{name} must be positive, got {e}")
-    if q < p:
-        raise ValueError(f"needs p <= q, got p = {p} > q = {q}")
-    return mixed_norm(A.T, (p, q)) - mixed_norm(A, (q, p))
 
 
 def to_dict(T: MultilinearForm) -> dict:

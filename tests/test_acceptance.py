@@ -28,7 +28,6 @@ from critnorm import (
     make_partial_dot,
     make_sign_random,
     make_t0,
-    minkowski_gap,
     mixed_norm,
     run_base_hl,
     run_bilinear_law,
@@ -228,7 +227,8 @@ def test_criterion_09_norm_calculus_properties(monkeypatch):
                                         int(rng.integers(1, 7)))))
         i = int(rng.integers(0, len(grid)))
         j = int(rng.integers(i, len(grid)))
-        gap_ok = gap_ok and minkowski_gap(W, grid[i], grid[j]) >= -1e-12 * max(W.max(), 1.0)
+        gap = mixed_norm(W.T, (grid[i], grid[j])) - mixed_norm(W, (grid[j], grid[i]))
+        gap_ok = gap_ok and gap >= -1e-12 * max(W.max(), 1.0)
     ok = ok and gap_ok
     # slot maximizer dominates 1000 random feasible competitors per case
     dual_ok = True

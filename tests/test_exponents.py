@@ -25,7 +25,6 @@ from critnorm import (
     bilinear_admissibility,
     conjugate,
     criterion,
-    critical_bilinear_admissible,
     critical_exponents,
     inclusion_exponents,
     inequality_constant,
@@ -372,13 +371,6 @@ def test_admissibility_domain_errors():
         bilinear_admissibility("3/2", 4, 2, 2)  # p below 2
     with pytest.raises(ValueError):
         bilinear_admissibility(4, 4, 0, 2)
-
-
-def test_critical_line_predicate():
-    assert critical_bilinear_admissible(2, INF)
-    assert critical_bilinear_admissible("7/2", "inf")
-    assert not critical_bilinear_admissible("3/2", INF)
-    assert not critical_bilinear_admissible(2, 100)
 
 
 @st.composite

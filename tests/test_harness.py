@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from critnorm import harness, opnorm
+from critnorm import harness
 from critnorm import (
     ExperimentConfig,
     ExponentVector,
@@ -200,16 +200,6 @@ def test_a_seedless_form_is_built_and_measured_once(monkeypatch):
     assert len(makes) == 3
     assert once.trials == per_trial.trials
     assert once.to_json() == per_trial.to_json()
-
-
-def test_exact_denominators_never_form_the_singular_pair(monkeypatch):
-    """verify reads only the value of an exact-singular estimate, so the
-    Gram solve that builds the attaining pair never runs."""
-    witness = _count_calls(monkeypatch, opnorm, "_gram_witness")
-    rep = run_verify(ExperimentConfig(experiment="verify", form="gauss:dims=64x64",
-                                      trials=5))
-    assert [t["method"] for t in rep.trials] == ["exact-singular"] * 5
-    assert witness == []
 
 
 def test_an_exact_denominator_derives_no_seed(monkeypatch):

@@ -204,27 +204,7 @@ def test_spectral_norm_diagonal():
     est = spectral_norm(np.diag([3.0, 4.0]))
     assert est.value == 4.0
     assert est.method == "exact-singular"
-
-
-def test_spectral_norm_witness_attains():
-    rng = np.random.default_rng(12)
-    A = rng.standard_normal((5, 7))
-    est = spectral_norm(A)
-    T = MultilinearForm(A, domain_p=(2, 2))
-    x, y = est.maximizer
-    assert lp_norm(x, 2) == pytest.approx(1.0, rel=1e-12)
-    assert lp_norm(y, 2) == pytest.approx(1.0, rel=1e-12)
-    assert evaluate(T, [x, y]) == pytest.approx(est.value, rel=1e-12)
-
-
-def test_spectral_norm_complex_witness_attains_with_real_pairing():
-    rng = np.random.default_rng(13)
-    A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    est = spectral_norm(A)
-    T = MultilinearForm(A, domain_p=(2, 2))
-    val = evaluate(T, est.maximizer)
-    assert complex(val).imag == pytest.approx(0.0, abs=1e-10)
-    assert complex(val).real == pytest.approx(est.value, rel=1e-12)
+    assert est.maximizer is None
 
 
 def test_spectral_norm_rejects_non_matrices():
@@ -263,26 +243,15 @@ def _spectral_cases():
 _SPECTRAL_CASES = _spectral_cases()
 
 
-@pytest.mark.parametrize("witness_min_dim", [None, 1], ids=["default", "always-gram"])
 @pytest.mark.parametrize("name", sorted(_SPECTRAL_CASES))
-def test_spectral_norm_matches_the_full_svd_and_attains(name, witness_min_dim, monkeypatch):
-    """sigma agrees with the full SVD and the witness is a unit pair whose
-    plain pairing attains it, on the direct-SVD path for small matrices and
-    on the Gram-solve path (forced for every size with ``always-gram``)."""
-    if witness_min_dim is not None:
-        monkeypatch.setattr(opnorm, "_WITNESS_MIN_DIM", witness_min_dim)
+def test_spectral_norm_matches_the_full_svd(name):
+    """sigma agrees with the full SVD on real and complex, tall and wide,
+    near-tied, huge, tiny and subnormal matrices."""
     A = _SPECTRAL_CASES[name]
     est = spectral_norm(A)
     sigma = np.linalg.svd(A, compute_uv=False)[0]
     assert est.value == pytest.approx(sigma, rel=1e-13)
     assert est.method == "exact-singular"
-    x, y = est.maximizer
-    assert x.shape == (A.shape[0],) and y.shape == (A.shape[1],)
-    assert np.linalg.norm(x) == pytest.approx(1.0, rel=1e-12)
-    assert np.linalg.norm(y) == pytest.approx(1.0, rel=1e-12)
-    val = complex(x @ A @ y)
-    assert val.real == pytest.approx(est.value, rel=1e-12)
-    assert val.imag == pytest.approx(0.0, abs=1e-12 * est.value)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.complex64, np.int64, np.bool_])
@@ -297,20 +266,15 @@ def test_spectral_norm_works_in_double_precision_whatever_the_dtype(dtype):
 
 @pytest.mark.parametrize("shape", [(3, 5), (20, 30)])
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-def test_spectral_norm_of_the_zero_matrix_is_zero_at_e0(shape, dtype):
-    est = spectral_norm(np.zeros(shape, dtype=dtype))
-    assert est.value == 0.0
-    x, y = est.maximizer
-    np.testing.assert_array_equal(x, np.eye(shape[0])[0])
-    np.testing.assert_array_equal(y, np.eye(shape[1])[0])
+def test_spectral_norm_of_the_zero_matrix_is_zero(shape, dtype):
+    assert spectral_norm(np.zeros(shape, dtype=dtype)).value == 0.0
 
 
 def _linalg_spy(monkeypatch):
-    """Record every np.linalg.svd call as its compute_uv flag, every
-    np.linalg.eigvalsh call as "eigvalsh" and every np.linalg.solve call as
-    "solve"."""
+    """Record every np.linalg.svd call as its compute_uv flag and every
+    np.linalg.eigvalsh call as "eigvalsh"."""
     calls = []
-    svd, eigvalsh, solve = np.linalg.svd, np.linalg.eigvalsh, np.linalg.solve
+    svd, eigvalsh = np.linalg.svd, np.linalg.eigvalsh
 
     def svd_spy(a, *args, **kwargs):
         calls.append(kwargs.get("compute_uv", True))
@@ -320,24 +284,9 @@ def _linalg_spy(monkeypatch):
         calls.append("eigvalsh")
         return eigvalsh(a, *args, **kwargs)
 
-    def solve_spy(a, b):
-        calls.append("solve")
-        return solve(a, b)
-
     monkeypatch.setattr(np.linalg, "svd", svd_spy)
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh_spy)
-    monkeypatch.setattr(np.linalg, "solve", solve_spy)
     return calls
-
-
-def _read_witness_twice(est, calls):
-    """The calls the first read of ``est.maximizer`` makes; a second read makes none."""
-    before = len(calls)
-    pair = est.maximizer
-    made = calls[before:]
-    assert est.maximizer is pair
-    assert len(calls) == before + len(made)
-    return made
 
 
 def test_spectral_norm_takes_one_gram_eigenvalue_on_a_generic_matrix(monkeypatch):
@@ -347,17 +296,8 @@ def test_spectral_norm_takes_one_gram_eigenvalue_on_a_generic_matrix(monkeypatch
         for A in (rng.standard_normal(shape),
                   rng.standard_normal(shape) + 1j * rng.standard_normal(shape)):
             calls.clear()
-            est = spectral_norm(A)
+            spectral_norm(A)
             assert calls == ["eigvalsh"]
-            assert _read_witness_twice(est, calls) == ["solve"]
-
-
-def test_spectral_norm_runs_the_full_svd_below_the_witness_size(monkeypatch):
-    calls = _linalg_spy(monkeypatch)
-    est = spectral_norm(np.random.default_rng(23).standard_normal((6, 40)))
-    assert calls == ["eigvalsh"]
-    assert _read_witness_twice(est, calls) == [True]
-    assert calls == ["eigvalsh", True]
 
 
 @pytest.mark.parametrize("shape", [(1, 30), (30, 1), (1, 1)])
@@ -372,11 +312,10 @@ def test_spectral_norm_of_a_vector_calls_no_lapack(shape, monkeypatch):
 
 
 @pytest.mark.parametrize("case", ["2x2", "20x20"])
-def test_spectral_norm_falls_back_when_the_ones_start_misses(case, monkeypatch):
+def test_spectral_norm_with_a_top_singular_vector_orthogonal_to_ones(case, monkeypatch):
     """The top right singular vector (1, -1, 0, ...)/sqrt(2) is orthogonal to
-    the all-ones start, so the Gram solve misses sigma and the full SVD runs."""
+    the all-ones vector; sigma still comes from one Gram eigenvalue."""
     if case == "2x2":
-        monkeypatch.setattr(opnorm, "_WITNESS_MIN_DIM", 1)
         A = np.array([[1.0, -1.0], [0.0, 0.0]])
     else:
         A = np.zeros((20, 20))
@@ -386,21 +325,6 @@ def test_spectral_norm_falls_back_when_the_ones_start_misses(case, monkeypatch):
     est = spectral_norm(A)
     assert calls == ["eigvalsh"]
     assert est.value == pytest.approx(math.sqrt(2) * A[0, 0], rel=1e-15)
-    assert _read_witness_twice(est, calls) == ["solve", True]
-    assert [c for c in calls if c != "solve"] == ["eigvalsh", True]
-    x, y = est.maximizer
-    assert x @ A @ y == pytest.approx(est.value, rel=1e-12)
-
-
-def test_spectral_witness_ignores_later_writes_to_the_matrix():
-    """The pair is computed on the first read, from the matrix as it was
-    when the norm was taken."""
-    A = np.random.default_rng(24).standard_normal((20, 30))
-    est = spectral_norm(A)
-    A[:] = 0.0
-    x, y = est.maximizer
-    B = np.random.default_rng(24).standard_normal((20, 30))
-    assert x @ B @ y == pytest.approx(est.value, rel=1e-12)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
