@@ -243,15 +243,24 @@ def _spectral_cases():
 _SPECTRAL_CASES = _spectral_cases()
 
 
+@pytest.mark.parametrize("padding", [0, 1], ids=["default", "always-gram"])
 @pytest.mark.parametrize("name", sorted(_SPECTRAL_CASES))
-def test_spectral_norm_matches_the_full_svd(name):
+def test_spectral_norm_matches_the_full_svd_and_attains(name, padding):
     """sigma agrees with the full SVD on real and complex, tall and wide,
-    near-tied, huge, tiny and subnormal matrices."""
+    near-tied, huge, tiny and subnormal matrices, and the SVD's top singular
+    pair attains it under the plain pairing.  ``always-gram`` appends a zero
+    row and column, which leaves sigma as it is but makes the Gram matrix at
+    least 2 x 2, so vectors and 1 x 1 matrices also reach the eigensolver."""
     A = _SPECTRAL_CASES[name]
+    A = np.pad(A, ((0, padding), (0, padding)))
     est = spectral_norm(A)
-    sigma = np.linalg.svd(A, compute_uv=False)[0]
-    assert est.value == pytest.approx(sigma, rel=1e-13)
+    U, S, Vh = np.linalg.svd(A)
+    assert est.value == pytest.approx(S[0], rel=1e-13)
     assert est.method == "exact-singular"
+    assert est.maximizer is None
+    val = complex(U[:, 0].conj() @ A @ Vh[0].conj())
+    assert val.real == pytest.approx(est.value, rel=1e-12)
+    assert val.imag == pytest.approx(0.0, abs=1e-12 * est.value)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.complex64, np.int64, np.bool_])
@@ -266,8 +275,12 @@ def test_spectral_norm_works_in_double_precision_whatever_the_dtype(dtype):
 
 @pytest.mark.parametrize("shape", [(3, 5), (20, 30)])
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-def test_spectral_norm_of_the_zero_matrix_is_zero(shape, dtype):
-    assert spectral_norm(np.zeros(shape, dtype=dtype)).value == 0.0
+def test_spectral_norm_of_the_zero_matrix_is_zero_at_e0(shape, dtype):
+    A = np.zeros(shape, dtype=dtype)
+    est = spectral_norm(A)
+    assert est.value == 0.0
+    assert est.maximizer is None
+    assert np.eye(shape[0])[0] @ A @ np.eye(shape[1])[0] == est.value
 
 
 def _linalg_spy(monkeypatch):
