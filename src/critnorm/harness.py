@@ -15,9 +15,13 @@ fall back to the exact singular value or the seeded ascent; ascent is a
 lower bound, which can only inflate ratios, so violation counts err on the
 loud side.  Verify, sharpness and base-hl share one trial check: an
 ascent-backed violation is retried with four times the restarts before it
-is reported.  Every verdict is ``not ratio <= limit``, so a NaN ratio is a
-violation.  A report's config block echoes only the settings its experiment
-reads (``READS``).  Floating output is written at 12 significant digits.
+is reported.  Trials run in batches of consecutive trials, up to
+``CHUNK_ELEMENTS`` coefficients in all, whose ascent denominators (and then
+their retries) are taken in one ``ascent_norms`` call; an estimate does not
+depend on the batch it is taken in, so neither do the reports.  Every
+verdict is ``not ratio <= limit``, so a NaN ratio is a violation.  A
+report's config block echoes only the settings its experiment reads
+(``READS``).  Floating output is written at 12 significant digits.
 """
 
 from __future__ import annotations
@@ -40,9 +44,9 @@ from .exponents import (
     inclusion_exponents,
     inequality_constant,
 )
-from .opnorm import is_spectral_case, operator_norm, spectral_norm, weak_norm
+from .opnorm import ascent_norms, is_spectral_case, spectral_norm, weak_norm
 from .rng import child_rng, child_seed
-from .tensor import MultilinearForm, lp_norm, mixed_norm
+from .tensor import CHUNK_ELEMENTS, MultilinearForm, lp_norm, mixed_norm
 from .witnesses import FormFactory, parse_form_spec
 
 __all__ = [
@@ -252,55 +256,84 @@ def _resolve_exponents(cfg: ExperimentConfig, arity: int) -> ExponentVector:
     return s
 
 
-def _trial_forms(fac: FormFactory, cfg: ExperimentConfig, measure, domain_p=None):
-    """Yield (t, T, measure(T)) for each trial t of a run.
+def _run_trials(fac: FormFactory, cfg: ExperimentConfig, measure, check, domain_p=None):
+    """The records of a run's trials, in trial order, taken batch by batch.
 
-    Trial t draws its form from the child seed (t, 0).  A spec that leaves
-    no seed free (``FormFactory.takes_seed``) gives every trial the same
-    form, so it is built and measured once and repeated.  A spec that pins
-    seed= runs one trial only: more would count one form many times.
+    Trial t draws its form from the child seed (t, 0), and ``measure(T)``
+    is taken as the form is built.  Consecutive trials form a batch of up to
+    ``CHUNK_ELEMENTS`` coefficients in all, at least one trial (every trial
+    of a run has the first one's dims), and ``check(batch)`` turns a list of
+    (t, T, measure(T)) into their records.  A batch's forms are released
+    before the next batch is built, so at most one batch and one form are
+    alive at a time.  A spec that leaves no seed free
+    (``FormFactory.takes_seed``) gives every trial the same form, so it is
+    built and measured once and repeated.  A spec that pins seed= runs one
+    trial only: more would count one form many times.
     """
     if cfg.trials > 1 and "seed" in fac.params:
         raise ValueError(f"the form spec pins seed={fac.params['seed']}, so all "
                          f"{cfg.trials} trials would be one form; drop seed= or run one trial")
-    T = None
+    records, batch, size, T = [], [], 1, None
     for t in range(cfg.trials):
         if T is None or fac.takes_seed:
+            T = None   # no reference to the previous form while the next is built
             T = fac.make(n=cfg.n, seed=child_seed(cfg.seed, t, 0), domain_p=domain_p)
             value = measure(T)
-        yield t, T, value
+            size = max(1, CHUNK_ELEMENTS // T.coeffs.size)
+        batch.append((t, T, value))
+        if len(batch) == size or t == cfg.trials - 1:
+            records += check(batch)
+            batch = []
+    return records
 
 
-def _denominator(T: MultilinearForm, cfg: ExperimentConfig, *seed_path: int):
-    """(value, method) of T's norm: closed form, exact singular value, or
-    the seeded ascent; the child seed is derived only for the ascent."""
+def _exact_norm(T: MultilinearForm):
+    """(value, method) of T's norm when it is known exactly, as a closed
+    form or the largest singular value, else None; no seed is used."""
     if T.analytic_norm is not None:
         return T.analytic_norm, "analytic"
     if is_spectral_case(T):
-        est = spectral_norm(T.coeffs)
-    else:
-        est = operator_norm(T, restarts=cfg.restarts, tol=cfg.tol,
-                            max_iters=cfg.max_iters, seed=child_seed(cfg.seed, *seed_path))
-    return est.value, est.method
+        return spectral_norm(T.coeffs).value, "exact-singular"
+    return None
 
 
-def _check_trial(T: MultilinearForm, lhs: float, C: float,
-                 cfg: ExperimentConfig, t: int) -> dict:
-    """One trial of lhs <= C * ||T||: norm, method, ratio, retried, violation.
+def _check_trials(batch, C: float, cfg: ExperimentConfig) -> list:
+    """Check lhs <= C * ||T|| for each (t, T, lhs) of ``batch``: one record
+    of norm, method, ratio, retried and violation per trial, in order.
 
-    The denominator is seeded from (t, 1); an ascent-backed ratio above
-    C * (1 + SLACK_ASCENT) is retried once at four times the restarts,
-    seeded from (t, 2).  The verdict is ``not ratio <= limit``, so a NaN
-    ratio is a violation, never a pass.
+    Exact norms are taken trial by trial.  The other trials' ascent
+    denominators are taken in one ``ascent_norms`` call, trial t seeded
+    from (t, 1); those whose ratio exceeds C * (1 + SLACK_ASCENT) are then
+    retried together in one more call at four times the restarts, seeded
+    from (t, 2).  A trial's estimate does not depend on the trials beside
+    it, so records match a check of one trial at a time.  The verdict is
+    ``not ratio <= limit``, so a NaN ratio is a violation, never a pass.
     """
-    norm, method = _denominator(T, cfg, t, 1)
+    records = {}
+    pending = []
+    for t, T, lhs in batch:
+        exact = _exact_norm(T)
+        if exact is None:
+            pending.append((t, T, lhs))
+        else:
+            records[t] = _verdict(lhs, *exact, C, retried=False)
+    for path, restarts in ((1, cfg.restarts), (2, 4 * cfg.restarts)):
+        if not pending:
+            break
+        ests = ascent_norms([T for _, T, _ in pending],
+                            [child_seed(cfg.seed, t, path) for t, _, _ in pending],
+                            restarts=restarts, tol=cfg.tol, max_iters=cfg.max_iters)
+        flagged = []
+        for (t, T, lhs), est in zip(pending, ests):
+            rec = records[t] = _verdict(lhs, est.value, est.method, C, retried=path == 2)
+            if rec["violation"]:
+                flagged.append((t, T, lhs))
+        pending = flagged
+    return [records[t] for t, _, _ in batch]
+
+
+def _verdict(lhs: float, norm: float, method: str, C: float, retried: bool) -> dict:
     ratio = _ratio(lhs, norm)
-    retried = method == "ascent" and not ratio <= C * (1 + SLACK_ASCENT)
-    if retried:
-        est = operator_norm(T, restarts=4 * cfg.restarts, tol=cfg.tol,
-                            max_iters=cfg.max_iters, seed=child_seed(cfg.seed, t, 2))
-        norm, method = est.value, est.method
-        ratio = _ratio(lhs, norm)
     slack = SLACK_ASCENT if method == "ascent" else SLACK_EXACT
     return {"norm": norm, "method": method, "ratio": ratio, "retried": retried,
             "violation": not ratio <= C * (1 + slack)}
@@ -325,6 +358,13 @@ def _summary(records, extra: dict | None = None) -> dict:
     return out
 
 
+def _trial_records(batch, C: float, cfg: ExperimentConfig) -> list:
+    """The verify and base-hl records of a batch: trial, dims, lhs and the
+    checked ratio (see ``_check_trials``)."""
+    return [{"trial": t, "dims": "x".join(map(str, T.dims)), "lhs": lhs, **rec}
+            for (t, T, lhs), rec in zip(batch, _check_trials(batch, C, cfg))]
+
+
 def run_verify(cfg: ExperimentConfig) -> ExperimentReport:
     """Check mixed_norm(T, s) <= C * ||T|| * (1 + slack) over the trials.
 
@@ -343,9 +383,7 @@ def run_verify(cfg: ExperimentConfig) -> ExperimentReport:
             C = inequality_constant(T.arity, cfg.constant).value
         return mixed_norm(T, s)
 
-    records = [{"trial": t, "dims": "x".join(map(str, T.dims)), "lhs": lhs,
-                **_check_trial(T, lhs, C, cfg, t)}
-               for t, T, lhs in _trial_forms(_factory(cfg), cfg, lhs_of)]
+    records = _run_trials(_factory(cfg), cfg, lhs_of, lambda batch: _trial_records(batch, C, cfg))
     summary = _summary(records, {"constant": C})
     return ExperimentReport("verify", _echo(cfg, "verify", {"exponents_used": str(s)}),
                             records, summary)
@@ -374,12 +412,13 @@ def run_sharpness(cfg: ExperimentConfig) -> ExperimentReport:
     s = None
     C = None
     for i, n in enumerate(cfg.sweep):
+        T = None   # no reference to the previous point's form while this one is built
         T = fac.make(n=n, seed=child_seed(cfg.seed, i, 0))
         if s is None:
             s = _resolve_exponents(cfg, T.arity)
             C = inequality_constant(T.arity, cfg.constant).value
         lhs = mixed_norm(T, s)
-        rec = {"n": n, "lhs": lhs, **_check_trial(T, lhs, C, cfg, i)}
+        rec = {"n": n, "lhs": lhs, **_check_trials([(i, T, lhs)], C, cfg)[0]}
         del rec["retried"]   # the sharpness report keeps its columns
         pts.append((n, rec["ratio"]))
         records.append(rec)
@@ -417,14 +456,12 @@ def run_bilinear_law(cfg: ExperimentConfig) -> ExperimentReport:
             raise ValueError("bilinear-law forms must live on l_2 x l_2")
         return mixed_norm(U, orders)
 
-    records = []
-    for t, U, lhs in _trial_forms(fac, cfg, lhs_of):
+    def record(t, U, lhs):
         n1, n2 = U.dims
-        denom, method = _denominator(U, cfg)
+        denom, method = _exact_norm(U)
         bound = (n1 ** inv_b) * (n2 ** (inv_a - 0.5)) * denom
         ratio = _ratio(lhs, bound)
-        bad = not ratio <= 1 + SLACK_EXACT
-        records.append({
+        return {
             "trial": t,
             "n1": n1,
             "n2": n2,
@@ -433,8 +470,10 @@ def run_bilinear_law(cfg: ExperimentConfig) -> ExperimentReport:
             "method": method,
             "bound": bound,
             "ratio": ratio,
-            "violation": bad,
-        })
+            "violation": not ratio <= 1 + SLACK_EXACT,
+        }
+
+    records = _run_trials(fac, cfg, lhs_of, lambda batch: [record(*trial) for trial in batch])
     summary = _summary(records)
     return ExperimentReport("bilinear-law", _echo(cfg, "bilinear-law"), records, summary)
 
@@ -462,9 +501,7 @@ def run_base_hl(cfg: ExperimentConfig) -> ExperimentReport:
             raise ValueError(f"expected arity-{base_arity} forms for m = {m}")
         return mixed_norm(T, full_l2)
 
-    records = [{"trial": t, "dims": "x".join(map(str, T.dims)), "lhs": lhs,
-                **_check_trial(T, lhs, C, cfg, t)}
-               for t, T, lhs in _trial_forms(fac, cfg, lhs_of, dom)]
+    records = _run_trials(fac, cfg, lhs_of, lambda batch: _trial_records(batch, C, cfg), dom)
     summary = _summary(records, {"constant": C})
     return ExperimentReport("base-hl", _echo(cfg, "base-hl", {"domain": str(dom)}),
                             records, summary)
@@ -536,8 +573,7 @@ def run_inclusion_instance(cfg: ExperimentConfig) -> ExperimentReport:
         if T.arity != m:
             raise ValueError(f"expected arity-{m} forms to match p and q")
 
-    records = []
-    for t, T, _ in _trial_forms(fac, cfg, check_arity, dom):
+    def record(t, T, _):
         q_base = 0.0
         q_target = 0.0
         for d in range(cfg.datasets):
@@ -557,14 +593,16 @@ def run_inclusion_instance(cfg: ExperimentConfig) -> ExperimentReport:
             if den_target > 0:
                 q_target = float(np.maximum(q_target, num_target / den_target))
         ratio = _ratio(q_target, q_base)
-        bad = not ratio <= 1 + SLACK_ASCENT
-        records.append({
+        return {
             "trial": t,
             "base_quotient": q_base,
             "target_quotient": q_target,
             "ratio": ratio,
-            "violation": bad,
-        })
+            "violation": not ratio <= 1 + SLACK_ASCENT,
+        }
+
+    records = _run_trials(fac, cfg, check_arity, lambda batch: [record(*trial) for trial in batch],
+                          dom)
     summary = _summary(records)
     return ExperimentReport("inclusion-instance",
                             _echo(cfg, "inclusion-instance", {"target_orders": str(target)}),

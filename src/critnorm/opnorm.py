@@ -15,7 +15,7 @@ serve every row.  A sweep reads the tensor twice, whatever the arity, and
 both reads walk it along its rows: once for the slot-0 gradient,
 contracted from slot 1 forward, and once for the prefix P = x_0 . T, from
 which every later slot's gradient is contracted while the new x_k are
-folded in (see ``_sweep``).  A row that has converged is frozen and leaves
+folded in (see ``_sweep_wave``).  A row that has converged is frozen and leaves
 the block, so each restart follows the ascent it would follow on its own
 up to rounding: BLAS rounds a row of a matrix product according to where
 it falls in the row block, so a value may move in the last bit.  The price
@@ -23,7 +23,19 @@ is two intermediates, of R * |T| / n_1 and R * |T| / n_0 elements, never
 alive together, so one scratch buffer per ascent holds both: about 1.8 MB
 at m = 4, n = 24 with R = 16, and about 7 MB for the four-fold retry.
 Rows are chunked so that neither exceeds the larger of |T| and 2^20
-elements.
+elements (see ``_Group.cut``).
+
+``ascent_norms`` runs the ascents of several forms that share dims, dtype
+and domain as one block: form f's R restarts are rows f R .. f R + R - 1,
+and its active rows stay contiguous as rows freeze.  Each form's
+contractions run on its own rows, exactly the matrix products an ascent of
+that form alone makes, and only the row-wise steps run once per slot over
+the whole block: ``dual_argmax``, the entering moduli and the freeze,
+finiteness and monotonicity checks.  So a sweep pays its fixed cost of
+NumPy calls once per group instead of once per form, and each estimate has
+the bits ``ascent_norm`` gives it; ``ascent_norm`` is the one-form case of
+the same sweeps.  The scratch buffer then holds every form's prefix side
+by side.
 
 Each block step is ``dual_argmax``, whose cost on the small blocks of most
 sweeps is a fixed number of NumPy calls, so an ascent trims it: each slot's
@@ -55,6 +67,7 @@ __all__ = [
     "dual_argmax",
     "spectral_norm",
     "ascent_norm",
+    "ascent_norms",
     "weak_norm",
     "upper_bound_l1",
     "is_spectral_case",
@@ -261,19 +274,13 @@ def _chunk_rows(dims, size: int) -> int:
     return max(1, max(size, _GRADIENT_CHUNK) * min(dims[:2]) // size)
 
 
-def _scratch_view(scratch, shape):
-    """The leading elements of the 1-d buffer ``scratch`` as a C-contiguous
-    array of ``shape``, or None (a fresh array) when there is no buffer."""
-    return None if scratch is None else scratch[:math.prod(shape)].reshape(shape)
-
-
-def _first_slot_gradient(coeffs, X, scratch=None):
+def _first_slot_gradient(coeffs, X, out):
     """Slot-0 linearization at every row of the blocks ``X`` (one (R, n_i)
     block per slot): row r contracts ``coeffs`` with X[i][r] in every slot
     i >= 1.  From arity 3 on, one batched matmul contracts slot 1 for all
     rows, reading the tensor along its rows (no transposed panel for BLAS
-    to pack) into an (n_0, R, |T| / (n_0 n_1)) block of R * |T| / n_1
-    elements, written into ``scratch`` when one is given; row-vector
+    to pack) into the (n_0, R, |T| / (n_0 n_1)) block ``out`` of
+    R * |T| / n_1 elements (a view of an ascent's scratch buffer); row-vector
     products then contract slots 2..m-1 from the front, the last one
     straight into the (R, n_0) gradient.  At arity 2 slot 1 is the last
     slot, and one product X[1] @ T^T gives the gradient.  An arity-1
@@ -284,78 +291,132 @@ def _first_slot_gradient(coeffs, X, scratch=None):
         return np.broadcast_to(coeffs, (R, dims[0]))
     if len(dims) == 2:
         return X[1] @ coeffs.T
-    Y = np.matmul(X[1], coeffs.reshape(dims[0], dims[1], -1),
-                  out=_scratch_view(scratch, (dims[0], R, coeffs.size // (dims[0] * dims[1]))))
+    Y = np.matmul(X[1], coeffs.reshape(dims[0], dims[1], -1), out=out)
     for i in range(2, len(dims) - 1):
         Y = np.matmul(X[i][:, np.newaxis, :], Y.reshape(dims[0], R, dims[i], -1))[:, :, 0, :]
     return np.matmul(Y.transpose(1, 0, 2), X[-1][:, :, np.newaxis])[:, :, 0]
 
 
-class _Slots(list):
-    """The ``_Ball`` of each slot of one ascent on ``coeffs``, plus
-    ``scratch``: a 1-d buffer of the tensor's dtype that the sweeps write
-    their tensor-sized intermediates into (see ``_sweep``), sized for the
-    larger of them at a chunk of at most ``rows`` rows.  It is None at
-    arity 1, whose sweeps form no intermediate."""
+class _Group:
+    """The forms that one ascent sweeps together, which share dims, dtype and
+    domain.  ``tensors`` holds their coefficient arrays in block order and
+    ``balls`` the ``_Ball`` of each slot.  ``scratch`` is a 1-d buffer of
+    their dtype that the sweeps write their tensor-sized intermediates into,
+    sized for a wave of the rows first given, ``counts[f]`` of them form
+    f's; it is None at arity 1, whose sweeps form no intermediate.
+    ``waves`` is the cut of the rows the next sweep takes (see ``cut``)."""
 
-    __slots__ = ("scratch",)
+    __slots__ = ("tensors", "balls", "scratch", "waves", "_rows")
 
-    def __init__(self, coeffs, orders, rows: int):
-        super().__init__(_Ball(p) for p in orders)
+    def __init__(self, tensors, orders, counts):
+        self.tensors = list(tensors)
+        self.balls = [_Ball(p) for p in orders]
         self.scratch = None
-        if coeffs.ndim > 1:
-            rows = min(rows, _chunk_rows(coeffs.shape, coeffs.size))
-            self.scratch = np.empty(rows * coeffs.size // min(coeffs.shape[:2]),
-                                    dtype=coeffs.dtype)
+        first = self.tensors[0]
+        self._rows = _chunk_rows(first.shape, first.size)
+        if first.ndim > 1:
+            self.scratch = np.empty(min(sum(counts), self._rows) * first.size
+                                    // min(first.shape[:2]), dtype=first.dtype)
+        self.cut(counts)
+
+    def cut(self, counts):
+        """Cut the rows of the next sweeps, ``counts[f]`` of them form f's, in
+        order, into ``waves`` of (start, stop, segments).
+
+        Rows are independent, so a form's rows are cut into segments of
+        ``_chunk_rows`` rows, which keep both intermediates of a segment
+        within max(|T|, _GRADIENT_CHUNK) elements, and consecutive segments
+        of at most that many rows in all make a wave.  A group with no more
+        rows than that is one wave; only a form whose own rows exceed it
+        takes several.  A segment is (coeffs, start, stop, Y, P): its rows
+        within the wave, and the views of the scratch buffer that its
+        slot-1 intermediate (from arity 3 on) and its prefix (from arity 2
+        on) are written into.  The intermediates of a wave's segments are
+        formed one after another at the start of the buffer, and the
+        prefixes side by side, after all of them are done."""
+        dims = self.tensors[0].shape
+        size = self.tensors[0].size
+        rows = self._rows
+        tail, prefix = size // (dims[0] * dims[1]) if len(dims) > 1 else 0, size // dims[0]
+        self.waves, segments, lo, offset, start = [], [], 0, 0, 0
+        for coeffs, count in zip(self.tensors, counts):
+            stop = start + count
+            for s in range(start, stop, rows):
+                e = min(s + rows, stop)
+                if segments and e - lo > rows:
+                    self.waves.append((lo, s, segments))
+                    segments, lo, offset = [], s, 0
+                Y = P = None
+                if len(dims) > 2:
+                    Y = self.scratch[:dims[0] * (e - s) * tail].reshape(dims[0], e - s, tail)
+                if len(dims) > 1:
+                    P = self.scratch[offset:offset + (e - s) * prefix].reshape(e - s, prefix)
+                    offset += (e - s) * prefix
+                segments.append((coeffs, s - lo, e - lo, Y, P))
+            start = stop
+        self.waves.append((lo, start, segments))
 
 
-def _sweep(coeffs, X, orders):
-    """One Gauss-Seidel sweep over every row of the blocks ``X``: slot k is
-    replaced by ``dual_argmax`` of its gradient at the new slots 0..k-1 and
-    the old slots k+1..m-1, on the ball ``orders[k]`` (a ``_Ball``).
-    Returns (before, after, X): the (R,) moduli of the value at
-    the entering rows and after the sweep, and the new blocks.  Only the
-    last slot's step computes its conjugate norm, which is ``after``; the
-    others ask ``dual_argmax`` for the maximizers alone.
+def _sweep(group, X):
+    """One Gauss-Seidel sweep over every row of the blocks ``X``, cut as
+    ``group.waves`` (see ``_Group.cut``): slot k is replaced by
+    ``dual_argmax`` of its gradient at the new slots 0..k-1 and the old
+    slots k+1..m-1, on the slot's ball.  Returns (before, after, X): the
+    moduli of the value at the entering rows and after the sweep, one per
+    row, and the new blocks.  Each wave is one ``_sweep_wave``."""
+    if len(group.waves) == 1:
+        return _sweep_wave(group.balls, X, group.waves[0][2])
+    parts = [_sweep_wave(group.balls, [x[lo:hi] for x in X], segments)
+             for lo, hi, segments in group.waves]
+    before, after, blocks = zip(*parts)
+    return np.concatenate(before), np.concatenate(after), \
+        [np.concatenate(b) for b in zip(*blocks)]
 
-    The tensor is read twice, both times along its rows.  The slot-0
-    gradient is contracted from slot 1 forward (see
-    ``_first_slot_gradient``); then the prefix P = x_0 . T, an
-    R * |T| / n_0 block, is formed.  Slot k >= 1 takes its gradient from P
-    by contracting the old trailing slots m-1..k+1, and its new x_k is then
-    folded into P, so the last slot's gradient is P itself.  Rows are
-    independent, so when either intermediate would exceed
-    max(|T|, _GRADIENT_CHUNK) elements the rows sweep in chunks of
-    ``_chunk_rows`` rows, which keep both within that cap.  The two are
-    never alive together, so when ``orders`` is an ascent's ``_Slots``,
-    whose scratch buffer holds the larger, both are
-    written into it and the sweep allocates nothing tensor-sized.
+
+def _sweep_wave(balls, X, segments):
+    """``_sweep`` on one wave: ``segments`` cover the rows of ``X`` in order
+    (see ``_Group.cut``), and ``balls`` are the slots' ``_Ball``.
+
+    Each segment's contractions run on its own rows, so every matrix
+    product sees exactly the rows it would see in an ascent of that form
+    alone, and the block steps between them run once per slot over the
+    whole wave: ``dual_argmax`` and the moduli before the sweep are row by
+    row, so they give each row the bits it would get alone.  Only the last
+    slot's step computes its conjugate norm, which is ``after``; the others
+    ask ``dual_argmax`` for the maximizers alone.
+
+    The tensor is read twice per segment, both times along its rows.  The
+    slot-0 gradient is contracted from slot 1 forward (see
+    ``_first_slot_gradient``); then the segment's prefix P = x_0 . T, a
+    rows * |T| / n_0 block, is formed.  Slot k >= 1 takes its gradient from
+    P by contracting the old trailing slots m-1..k+1, and its new x_k is
+    then folded into P, so the last slot's gradient is P itself.  Both
+    tensor-sized intermediates are written into the segment's views of the
+    scratch buffer, so a sweep allocates nothing tensor-sized.
     """
-    dims = coeffs.shape
+    dims = segments[0][0].shape
     m = len(dims)
-    R = len(X[0])
-    rows = _chunk_rows(dims, coeffs.size)
-    if R > rows:
-        parts = [_sweep(coeffs, [x[s:s + rows] for x in X], orders)
-                 for s in range(0, R, rows)]
-        before, after, blocks = zip(*parts)
-        return np.concatenate(before), np.concatenate(after), \
-            [np.concatenate(b) for b in zip(*blocks)]
-    scratch = getattr(orders, "scratch", None)
-    G = _first_slot_gradient(coeffs, X, scratch)
+    if len(segments) == 1:   # one segment spans the wave: no row slices to take
+        G = _first_slot_gradient(segments[0][0], X, segments[0][3])
+    else:
+        G = np.concatenate([_first_slot_gradient(c, [x[s:e] for x in X], Y)
+                            for c, s, e, Y, _ in segments])
     before = np.abs((G * X[0]).sum(axis=1))
     X = list(X)
-    value, X[0] = dual_argmax(G, orders[0], value=m == 1)
+    value, X[0] = dual_argmax(G, balls[0], value=m == 1)
     if m > 1:
-        P = np.matmul(X[0], coeffs.reshape(dims[0], -1),
-                      out=_scratch_view(scratch, (R, coeffs.size // dims[0])))
+        P = [np.matmul(X[0][s:e], c.reshape(dims[0], -1), out=out) for c, s, e, _, out in segments]
     for k in range(1, m):
-        G = P
-        for i in range(m - 1, k, -1):
-            G = np.matmul(G.reshape(R, -1, dims[i]), X[i][:, :, np.newaxis])[:, :, 0]
-        value, X[k] = dual_argmax(G, orders[k], value=k == m - 1)
+        G = []
+        for (_, s, e, _, _), Pf in zip(segments, P):
+            for i in range(m - 1, k, -1):
+                Pf = np.matmul(Pf.reshape(e - s, -1, dims[i]), X[i][s:e, :, np.newaxis])[:, :, 0]
+            G.append(Pf)
+        G = G[0] if len(G) == 1 else np.concatenate(G)
+        value, X[k] = dual_argmax(G, balls[k], value=k == m - 1)
         if k < m - 1:
-            P = np.matmul(X[k][:, np.newaxis, :], P.reshape(R, dims[k], -1))[:, 0, :]
+            P = [np.matmul(X[k][s:e, np.newaxis, :], Pf.reshape(e - s, dims[k], -1))[:, 0, :]
+                 for (_, s, e, _, _), Pf in zip(segments, P)]
     return before, value, X
 
 
@@ -398,43 +459,47 @@ def _unit_starts(T: MultilinearForm, restarts: int, seed: int) -> list:
     return [_normalize_rows(x, p) for x, p in zip(X, T.domain_p)]
 
 
-def _ascend(T, X, tol, max_iters):
-    """Sweep block maximizations over a block of restarts until each stalls.
+def _ascend(forms, X, tol, max_iters):
+    """Sweep block maximizations over the restarts of a group of forms until
+    each stalls.
 
-    ``X`` holds one (R, n_k) start block per slot, row r being restart r;
-    the blocks are overwritten with the final rows.  Each sweep is one
-    ``_sweep``: two reads of the tensor into intermediates of R * |T| / n_1
-    and R * |T| / n_0 elements, in row chunks that keep each within
-    max(|T|, _GRADIENT_CHUNK) elements.  Both are written into one scratch
-    buffer, allocated once with the slot balls as a ``_Slots`` and sized
-    for the larger at the first sweep's chunk, so no sweep allocates or
+    ``forms`` share dims, dtype and domain and have R restarts each; ``X``
+    holds one (K R, n_k) start block per slot, rows f R .. f R + R - 1 being
+    form f's restarts.  The blocks are overwritten with the final rows.
+    Each sweep is one ``_sweep``: two reads of each form's tensor into
+    intermediates of R * |T| / n_1 and R * |T| / n_0 elements, in row chunks
+    that keep each within max(|T|, _GRADIENT_CHUNK) elements.  They are all
+    written into one scratch buffer, allocated once with the slot balls as a
+    ``_Group`` and sized at the first sweep's rows, so no sweep allocates or
     frees a tensor-sized block.  A row freezes after the first sweep that
     raised its value above the modulus at its entering rows by at most
-    ``tol`` relative; only the remaining active rows are swept further, so
-    every row follows the ascent it would follow alone, up to the last-bit
-    rounding of its place in the row block.  Each slot's ball is resolved
-    once, as a ``_Ball``, for the whole ascent.
+    ``tol`` relative; only the remaining active rows are swept further, and
+    each form's active rows stay contiguous, so every row follows the
+    ascent it would follow alone, up to the last-bit rounding of its place
+    in its form's row block.
 
-    Returns (values, X, sweeps, converged): the (R,) final values, the
-    blocks, the (R,) sweep counts and the (R,) convergence flags.  Each
+    Returns (values, X, sweeps, converged): the (K R,) final values, the
+    blocks, the (K R,) sweep counts and the (K R,) convergence flags.  Each
     block step sets a row's value to a conjugate norm of its slot gradient,
     which dominates the previous modulus, so a row's value never decreases;
     a sweep that ends below its entering modulus beyond a tiny rounding
     allowance raises AscentInvariantError.  So does a non-finite value,
     which a form with finite coefficients reaches only when float64
     arithmetic overflows; NumPy's overflow and invalid-value warnings are
-    silenced for the ascent, since that error reports the overflow.
+    silenced for the ascent, since that error reports the overflow.  These
+    checks, like the freezing, run once per sweep over the whole block.
     """
-    coeffs = T.coeffs
-    balls = _Slots(coeffs, T.domain_p, len(X[0]))
-    active = np.arange(len(X[0]))
+    total = len(X[0])
+    R = total // len(forms)
+    group = _Group((T.coeffs for T in forms), forms[0].domain_p, [R] * len(forms))
+    active = np.arange(total)
     work = list(X)
-    values = np.zeros(len(active))
-    sweeps = np.zeros(len(active), dtype=np.int64)
-    converged = np.zeros(len(active), dtype=bool)
+    values = np.zeros(total)
+    sweeps = np.zeros(total, dtype=np.int64)
+    converged = np.zeros(total, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(max_iters):
-            prev, value, work = _sweep(coeffs, work, balls)
+            prev, value, work = _sweep(group, work)
             values[active] = value
             sweeps[active] += 1
             if not np.isfinite(value).all():
@@ -453,6 +518,8 @@ def _ascend(T, X, tol, max_iters):
                 work = [w[keep] for w in work]
                 if not active.size:
                     break
+                group.cut([active.size] if len(forms) == 1 else
+                          np.bincount(active // R, minlength=len(forms)).tolist())
     for x, w in zip(X, work):
         x[active] = w
     return values, X, sweeps, converged
@@ -467,33 +534,88 @@ def ascent_norm(T: MultilinearForm, restarts: int = 16, tol: float = 1e-10,
     swept together as one (R, n_k) block per slot (see ``_ascend``); the
     first restart reaching the best value wins.  The reported value never
     exceeds the l_1 coefficient bound (AscentInvariantError otherwise), and
-    the returned maximizer is feasible and attains it.
+    the returned maximizer is feasible and attains it.  This is the
+    one-form case of ``ascent_norms``, through the same sweeps.
     """
+    return _ascent_estimates([T], [seed], restarts, tol, max_iters)[0]
+
+
+def ascent_norms(forms, seeds, restarts: int = 16, tol: float = 1e-10,
+                 max_iters: int = 500) -> list[NormEstimate]:
+    """``ascent_norm`` of each form at its seed, in order, the ascents of
+    forms that share dims, dtype and domain swept as one block.
+
+    Such a group's restarts stack into one (K R, n_k) block per slot, each
+    form's R rows contiguous, so a sweep pays its fixed per-step cost (the
+    ``dual_argmax`` calls and the freeze, finiteness and monotonicity
+    bookkeeping) once per group instead of once per form.  Each form's
+    contractions still run on its own active rows alone (see
+    ``_sweep_wave``), and every block step is row by row, so each estimate
+    (value, sweep count, convergence flag and maximizer) has exactly the
+    bits ``ascent_norm`` gives that form and seed.  A zero form gets the
+    zero estimate without an ascent, and the l_1 bound is checked per form.
+    A single form is handed to ``ascent_norm`` by name, so whatever wraps
+    that function sees every one-form ascent.
+    """
+    forms, seeds = list(forms), list(seeds)
+    if len(seeds) != len(forms):
+        raise ValueError(f"{len(forms)} forms but {len(seeds)} seeds")
+    if len(forms) == 1:
+        return [ascent_norm(forms[0], restarts, tol, max_iters, seeds[0])]
+    return _ascent_estimates(forms, seeds, restarts, tol, max_iters)
+
+
+def _ascent_estimates(forms, seeds, restarts, tol, max_iters) -> list:
+    """The engine of ``ascent_norm`` and ``ascent_norms``: validate the
+    settings, group the nonzero forms by dims, dtype and domain, ascend
+    each group as one block and take each form's best restart."""
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    if not T.coeffs.any():
-        unit = []
-        for n in T.dims:
-            e = np.zeros(n, dtype=T.coeffs.dtype)
-            e[0] = 1.0
-            unit.append(e)
-        return NormEstimate(0.0, "ascent", restarts_used=0, iterations=0,
-                            converged=True, maximizer=unit)
-    X = _unit_starts(T, restarts, seed)
-    values, X, sweeps, converged = _ascend(T, X, tol, max_iters)
-    best = int(np.argmax(values))
-    value = float(values[best])
-    bound = upper_bound_l1(T)
-    if not value <= bound * (1.0 + 1e-12) + 1e-12:
-        raise AscentInvariantError(
-            f"ascent value {value!r} exceeds the l1 coefficient bound {bound!r}")
-    return NormEstimate(value, "ascent", restarts_used=restarts,
-                        iterations=int(sweeps.sum()), converged=bool(converged[best]),
-                        maximizer=[x[best].copy() for x in X])
+    out = [None] * len(forms)
+    groups = []   # (first form, indices of the forms with its dims, dtype and domain)
+    for i, T in enumerate(forms):
+        if not T.coeffs.any():
+            out[i] = _zero_estimate(T)
+            continue
+        for first, members in groups:
+            if (T.dims, T.coeffs.dtype, T.domain_p) == (first.dims, first.coeffs.dtype,
+                                                       first.domain_p):
+                members.append(i)
+                break
+        else:
+            groups.append((T, [i]))
+    for _, members in groups:
+        starts = [_unit_starts(forms[i], restarts, seeds[i]) for i in members]
+        X = starts[0] if len(starts) == 1 else [np.concatenate(b) for b in zip(*starts)]
+        values, X, sweeps, converged = _ascend([forms[i] for i in members], X, tol, max_iters)
+        for j, i in enumerate(members):
+            rows = slice(j * restarts, (j + 1) * restarts)
+            best = rows.start + int(np.argmax(values[rows]))
+            value = float(values[best])
+            bound = upper_bound_l1(forms[i])
+            if not value <= bound * (1.0 + 1e-12) + 1e-12:
+                raise AscentInvariantError(
+                    f"ascent value {value!r} exceeds the l1 coefficient bound {bound!r}")
+            out[i] = NormEstimate(value, "ascent", restarts_used=restarts,
+                                  iterations=int(sweeps[rows].sum()),
+                                  converged=bool(converged[best]),
+                                  maximizer=[x[best].copy() for x in X])
+    return out
+
+
+def _zero_estimate(T: MultilinearForm) -> NormEstimate:
+    """The ascent estimate of a zero form: value 0 at the first unit vectors."""
+    unit = []
+    for n in T.dims:
+        e = np.zeros(n, dtype=T.coeffs.dtype)
+        e[0] = 1.0
+        unit.append(e)
+    return NormEstimate(0.0, "ascent", restarts_used=0, iterations=0,
+                        converged=True, maximizer=unit)
 
 
 # The fixed ascent settings of weak_norm.

@@ -245,8 +245,8 @@ def test_criterion_09_norm_calculus_properties(monkeypatch):
     sweeps = []
     sweep = opnorm._sweep
 
-    def recording(coeffs, X, orders):
-        before, after, Y = sweep(coeffs, X, orders)
+    def recording(group, X):
+        before, after, Y = sweep(group, X)
         sweeps.append((before, after))
         return before, after, Y
 
@@ -256,7 +256,7 @@ def test_criterion_09_norm_calculus_properties(monkeypatch):
         T = MultilinearForm(rng.standard_normal((4, 4, 4)), domain_p=("3", "3", "3"))
         X = [_normalize_rows(rng.standard_normal((1, 4)), T.domain_p[k]) for k in range(3)]
         sweeps.clear()
-        values, _, _, conv = _ascend(T, X, 1e-10, 200)
+        values, _, _, conv = _ascend([T], X, 1e-10, 200)
         trace = [after for _, after in sweeps]
         trace_ok = trace_ok and conv.all() and np.array_equal(trace[-1], values)
         trace_ok = trace_ok and all((b >= a - 1e-9 * (1 + a)).all()

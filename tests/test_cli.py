@@ -306,10 +306,12 @@ def test_a_malformed_tensor_file_is_exit_2_with_one_error_line(name, tmp_path, c
 def test_an_ascent_that_overflows_is_exit_2_without_warnings(flags, tmp_path, capsys):
     """Huge but finite coefficients overflow float64 inside the ascent: exit
     2 with one ``error:`` line that says so, no NumPy RuntimeWarning and no
-    stdout, also under python -O."""
+    stdout, also under python -O, and also when three trials share one
+    batched ascent."""
     path = tmp_path / "huge.json"
     save_tensor(MultilinearForm(np.full((3, 3, 3), 1e308)), path)
     for argv in (["verify", "--form", f"file:{path}"],
+                 ["verify", "--form", f"file:{path}", "--trials", "3"],
                  ["norm", "op", "--form", f"file:{path}"]):
         if flags is None:
             with warnings.catch_warnings(record=True) as caught:

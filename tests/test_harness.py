@@ -113,30 +113,40 @@ def test_verify_explicit_exponents_override_the_variant():
 
 
 def _low_estimates(monkeypatch, low):
-    """Route harness.operator_norm through the real one, cutting the value of
-    the calls numbered in ``low`` (1-based) a thousandfold, which puts any
-    ratio far above its constant.  Returns the log of (kwargs, value)."""
-    real = harness.operator_norm
-    log = []
+    """Route harness.ascent_norms through the real one, cutting the value of
+    the estimates numbered in ``low`` (1-based, counted over the forms of
+    every call in order) a thousandfold, which puts any ratio far above its
+    constant.  Returns the log of (restarts, seed, value), one entry per
+    estimate, and the number of forms of each call in ``log.calls``."""
+    real = harness.ascent_norms
+    log = _EstimateLog()
 
-    def fake(T, **kwargs):
-        est = real(T, **kwargs)
-        if len(log) + 1 in low:
-            est = dataclasses.replace(est, value=est.value * 1e-3)
-        log.append((kwargs, est.value))
-        return est
+    def fake(forms, seeds, **kwargs):
+        ests = real(forms, seeds, **kwargs)
+        log.calls.append(len(ests))
+        for i, (seed, est) in enumerate(zip(seeds, ests)):
+            if len(log) + 1 in low:
+                ests[i] = est = dataclasses.replace(est, value=est.value * 1e-3)
+            log.append((kwargs["restarts"], seed, est.value))
+        return ests
 
-    monkeypatch.setattr(harness, "operator_norm", fake)
+    monkeypatch.setattr(harness, "ascent_norms", fake)
     return log
 
 
+class _EstimateLog(list):
+    """One (restarts, seed, value) entry per estimate, plus ``calls``."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+
 def _assert_one_retry(log):
-    """The first two calls are trial 0's estimate and its 4x retry, at the
+    """The first two estimates are trial 0's and its 4x retry, at the
     default seed 42 and 16 restarts."""
-    assert log[0][0]["restarts"] == 16
-    assert log[0][0]["seed"] == child_seed(42, 0, 1)
-    assert log[1][0]["restarts"] == 64
-    assert log[1][0]["seed"] == child_seed(42, 0, 2)
+    assert log[0][:2] == (16, child_seed(42, 0, 1))
+    assert log[1][:2] == (64, child_seed(42, 0, 2))
 
 
 _RETRYING_RUNS = [
@@ -154,7 +164,7 @@ def test_a_low_first_estimate_is_retried_and_cleared(monkeypatch, run, cfg):
     assert rec["retried"] is True
     assert rec["violation"] is False
     assert rec["method"] == "ascent"
-    assert rec["norm"] == log[1][1]
+    assert rec["norm"] == log[1][2]
     assert rec["ratio"] == rec["lhs"] / rec["norm"]
 
 
@@ -167,7 +177,7 @@ def test_a_violation_that_survives_the_retry_is_reported(monkeypatch, run, cfg):
     _assert_one_retry(log)
     assert rec["retried"] is True
     assert rec["violation"] is True
-    assert rec["norm"] == log[1][1]
+    assert rec["norm"] == log[1][2]
     assert rep.violations == 1
 
 
@@ -213,7 +223,48 @@ def test_an_exact_denominator_derives_no_seed(monkeypatch):
     seeds.clear()
     rep = run_verify(ExperimentConfig(experiment="verify", form="gauss:m=3", n=4, trials=2))
     assert [t["method"] for t in rep.trials] == ["ascent"] * 2
-    assert seeds == [(42, 0, 0), (42, 0, 1), (42, 1, 0), (42, 1, 1)]
+    # the two trials are one batch: both forms are built, then both denominators seeded
+    assert seeds == [(42, 0, 0), (42, 1, 0), (42, 0, 1), (42, 1, 1)]
+
+
+@pytest.mark.parametrize("run, cfg", _RETRYING_RUNS, ids=["verify", "base-hl"])
+def test_a_batch_retries_only_its_cut_trial(monkeypatch, run, cfg):
+    """Five trials make one batch: one call estimates all five, and when only
+    trial 2's estimate is cut, one more call retries trial 2 alone, at 64
+    restarts and seed (2, 2).  Every other record is what an uncut run
+    records, and so are trial 2's lhs and dims."""
+    cfg = dataclasses.replace(cfg, trials=5)
+    plain = run(cfg).trials
+    log = _low_estimates(monkeypatch, low={3})
+    cut = run(cfg).trials
+    assert log.calls == [5, 1]
+    assert [entry[:2] for entry in log] == \
+        [(16, child_seed(42, t, 1)) for t in range(5)] + [(64, child_seed(42, 2, 2))]
+    assert cut[:2] + cut[3:] == plain[:2] + plain[3:]
+    assert cut[2]["retried"] is True and plain[2]["retried"] is False
+    assert cut[2]["norm"] == log[5][2]
+    assert cut[2]["violation"] is False
+    assert {k: cut[2][k] for k in ("trial", "dims", "lhs")} == \
+        {k: plain[2][k] for k in ("trial", "dims", "lhs")}
+
+
+def test_trials_are_batched_up_to_the_chunk_size(monkeypatch):
+    """A batch holds up to CHUNK_ELEMENTS coefficients: two trials of
+    64**3 = 2**18 coefficients run one per call, and seven trials of 4**3 in
+    one call, whose report is byte for byte that of one trial per call."""
+    log = _low_estimates(monkeypatch, low=set())
+    assert 64 ** 3 == harness.CHUNK_ELEMENTS
+    run_verify(ExperimentConfig(experiment="verify", form="gauss:m=3", n=64,
+                                trials=2, restarts=1, max_iters=3))
+    assert log.calls == [1, 1]
+    log.calls.clear()
+    cfg = ExperimentConfig(experiment="verify", form="gauss:m=3", n=4, trials=7)
+    batched = run_verify(cfg)
+    assert log.calls == [7]
+    monkeypatch.setattr(harness, "CHUNK_ELEMENTS", 1)
+    log.calls.clear()
+    assert run_verify(cfg).to_json() == batched.to_json()
+    assert log.calls == [1] * 7
 
 
 def test_verify_needs_a_form():
@@ -248,10 +299,31 @@ def test_sharpness_retries_a_low_first_estimate(monkeypatch):
     assert len(log) == 4   # one retry at the first point, none after
     _assert_one_retry(log)
     rec = rep.trials[0]
-    assert rec["norm"] == log[1][1]
+    assert rec["norm"] == log[1][2]
     assert rec["violation"] is False
     assert list(rec) == ["n", "lhs", "norm", "method", "ratio", "violation"]
     assert rep.violations == 0
+
+
+def test_sharpness_releases_each_form_before_building_the_next(traced_peak):
+    """The 40**4 form of the last point is built after the 32**4 one is
+    released, so the run's peak stays within 1.2 times the largest tensor."""
+    cfg = ExperimentConfig(experiment="sharpness", form="partial:m=4,r=1",
+                           sweep=(8, 16, 24, 32, 40))
+    rep, peak = traced_peak(lambda: run_sharpness(cfg))
+    assert rep.violations == 0
+    assert peak <= 1.2 * 40 ** 4 * 8
+
+
+def test_verify_releases_each_form_before_building_the_next(traced_peak):
+    """Trials of 64**3 complex coefficients run one form at a time, and the
+    previous form is released before the next is built: building one takes
+    its tensor plus a real draw of half its size, so three trials peak at
+    1.5 tensors, where holding the previous form would take 2.5."""
+    cfg = ExperimentConfig(experiment="verify", form="gauss:m=3,scalar=complex", n=64,
+                           trials=3, restarts=2, max_iters=4)
+    _, peak = traced_peak(lambda: run_verify(cfg))
+    assert peak <= 1.75 * 64 ** 3 * 16
 
 
 @pytest.mark.parametrize("extra", [{"trials": 5}, {"n": 99}, {"trials": 5, "n": 99}])

@@ -18,6 +18,7 @@ from critnorm import (
     AscentInvariantError,
     MultilinearForm,
     ascent_norm,
+    ascent_norms,
     child_rng,
     conjugate,
     dual_argmax,
@@ -381,8 +382,8 @@ def test_slot_gradient_matches_a_per_row_einsum(dims, field, chunk, monkeypatch)
     one-row Gauss-Seidel sweep: slot k maximizes the gradient at the new
     slots 0..k-1 and the old slots k+1..m-1 through ``dual_argmax``.  Row
     counts 1, 2, 3 and 16 take different BLAS paths; the last dims have n_1
-    apart from both n_0 and n_{m-1}.  A sweep writing its intermediates
-    into an ascent's scratch buffer (a ``_Slots``) gives the same bits."""
+    apart from both n_0 and n_{m-1}.  A sweep of a two-form ``_Group``,
+    with another form's rows after these, gives these rows the same bits."""
     if chunk == "chunked":
         # a one-element cap leaves min(n_0, n_1) rows per chunk
         monkeypatch.setattr(opnorm, "_GRADIENT_CHUNK", 1)
@@ -394,15 +395,16 @@ def test_slot_gradient_matches_a_per_row_einsum(dims, field, chunk, monkeypatch)
         return z + 1j * rng.standard_normal(shape) if field == "complex" else z
 
     coeffs = draw(*dims)
+    other = draw(*dims)
     for R in (3, 1, 2, 16):
         X = [draw(R, n) for n in dims]
-        before, after, Y = _sweep(coeffs, X, orders)
+        before, after, Y = _sweep(opnorm._Group([coeffs], orders, [R]), X)
         assert before.shape == after.shape == (R,)
         assert [y.shape for y in Y] == [(R, n) for n in dims]
-        slots = opnorm._Slots(coeffs, orders, R)
-        into_scratch = _sweep(coeffs, X, slots)
+        pair = _sweep(opnorm._Group([coeffs, other], orders, [R, 2]),
+                      [np.concatenate([x, draw(2, n)]) for x, n in zip(X, dims)])
         assert [a.tobytes() for a in (before, after, *Y)] == \
-            [a.tobytes() for a in (into_scratch[0], into_scratch[1], *into_scratch[2])]
+            [a[:R].tobytes() for a in (pair[0], pair[1], *pair[2])]
         for r in range(R):
             xs = [x[r] for x in X]
             # rounding scale: the same contraction over all moduli
@@ -418,11 +420,14 @@ def test_slot_gradient_matches_a_per_row_einsum(dims, field, chunk, monkeypatch)
 
 
 def test_a_sweep_allocates_one_tensor_sized_intermediate(traced_peak):
-    """On gauss m=4 n=24 at R=16, one sweep allocates one intermediate of
-    R * |T| / min(n_0, n_1) elements, besides the (R, n^2) contractions of
-    it and (R, n) blocks; with an ascent's scratch buffer it allocates no
-    tensor-sized block at all."""
+    """On gauss m=4 n=24 at R=16, an ascent's scratch buffer (in its
+    ``_Group``) holds the one intermediate of R * |T| / min(n_0, n_1)
+    elements, and a sweep allocates no tensor-sized block at all, only the
+    (R, n^2) contractions of it and (R, n) blocks.  A group of two such
+    forms has a buffer of twice the size, which holds both forms' prefixes,
+    and its sweep allocates no more per form."""
     T = make_gaussian_random((24,) * 4, seed=1)
+    U = make_gaussian_random((24,) * 4, seed=3)
     R, n = 16, 24
     rng = np.random.default_rng(2)
     X = [rng.standard_normal((R, n)) for _ in range(4)]
@@ -430,27 +435,32 @@ def test_a_sweep_allocates_one_tensor_sized_intermediate(traced_peak):
     intermediate = R * T.coeffs.size // n * 8
     contraction = R * n * n * 8
     block = R * n * 8
-    _, peak = traced_peak(lambda: _sweep(T.coeffs, X, orders))
-    assert intermediate <= peak <= intermediate + contraction + 8 * block
-    slots = opnorm._Slots(T.coeffs, orders, R)
-    assert slots.scratch.nbytes == intermediate
-    _, peak = traced_peak(lambda: _sweep(T.coeffs, X, slots))
+    group = opnorm._Group([T.coeffs], orders, [R])
+    assert group.scratch.nbytes == intermediate
+    _, peak = traced_peak(lambda: _sweep(group, X))
     assert peak <= contraction + 16 * block
+    pair = opnorm._Group([T.coeffs, U.coeffs], orders, [R, R])
+    assert pair.scratch.nbytes == 2 * intermediate
+    X2 = [np.concatenate([x, x]) for x in X]
+    _, peak = traced_peak(lambda: _sweep(pair, X2))
+    assert peak <= 2 * (contraction + 16 * block)
 
 
 def test_sweep_chunks_keep_the_slot_1_intermediate_within_the_cap(traced_peak, monkeypatch):
     """With n_1 the smallest side, the R * |T| / n_1 intermediate sets the
     chunk: at a cap of |T| elements a chunk has n_1 = 4 rows, where a rule
     on n_0 or n_{m-1} would sweep all 32 rows at once into 8 |T|.  The
-    rest of the peak is the (R, n) blocks the chunks return."""
+    ascent's scratch buffer holds one chunk's intermediate, |T| elements,
+    and the sweep allocates only the (R, n) blocks the chunks return."""
     monkeypatch.setattr(opnorm, "_GRADIENT_CHUNK", 1)
     coeffs = np.random.default_rng(3).standard_normal((64, 4, 64))
     R = 32
     X = [np.random.default_rng(4).standard_normal((R, n)) for n in coeffs.shape]
     orders = ("3",) * 3
-    _, peak = traced_peak(lambda: _sweep(coeffs, X, orders))
-    assert peak <= 1.5 * coeffs.nbytes
-    assert opnorm._Slots(coeffs, orders, R).scratch.nbytes == coeffs.nbytes
+    group = opnorm._Group([coeffs], orders, [R])
+    assert group.scratch.nbytes == coeffs.nbytes
+    _, peak = traced_peak(lambda: _sweep(group, X))
+    assert peak <= 0.75 * coeffs.nbytes
 
 
 # ------------------------------------------------------------- ascent_norm
@@ -545,8 +555,8 @@ def _record_sweeps(monkeypatch):
     recorded = []
     sweep = opnorm._sweep
 
-    def recording(coeffs, X, orders):
-        before, after, Y = sweep(coeffs, X, orders)
+    def recording(group, X):
+        before, after, Y = sweep(group, X)
         recorded.append((before.copy(), after.copy()))
         return before, after, Y
 
@@ -566,7 +576,7 @@ def test_ascent_trace_is_nondecreasing(monkeypatch):
                             domain_p=("3", "3", "3"))
         X = _unit_starts(T, 4, 100 + trial)
         recorded.clear()
-        values, _, sweeps, converged = _ascend(T, X, 1e-10, 200)
+        values, _, sweeps, converged = _ascend([T], X, 1e-10, 200)
         assert converged.all()
         assert len(recorded) == sweeps.max()
         trace = np.zeros(len(values))
@@ -689,6 +699,92 @@ def test_ascent_complex_forms_report_modulus():
     est = ascent_norm(T, restarts=4, seed=2)
     assert est.value > 0
     assert abs(evaluate(T, est.maximizer)) == pytest.approx(est.value, rel=1e-10)
+
+
+# ------------------------------------------------------------ ascent_norms
+
+_BATCH_DIMS = {1: (5,), 2: (4, 3), 3: (3, 4, 2), 4: (3, 2, 4, 2), 5: (2, 3, 2, 2, 3)}
+_BATCH_DOMAINS = {1: ("inf",), 2: ("1", "3"), 3: ("inf", "3/2", "1"),
+                  4: ("4", "1", "inf", "3"), 5: ("3/2", "inf", "2", "1", "5")}
+
+
+def _assert_same_estimate(got, want):
+    """Two estimates with the same bits: value, counts, flag and maximizer."""
+    assert (got.value, got.method, got.restarts_used, got.iterations, got.converged) == \
+        (want.value, want.method, want.restarts_used, want.iterations, want.converged)
+    assert [x.dtype for x in got.maximizer] == [x.dtype for x in want.maximizer]
+    assert [x.tobytes() for x in got.maximizer] == [x.tobytes() for x in want.maximizer]
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("arity", [1, 2, 3, 4, 5])
+def test_ascent_norms_match_ascent_norm_bit_for_bit(arity, field):
+    """A batch of K = 1..7 forms on one domain (holding p = 1 and inf from
+    arity 2 on), at 16 restarts for odd K and one for even K, and with a
+    zero form second from K = 3 on: every estimate is the one
+    ``ascent_norm`` gives that form and seed alone, bit for bit."""
+    dims, dom = _BATCH_DIMS[arity], _BATCH_DOMAINS[arity]
+    for K in range(1, 8):
+        restarts = 16 if K % 2 else 1
+        forms = [MultilinearForm(make_gaussian_random(dims, seed=10 * K + f,
+                                                      scalar_field=field).coeffs, domain_p=dom)
+                 for f in range(K)]
+        if K >= 3:
+            forms[1] = MultilinearForm(np.zeros(dims, dtype=forms[0].coeffs.dtype), domain_p=dom)
+        seeds = [100 + 3 * f for f in range(K)]
+        batched = ascent_norms(forms, seeds, restarts=restarts)
+        assert len(batched) == K
+        for T, seed, est in zip(forms, seeds, batched):
+            _assert_same_estimate(est, ascent_norm(T, restarts=restarts, seed=seed))
+        if K >= 3:
+            assert (batched[1].value, batched[1].restarts_used) == (0.0, 0)
+
+
+def test_ascent_norms_groups_mixed_forms_and_sweeps_chunked_rows(monkeypatch):
+    """Forms of different dims, dtype or domain in one call are grouped, and
+    the estimates come back in call order.  With a one-element cap each
+    form's rows sweep in chunks of min(n_0, n_1) rows, several chunks to a
+    wave, and every estimate still has the bits of ``ascent_norm`` under
+    the same cap."""
+    monkeypatch.setattr(opnorm, "_GRADIENT_CHUNK", 1)
+    forms = []
+    for f in range(8):
+        dims = (4, 4) if f % 4 == 3 else (3, 4, 2)
+        field = "complex" if f % 4 == 1 else "real"
+        dom = ("3/2",) * len(dims) if f % 4 == 2 else None
+        T = make_gaussian_random(dims, seed=f, scalar_field=field)
+        forms.append(MultilinearForm(T.coeffs, domain_p=dom))
+    seeds = list(range(20, 28))
+    for est, T, seed in zip(ascent_norms(forms, seeds), forms, seeds):
+        _assert_same_estimate(est, ascent_norm(T, seed=seed))
+
+
+def test_ascent_norms_hands_one_form_to_ascent_norm(monkeypatch):
+    """A one-form call goes through ``opnorm.ascent_norm`` by name, so a
+    wrapper of that function sees it; a batch does not."""
+    calls = []
+    real = opnorm.ascent_norm
+
+    def counting(T, *args, **kwargs):
+        calls.append(T)
+        return real(T, *args, **kwargs)
+
+    monkeypatch.setattr(opnorm, "ascent_norm", counting)
+    T = make_gaussian_random((3, 3, 3), seed=1)
+    ascent_norms([T], [5], restarts=2)
+    assert calls == [T]
+    ascent_norms([T, T], [5, 6], restarts=2)
+    assert calls == [T]
+    assert ascent_norms([], []) == []
+
+
+def test_ascent_norms_validation():
+    T = make_dot(2, 2)
+    with pytest.raises(ValueError, match="seeds"):
+        ascent_norms([T, T], [1])
+    for bad in ({"restarts": 0}, {"tol": 0.0}, {"max_iters": 0}):
+        with pytest.raises(ValueError):
+            ascent_norms([T, T], [1, 2], **bad)
 
 
 # ----------------------------------------------------------- operator_norm
