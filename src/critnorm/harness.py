@@ -557,6 +557,14 @@ def run_inclusion_instance(cfg: ExperimentConfig) -> ExperimentReport:
     why the battery maximum is compared rather than per-data ratios.  Weak
     norms run at their own fixed ascent settings, and a NaN quotient makes
     the trial a violation.
+
+    A batch of trials takes every numerator first, base then target, data
+    set after data set.  The data sets then wait, up to ``CHUNK_ELEMENTS``
+    sequence coefficients in all (at least one data set), for their weak
+    norms: one list ``weak_norm`` call per distinct order, which asks a slot
+    with p_k = q_k once and seeds slot k of data set d of trial t from
+    (t, d, k, 7).  Each value has the bits of its own call, so the records
+    match a run that takes every weak norm on its own.
     """
     if cfg.r is None or cfg.p is None or cfg.q is None:
         raise ValueError("inclusion-instance needs r, p and q")
@@ -568,41 +576,73 @@ def run_inclusion_instance(cfg: ExperimentConfig) -> ExperimentReport:
     fac = parse_form_spec(cfg.form) if cfg.form else parse_form_spec(f"gauss:m={m}")
     base = ExponentVector.uniform(cfg.r, m)
     dom = ExponentVector.uniform(space, m)
+    orders = tuple(dict.fromkeys((*cfg.p, *cfg.q)))
 
     def check_arity(T):
         if T.arity != m:
             raise ValueError(f"expected arity-{m} forms to match p and q")
 
-    def record(t, T, _):
-        q_base = 0.0
-        q_target = 0.0
-        for d in range(cfg.datasets):
-            mats = _battery_data(T.dims, space, cfg.seed, t, d, T.is_complex)
-            values = _values_tensor(T.coeffs, mats)
-            num_base = mixed_norm(values, base)
-            num_target = mixed_norm(values, target)
+    def denominators(pending):
+        """(base, target) weak-norm products of each pending (t, d, mats, ...)."""
+        weak = {}
+        for o in orders:
+            asked = [(i, k) for i in range(len(pending)) for k in range(m)
+                     if o in (cfg.p[k], cfg.q[k])]
+            values = weak_norm([pending[i][2][k].T for i, k in asked], o, space,
+                               seed=[child_seed(cfg.seed, *pending[i][:2], k, 7)
+                                     for i, k in asked])
+            weak.update(zip([(i, k, o) for i, k in asked], values))
+        dens = []
+        for i in range(len(pending)):
             den_base = 1.0
             den_target = 1.0
-            for k, X in enumerate(mats):
-                wseed = child_seed(cfg.seed, t, d, k, 7)
-                den_base *= weak_norm(X.T, cfg.p[k], space, seed=wseed)
-                den_target *= weak_norm(X.T, cfg.q[k], space, seed=wseed)
-            # np.maximum keeps a NaN quotient, so the ratio and verdict flag it
-            if den_base > 0:
-                q_base = float(np.maximum(q_base, num_base / den_base))
-            if den_target > 0:
-                q_target = float(np.maximum(q_target, num_target / den_target))
-        ratio = _ratio(q_target, q_base)
-        return {
-            "trial": t,
-            "base_quotient": q_base,
-            "target_quotient": q_target,
-            "ratio": ratio,
-            "violation": not ratio <= 1 + SLACK_ASCENT,
-        }
+            for k in range(m):
+                den_base *= weak[i, k, cfg.p[k]]
+                den_target *= weak[i, k, cfg.q[k]]
+            dens.append((den_base, den_target))
+        return dens
 
-    records = _run_trials(fac, cfg, check_arity, lambda batch: [record(*trial) for trial in batch],
-                          dom)
+    def check(batch):
+        quotients = {t: [0.0, 0.0] for t, _, _ in batch}   # (base, target) per trial
+
+        def settle(pending):
+            for (t, _, _, num_base, num_target), (den_base, den_target) in \
+                    zip(pending, denominators(pending)):
+                qt = quotients[t]
+                # np.maximum keeps a NaN quotient, so the ratio and verdict flag it
+                if den_base > 0:
+                    qt[0] = float(np.maximum(qt[0], num_base / den_base))
+                if den_target > 0:
+                    qt[1] = float(np.maximum(qt[1], num_target / den_target))
+
+        pending, size = [], 0
+        for t, T, _ in batch:
+            for d in range(cfg.datasets):
+                mats = _battery_data(T.dims, space, cfg.seed, t, d, T.is_complex)
+                values = _values_tensor(T.coeffs, mats)
+                nums = mixed_norm(values, base), mixed_norm(values, target)
+                del values
+                need = sum(X.size for X in mats)
+                if pending and size + need > CHUNK_ELEMENTS:
+                    settle(pending)
+                    pending, size = [], 0
+                pending.append((t, d, mats, *nums))
+                size += need
+        settle(pending)
+        out = []
+        for t, _, _ in batch:
+            q_base, q_target = quotients[t]
+            ratio = _ratio(q_target, q_base)
+            out.append({
+                "trial": t,
+                "base_quotient": q_base,
+                "target_quotient": q_target,
+                "ratio": ratio,
+                "violation": not ratio <= 1 + SLACK_ASCENT,
+            })
+        return out
+
+    records = _run_trials(fac, cfg, check_arity, check, dom)
     summary = _summary(records)
     return ExperimentReport("inclusion-instance",
                             _echo(cfg, "inclusion-instance", {"target_orders": str(target)}),

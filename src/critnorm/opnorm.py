@@ -46,18 +46,23 @@ for the conjugate norm (``value=False`` elsewhere), since that is the only
 value it reports.
 
 Weak norms of finite vector sequences are operator norms of the induced
-pairing, so ``weak_norm`` lives here too and goes through ``operator_norm``
-at fixed ascent settings.
+pairing, so ``weak_norm`` lives here too: an l_2 x l_2 pairing is one
+``spectral_norm`` call on the sequence itself, and the others are ascents
+at fixed settings.  Given a list of sequences, one call resolves the
+pairing domain once and sweeps all its ascents in one ``ascent_norms``
+call, each value with the bits of its solo call.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .exponents import ExtLike, as_ext, conjugate
+from .exponents import ExponentVector, ExtLike, as_ext, conjugate
 from .rng import child_rng
 from .tensor import CHUNK_ELEMENTS, MultilinearForm
 
@@ -622,29 +627,56 @@ def _zero_estimate(T: MultilinearForm) -> NormEstimate:
 _WEAK_RESTARTS, _WEAK_TOL, _WEAK_MAX_ITERS = 8, 1e-12, 200
 
 
-def weak_norm(vectors, p: ExtLike, space_q: ExtLike, *, seed: int = 0) -> float:
+def weak_norm(vectors, p: ExtLike, space_q: ExtLike, *, seed: int | Sequence[int] = 0):
     """Weak-l_p norm of a finite sequence of vectors living in l_{space_q}^n.
 
     Equals the operator norm of the map c -> sum_k c_k x_k from the unit
-    l_{p*} ball into l_{space_q}, i.e. of the pairing on l_{p*} x l_{q*},
-    which ``operator_norm`` gives exactly for p = q = 2 and otherwise as an
-    attained lower bound from the seeded ascent at the fixed settings above.
-    ``vectors`` are the rows of a 2-d array.
+    l_{p*} ball into l_{space_q}, i.e. of the pairing on l_{p*} x l_{q*}.
+    For p = q = 2 that is the largest singular value, which ``spectral_norm``
+    gives exactly and no seed is used; otherwise it is the attained lower
+    bound of the seeded ascent at the fixed settings above, the estimate
+    ``operator_norm`` gives the pairing form at that seed.  A sequence is
+    the rows of a 2-d array (a 1-d array is one vector).
+
+    Given a list of sequences and a list of seeds, one per sequence, it
+    returns the weak norm of each in order.  The pairing domain is resolved
+    once, l_2 x l_2 pairings go straight to ``spectral_norm`` with no form
+    built, and the ascent pairings are swept in one ``ascent_norms`` call,
+    which groups them by dims, so each value has the bits of its own call.
     """
-    X = np.asarray(vectors)
-    if X.ndim == 1:
-        X = X[np.newaxis, :]
-    if X.ndim != 2:
-        raise ValueError("pass the sequence as rows of a 2-d array")
+    batched = not isinstance(seed, numbers.Integral)
+    seqs, seeds = (list(vectors), list(seed)) if batched else ([vectors], [seed])
+    if len(seeds) != len(seqs):
+        raise ValueError(f"{len(seqs)} sequences but {len(seeds)} seeds")
+    mats = [_sequence_rows(v) for v in seqs]
     p = as_ext(p)
     if p < 1:
         raise ValueError(f"weak norms need p >= 1, got {p}")
     q = as_ext(space_q)
     if q < 1:
         raise ValueError(f"the container space needs q >= 1, got {q}")
-    pairing = MultilinearForm(X, domain_p=(conjugate(p), conjugate(q)))
-    return operator_norm(pairing, restarts=_WEAK_RESTARTS, tol=_WEAK_TOL,
-                         max_iters=_WEAK_MAX_ITERS, seed=seed).value
+    if p == 2 and q == 2:
+        # in the C-contiguous float64 or complex128 layout a pairing form holds
+        values = [spectral_norm(np.ascontiguousarray(X, dtype=np.result_type(X, np.float64))).value
+                  for X in mats]
+    else:
+        domain = ExponentVector((conjugate(p), conjugate(q)))
+        ests = ascent_norms([MultilinearForm(X, domain_p=domain) for X in mats], seeds,
+                            restarts=_WEAK_RESTARTS, tol=_WEAK_TOL, max_iters=_WEAK_MAX_ITERS)
+        values = [est.value for est in ests]
+    return values if batched else values[0]
+
+
+def _sequence_rows(vectors):
+    """A weak-norm sequence as a matrix whose rows are the vectors."""
+    X = np.asarray(vectors)
+    if X.ndim == 1:
+        X = X[np.newaxis, :]
+    if X.ndim != 2:
+        raise ValueError("pass each sequence as rows of a 2-d array")
+    if 0 in X.shape:
+        raise ValueError(f"a sequence needs at least one nonempty vector, got shape {X.shape}")
+    return X
 
 
 def upper_bound_l1(T: MultilinearForm) -> float:
