@@ -536,13 +536,15 @@ def _battery_data(dims, space, seed, trial, d, want_complex):
 
 
 def _values_tensor(coeffs, mats):
-    """T applied to every combination of data columns, as a dense tensor."""
-    m = coeffs.ndim
-    args = [coeffs, list(range(m))]
-    for k, X in enumerate(mats):
-        args += [X, [k, m + k]]
-    args.append(list(range(m, 2 * m)))
-    return np.einsum(*args)
+    """T applied to every combination of data columns, as a dense tensor.
+
+    One slot is contracted at a time, each a single matrix product: the
+    leading axis against the slot's data, whose column axis goes last.
+    """
+    Y = coeffs
+    for X in mats:
+        Y = np.tensordot(Y, X, axes=(0, 0))
+    return Y
 
 
 def run_inclusion_instance(cfg: ExperimentConfig) -> ExperimentReport:
