@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from critnorm import harness
+from critnorm import harness, opnorm
 from critnorm import (
     ExperimentConfig,
     ExponentVector,
@@ -23,11 +23,15 @@ from critnorm import (
     SLACK_EXACT,
     child_seed,
     fit_growth,
+    inclusion_exponents,
+    mixed_norm,
+    parse_form_spec,
     run_base_hl,
     run_bilinear_law,
     run_inclusion_instance,
     run_sharpness,
     run_verify,
+    weak_norm,
 )
 
 
@@ -451,6 +455,90 @@ def test_a_nan_ratio_after_a_finite_one_is_the_summary_maximum(monkeypatch):
     rep = run_inclusion_instance(cfg)
     assert [rec["violation"] for rec in rep.trials] == [False, True]
     assert math.isnan(rep.summary["max_ratio"])
+
+
+def _inclusion_one_weak_norm_at_a_time(cfg):
+    """The inclusion-instance records with every weak norm taken by its own
+    ``weak_norm`` call, data set by data set, in slot order."""
+    target = inclusion_exponents(cfg.r, cfg.p, cfg.q)
+    m = len(cfg.p)
+    space = cfg.space if cfg.space is not None else ExtRational(2)
+    base = ExponentVector.uniform(cfg.r, m)
+    fac = parse_form_spec(cfg.form)
+    records = []
+    for t in range(cfg.trials):
+        T = fac.make(n=cfg.n, seed=child_seed(cfg.seed, t, 0),
+                     domain_p=ExponentVector.uniform(space, m))
+        q_base = q_target = 0.0
+        for d in range(cfg.datasets):
+            mats = harness._battery_data(T.dims, space, cfg.seed, t, d, T.is_complex)
+            values = harness._values_tensor(T.coeffs, mats)
+            num_base, num_target = mixed_norm(values, base), mixed_norm(values, target)
+            den_base = den_target = 1.0
+            for k, X in enumerate(mats):
+                wseed = child_seed(cfg.seed, t, d, k, 7)
+                den_base *= weak_norm(X.T, cfg.p[k], space, seed=wseed)
+                den_target *= weak_norm(X.T, cfg.q[k], space, seed=wseed)
+            if den_base > 0:
+                q_base = float(np.maximum(q_base, num_base / den_base))
+            if den_target > 0:
+                q_target = float(np.maximum(q_target, num_target / den_target))
+        ratio = harness._ratio(q_target, q_base)
+        records.append({"trial": t, "base_quotient": q_base, "target_quotient": q_target,
+                        "ratio": ratio, "violation": not ratio <= 1 + SLACK_ASCENT})
+    return records
+
+
+INCLUSION_CASES = {
+    "readme": dict(p="2,2,2", q="4,2,2", form="gauss:m=3", n=6, trials=2, datasets=4),
+    "complex": dict(p="4/3,4/3", q="3/2,3/2", form="gauss:m=2,scalar=complex", n=5,
+                    trials=3, datasets=5),
+    "space-1": dict(p="2,2", q="4,4", form="gauss:m=2", n=4, trials=3, datasets=6, space=1),
+    "space-inf": dict(p="4/3,4/3", q="3/2,3/2", form="gauss:m=2", n=4, trials=2, datasets=5,
+                      space="inf"),
+    "equal-orders": dict(p="4/3,4/3", q="4/3,4/3", form="gauss:m=2", n=4, trials=2,
+                         datasets=3),
+    "complex-m3-inf": dict(p="2,2,2", q="4,2,2", form="gauss:m=3,scalar=complex", n=4,
+                           trials=3, datasets=6, space="inf"),
+    "seedless": dict(p="2,2", q="4,4", form="dot:m=2", n=5, trials=2, datasets=4),
+    "sign-space-1": dict(p="4/3,4/3,4/3", q="3/2,3/2,3/2", form="sign:m=3", n=5, trials=4,
+                         datasets=5, space=1),
+}
+
+
+@pytest.mark.parametrize("case", INCLUSION_CASES)
+def test_inclusion_records_equal_one_weak_norm_call_at_a_time(case):
+    cfg = ExperimentConfig(experiment="inclusion-instance", r=2, **INCLUSION_CASES[case])
+    assert run_inclusion_instance(cfg).trials == _inclusion_one_weak_norm_at_a_time(cfg)
+
+
+def test_the_readme_inclusion_example_asks_each_weak_norm_once(monkeypatch):
+    weak = _count_calls(monkeypatch, harness, "weak_norm")
+    spectral = _count_calls(monkeypatch, opnorm, "spectral_norm")
+    ascents = _count_calls(monkeypatch, opnorm, "_ascend")
+    cfg = ExperimentConfig(experiment="inclusion-instance", r=2, **INCLUSION_CASES["readme"])
+    run_inclusion_instance(cfg)
+    # 8 data sets: slots 2 and 3 (p = q = 2) and slot 1's base are spectral,
+    # slot 1's target (q = 4) is one ascent block per distinct pairing shape
+    assert len(weak) == 2
+    assert len(spectral) == 24
+    assert 1 <= len(ascents) <= 3
+
+
+def test_pending_weak_norm_sequences_stay_within_the_chunk(monkeypatch):
+    cfg = ExperimentConfig(experiment="inclusion-instance", r=2, **INCLUSION_CASES["readme"])
+    want = _inclusion_one_weak_norm_at_a_time(cfg)
+    weak = _count_calls(monkeypatch, harness, "weak_norm")
+    # a data set holds up to 108 sequence coefficients and a batch one trial,
+    # so each trial's data sets settle in more than one pass
+    monkeypatch.setattr(harness, "CHUNK_ELEMENTS", 150)
+    assert run_inclusion_instance(cfg).trials == want
+    assert len(weak) > 2 * cfg.trials
+    assert max(sum(X.size for X in seqs) for seqs, *_ in weak) <= 150
+    weak.clear()
+    monkeypatch.setattr(harness, "CHUNK_ELEMENTS", 1)     # one data set at a time
+    assert run_inclusion_instance(cfg).trials == want
+    assert len(weak) == 2 * cfg.trials * cfg.datasets
 
 
 def test_inclusion_instance_propagates_inapplicability():

@@ -388,6 +388,47 @@ def test_weak_norm_input_validation():
         weak_norm(np.eye(2), 2, "2/3")
 
 
+def _weak_sequences(scalar_field):
+    """Sequences of mixed lengths and dimensions, one-vector ones included,
+    with a zero sequence and a repeat of the first at its seed; one seed each."""
+    seqs = [make_gaussian_random(dims, seed=i, scalar_field=scalar_field).coeffs
+            for i, dims in enumerate([(3, 5), (1, 5), (5, 5), (1, 4), (3, 5), (2, 4)])]
+    seeds = [11 * i + 3 for i in range(len(seqs))]
+    seqs.insert(2, seqs[0])
+    seeds.insert(2, seeds[0])
+    seqs.append(np.zeros((2, 5), dtype=seqs[0].dtype))
+    seeds.append(1)
+    return seqs, seeds
+
+
+@pytest.mark.parametrize("scalar_field", ["real", "complex"])
+@pytest.mark.parametrize("q", ["1", "2", "inf"])
+@pytest.mark.parametrize("p", ["1", "4/3", "2", "4", "inf"])
+def test_list_weak_norm_equals_one_call_per_sequence_bitwise(p, q, scalar_field):
+    seqs, seeds = _weak_sequences(scalar_field)
+    want = [weak_norm(X, p, q, seed=s) for X, s in zip(seqs, seeds)]
+    assert weak_norm(seqs, p, q, seed=seeds) == want
+    assert want[2] == want[0] and want[-1] == 0.0
+
+
+def test_list_weak_norm_input_validation():
+    seqs = [np.eye(2), np.ones((1, 3))]
+    assert weak_norm([], 2, 2, seed=[]) == []
+    with pytest.raises(ValueError):
+        weak_norm(seqs, "1/2", 2, seed=[1, 2])
+    with pytest.raises(ValueError):
+        weak_norm(seqs, 2, "2/3", seed=[1, 2])
+    for p in (2, 3):   # the spectral and the ascent path
+        with pytest.raises(ValueError):
+            weak_norm([np.eye(2), np.ones((2, 2, 2))], p, 2, seed=[1, 2])
+        with pytest.raises(ValueError):
+            weak_norm([np.eye(2), np.ones((0, 3))], p, 2, seed=[1, 2])
+        with pytest.raises(ValueError):
+            weak_norm(seqs, p, 2, seed=[1])
+        with pytest.raises(ValueError):
+            weak_norm(seqs, p, 2, seed=[1, 2, 3])
+
+
 # ------------------------------------------------------------ comparison gap
 
 def _comparison_gap(W, p, q):
