@@ -656,9 +656,7 @@ def weak_norm(vectors, p: ExtLike, space_q: ExtLike, *, seed: int | Sequence[int
     if q < 1:
         raise ValueError(f"the container space needs q >= 1, got {q}")
     if p == 2 and q == 2:
-        # in the C-contiguous float64 or complex128 layout a pairing form holds
-        values = [spectral_norm(np.ascontiguousarray(X, dtype=np.result_type(X, np.float64))).value
-                  for X in mats]
+        values = [spectral_norm(X).value for X in mats]
     else:
         domain = ExponentVector((conjugate(p), conjugate(q)))
         ests = ascent_norms([MultilinearForm(X, domain_p=domain) for X in mats], seeds,
