@@ -585,7 +585,8 @@ def run_inclusion_instance(cfg: ExperimentConfig) -> ExperimentReport:
             raise ValueError(f"expected arity-{m} forms to match p and q")
 
     def denominators(pending):
-        """(base, target) weak-norm products of each pending (t, d, mats, ...)."""
+        """The (base, target) weak-norm products, in slot order, of each
+        pending (t, d, mats, num_base, num_target)."""
         weak = {}
         for o in orders:
             asked = [(i, k) for i in range(len(pending)) for k in range(m)
@@ -594,15 +595,9 @@ def run_inclusion_instance(cfg: ExperimentConfig) -> ExperimentReport:
                                seed=[child_seed(cfg.seed, *pending[i][:2], k, 7)
                                      for i, k in asked])
             weak.update(zip([(i, k, o) for i, k in asked], values))
-        dens = []
-        for i in range(len(pending)):
-            den_base = 1.0
-            den_target = 1.0
-            for k in range(m):
-                den_base *= weak[i, k, cfg.p[k]]
-                den_target *= weak[i, k, cfg.q[k]]
-            dens.append((den_base, den_target))
-        return dens
+        return [(math.prod(weak[i, k, cfg.p[k]] for k in range(m)),
+                 math.prod(weak[i, k, cfg.q[k]] for k in range(m)))
+                for i in range(len(pending))]
 
     def check(batch):
         quotients = {t: [0.0, 0.0] for t, _, _ in batch}   # (base, target) per trial
