@@ -41,9 +41,16 @@ Each block step is ``dual_argmax``, whose cost on the small blocks of most
 sweeps is a fixed number of NumPy calls, so an ascent trims it: each slot's
 order is resolved once into a ``_Ball`` holding its float exponents, a
 finite order takes one ``np.power`` per block, the zero-row guards run
-only when a block has an all-zero row, and a sweep asks only its last slot
-for the conjugate norm (``value=False`` elsewhere), since that is the only
-value it reports.
+only when a block has an all-zero row, a real block's maximizer takes its
+signs from the gradient by one ``np.copysign``, and a sweep asks only its
+last slot for the conjugate norm (``value=False`` elsewhere), since that is
+the only value it reports.
+
+The starts of a group are built as one block too (see ``_unit_starts``):
+each restart's stream fills one row with all its slots' Gaussian values in
+a single draw, and each slot block is normalized once for the whole group,
+so building them costs one child stream and one draw per restart plus a
+few NumPy calls per slot, and every start keeps the bits of its own stream.
 
 Weak norms of finite vector sequences are operator norms of the induced
 pairing, so ``weak_norm`` lives here too: an l_2 x l_2 pairing is one
@@ -149,9 +156,12 @@ def dual_argmax(c, p: ExtLike | _Ball, *, value: bool = True):
     power of the profile, which gives its norm, and the p*-th power of the
     modulus, which gives the value; at p = 1 all weight goes to the first
     modulus-maximal coordinate; at p = inf it is the conjugate phase vector.
-    Complex phases are conjugated so the attained pairing is real.  An
-    all-zero row gets the first unit vector and value 0; the guards for it
-    run only when such a row is present.
+    Complex phases are conjugated so the attained pairing is real.  A real
+    phase is -1 where c < 0 and +1 elsewhere, except for finite p > 1, where
+    the profile takes c's signs by ``np.copysign``: the same maximizer, save
+    that a zero entry where c is -0.0 is -0.0.  An all-zero row gets the
+    first unit vector and value 0; the guards for it run only when such a
+    row is present.
     """
     ball = p if isinstance(p, _Ball) else _Ball(p)
     c = np.asarray(c)
@@ -169,7 +179,7 @@ def dual_argmax(c, p: ExtLike | _Ball, *, value: bool = True):
             div[tiny] = np.abs(C[tiny])
         phase = np.conj(C) / div
         phase[mags == 0] = 1
-    else:
+    elif ball.kind != "finite":
         phase = np.where(C < 0, -1.0, 1.0)
     values = None
     if ball.kind == "1":
@@ -190,7 +200,11 @@ def dual_argmax(c, p: ExtLike | _Ball, *, value: bool = True):
         norms = sums ** ball.inv_e
         if zero is not None:
             norms = np.where(zero, 1.0, norms)
-        X = phase * (profile / norms[:, np.newaxis])
+        X = profile / norms[:, np.newaxis]
+        if C.dtype.kind == "c":
+            X = phase * X
+        else:
+            np.copysign(X, C, out=X)
         if value:
             values = scale * sums ** ball.inv_estar
     if zero is not None:
@@ -444,15 +458,35 @@ def _normalize_rows(A, order: ExtLike):
     return A
 
 
-def _unit_starts(T: MultilinearForm, restarts: int, seed: int) -> list:
-    """The seeded ascent starts: one (restarts, n_k) block per slot, row r
-    drawn from the child stream (seed, r), slot after slot, a Gaussian
-    vector (plus i times one for a complex form) redrawn while all zero,
-    then scaled onto the slot's unit sphere by ``_normalize_rows``."""
+def _unit_starts(T: MultilinearForm, restarts: int, seeds: Sequence[int]) -> list:
+    """The seeded ascent starts of a group of forms with T's dims, dtype and
+    domain, one per seed: one (K restarts, n_k) block per slot, rows
+    f restarts .. f restarts + restarts - 1 being the starts of seeds[f].
+
+    Start r of seed s is, slot after slot, a Gaussian vector (plus i times
+    one for a complex form) drawn from the child stream (s, r) and redrawn
+    while all zero, then scaled onto the slot's unit sphere.  The group's
+    starts are built as one block: each start takes one ``standard_normal``
+    draw of all its slots' values in that order (real then imaginary parts
+    per slot), which the stream gives exactly as it gives the slot-by-slot
+    draws, into one row of a (K restarts, width) array.  That array is split
+    per slot, and each slot block is normalized by one ``_normalize_rows``
+    call, which rounds row by row.  A start where some slot drew all zeros
+    is drawn again slot by slot with the redraw, so every start has the bits
+    of its own stream.
+    """
     cplx = T.is_complex
-    X = [np.empty((restarts, n), dtype=complex if cplx else float) for n in T.dims]
-    for r in range(restarts):
-        rng = child_rng(seed, r)
+    parts = 2 if cplx else 1
+    edges = np.cumsum((0,) + T.dims) * parts
+    D = np.empty((len(seeds) * restarts, edges[-1]))
+    for f, seed in enumerate(seeds):
+        for r in range(restarts):
+            child_rng(seed, r).standard_normal(out=D[f * restarts + r])
+    X = [D[:, a:a + n] + 1j * D[:, a + n:b] if cplx else D[:, a:b].copy()
+         for a, b, n in zip(edges[:-1], edges[1:], T.dims)]
+    drawn = np.logical_or.reduceat(D != 0, edges[:-1], axis=1)
+    for row in np.flatnonzero(~drawn.all(axis=1)):
+        rng = child_rng(seeds[row // restarts], row % restarts)
         for x in X:
             while True:
                 g = rng.standard_normal(x.shape[1])
@@ -460,7 +494,7 @@ def _unit_starts(T: MultilinearForm, restarts: int, seed: int) -> list:
                     g = g + 1j * rng.standard_normal(x.shape[1])
                 if g.any():
                     break
-            x[r] = g
+            x[row] = g
     return [_normalize_rows(x, p) for x, p in zip(X, T.domain_p)]
 
 
@@ -576,8 +610,8 @@ def _ascent_estimates(forms, seeds, restarts, tol, max_iters) -> list:
     each group as one block and take each form's best restart."""
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     out = [None] * len(forms)
@@ -593,9 +627,8 @@ def _ascent_estimates(forms, seeds, restarts, tol, max_iters) -> list:
                 break
         else:
             groups.append((T, [i]))
-    for _, members in groups:
-        starts = [_unit_starts(forms[i], restarts, seeds[i]) for i in members]
-        X = starts[0] if len(starts) == 1 else [np.concatenate(b) for b in zip(*starts)]
+    for first, members in groups:
+        X = _unit_starts(first, restarts, [seeds[i] for i in members])
         values, X, sweeps, converged = _ascend([forms[i] for i in members], X, tol, max_iters)
         for j, i in enumerate(members):
             rows = slice(j * restarts, (j + 1) * restarts)

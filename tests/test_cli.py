@@ -235,6 +235,19 @@ def test_a_spec_that_pins_what_an_option_sets_is_exit_2(argv, message, capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+@pytest.mark.parametrize("argv", [
+    ["norm", "op", "--form", "gauss:m=3", "--n", "4"],
+    ["verify", "--form", "gauss:m=3", "--n", "4"],
+], ids=["norm-op", "verify"])
+def test_a_non_finite_tol_is_exit_2(argv, tol, capsys):
+    # nan never freezes a row, and inf freezes every row after one sweep
+    assert main([*argv, "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: tol must be positive and finite, got {tol}\n"
+
+
 def test_bilinear_law_cli(capsys):
     assert main(["bilinear-law", "--form", "t0:n1=4,n2=64",
                  "--a", "1", "--b", "inf"]) == 0

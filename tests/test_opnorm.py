@@ -157,6 +157,52 @@ def test_dual_argmax_zero_row_guards_keep_the_other_rows_bits(p, shape, field):
     assert ball_X.tobytes() == plain_X.tobytes()
 
 
+def _signed_zero_block():
+    """A real block with +0.0 and -0.0 entries among nonzero ones, a row of
+    signed zeros alone and a row with a single nonzero entry."""
+    C = np.array([[1.5, -0.0, -2.0, 0.0, 3.0],
+                  [-0.0, 0.0, -0.0, -0.0, 0.0],
+                  [-0.0, -0.0, 0.25, -0.0, 0.0],
+                  [-4.0, 2.0, -0.0, 1.0, -1.0]])
+    assert np.signbit(C[C == 0]).any() and not np.signbit(C[C == 0]).all()
+    return C
+
+
+@pytest.mark.parametrize("p", ["4/3", "3/2", "2", "3", "7"])
+def test_dual_argmax_signs_signed_zeros_like_the_phase_multiply(p):
+    """For 1 < p < inf a real maximizer takes its signs from c by copysign.
+    Against the phase multiply, +-1 (c < 0 giving -1) times the maximizer
+    of |c|, the values are bit for bit the same and every entry compares
+    equal; only the sign of a zero entry where c is -0.0 may differ."""
+    C = _signed_zero_block()
+    values, X = dual_argmax(C, p)
+    ref_values, ref_X = dual_argmax(np.abs(C), p)
+    ref_X = np.where(C < 0, -1.0, 1.0) * ref_X
+    assert values.tobytes() == ref_values.tobytes()
+    assert (X == ref_X).all()
+    assert values[1] == 0.0
+    assert np.array_equal(X[1], [1, 0, 0, 0, 0]) and not np.signbit(X[1, 0])
+    # copysign: a zero entry carries the sign bit of its c
+    assert (np.signbit(X[[0, 2, 3]]) == np.signbit(C[[0, 2, 3]])).all()
+
+
+@pytest.mark.parametrize("p", ["1", "inf"])
+def test_dual_argmax_maps_negative_zero_to_plus_one_at_the_ends(p):
+    """At p = 1 and p = inf a real maximizer keeps the +-1 phase (c < 0
+    giving -1), so a -0.0 entry that gets weight gets +1, never -1."""
+    C = _signed_zero_block()
+    _, X = dual_argmax(C, p)
+    assert X[1, 0] == 1.0 and not np.signbit(X[1, 0])
+    if p == "inf":
+        rows = [0, 2, 3]   # row 1 is all zero and gets the first unit vector
+        zeros = C[rows] == 0
+        assert X[rows][zeros].tolist() == [1.0] * int(zeros.sum())
+        assert not np.signbit(X[rows][zeros]).any()
+    else:
+        assert X.tolist() == [[0, 0, 0, 0, 1], [1, 0, 0, 0, 0],
+                              [0, 0, 1, 0, 0], [-1, 0, 0, 0, 0]]
+
+
 @pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("p", ["5/4", "3/2", "2", "3", "4", "7"])
 def test_dual_argmax_block_values_norms_and_pairings(p, field):
@@ -574,7 +620,7 @@ def test_ascent_trace_is_nondecreasing(monkeypatch):
     for trial in range(10):
         T = MultilinearForm(rng.standard_normal((4, 4, 4)),
                             domain_p=("3", "3", "3"))
-        X = _unit_starts(T, 4, 100 + trial)
+        X = _unit_starts(T, 4, [100 + trial])
         recorded.clear()
         values, _, sweeps, converged = _ascend([T], X, 1e-10, 200)
         assert converged.all()
@@ -596,26 +642,86 @@ def test_ascent_trace_is_nondecreasing(monkeypatch):
         assert np.array_equal(counts, sweeps)
 
 
+def _one_vector_starts(T, restarts, seed, rng_of=child_rng):
+    """Restart r's start drawn one vector at a time: from the child stream
+    (seed, r), slot after slot, a Gaussian vector (plus i times one for a
+    complex form) redrawn while all zero, divided by its lp_norm."""
+    starts = []
+    for r in range(restarts):
+        rng = rng_of(seed, r)
+        row = []
+        for k, size in enumerate(T.dims):
+            while True:
+                g = rng.standard_normal(size)
+                if T.is_complex:
+                    g = g + 1j * rng.standard_normal(size)
+                if g.any():
+                    break
+            row.append(g / lp_norm(g, T.domain_p[k]))
+        starts.append(row)
+    return starts
+
+
 @pytest.mark.parametrize("p", ("1", "4/3", "3/2", "2", "3", "12/5", "inf"))
 @pytest.mark.parametrize("field", ("real", "complex"))
 def test_unit_starts_match_one_vector_at_a_time(p, field):
-    """The start blocks are drawn and normalized a block at a time, yet each
-    row is bit-identical to drawing restart r's vectors from the child
-    stream (seed, r), slot after slot, and dividing each by its lp_norm."""
+    """The start blocks of a group are drawn one start per row and
+    normalized a block at a time, yet each row is bit-identical to drawing
+    restart r's vectors from the child stream (seed, r), slot after slot,
+    and dividing each by its lp_norm; and each form's rows of a group of
+    three are byte for byte the starts of that form alone."""
+    seeds = (3, 0, 2)
     for n in (1, 3, 8):
-        for seed in range(4):
-            T = make_gaussian_random((n, n + 1), seed=1, scalar_field=field)
-            T = MultilinearForm(T.coeffs, domain_p=(p, "3"))
-            X = _unit_starts(T, 5, seed)
-            for r in range(5):
-                rng = child_rng(seed, r)
-                for k, size in enumerate(T.dims):
-                    g = rng.standard_normal(size)
-                    if field == "complex":
-                        g = g + 1j * rng.standard_normal(size)
-                    ref = g / lp_norm(g, T.domain_p[k])
-                    assert X[k][r].dtype == ref.dtype
-                    assert X[k][r].tobytes() == ref.tobytes()
+        T = make_gaussian_random((n, n + 1, 2), seed=1, scalar_field=field)
+        T = MultilinearForm(T.coeffs, domain_p=(p, "3", "inf" if p == "1" else "1"))
+        group = _unit_starts(T, 5, seeds)
+        for f, seed in enumerate(seeds):
+            X = _unit_starts(T, 5, [seed])
+            for k in range(T.arity):
+                assert group[k][5 * f:5 * f + 5].tobytes() == X[k].tobytes()
+            for r, ref in enumerate(_one_vector_starts(T, 5, seed)):
+                for k in range(T.arity):
+                    assert X[k][r].dtype == ref[k].dtype
+                    assert X[k][r].tobytes() == ref[k].tobytes()
+
+
+@pytest.mark.parametrize("field", ("real", "complex"))
+def test_unit_starts_redraw_a_slot_that_drew_all_zeros(field, monkeypatch):
+    """A start whose first draw for some slot is all zeros is drawn again
+    slot by slot, with that slot redrawn, exactly as the one-vector loop
+    draws it.  A stub stream zeroes the values at chosen positions of
+    chosen child streams, so both draw orders see the same values."""
+    T = make_gaussian_random((3, 4, 2), seed=1, scalar_field=field)
+    T = MultilinearForm(T.coeffs, domain_p=("3/2", "1", "inf"))
+    width = 2 if field == "complex" else 1
+    # (seed, restart) -> stream positions drawn as zero: slot 1's first
+    # draw of restart 2 under seed 8, and slot 0's of restart 0 under seed 5
+    zeroed = {(8, 2): range(3 * width, 7 * width), (5, 0): range(0, 3 * width)}
+    opened = []
+
+    class Stream:
+        def __init__(self, seed, r):
+            self.rng, self.zeros, self.pos = child_rng(seed, r), zeroed.get((seed, r), ()), 0
+            opened.append((seed, r))
+
+        def standard_normal(self, size=None, out=None):
+            g = self.rng.standard_normal(size, out=out)
+            for i in range(g.size):
+                if self.pos + i in self.zeros:
+                    g[i] = 0.0
+            self.pos += g.size
+            return g
+
+    monkeypatch.setattr(opnorm, "child_rng", Stream)
+    seeds = (5, 8, 1)
+    X = _unit_starts(T, 3, seeds)
+    # one stream per start, and one more for each start drawn again
+    assert sorted(opened[9:]) == sorted(zeroed)
+    for f, seed in enumerate(seeds):
+        for r, ref in enumerate(_one_vector_starts(T, 3, seed, Stream)):
+            for k in range(T.arity):
+                assert X[k][3 * f + r].tobytes() == ref[k].tobytes()
+            assert all(x.any() for x in ref)
 
 
 def test_ascent_sweep_counts_are_pinned():
@@ -782,7 +888,8 @@ def test_ascent_norms_validation():
     T = make_dot(2, 2)
     with pytest.raises(ValueError, match="seeds"):
         ascent_norms([T, T], [1])
-    for bad in ({"restarts": 0}, {"tol": 0.0}, {"max_iters": 0}):
+    for bad in ({"restarts": 0}, {"tol": 0.0}, {"tol": math.nan}, {"tol": math.inf},
+                {"max_iters": 0}):
         with pytest.raises(ValueError):
             ascent_norms([T, T], [1, 2], **bad)
 
