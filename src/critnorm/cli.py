@@ -32,7 +32,7 @@ from .harness import (
     run_sharpness,
     run_verify,
 )
-from .opnorm import operator_norm
+from .opnorm import check_ascent_settings, operator_norm
 from .tensor import load_tensor, mixed_norm
 from .witnesses import parse_form_spec
 
@@ -160,6 +160,7 @@ def _cmd_norm(args) -> int:
             orders = ExponentVector(args.exponents)
         print(_fmt(mixed_norm(T, orders)))
         return 0
+    check_ascent_settings(args.restarts, args.tol, args.max_iters)
     est = operator_norm(T, restarts=args.restarts, tol=args.tol,
                         max_iters=args.max_iters, seed=args.seed)
     print(json.dumps({"value": float(_fmt(est.value)), "method": est.method,

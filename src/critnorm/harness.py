@@ -44,7 +44,13 @@ from .exponents import (
     inclusion_exponents,
     inequality_constant,
 )
-from .opnorm import ascent_norms, is_spectral_case, spectral_norm, weak_norm
+from .opnorm import (
+    ascent_norms,
+    check_ascent_settings,
+    is_spectral_case,
+    spectral_norm,
+    weak_norm,
+)
 from .rng import child_rng, child_seed
 from .tensor import CHUNK_ELEMENTS, MultilinearForm, lp_norm, mixed_norm
 from .witnesses import FormFactory, parse_form_spec
@@ -93,6 +99,7 @@ class ExperimentConfig:
     max_iters: int = 500
 
     def __post_init__(self):
+        check_ascent_settings(self.restarts, self.tol, self.max_iters)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.datasets < 1:
@@ -279,7 +286,7 @@ def _run_trials(fac: FormFactory, cfg: ExperimentConfig, measure, check, domain_
             T = None   # no reference to the previous form while the next is built
             T = fac.make(n=cfg.n, seed=child_seed(cfg.seed, t, 0), domain_p=domain_p)
             value = measure(T)
-            size = max(1, CHUNK_ELEMENTS // T.coeffs.size)
+            size = max(1, CHUNK_ELEMENTS // math.prod(T.dims))
         batch.append((t, T, value))
         if len(batch) == size or t == cfg.trials - 1:
             records += check(batch)

@@ -604,16 +604,23 @@ def ascent_norms(forms, seeds, restarts: int = 16, tol: float = 1e-10,
     return _ascent_estimates(forms, seeds, restarts, tol, max_iters)
 
 
-def _ascent_estimates(forms, seeds, restarts, tol, max_iters) -> list:
-    """The engine of ``ascent_norm`` and ``ascent_norms``: validate the
-    settings, group the nonzero forms by dims, dtype and domain, ascend
-    each group as one block and take each form's best restart."""
+def check_ascent_settings(restarts, tol, max_iters) -> None:
+    """Raise ValueError unless restarts >= 1, 0 < tol < inf and
+    max_iters >= 1.  Every ascent checks them, and so do the runs that echo
+    them, so that a run whose norms are all exact refuses them too."""
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
+
+
+def _ascent_estimates(forms, seeds, restarts, tol, max_iters) -> list:
+    """The engine of ``ascent_norm`` and ``ascent_norms``: validate the
+    settings, group the nonzero forms by dims, dtype and domain, ascend
+    each group as one block and take each form's best restart."""
+    check_ascent_settings(restarts, tol, max_iters)
     out = [None] * len(forms)
     groups = []   # (first form, indices of the forms with its dims, dtype and domain)
     for i, T in enumerate(forms):

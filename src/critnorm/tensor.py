@@ -1,6 +1,6 @@
-"""Dense multilinear forms and their mixed and comparison norms.
+"""Multilinear forms and their mixed and comparison norms.
 
-An arity-m form on l_{p_1} x ... x l_{p_m} is stored as its dense coefficient
+An arity-m form on l_{p_1} x ... x l_{p_m} is read as its dense coefficient
 tensor a[j_1, ..., j_m] = T(e_{j_1}, ..., e_{j_m}), row-major, float64 or
 complex128.  The mixed norm nests one l_s reduction per axis, innermost axis
 first, with an infinite order meaning a running maximum; the leading modulus
@@ -9,14 +9,18 @@ nor underflow.  JSON interchange keeps the flat row-major coefficient list
 with complex entries as [re, im] pairs.  Weak norms of vector sequences
 are operator norms, so they live in critnorm.opnorm.
 
-Memory: a form's coefficient array is the only tensor-sized array that stays
-alive.  A form takes over an array that is already C-contiguous float64 or
-complex128, read-only, and owned by a read-only array (itself or its base),
-so the builders in critnorm.witnesses, ``from_dict`` and ``with_domain``
-make no second copy; any other array is copied.  The finiteness check and
-``mixed_norm`` work in chunks of at most ``CHUNK_ELEMENTS`` elements (or one
-leading-axis row, if a row is larger), so their scratch stays bounded
-whatever the tensor size.
+Memory: a form built from an array keeps that array as its only
+tensor-sized array.  A form takes over an array that is already
+C-contiguous float64 or complex128, read-only, and owned by a read-only
+array (itself or its base), so the builders in critnorm.witnesses,
+``from_dict`` and ``with_domain`` make no second copy; any other array is
+copied.  The finiteness check and ``mixed_norm`` work in chunks of at most
+``CHUNK_ELEMENTS`` elements (or one leading-axis row, if a row is larger),
+so their scratch stays bounded whatever the tensor size.  The diagonal
+witnesses (``make_dot``, ``make_partial_dot``) hold n nonzero entries of an
+n^m tensor, so they keep only their support: one index array per slot and
+the values.  Such a form builds its dense tensor on the first read of
+``coeffs``, and ``mixed_norm`` reduces the support without building it.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ def _critical_domain(m: int) -> ExponentVector:
 
 
 class MultilinearForm:
-    """Immutable dense m-linear form with per-slot domain orders.
+    """Immutable m-linear form with per-slot domain orders.
 
     The coefficients must be finite: a NaN or inf entry raises ValueError.
     ``domain_p`` defaults to the critical choice: every slot on l_m where m
@@ -69,9 +73,14 @@ class MultilinearForm:
     other input, a read-only view of a writeable array included, is copied.
     Finiteness is checked in chunks of ``CHUNK_ELEMENTS``, so beyond the
     coefficients themselves construction allocates at most one chunk.
+
+    A form made by ``_from_support`` keeps its real nonzero entries only.
+    ``dims``, ``arity`` and ``is_complex`` are stored apart from the
+    coefficients, and the read-only dense ``coeffs`` is built from the
+    support on its first read, once.
     """
 
-    __slots__ = ("coeffs", "domain_p", "analytic_norm")
+    __slots__ = ("_coeffs", "_support", "_dims", "_dtype", "domain_p", "analytic_norm")
 
     def __init__(self, coeffs, domain_p=None, analytic_norm=None):
         arr = np.asarray(coeffs)
@@ -90,15 +99,33 @@ class MultilinearForm:
         for i in range(0, flat.size, CHUNK_ELEMENTS):
             if not np.isfinite(flat[i:i + CHUNK_ELEMENTS]).all():
                 raise ValueError("coefficients must be finite; the tensor holds NaN or inf")
-        self.coeffs = arr
+        self._coeffs, self._support = arr, None
+        self._set_layout(arr.shape, arr.dtype, domain_p, analytic_norm)
+
+    @classmethod
+    def _from_support(cls, dims, index, values, domain_p=None, analytic_norm=None):
+        """A real form from its nonzero entries: entry i sits at
+        (index[0][i], ..., index[m-1][i]) and holds values[i].  The entries
+        must be distinct and in row-major order; the caller guarantees it.
+        A NaN or inf value raises ValueError."""
+        values = np.asarray(values, dtype=np.float64)
+        if not np.isfinite(values).all():
+            raise ValueError("coefficients must be finite; the support holds NaN or inf")
+        T = cls.__new__(cls)
+        T._coeffs, T._support = None, (tuple(index), values)
+        T._set_layout(tuple(dims), np.dtype(np.float64), domain_p, analytic_norm)
+        return T
+
+    def _set_layout(self, dims, dtype, domain_p, analytic_norm):
+        self._dims, self._dtype = dims, dtype
         if domain_p is None:
-            domain_p = _critical_domain(arr.ndim)
+            domain_p = _critical_domain(len(dims))
         else:
             if not isinstance(domain_p, ExponentVector):
                 domain_p = ExponentVector(domain_p)
-            if len(domain_p) != arr.ndim:
+            if len(domain_p) != len(dims):
                 raise ValueError(
-                    f"domain orders: expected {arr.ndim} entries, got {len(domain_p)}"
+                    f"domain orders: expected {len(dims)} entries, got {len(domain_p)}"
                 )
             for i, e in enumerate(domain_p, start=1):
                 if e < 1:
@@ -107,16 +134,28 @@ class MultilinearForm:
         self.analytic_norm = None if analytic_norm is None else float(analytic_norm)
 
     @property
+    def coeffs(self) -> np.ndarray:
+        """The read-only dense coefficient tensor (built from the support on
+        first read when the form keeps one)."""
+        if self._coeffs is None:
+            index, values = self._support
+            arr = np.zeros(self._dims)
+            arr[index] = values
+            arr.setflags(write=False)
+            self._coeffs = arr
+        return self._coeffs
+
+    @property
     def arity(self) -> int:
-        return self.coeffs.ndim
+        return len(self._dims)
 
     @property
     def dims(self) -> tuple[int, ...]:
-        return self.coeffs.shape
+        return self._dims
 
     @property
     def is_complex(self) -> bool:
-        return np.iscomplexobj(self.coeffs)
+        return self._dtype == np.complex128
 
     @property
     def scalar_field(self) -> str:
@@ -125,8 +164,10 @@ class MultilinearForm:
     def with_domain(self, domain_p) -> "MultilinearForm":
         """Same coefficients on different unit balls (analytic metadata drops,
         since a closed-form norm is tied to its domain).  The two forms share
-        one coefficient array."""
-        return MultilinearForm(self.coeffs, domain_p)
+        one coefficient array, or one support."""
+        if self._support is None:
+            return MultilinearForm(self._coeffs, domain_p)
+        return MultilinearForm._from_support(self._dims, *self._support, domain_p=domain_p)
 
     def __repr__(self):
         shape = "x".join(map(str, self.dims))
@@ -156,9 +197,9 @@ def mixed_norm(T, orders) -> float:
     factored out first, which makes the result exactly homogeneous and keeps
     large orders stable.  A non-finite maximum modulus raises ValueError.
     Where a level holds zeros only its nonzero entries are raised to the
-    power (0^e = 0, so the sums are the same bits); on sparse tensors such
-    as the dot forms this skips nearly all of the work.  Accepts a form or
-    a bare array.
+    power (0^e = 0, so the sums are the same bits); on mostly-zero arrays
+    such as a ``t0`` tensor this skips nearly all of the work.  Accepts a
+    form or a bare array.
 
     A tensor of more than ``CHUNK_ELEMENTS`` elements is reduced in chunks
     of leading-axis rows, each at most ``CHUNK_ELEMENTS`` elements or one
@@ -167,11 +208,23 @@ def mixed_norm(T, orders) -> float:
     the per-row results.  A row's sums do not depend on the rows beside it,
     so the result is bit for bit that of a single chunk, and the scratch
     stays at a few chunks instead of a tensor-sized copy of the moduli.
+
+    A form that keeps only its support (see ``MultilinearForm``) is reduced
+    from the support, one level at a time, without its dense tensor: each
+    level raises the moduli to the power, sums (or takes the maximum of)
+    each run of entries that share an index prefix, and takes the same root
+    as the dense path.  Absent entries are zeros, which add nothing, so on
+    the 0/1 supports of the diagonal witnesses, where every sum is an exact
+    count or a single term, the result has the dense path's bits.
     """
-    arr = T.coeffs if isinstance(T, MultilinearForm) else np.asarray(T)
     s = orders if isinstance(orders, ExponentVector) else ExponentVector(orders)
-    if len(s) != arr.ndim:
-        raise ValueError(f"expected {arr.ndim} orders for arity {arr.ndim}, got {len(s)}")
+    form = isinstance(T, MultilinearForm)
+    m = T.arity if form else np.ndim(T)
+    if len(s) != m:
+        raise ValueError(f"expected {m} orders for arity {m}, got {len(s)}")
+    if form and T._support is not None:
+        return _support_norm(*T._support, s)
+    arr = T.coeffs if form else np.asarray(T)
     if arr.size == 0:
         return 0.0
     rows = CHUNK_ELEMENTS * arr.shape[0] // arr.size
@@ -191,6 +244,34 @@ def mixed_norm(T, orders) -> float:
     for i in starts:
         heads[i:i + rows] = _reduce_levels(np.abs(arr[i:i + rows]), inner, scale)
     return float(_reduce_levels(heads, (outer,))) * scale
+
+
+def _support_norm(index, values, s) -> float:
+    """``mixed_norm`` of the form whose nonzero entries sit at the row-major
+    ``index`` with ``values``.  Level k groups the entries left by level
+    k + 1 into runs of equal (j_1, ..., j_k); the outermost level reduces
+    all of them to a scalar, as the dense path's last level does, so each
+    root acts on an array or a scalar just as it does there."""
+    work = np.abs(values)
+    scale = float(work.max())
+    work /= scale
+    for k in reversed(range(len(s))):
+        order = s[k]
+        if k:
+            heads = np.zeros(work.size, dtype=bool)
+            heads[0] = True
+            for axis in index[:k]:
+                heads[1:] |= axis[1:] != axis[:-1]
+            starts = np.flatnonzero(heads)
+            index = [axis[starts] for axis in index[:k]]
+        if not order.is_inf:
+            e = float(order.fraction)
+            np.power(work, e, out=work)
+        op = np.maximum if order.is_inf else np.add
+        work = op.reduceat(work, starts) if k else op.reduce(work)
+        if not order.is_inf:
+            work = work ** (1.0 / e)
+    return float(work) * scale
 
 
 def _finite_scale(top) -> float:

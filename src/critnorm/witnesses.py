@@ -47,6 +47,10 @@ def make_partial_dot(m: int, n: int, r: int) -> MultilinearForm:
     attained by uniform vectors n^(-1/m)(1,...,1) with the pinned slots at
     e_1.  The same argument extends past r = 2, where the value is
     cross-checked numerically rather than quoted.
+
+    The form keeps its n unit entries (j, ..., j) with the pinned indices 0,
+    so building it and taking its mixed norms cost O(m n); its dense n^m
+    tensor is built only if ``coeffs`` is read.
     """
     if m < 2:
         raise ValueError(f"arity must be >= 2, got {m}")
@@ -54,11 +58,9 @@ def make_partial_dot(m: int, n: int, r: int) -> MultilinearForm:
         raise ValueError(f"dimension must be >= 1, got {n}")
     if not 0 <= r <= m - 2:
         raise ValueError(f"pinned slots must satisfy 0 <= r <= m-2, got r = {r}")
-    coeffs = np.zeros((n,) * m)
-    idx = tuple(np.zeros(n, dtype=int) for _ in range(r)) + \
-        tuple(np.arange(n) for _ in range(m - r))
-    coeffs[idx] = 1.0
-    return MultilinearForm(_frozen(coeffs), analytic_norm=float(n) ** (r / m))
+    index = (np.zeros(n, dtype=int),) * r + (np.arange(n),) * (m - r)
+    return MultilinearForm._from_support((n,) * m, index, np.ones(n),
+                                         analytic_norm=float(n) ** (r / m))
 
 
 def make_t0(n1: int, n2: int) -> MultilinearForm:

@@ -248,6 +248,30 @@ def test_a_non_finite_tol_is_exit_2(argv, tol, capsys):
     assert captured.err == f"error: tol must be positive and finite, got {tol}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--form", "gauss:dims=4x4", "--tol", "nan"],
+     "tol must be positive and finite, got nan"),
+    (["verify", "--form", "gauss:dims=4x4", "--tol", "-1", "--restarts", "0"],
+     "restarts must be >= 1"),
+    (["verify", "--form", "dot:m=3", "--n", "8", "--restarts", "0"],
+     "restarts must be >= 1"),
+    (["verify", "--form", "dot:m=3", "--n", "8", "--max-iters", "0"],
+     "max_iters must be >= 1"),
+    (["norm", "op", "--form", "gauss:dims=4x4", "--tol", "0"],
+     "tol must be positive and finite, got 0.0"),
+], ids=["exact-nan-tol", "exact-bad-tol-and-restarts", "analytic-restarts",
+        "analytic-max-iters", "norm-op-exact"])
+def test_bad_ascent_settings_are_exit_2_when_no_ascent_runs(argv, message, tmp_path, capsys):
+    """Every norm of these runs is exact, so no ascent would look at the
+    settings; the run refuses them anyway and writes no report."""
+    out = tmp_path / "r.json"
+    assert main([*argv, *(["--out", str(out)] if argv[0] == "verify" else [])]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_bilinear_law_cli(capsys):
     assert main(["bilinear-law", "--form", "t0:n1=4,n2=64",
                  "--a", "1", "--b", "inf"]) == 0

@@ -57,6 +57,20 @@ def test_config_validation():
         ExperimentConfig(experiment="verify", constant="two")
 
 
+@pytest.mark.parametrize("settings, message", [
+    ({"restarts": 0}, "restarts must be >= 1"),
+    ({"tol": math.nan}, "tol must be positive and finite"),
+    ({"tol": math.inf}, "tol must be positive and finite"),
+    ({"tol": -1.0}, "tol must be positive and finite"),
+    ({"max_iters": 0}, "max_iters must be >= 1"),
+])
+def test_config_refuses_bad_ascent_settings(settings, message):
+    """Checked with the config, so a run whose norms are all exact, which
+    never starts an ascent, refuses them too."""
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(experiment="verify", form="dot:m=3", n=8, **settings)
+
+
 # ---------------------------------------------------------------- growth fit
 
 def test_fit_growth_recovers_an_exact_power_law():
@@ -310,13 +324,14 @@ def test_sharpness_retries_a_low_first_estimate(monkeypatch):
 
 
 def test_sharpness_releases_each_form_before_building_the_next(traced_peak):
-    """The 40**4 form of the last point is built after the 32**4 one is
-    released, so the run's peak stays within 1.2 times the largest tensor."""
-    cfg = ExperimentConfig(experiment="sharpness", form="partial:m=4,r=1",
-                           sweep=(8, 16, 24, 32, 40))
+    """The 64 x 65536 form of the last point is built after the 64 x 32768
+    one is released, so the run's peak stays within 1.2 times the largest
+    tensor.  (t0 forms are dense; the diagonal witnesses keep no tensor.)"""
+    cfg = ExperimentConfig(experiment="sharpness", form="t0:n1=64",
+                           sweep=(8192, 16384, 32768, 65536))
     rep, peak = traced_peak(lambda: run_sharpness(cfg))
     assert rep.violations == 0
-    assert peak <= 1.2 * 40 ** 4 * 8
+    assert peak <= 1.2 * 64 * 65536 * 8
 
 
 def test_verify_releases_each_form_before_building_the_next(traced_peak):
@@ -328,6 +343,32 @@ def test_verify_releases_each_form_before_building_the_next(traced_peak):
                            trials=3, restarts=2, max_iters=4)
     _, peak = traced_peak(lambda: run_verify(cfg))
     assert peak <= 1.75 * 64 ** 3 * 16
+
+
+@pytest.mark.parametrize("run, cfg", [
+    (run_verify, ExperimentConfig(experiment="verify", form="dot:m=4", n=40, trials=3)),
+    (run_sharpness, ExperimentConfig(experiment="sharpness", form="partial:m=4,r=1",
+                                     sweep=(8, 16, 24, 32, 40))),
+], ids=["verify-dot", "sharpness-partial"])
+def test_witness_runs_never_build_a_dense_tensor(run, cfg, traced_peak):
+    """A diagonal witness keeps its n nonzero entries, its mixed norm is
+    reduced from them and its norm is closed-form, so a run over 40**4
+    witnesses (20 MB each when dense) stays under 64 KB."""
+    rep, peak = traced_peak(lambda: run(cfg))
+    assert rep.violations == 0
+    assert peak < 64 * 1024
+
+
+def test_sharpness_reaches_n_1024_on_a_pinned_witness():
+    """Under the printed orders partial:m=3,r=1 grows like n^(1/12); from
+    n = 128 on its closed-form ratio exceeds the constant, a certified
+    violation.  The dense tensor at n = 1024 would take 8.6 GB."""
+    cfg = ExperimentConfig(experiment="sharpness", form="partial:m=3,r=1",
+                           sweep=(64, 128, 256, 512, 1024), variant="printed")
+    rep = run_sharpness(cfg)
+    assert rep.growth["slope"] == pytest.approx(1 / 12, abs=1e-12)
+    assert [rec["n"] for rec in rep.trials if rec["violation"]] == [128, 256, 512, 1024]
+    assert {rec["method"] for rec in rep.trials} == {"analytic"}
 
 
 @pytest.mark.parametrize("extra", [{"trials": 5}, {"n": 99}, {"trials": 5, "n": 99}])

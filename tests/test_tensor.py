@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from critnorm import tensor
 from critnorm import (
+    VARIANTS,
     ExponentVector,
     MultilinearForm,
     conjugate,
@@ -287,6 +288,56 @@ def test_chunked_mixed_norm_is_bit_identical_to_one_chunk(name, chunk, monkeypat
     assert [v.hex() for v in chunked] == [v.hex() for v in whole]
 
 
+def _support_cases():
+    """(m, r, n) of every pinned diagonal checked against its dense tensor:
+    m = 2..6, r = 0..m-2, n capped at 8 from m = 5 on."""
+    return [(m, r, n) for m in range(2, 7) for r in range(m - 1)
+            for n in (1, 2, 3, 5, 8, 13, 24, 40) if m < 5 or n <= 8]
+
+
+@pytest.mark.parametrize("m, r, n", _support_cases())
+def test_support_mixed_norm_has_the_dense_bits(m, r, n):
+    """A witness's mixed norm, reduced from its n nonzero entries, equals the
+    one reduced from its dense tensor under ==, for every variant and for
+    orders with inf at an inner level."""
+    T = make_partial_dot(m, n, r)
+    families = [critical_exponents(m, v) for v in VARIANTS]
+    families += [ExponentVector(("inf", "3", "12/5", "inf", "1", "5/3")[:m]),
+                 ExponentVector(("7/3",) * (m - 1) + ("inf",)),
+                 ExponentVector((("3/2", "inf") * 3)[:m]),
+                 ExponentVector.uniform("1", m), ExponentVector.uniform("inf", m)]
+    dense = T.coeffs
+    for orders in families:
+        assert mixed_norm(T, orders) == mixed_norm(dense, orders), orders
+
+
+@pytest.mark.parametrize("dims", [(4, 5), (3, 4, 5), (2, 3, 2, 4), (1, 6, 1, 3)])
+def test_a_general_support_reduces_to_the_dense_value(dims):
+    """Runs of equal index prefixes are found on every leading slot, not on
+    the last one alone: a random sparse support agrees with its dense
+    tensor up to summation order."""
+    rng = np.random.default_rng(31)
+    flat = np.flatnonzero(rng.random(math.prod(dims)) < 0.4)
+    flat = flat if flat.size else np.array([0])
+    values = rng.standard_normal(flat.size)
+    T = MultilinearForm._from_support(dims, np.unravel_index(flat, dims), values)
+    m = len(dims)
+    for orders in [critical_exponents(m), ExponentVector.uniform("3/2", m),
+                   ExponentVector((("inf", "7/3") * 2)[:m]),
+                   ExponentVector((("2", "inf") * 2)[:m])]:
+        assert mixed_norm(T, orders) == pytest.approx(mixed_norm(T.coeffs, orders), rel=1e-13)
+
+
+def test_a_support_refuses_non_finite_values_and_mismatched_orders():
+    index = (np.arange(3), np.arange(3))
+    with pytest.raises(ValueError, match="finite"):
+        MultilinearForm._from_support((3, 3), index, [1.0, np.nan, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        MultilinearForm._from_support((3, 3), index, [1.0, 1.0, np.inf])
+    with pytest.raises(ValueError, match="expected 2 orders"):
+        mixed_norm(make_dot(2, 3), "2,2,2")
+
+
 def test_all_inf_mixed_norm_is_the_max_modulus():
     rng = np.random.default_rng(11)
     A = rng.standard_normal((3, 4, 5))
@@ -465,12 +516,21 @@ def test_comparison_gap_is_nonnegative(A, data):
 # traced_peak fixture), so each bound is exact rather than a loose RSS read.
 
 def test_mixed_norm_scratch_is_bounded_by_the_chunk(traced_peak):
-    T = make_dot(4, 40)
-    assert T.coeffs.size > 4 * tensor.CHUNK_ELEMENTS
-    value, peak = traced_peak(lambda: mixed_norm(T, critical_exponents(4)))
+    # the dense tensor, so the chunked path runs (the form itself takes the support path)
+    A = make_dot(4, 40).coeffs
+    assert A.size > 4 * tensor.CHUNK_ELEMENTS
+    value, peak = traced_peak(lambda: mixed_norm(A, critical_exponents(4)))
     assert value == 1.0
     # one chunk of float64 moduli plus its zero mask, never two chunks
     assert peak <= 1.5 * tensor.CHUNK_ELEMENTS * 8
+
+
+def test_a_witness_and_its_mixed_norm_stay_within_64_kb(traced_peak):
+    """make_dot(4, 40) keeps its 40 entries, not its 20 MB tensor, and its
+    mixed norm is reduced from them."""
+    value, peak = traced_peak(lambda: mixed_norm(make_dot(4, 40), critical_exponents(4)))
+    assert value == 1.0
+    assert peak < 64 * 1024
 
 
 # ------------------------------------------------------------------ interchange

@@ -151,6 +151,44 @@ def test_builders_hand_their_array_to_the_form(traced_peak):
         assert form.coeffs.flags.owndata and not form.coeffs.flags.writeable
 
 
+def _dense_partial_dot(m, n, r):
+    """The diagonal witness as a dense builder makes it: zeros, then ones
+    at (0, ..., 0, j, ..., j) by index assignment."""
+    coeffs = np.zeros((n,) * m)
+    coeffs[(np.zeros(n, dtype=int),) * r + (np.arange(n),) * (m - r)] = 1.0
+    return coeffs
+
+
+@pytest.mark.parametrize("m, n, r", [(2, 1, 0), (2, 7, 0), (3, 5, 1), (4, 6, 2), (5, 3, 3)])
+def test_witness_coefficients_are_built_once_with_the_dense_bytes(m, n, r):
+    T = make_partial_dot(m, n, r)
+    A = T.coeffs
+    assert A.tobytes() == _dense_partial_dot(m, n, r).tobytes()
+    assert A.shape == T.dims and A.dtype == np.float64
+    assert not A.flags.writeable
+    assert T.coeffs is A
+
+
+def test_witness_metadata_does_not_build_the_coefficients(traced_peak):
+    """dims, arity, is_complex, repr, with_domain and mixed_norm read the
+    support alone: the 20 MB tensor of make_dot(4, 40) is first allocated
+    when coeffs is read."""
+    T = make_dot(4, 40)
+
+    def metadata():
+        U = T.with_domain((2, 4, 4, 4))
+        return (T.dims, T.arity, T.is_complex, repr(T), U.dims, repr(U),
+                mixed_norm(U, critical_exponents(4)))
+
+    (dims, arity, is_complex, text, udims, utext, value), peak = traced_peak(metadata)
+    assert (dims, arity, is_complex, udims) == ((40,) * 4, 4, False, (40,) * 4)
+    assert text == "MultilinearForm(real 40x40x40x40 on l_(4, 4, 4, 4))"
+    assert "on l_(2, 4, 4, 4)" in utext and value == 1.0
+    assert peak < 64 * 1024
+    _, peak = traced_peak(lambda: T.coeffs)
+    assert peak >= 40 ** 4 * 8
+
+
 def test_sign_random_peaks_at_one_tensor(traced_peak):
     """The sign draws go slice by slice into the float64 tensor, so no int64
     copy of it is made: the peak is the tensor plus the form's finiteness
