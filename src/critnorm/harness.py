@@ -13,12 +13,15 @@ them in every trial; ascent denominators still draw per-trial seeds.
 Ratio denominators prefer a form's closed-form norm and otherwise
 fall back to the exact singular value or the seeded ascent; ascent is a
 lower bound, which can only inflate ratios, so violation counts err on the
-loud side.  Verify, sharpness and base-hl share one trial check: an
-ascent-backed violation is retried with four times the restarts before it
-is reported.  Trials run in batches of consecutive trials, up to
-``CHUNK_ELEMENTS`` coefficients in all, whose ascent denominators (and then
-their retries) are taken in one ``ascent_norms`` call; an estimate does not
-depend on the batch it is taken in, so neither do the reports.  Every
+loud side.  The method is chosen in one place, as each trial's form is
+built: a trial with an exact denominator is recorded there and then, and
+its form released before the next is built.  Only trials that wait for an
+ascent run in batches of consecutive trials, up to ``CHUNK_ELEMENTS``
+ascent coefficients in all, whose denominators (and then their retries)
+are taken in one ``ascent_norms`` call; an estimate does not depend on the
+batch it is taken in, so neither do the reports.  Verify, sharpness and
+base-hl share one trial check: an ascent-backed violation is retried with
+four times the restarts before it is reported.  Every
 verdict is ``not ratio <= limit``, so a NaN ratio is a violation.  A
 report's config block echoes only the settings its experiment reads
 (``READS``).  Floating output is written at 12 significant digits.
@@ -263,34 +266,52 @@ def _resolve_exponents(cfg: ExperimentConfig, arity: int) -> ExponentVector:
     return s
 
 
-def _run_trials(fac: FormFactory, cfg: ExperimentConfig, measure, check, domain_p=None):
-    """The records of a run's trials, in trial order, taken batch by batch.
+def _run_trials(fac: FormFactory, cfg: ExperimentConfig, measure, settle, check,
+                domain_p=None, ns=None):
+    """The records of a run's trials, in trial order.
 
-    Trial t draws its form from the child seed (t, 0), and ``measure(T)``
-    is taken as the form is built.  Consecutive trials form a batch of up to
-    ``CHUNK_ELEMENTS`` coefficients in all, at least one trial (every trial
-    of a run has the first one's dims), and ``check(batch)`` turns a list of
-    (t, T, measure(T)) into their records.  A batch's forms are released
-    before the next batch is built, so at most one batch and one form are
-    alive at a time.  A spec that leaves no seed free
-    (``FormFactory.takes_seed``) gives every trial the same form, so it is
-    built and measured once and repeated.  A spec that pins seed= runs one
-    trial only: more would count one form many times.
+    Trial t builds its form at ``ns[t]`` (by default ``cfg.n`` for each of
+    ``cfg.trials`` trials) from the child seed (t, 0), and ``measure(T)``
+    is taken as the form is built.  This is the one place a trial's
+    denominator method is chosen: when ``settle`` is given and T's norm is
+    known exactly (``_exact_norm``), ``settle(t, T, value, norm, method)``
+    is the trial's record, written at once, and the form is released before
+    the next trial is built.  Every other trial waits in a batch of
+    consecutive trials of one n, up to ``CHUNK_ELEMENTS`` coefficients in
+    all (at least one trial), and ``check(batch)`` turns a list of
+    (t, T, measure(T)) into their records; a batch's forms are released
+    before the next batch is built.  A spec that leaves no seed free
+    (``FormFactory.takes_seed``) gives every trial of one n the same form,
+    so it is built, measured and settled once and repeated.  A spec that
+    pins seed= runs one trial only: more would count one form many times.
     """
     if cfg.trials > 1 and "seed" in fac.params:
         raise ValueError(f"the form spec pins seed={fac.params['seed']}, so all "
                          f"{cfg.trials} trials would be one form; drop seed= or run one trial")
-    records, batch, size, T = [], [], 1, None
-    for t in range(cfg.trials):
-        if T is None or fac.takes_seed:
+    ns = (cfg.n,) * cfg.trials if ns is None else ns
+    records, batch, T = [None] * len(ns), [], None
+
+    def flush():
+        for (u, _, _), rec in zip(batch, check(batch)):
+            records[u] = rec
+        batch.clear()
+
+    for t, n in enumerate(ns):
+        if batch and n != ns[t - 1]:
+            flush()
+        if T is None or fac.takes_seed or n != ns[t - 1]:
             T = None   # no reference to the previous form while the next is built
-            T = fac.make(n=cfg.n, seed=child_seed(cfg.seed, t, 0), domain_p=domain_p)
+            T = fac.make(n=n, seed=child_seed(cfg.seed, t, 0), domain_p=domain_p)
             value = measure(T)
-            size = max(1, CHUNK_ELEMENTS // math.prod(T.dims))
-        batch.append((t, T, value))
-        if len(batch) == size or t == cfg.trials - 1:
-            records += check(batch)
-            batch = []
+            exact = _exact_norm(T) if settle else None
+        if exact is not None:
+            records[t] = settle(t, T, value, *exact)
+        else:
+            batch.append((t, T, value))
+            if (len(batch) + 1) * math.prod(T.dims) > CHUNK_ELEMENTS:
+                flush()
+    if batch:
+        flush()
     return records
 
 
@@ -305,25 +326,20 @@ def _exact_norm(T: MultilinearForm):
 
 
 def _check_trials(batch, C: float, cfg: ExperimentConfig) -> list:
-    """Check lhs <= C * ||T|| for each (t, T, lhs) of ``batch``: one record
-    of norm, method, ratio, retried and violation per trial, in order.
+    """Check lhs <= C * ||T|| for each (t, T, lhs) of ``batch``, trials
+    whose norm only the ascent gives: one record of norm, method, ratio,
+    retried and violation per trial, in order.
 
-    Exact norms are taken trial by trial.  The other trials' ascent
-    denominators are taken in one ``ascent_norms`` call, trial t seeded
-    from (t, 1); those whose ratio exceeds C * (1 + SLACK_ASCENT) are then
-    retried together in one more call at four times the restarts, seeded
-    from (t, 2).  A trial's estimate does not depend on the trials beside
-    it, so records match a check of one trial at a time.  The verdict is
-    ``not ratio <= limit``, so a NaN ratio is a violation, never a pass.
+    The batch's denominators are taken in one ``ascent_norms`` call, trial t
+    seeded from (t, 1); those whose ratio exceeds C * (1 + SLACK_ASCENT)
+    are then retried together in one more call at four times the restarts,
+    seeded from (t, 2).  A trial's estimate does not depend on the trials
+    beside it, so records match a check of one trial at a time.  The
+    verdict is ``not ratio <= limit``, so a NaN ratio is a violation, never
+    a pass.
     """
     records = {}
-    pending = []
-    for t, T, lhs in batch:
-        exact = _exact_norm(T)
-        if exact is None:
-            pending.append((t, T, lhs))
-        else:
-            records[t] = _verdict(lhs, *exact, C, retried=False)
+    pending = batch
     for path, restarts in ((1, cfg.restarts), (2, 4 * cfg.restarts)):
         if not pending:
             break
@@ -337,6 +353,21 @@ def _check_trials(batch, C: float, cfg: ExperimentConfig) -> list:
                 flagged.append((t, T, lhs))
         pending = flagged
     return [records[t] for t, _, _ in batch]
+
+
+def _ratio_checks(cfg: ExperimentConfig, limit, row):
+    """The ``settle`` and ``check`` of ``_run_trials`` for a run that checks
+    lhs <= C * ||T||, C = ``limit()``: an exact denominator gives its
+    verdict at once, the others go through ``_check_trials``, and
+    ``row(t, T, lhs, verdict)`` makes a trial's record of its verdict."""
+
+    def settle(t, T, lhs, norm, method):
+        return row(t, T, lhs, _verdict(lhs, norm, method, limit(), retried=False))
+
+    def check(batch):
+        return [row(*trial, rec) for trial, rec in zip(batch, _check_trials(batch, limit(), cfg))]
+
+    return settle, check
 
 
 def _verdict(lhs: float, norm: float, method: str, C: float, retried: bool) -> dict:
@@ -365,11 +396,26 @@ def _summary(records, extra: dict | None = None) -> dict:
     return out
 
 
-def _trial_records(batch, C: float, cfg: ExperimentConfig) -> list:
-    """The verify and base-hl records of a batch: trial, dims, lhs and the
-    checked ratio (see ``_check_trials``)."""
-    return [{"trial": t, "dims": "x".join(map(str, T.dims)), "lhs": lhs, **rec}
-            for (t, T, lhs), rec in zip(batch, _check_trials(batch, C, cfg))]
+class _CriticalLhs:
+    """The lhs ``mixed_norm(T, s)`` of verify and sharpness.  The orders s
+    (the configured ones or the critical variant) and the constant C are
+    resolved from the first form's arity, which every form of a run has."""
+
+    s = C = None
+
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg = cfg
+
+    def __call__(self, T: MultilinearForm) -> float:
+        if self.s is None:
+            self.s = _resolve_exponents(self.cfg, T.arity)
+            self.C = inequality_constant(T.arity, self.cfg.constant).value
+        return mixed_norm(T, self.s)
+
+
+def _trial_row(t, T, lhs, verdict) -> dict:
+    """A verify or base-hl record: trial, dims, lhs and the checked ratio."""
+    return {"trial": t, "dims": "x".join(map(str, T.dims)), "lhs": lhs, **verdict}
 
 
 def run_verify(cfg: ExperimentConfig) -> ExperimentReport:
@@ -381,18 +427,10 @@ def run_verify(cfg: ExperimentConfig) -> ExperimentReport:
     available and the seeded ascent otherwise (slack 0.05, retried at 4x
     restarts before a violation is reported).
     """
-    s = C = None
-
-    def lhs_of(T):
-        nonlocal s, C
-        if s is None:   # every trial's form has the first one's arity
-            s = _resolve_exponents(cfg, T.arity)
-            C = inequality_constant(T.arity, cfg.constant).value
-        return mixed_norm(T, s)
-
-    records = _run_trials(_factory(cfg), cfg, lhs_of, lambda batch: _trial_records(batch, C, cfg))
-    summary = _summary(records, {"constant": C})
-    return ExperimentReport("verify", _echo(cfg, "verify", {"exponents_used": str(s)}),
+    lhs = _CriticalLhs(cfg)
+    records = _run_trials(_factory(cfg), cfg, lhs, *_ratio_checks(cfg, lambda: lhs.C, _trial_row))
+    summary = _summary(records, {"constant": lhs.C})
+    return ExperimentReport("verify", _echo(cfg, "verify", {"exponents_used": str(lhs.s)}),
                             records, summary)
 
 
@@ -414,25 +452,18 @@ def run_sharpness(cfg: ExperimentConfig) -> ExperimentReport:
     if not fac.takes_n:
         raise ValueError(f"the form spec pins the swept dimension: every n in "
                          f"{','.join(map(str, cfg.sweep))} would build the same form")
-    records = []
-    pts = []
-    s = None
-    C = None
-    for i, n in enumerate(cfg.sweep):
-        T = None   # no reference to the previous point's form while this one is built
-        T = fac.make(n=n, seed=child_seed(cfg.seed, i, 0))
-        if s is None:
-            s = _resolve_exponents(cfg, T.arity)
-            C = inequality_constant(T.arity, cfg.constant).value
-        lhs = mixed_norm(T, s)
-        rec = {"n": n, "lhs": lhs, **_check_trials([(i, T, lhs)], C, cfg)[0]}
-        del rec["retried"]   # the sharpness report keeps its columns
-        pts.append((n, rec["ratio"]))
-        records.append(rec)
+    lhs = _CriticalLhs(cfg)
+
+    def row(i, T, value, verdict):
+        del verdict["retried"]   # the sharpness report keeps its columns
+        return {"n": cfg.sweep[i], "lhs": value, **verdict}
+
+    records = _run_trials(fac, cfg, lhs, *_ratio_checks(cfg, lambda: lhs.C, row), ns=cfg.sweep)
+    pts = [(rec["n"], rec["ratio"]) for rec in records]
     fit = fit_growth(pts)
     trimmed = fit_growth(pts[1:]) if fit.residual > 0.02 and len(pts) > 3 else None
-    summary = _summary(records, {"constant": C, "slope": fit.slope})
-    return ExperimentReport("sharpness", _echo(cfg, "sharpness", {"exponents_used": str(s)}),
+    summary = _summary(records, {"constant": lhs.C, "slope": fit.slope})
+    return ExperimentReport("sharpness", _echo(cfg, "sharpness", {"exponents_used": str(lhs.s)}),
                             records, summary, growth=fit.as_dict(),
                             growth_trimmed=trimmed.as_dict() if trimmed else None)
 
@@ -463,9 +494,8 @@ def run_bilinear_law(cfg: ExperimentConfig) -> ExperimentReport:
             raise ValueError("bilinear-law forms must live on l_2 x l_2")
         return mixed_norm(U, orders)
 
-    def record(t, U, lhs):
+    def record(t, U, lhs, denom, method):
         n1, n2 = U.dims
-        denom, method = _exact_norm(U)
         bound = (n1 ** inv_b) * (n2 ** (inv_a - 0.5)) * denom
         ratio = _ratio(lhs, bound)
         return {
@@ -480,7 +510,7 @@ def run_bilinear_law(cfg: ExperimentConfig) -> ExperimentReport:
             "violation": not ratio <= 1 + SLACK_EXACT,
         }
 
-    records = _run_trials(fac, cfg, lhs_of, lambda batch: [record(*trial) for trial in batch])
+    records = _run_trials(fac, cfg, lhs_of, record, None)   # every denominator is exact
     summary = _summary(records)
     return ExperimentReport("bilinear-law", _echo(cfg, "bilinear-law"), records, summary)
 
@@ -508,7 +538,7 @@ def run_base_hl(cfg: ExperimentConfig) -> ExperimentReport:
             raise ValueError(f"expected arity-{base_arity} forms for m = {m}")
         return mixed_norm(T, full_l2)
 
-    records = _run_trials(fac, cfg, lhs_of, lambda batch: _trial_records(batch, C, cfg), dom)
+    records = _run_trials(fac, cfg, lhs_of, *_ratio_checks(cfg, lambda: C, _trial_row), dom)
     summary = _summary(records, {"constant": C})
     return ExperimentReport("base-hl", _echo(cfg, "base-hl", {"domain": str(dom)}),
                             records, summary)
@@ -646,7 +676,7 @@ def run_inclusion_instance(cfg: ExperimentConfig) -> ExperimentReport:
             })
         return out
 
-    records = _run_trials(fac, cfg, check_arity, check, dom)
+    records = _run_trials(fac, cfg, check_arity, None, check, dom)
     summary = _summary(records)
     return ExperimentReport("inclusion-instance",
                             _echo(cfg, "inclusion-instance", {"target_orders": str(target)}),

@@ -285,6 +285,43 @@ def test_trials_are_batched_up_to_the_chunk_size(monkeypatch):
     assert log.calls == [1] * 7
 
 
+def test_exact_trials_do_not_depend_on_the_chunk_size(monkeypatch):
+    """Exact-singular trials join no batch, so a run with CHUNK_ELEMENTS at 1
+    writes the report of a default run, byte for byte, with no ascent."""
+    log = _low_estimates(monkeypatch, low=set())
+    cfg = ExperimentConfig(experiment="verify", form="gauss:dims=6x5", trials=7)
+    default = run_verify(cfg)
+    monkeypatch.setattr(harness, "CHUNK_ELEMENTS", 1)
+    assert run_verify(cfg).to_json() == default.to_json()
+    assert [t["method"] for t in default.trials] == ["exact-singular"] * 7
+    assert log.calls == []
+
+
+@pytest.mark.parametrize("run, cfg", [
+    (run_verify, ExperimentConfig(experiment="verify", form="gauss:dims=64x64", trials=65)),
+    (run_bilinear_law, ExperimentConfig(experiment="bilinear-law", form="gauss:m=2", n=64,
+                                        a=2, b=2, trials=65)),
+], ids=["verify", "bilinear-law"])
+def test_exact_trials_are_recorded_as_they_are_built(monkeypatch, run, cfg, traced_peak):
+    """A trial whose norm is exact takes it as soon as its form is built, and
+    its form is released before the next one is built: 65 trials of 64 x 64
+    forms (32 KB each) alternate builds and singular values, and never hold
+    more than a few forms at once, where one 64-form batch would take 2 MB."""
+    calls = []
+    for owner, name in ((FormFactory, "make"), (harness, "spectral_norm")):
+        real = getattr(owner, name)
+
+        def logged(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, logged)
+    rep, peak = traced_peak(lambda: run(cfg))
+    assert rep.violations == 0
+    assert calls == ["make", "spectral_norm"] * 65
+    assert peak <= 6 * 64 * 64 * 8
+
+
 def test_verify_needs_a_form():
     with pytest.raises(ValueError):
         run_verify(ExperimentConfig(experiment="verify"))
