@@ -283,28 +283,33 @@ def inclusion_exponents(r: ExtLike, p: Sequence[ExtLike], q: Sequence[ExtLike]) 
     q = _summing_vector(q, "q")
     if len(p) != len(q):
         raise ValueError(f"length mismatch: p has {len(p)} entries, q has {len(q)}")
-    m = len(p)
-    for i in range(1, m):
-        if q[i] < p[i]:
+    # orders >= 1 compare in reverse on their exact reciprocals (1/inf = 0)
+    inv_p, inv_q = [_recip(e) for e in p], [_recip(e) for e in q]
+    for i in range(1, len(p)):
+        if inv_q[i] > inv_p[i]:
             raise InapplicableError(f"q[{i + 1}] = {q[i]} < p[{i + 1}] = {p[i]}")
-    if q[0] < p[0]:
+    if inv_q[0] > inv_p[0]:
         raise InapplicableError(f"q[1] = {q[0]} < p[1] = {p[0]}")
     crit = criterion(r, p, q).fraction
-    if q[0] == p[0]:
+    if inv_q[0] == inv_p[0]:
         if crit <= 0:
             raise InapplicableError(
                 f"budget 1/r - |1/p| + |1/q| = {crit} must be > 0 when q_1 = p_1"
             )
     elif crit < 0:
         raise InapplicableError(f"budget 1/r - |1/p| + |1/q| = {crit} is negative")
-    inv_r = _recip(r)
+    # 1/s_k = 1/r + (|1/q|_{>=k} - |1/p|_{>=k}), the tails summed in one reverse pass
+    inv = _recip(r)
+    recips = []
+    for ip, iq in zip(reversed(inv_p), reversed(inv_q)):
+        inv += iq - ip
+        recips.append(inv)
     entries = []
-    for k in range(1, m + 1):
-        inv = inv_r - tail_sum(p, k).fraction + tail_sum(q, k).fraction
+    for k, inv in enumerate(reversed(recips), start=1):
         if inv < 0:
             raise ExponentInvariantError(f"1/s_{k} = {inv} < 0 despite applicability")
         s_k = ExtRational.from_reciprocal(inv)
-        if not s_k.is_inf and s_k.fraction < 1:
+        if inv > 1:
             raise ExponentInvariantError(f"s_{k} = {s_k} < 1 despite applicability")
         entries.append(s_k)
     return ExponentVector(entries)

@@ -27,15 +27,17 @@ elements (see ``_Group.cut``).
 
 ``ascent_norms`` runs the ascents of several forms that share dims, dtype
 and domain as one block: form f's R restarts are rows f R .. f R + R - 1,
-and its active rows stay contiguous as rows freeze.  Each form's
-contractions run on its own rows, exactly the matrix products an ascent of
-that form alone makes, and only the row-wise steps run once per slot over
-the whole block: ``dual_argmax``, the entering moduli and the freeze,
-finiteness and monotonicity checks.  So a sweep pays its fixed cost of
-NumPy calls once per group instead of once per form, and each estimate has
-the bits ``ascent_norm`` gives it; ``ascent_norm`` is the one-form case of
-the same sweeps.  The scratch buffer then holds every form's prefix side
-by side.
+and its active rows stay contiguous as rows freeze.  Only the two tensor
+reads run per form, each one matrix product of the form's own rows,
+exactly the product an ascent of that form alone makes.  Every other step
+runs once per sweep over the whole block: the slot contractions and folds,
+row-batched products that make the same BLAS call for a row whatever rows
+lie beside it, and the row-wise steps, ``dual_argmax``, the entering moduli
+and the freeze, finiteness and monotonicity checks.  So each extra form
+costs a sweep two matrix products, and each estimate has the bits
+``ascent_norm`` gives it; ``ascent_norm`` is the one-form case of the same
+sweeps.  The scratch buffer then holds every form's intermediate side by
+side.
 
 Each block step is ``dual_argmax``, whose cost on the small blocks of most
 sweeps is a fixed number of NumPy calls, so an ascent trims it: each slot's
@@ -293,45 +295,38 @@ def _chunk_rows(dims, size: int) -> int:
     return max(1, max(size, _GRADIENT_CHUNK) * min(dims[:2]) // size)
 
 
-def _first_slot_gradient(coeffs, X, out):
-    """Slot-0 linearization at every row of the blocks ``X`` (one (R, n_i)
-    block per slot): row r contracts ``coeffs`` with X[i][r] in every slot
-    i >= 1.  From arity 3 on, one batched matmul contracts slot 1 for all
-    rows, reading the tensor along its rows (no transposed panel for BLAS
-    to pack) into the (n_0, R, |T| / (n_0 n_1)) block ``out`` of
-    R * |T| / n_1 elements (a view of an ascent's scratch buffer); row-vector
-    products then contract slots 2..m-1 from the front, the last one
-    straight into the (R, n_0) gradient.  At arity 2 slot 1 is the last
-    slot, and one product X[1] @ T^T gives the gradient.  An arity-1
-    gradient is ``coeffs`` itself in every row."""
+def _tensor_reads(coeffs):
+    """The operands of a sweep's two reads of ``coeffs``: the slot-1 read,
+    the (n_0, n_1, |T| / (n_0 n_1)) view from arity 3 on, T^T at arity 2
+    (whose product is the slot-0 gradient itself) and T at arity 1; and the
+    prefix read, the (n_0, |T| / n_0) view, from arity 2 on."""
     dims = coeffs.shape
-    R = len(X[0])
     if len(dims) == 1:
-        return np.broadcast_to(coeffs, (R, dims[0]))
+        return coeffs, None
     if len(dims) == 2:
-        return X[1] @ coeffs.T
-    Y = np.matmul(X[1], coeffs.reshape(dims[0], dims[1], -1), out=out)
-    for i in range(2, len(dims) - 1):
-        Y = np.matmul(X[i][:, np.newaxis, :], Y.reshape(dims[0], R, dims[i], -1))[:, :, 0, :]
-    return np.matmul(Y.transpose(1, 0, 2), X[-1][:, :, np.newaxis])[:, :, 0]
+        return coeffs.T, coeffs
+    return coeffs.reshape(dims[0], dims[1], -1), coeffs.reshape(dims[0], -1)
 
 
 class _Group:
     """The forms that one ascent sweeps together, which share dims, dtype and
-    domain.  ``tensors`` holds their coefficient arrays in block order and
+    domain.  ``reads`` holds the operands of each form's two tensor reads
+    (see ``_tensor_reads``) in block order, ``dims`` their dims and
     ``balls`` the ``_Ball`` of each slot.  ``scratch`` is a 1-d buffer of
     their dtype that the sweeps write their tensor-sized intermediates into,
     sized for a wave of the rows first given, ``counts[f]`` of them form
     f's; it is None at arity 1, whose sweeps form no intermediate.
     ``waves`` is the cut of the rows the next sweep takes (see ``cut``)."""
 
-    __slots__ = ("tensors", "balls", "scratch", "waves", "_rows")
+    __slots__ = ("reads", "dims", "balls", "scratch", "waves", "_rows")
 
     def __init__(self, tensors, orders, counts):
-        self.tensors = list(tensors)
+        tensors = list(tensors)
+        first = tensors[0]
+        self.reads = [_tensor_reads(c) for c in tensors]
+        self.dims = first.shape
         self.balls = [_Ball(p) for p in orders]
         self.scratch = None
-        first = self.tensors[0]
         self._rows = _chunk_rows(first.shape, first.size)
         if first.ndim > 1:
             self.scratch = np.empty(min(sum(counts), self._rows) * first.size
@@ -340,40 +335,46 @@ class _Group:
 
     def cut(self, counts):
         """Cut the rows of the next sweeps, ``counts[f]`` of them form f's, in
-        order, into ``waves`` of (start, stop, segments).
+        order, into ``waves`` of (start, stop, segments, Y, P).
 
         Rows are independent, so a form's rows are cut into segments of
         ``_chunk_rows`` rows, which keep both intermediates of a segment
         within max(|T|, _GRADIENT_CHUNK) elements, and consecutive segments
         of at most that many rows in all make a wave.  A group with no more
         rows than that is one wave; only a form whose own rows exceed it
-        takes several.  A segment is (coeffs, start, stop, Y, P): its rows
-        within the wave, and the views of the scratch buffer that its
-        slot-1 intermediate (from arity 3 on) and its prefix (from arity 2
-        on) are written into.  The intermediates of a wave's segments are
-        formed one after another at the start of the buffer, and the
-        prefixes side by side, after all of them are done."""
-        dims = self.tensors[0].shape
-        size = self.tensors[0].size
+        takes several.  A wave's two tensor-sized intermediates are blocks
+        at the start of the scratch buffer, never alive together: Y, the
+        (n_0, rows, |T| / (n_0 n_1)) slot-1 intermediate (at arity 2 the
+        (1, rows, n_0) slot-0 gradient), and P, the (rows, |T| / n_0)
+        prefix; at arity 1 there are none.  A segment is (start, stop,
+        slot-1 read, prefix read, Y[:, start:stop], P[start:stop]): its rows
+        within the wave, its form's operands (see ``_tensor_reads``) and the
+        views its two reads write into, so the segments' intermediates lie
+        side by side in the wave's blocks."""
         rows = self._rows
-        tail, prefix = size // (dims[0] * dims[1]) if len(dims) > 1 else 0, size // dims[0]
-        self.waves, segments, lo, offset, start = [], [], 0, 0, 0
-        for coeffs, count in zip(self.tensors, counts):
+        self.waves, spans, lo, start = [], [], 0, 0
+        for reads, count in zip(self.reads, counts):
             stop = start + count
             for s in range(start, stop, rows):
                 e = min(s + rows, stop)
-                if segments and e - lo > rows:
-                    self.waves.append((lo, s, segments))
-                    segments, lo, offset = [], s, 0
-                Y = P = None
-                if len(dims) > 2:
-                    Y = self.scratch[:dims[0] * (e - s) * tail].reshape(dims[0], e - s, tail)
-                if len(dims) > 1:
-                    P = self.scratch[offset:offset + (e - s) * prefix].reshape(e - s, prefix)
-                    offset += (e - s) * prefix
-                segments.append((coeffs, s - lo, e - lo, Y, P))
+                if spans and e - lo > rows:
+                    self.waves.append(self._wave(lo, s, spans))
+                    spans, lo = [], s
+                spans.append((s - lo, e - lo, reads))
             start = stop
-        self.waves.append((lo, start, segments))
+        self.waves.append(self._wave(lo, start, spans))
+
+    def _wave(self, lo, hi, spans):
+        """The wave of rows lo..hi-1 whose segments span ``spans``, a list of
+        (start, stop, reads) within the wave; see ``cut``."""
+        dims, rows = self.dims, hi - lo
+        if len(dims) == 1:
+            return lo, hi, [(s, e, first, None, None, None) for s, e, (first, _) in spans], None, None
+        size = math.prod(dims)
+        Y = self.scratch[:rows * size // dims[1]].reshape(dims[0] if len(dims) > 2 else 1, rows, -1)
+        P = self.scratch[:rows * size // dims[0]].reshape(rows, -1)
+        return lo, hi, [(s, e, first, prefix, Y[:, s:e], P[s:e])
+                        for s, e, (first, prefix) in spans], Y, P
 
 
 def _sweep(group, X):
@@ -384,58 +385,60 @@ def _sweep(group, X):
     moduli of the value at the entering rows and after the sweep, one per
     row, and the new blocks.  Each wave is one ``_sweep_wave``."""
     if len(group.waves) == 1:
-        return _sweep_wave(group.balls, X, group.waves[0][2])
-    parts = [_sweep_wave(group.balls, [x[lo:hi] for x in X], segments)
-             for lo, hi, segments in group.waves]
+        return _sweep_wave(group, X, group.waves[0])
+    parts = [_sweep_wave(group, [x[wave[0]:wave[1]] for x in X], wave)
+             for wave in group.waves]
     before, after, blocks = zip(*parts)
     return np.concatenate(before), np.concatenate(after), \
         [np.concatenate(b) for b in zip(*blocks)]
 
 
-def _sweep_wave(balls, X, segments):
-    """``_sweep`` on one wave: ``segments`` cover the rows of ``X`` in order
-    (see ``_Group.cut``), and ``balls`` are the slots' ``_Ball``.
+def _sweep_wave(group, X, wave):
+    """``_sweep`` on one wave of ``group``: ``X`` holds the wave's rows, which
+    its segments cover in order (see ``_Group.cut``).
 
-    Each segment's contractions run on its own rows, so every matrix
-    product sees exactly the rows it would see in an ascent of that form
-    alone, and the block steps between them run once per slot over the
-    whole wave: ``dual_argmax`` and the moduli before the sweep are row by
-    row, so they give each row the bits it would get alone.  Only the last
-    slot's step computes its conjugate norm, which is ``after``; the others
-    ask ``dual_argmax`` for the maximizers alone.
-
-    The tensor is read twice per segment, both times along its rows.  The
-    slot-0 gradient is contracted from slot 1 forward (see
-    ``_first_slot_gradient``); then the segment's prefix P = x_0 . T, a
-    rows * |T| / n_0 block, is formed.  Slot k >= 1 takes its gradient from
-    P by contracting the old trailing slots m-1..k+1, and its new x_k is
-    then folded into P, so the last slot's gradient is P itself.  Both
-    tensor-sized intermediates are written into the segment's views of the
-    scratch buffer, so a sweep allocates nothing tensor-sized.
+    Only the two tensor reads run per segment, each one matrix product of
+    the segment's rows against its form's operand (see ``_tensor_reads``)
+    into the segment's view of the wave's block, so it sees exactly the rows
+    an ascent of that form alone gives it.  Every other step runs once per
+    wave and is row by row or row-batched, one BLAS call per row whatever
+    rows lie beside it, so every row gets the bits it would get alone.  The
+    slot-1 reads fill Y, from which row-batched products contract slots
+    2..m-1 into the (rows, n_0) slot-0 gradient (at arity 2, Y[0] is that
+    gradient).  The prefix reads then fill P with x_0 . T.  Slot k >= 1
+    takes its gradient from P by contracting the old trailing slots
+    m-1..k+1, and its new x_k is then folded into P, so the last slot's
+    gradient is P itself.  Only the last slot's ``dual_argmax`` computes its
+    conjugate norm, which is ``after``.  Both tensor-sized intermediates
+    live in the scratch buffer, so a sweep allocates nothing tensor-sized.
     """
-    dims = segments[0][0].shape
-    m = len(dims)
-    if len(segments) == 1:   # one segment spans the wave: no row slices to take
-        G = _first_slot_gradient(segments[0][0], X, segments[0][3])
-    else:
-        G = np.concatenate([_first_slot_gradient(c, [x[s:e] for x in X], Y)
-                            for c, s, e, Y, _ in segments])
-    before = np.abs((G * X[0]).sum(axis=1))
+    _, _, segments, Y, P = wave
+    dims, balls = group.dims, group.balls
+    m, rows = len(dims), len(X[0])
     X = list(X)
-    value, X[0] = dual_argmax(G, balls[0], value=m == 1)
-    if m > 1:
-        P = [np.matmul(X[0][s:e], c.reshape(dims[0], -1), out=out) for c, s, e, _, out in segments]
-    for k in range(1, m):
-        G = []
-        for (_, s, e, _, _), Pf in zip(segments, P):
-            for i in range(m - 1, k, -1):
-                Pf = np.matmul(Pf.reshape(e - s, -1, dims[i]), X[i][s:e, :, np.newaxis])[:, :, 0]
-            G.append(Pf)
+    if m == 1:
+        G = [np.broadcast_to(first, (e - s, dims[0])) for s, e, first, _, _, _ in segments]
         G = G[0] if len(G) == 1 else np.concatenate(G)
+    else:
+        for s, e, first, _, Ys, _ in segments:
+            np.matmul(X[1][s:e], first, out=Ys)
+        G = Y
+        for i in range(2, m - 1):
+            G = np.matmul(X[i][:, np.newaxis, :], G.reshape(dims[0], rows, dims[i], -1))[:, :, 0, :]
+        G = G[0] if m == 2 else np.matmul(G.transpose(1, 0, 2), X[-1][:, :, np.newaxis])[:, :, 0]
+    before = np.abs((G * X[0]).sum(axis=1))
+    value, X[0] = dual_argmax(G, balls[0], value=m == 1)
+    if m == 1:
+        return before, value, X
+    for s, e, _, prefix, _, Ps in segments:
+        np.matmul(X[0][s:e], prefix, out=Ps)
+    for k in range(1, m):
+        G = P
+        for i in range(m - 1, k, -1):
+            G = np.matmul(G.reshape(rows, -1, dims[i]), X[i][:, :, np.newaxis])[:, :, 0]
         value, X[k] = dual_argmax(G, balls[k], value=k == m - 1)
         if k < m - 1:
-            P = [np.matmul(X[k][s:e, np.newaxis, :], Pf.reshape(e - s, dims[k], -1))[:, 0, :]
-                 for (_, s, e, _, _), Pf in zip(segments, P)]
+            P = np.matmul(X[k][:, np.newaxis, :], P.reshape(rows, dims[k], -1))[:, 0, :]
     return before, value, X
 
 
@@ -585,11 +588,11 @@ def ascent_norms(forms, seeds, restarts: int = 16, tol: float = 1e-10,
     forms that share dims, dtype and domain swept as one block.
 
     Such a group's restarts stack into one (K R, n_k) block per slot, each
-    form's R rows contiguous, so a sweep pays its fixed per-step cost (the
+    form's R rows contiguous.  Only each form's two tensor reads run on its
+    own active rows; the contractions and folds between them, the
     ``dual_argmax`` calls and the freeze, finiteness and monotonicity
-    bookkeeping) once per group instead of once per form.  Each form's
-    contractions still run on its own active rows alone (see
-    ``_sweep_wave``), and every block step is row by row, so each estimate
+    bookkeeping run once per sweep over the group (see ``_sweep_wave``).
+    Every step gives a row the bits it would get alone, so each estimate
     (value, sweep count, convergence flag and maximizer) has exactly the
     bits ``ascent_norm`` gives that form and seed.  A zero form gets the
     zero estimate without an ascent, and the l_1 bound is checked per form.

@@ -6,6 +6,7 @@ are frozen as exact Fractions; nothing in this file touches floats except
 the float-rejection tests themselves.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -322,6 +323,45 @@ def test_inclusion_relation_holds_exactly(triple):
     # orders never increase along the vector and never dip below r
     assert all(s[i] >= s[i + 1] for i in range(len(p) - 1))
     assert all(sk >= r for sk in s)
+
+
+def _long_triple_with_infinite_orders(rng):
+    """A seeded applicable (r, p, q) of length up to 40 with infinite
+    entries: an infinite p_k forces q_k = inf, and a finite one may drop its
+    whole reciprocal, making q_k infinite."""
+    m = rng.randint(1, 40)
+    r = 1 + Fraction(rng.randint(0, 56), 8)
+    inv_p = [Fraction(0) if rng.random() < 0.2 else 1 / (1 + Fraction(rng.randint(0, 120), 8))
+             for _ in range(m)]
+    raw = [rng.choice([Fraction(0), Fraction(1), Fraction(rng.randint(0, 8), 8)]) * ip
+           for ip in inv_p]
+    total = sum(raw)
+    budget = Fraction(rng.randint(0, 8), 8) / r
+    scale = Fraction(1) if total <= budget else budget / total
+    deltas = [d * scale for d in raw]
+    if 1 / r == sum(deltas) and deltas[0] == 0:
+        deltas = [d / 2 for d in deltas]  # reopen the budget
+    return (ExtRational(r),
+            ExponentVector([ExtRational.from_reciprocal(ip) for ip in inv_p]),
+            ExponentVector([ExtRational.from_reciprocal(ip - d) for ip, d in zip(inv_p, deltas)]))
+
+
+def test_inclusion_shift_equals_the_tail_sum_formula():
+    """The shift sums its reciprocal tails in one pass; on 300 seeded
+    triples of length 1..40 every entry equals, exactly, the one built from
+    ``tail_sum`` slot by slot."""
+    rng = random.Random(19)
+    with_inf = [0, 0, 0]
+    for _ in range(300):
+        r, p, q = _long_triple_with_infinite_orders(rng)
+        inv_r = r.reciprocal().fraction
+        ref = ExponentVector([ExtRational.from_reciprocal(inv_r - tail_sum(p, k).fraction
+                                                          + tail_sum(q, k).fraction)
+                              for k in range(1, len(p) + 1)])
+        assert inclusion_exponents(r, p, q) == ref
+        for i, v in enumerate((p, q, ref)):
+            with_inf[i] += any(e.is_inf for e in v)
+    assert min(with_inf) >= 10
 
 
 # --------------------------------------------------------------- the constant

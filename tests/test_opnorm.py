@@ -492,6 +492,53 @@ def test_a_sweep_allocates_one_tensor_sized_intermediate(traced_peak):
     assert peak <= 2 * (contraction + 16 * block)
 
 
+def test_a_ragged_group_sweep_stays_within_one_intermediate_per_form(traced_peak):
+    """Three gauss m=4 n=24 forms start with R=16 rows each, and after
+    freezes hold 16, 5 and 1 active rows: the recut group's sweep, whose
+    wave lays the three forms' intermediates side by side in the buffer,
+    allocates no more than three one-form sweeps may."""
+    forms = [make_gaussian_random((24,) * 4, seed=s).coeffs for s in (1, 3, 4)]
+    R, n = 16, 24
+    rng = np.random.default_rng(2)
+    group = opnorm._Group(forms, ("4",) * 4, [R] * 3)
+    group.cut([16, 5, 1])
+    X = [rng.standard_normal((22, n)) for _ in range(4)]
+    contraction = R * n * n * 8
+    block = R * n * 8
+    _, peak = traced_peak(lambda: _sweep(group, X))
+    assert peak <= 3 * (contraction + 16 * block)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("dims", [(3, 4, 2), (3, 2, 4, 2)])
+def test_each_form_of_a_group_adds_only_its_two_tensor_reads(dims, field, monkeypatch):
+    """A sweep of a group of F same-shape forms calls ``np.matmul`` twice
+    per extra form, for the slot-1 and the prefix reads of its rows; the
+    slot contractions and folds run once over the whole group."""
+    rng = np.random.default_rng(7)
+    calls = []
+    matmul = np.matmul
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return matmul(*args, **kwargs)
+
+    def draw(*shape):
+        z = rng.standard_normal(shape)
+        return z + 1j * rng.standard_normal(shape) if field == "complex" else z
+
+    R, counts = 4, {}
+    for F in (1, 3, 6):
+        group = opnorm._Group([draw(*dims) for _ in range(F)], ("3",) * len(dims), [R] * F)
+        X = [draw(F * R, n) for n in dims]
+        monkeypatch.setattr(np, "matmul", counting)
+        _sweep(group, X)
+        monkeypatch.setattr(np, "matmul", matmul)
+        counts[F], calls[:] = len(calls), []
+    assert counts[3] - counts[1] == 4
+    assert counts[6] - counts[1] == 10
+
+
 def test_sweep_chunks_keep_the_slot_1_intermediate_within_the_cap(traced_peak, monkeypatch):
     """With n_1 the smallest side, the R * |T| / n_1 intermediate sets the
     chunk: at a cap of |T| elements a chunk has n_1 = 4 rows, where a rule
