@@ -10,21 +10,21 @@ report is a pure function of its configuration (re-running writes identical
 bytes).  A spec with no free seed (a seedless kind such as ``dot``, ``t0``
 or ``file``) is one form, so a run builds it and its lhs once and reuses
 them in every trial; ascent denominators still draw per-trial seeds.
-Ratio denominators prefer a form's closed-form norm and otherwise
-fall back to the exact singular value or the seeded ascent; ascent is a
-lower bound, which can only inflate ratios, so violation counts err on the
-loud side.  The method is chosen in one place, as each trial's form is
-built: a trial with an exact denominator is recorded there and then, and
-its form released before the next is built.  Only trials that wait for an
-ascent run in batches of consecutive trials, up to ``CHUNK_ELEMENTS``
+Ratio denominators prefer a form's closed-form norm and otherwise fall
+back to ``opnorm.exact_norm`` or the seeded ascent; ascent is a lower
+bound, which can only inflate ratios, so violation counts err on the loud
+side.  The method is chosen in one place, as each trial's form is built: a
+trial with a closed-form or exact denominator is recorded there and then,
+and its form released before the next is built.  Only trials that wait for
+an ascent run in batches of consecutive trials, up to ``CHUNK_ELEMENTS``
 ascent coefficients in all, whose denominators (and then their retries)
-are taken in one ``ascent_norms`` call; an estimate does not depend on the
+are taken in one ``opnorm.norms`` call; an estimate does not depend on the
 batch it is taken in, so neither do the reports.  Verify, sharpness and
 base-hl share one trial check: an ascent-backed violation is retried with
-four times the restarts before it is reported.  Every
-verdict is ``not ratio <= limit``, so a NaN ratio is a violation.  A
-report's config block echoes only the settings its experiment reads
-(``READS``).  Floating output is written at 12 significant digits.
+four times the restarts before it is reported.  Every verdict is
+``not ratio <= limit``, so a NaN ratio is a violation.  A report's config
+block echoes only the settings its experiment reads (``READS``).
+Floating output is written at 12 significant digits.
 """
 
 from __future__ import annotations
@@ -47,13 +47,7 @@ from .exponents import (
     inclusion_exponents,
     inequality_constant,
 )
-from .opnorm import (
-    ascent_norms,
-    check_ascent_settings,
-    is_spectral_case,
-    spectral_norm,
-    weak_norm,
-)
+from .opnorm import NormEstimate, check_ascent_settings, exact_norm, norms, weak_norm
 from .rng import child_rng, child_seed
 from .tensor import CHUNK_ELEMENTS, MultilinearForm, lp_norm, mixed_norm
 from .witnesses import FormFactory, parse_form_spec
@@ -274,7 +268,8 @@ def _run_trials(fac: FormFactory, cfg: ExperimentConfig, measure, settle, check,
     ``cfg.trials`` trials) from the child seed (t, 0), and ``measure(T)``
     is taken as the form is built.  This is the one place a trial's
     denominator method is chosen: when ``settle`` is given and T's norm is
-    known exactly (``_exact_norm``), ``settle(t, T, value, norm, method)``
+    known exactly, as its closed form ``T.analytic_norm`` or else by
+    ``exact_norm`` (no seed is used), ``settle(t, T, value, norm, method)``
     is the trial's record, written at once, and the form is released before
     the next trial is built.  Every other trial waits in a batch of
     consecutive trials of one n, up to ``CHUNK_ELEMENTS`` coefficients in
@@ -303,9 +298,12 @@ def _run_trials(fac: FormFactory, cfg: ExperimentConfig, measure, settle, check,
             T = None   # no reference to the previous form while the next is built
             T = fac.make(n=n, seed=child_seed(cfg.seed, t, 0), domain_p=domain_p)
             value = measure(T)
-            exact = _exact_norm(T) if settle else None
+            exact = None
+            if settle:
+                exact = exact_norm(T) if T.analytic_norm is None \
+                    else NormEstimate(T.analytic_norm, "analytic")
         if exact is not None:
-            records[t] = settle(t, T, value, *exact)
+            records[t] = settle(t, T, value, exact.value, exact.method)
         else:
             batch.append((t, T, value))
             if (len(batch) + 1) * math.prod(T.dims) > CHUNK_ELEMENTS:
@@ -315,22 +313,12 @@ def _run_trials(fac: FormFactory, cfg: ExperimentConfig, measure, settle, check,
     return records
 
 
-def _exact_norm(T: MultilinearForm):
-    """(value, method) of T's norm when it is known exactly, as a closed
-    form or the largest singular value, else None; no seed is used."""
-    if T.analytic_norm is not None:
-        return T.analytic_norm, "analytic"
-    if is_spectral_case(T):
-        return spectral_norm(T.coeffs).value, "exact-singular"
-    return None
-
-
 def _check_trials(batch, C: float, cfg: ExperimentConfig) -> list:
     """Check lhs <= C * ||T|| for each (t, T, lhs) of ``batch``, trials
     whose norm only the ascent gives: one record of norm, method, ratio,
     retried and violation per trial, in order.
 
-    The batch's denominators are taken in one ``ascent_norms`` call, trial t
+    The batch's denominators are taken in one ``norms`` call, trial t
     seeded from (t, 1); those whose ratio exceeds C * (1 + SLACK_ASCENT)
     are then retried together in one more call at four times the restarts,
     seeded from (t, 2).  A trial's estimate does not depend on the trials
@@ -343,9 +331,9 @@ def _check_trials(batch, C: float, cfg: ExperimentConfig) -> list:
     for path, restarts in ((1, cfg.restarts), (2, 4 * cfg.restarts)):
         if not pending:
             break
-        ests = ascent_norms([T for _, T, _ in pending],
-                            [child_seed(cfg.seed, t, path) for t, _, _ in pending],
-                            restarts=restarts, tol=cfg.tol, max_iters=cfg.max_iters)
+        ests = norms([T for _, T, _ in pending],
+                     [child_seed(cfg.seed, t, path) for t, _, _ in pending],
+                     restarts=restarts, tol=cfg.tol, max_iters=cfg.max_iters)
         flagged = []
         for (t, T, lhs), est in zip(pending, ests):
             rec = records[t] = _verdict(lhs, est.value, est.method, C, retried=path == 2)

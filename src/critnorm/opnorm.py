@@ -1,13 +1,16 @@
 """Operator norms of multilinear forms over products of lp unit balls.
 
-The bilinear l_2 x l_2 case is a largest singular value and is solved
-exactly: sigma is the square root of the top Gram eigenvalue (one product
-on the short side and one LAPACK eigenvalue call), and that value is all
-the case reports.  Everything else runs block-coordinate ascent: one slot
-at a time is replaced by the exact maximizer of its linearized problem on
-the slot's ball, which never decreases the modulus of the value, so every
-reported number is an attained lower bound carrying a feasible witness.
-Restarts are seeded through child streams, making runs reproducible.
+Two functions choose how a norm is taken.  ``exact_norm`` is the one place
+that decides a form's norm is computed exactly; today that is the bilinear
+l_2 x l_2 case, a largest singular value: sigma is the square root of the
+top Gram eigenvalue (one product on the short side and one LAPACK
+eigenvalue call), and that value is all the case reports.  ``norms`` is the
+batch entry: it takes ``exact_norm`` where that applies and runs
+block-coordinate ascent on every other form: one slot at a time is replaced
+by the exact maximizer of its linearized problem on the slot's ball, which
+never decreases the modulus of the value, so every ascent value is an
+attained lower bound carrying a feasible witness.  Restarts are seeded
+through child streams, making runs reproducible.
 
 All restarts of one ascent move together: slot k holds an (R, n_k) block
 whose row r is restart r, and matmuls against the coefficient tensor
@@ -25,8 +28,8 @@ at m = 4, n = 24 with R = 16, and about 7 MB for the four-fold retry.
 Rows are chunked so that neither exceeds the larger of |T| and 2^20
 elements (see ``_Group.cut``).
 
-``ascent_norms`` runs the ascents of several forms that share dims, dtype
-and domain as one block: form f's R restarts are rows f R .. f R + R - 1,
+``norms`` runs the ascents of several forms that share dims, dtype and
+domain as one block: form f's R restarts are rows f R .. f R + R - 1,
 and its active rows stay contiguous as rows freeze.  Only the two tensor
 reads run per form, each one matrix product of the form's own rows,
 exactly the product an ascent of that form alone makes.  Every other step
@@ -58,8 +61,8 @@ Weak norms of finite vector sequences are operator norms of the induced
 pairing, so ``weak_norm`` lives here too: an l_2 x l_2 pairing is one
 ``spectral_norm`` call on the sequence itself, and the others are ascents
 at fixed settings.  Given a list of sequences, one call resolves the
-pairing domain once and sweeps all its ascents in one ``ascent_norms``
-call, each value with the bits of its solo call.
+pairing domain once and sweeps all its ascents in one ``norms`` call,
+each value with the bits of its solo call.
 """
 
 from __future__ import annotations
@@ -81,11 +84,11 @@ __all__ = [
     "dual_argmax",
     "spectral_norm",
     "ascent_norm",
-    "ascent_norms",
+    "exact_norm",
+    "norms",
+    "check_ascent_settings",
     "weak_norm",
     "upper_bound_l1",
-    "is_spectral_case",
-    "operator_norm",
 ]
 
 
@@ -99,10 +102,13 @@ class AscentInvariantError(ValueError):
 class NormEstimate:
     """A norm value plus how it was obtained.
 
-    ``method`` is "exact-singular", "ascent" or "analytic".  Ascent values
-    are attained lower bounds: the stored maximizer is feasible on the
-    domain balls and reproduces ``value`` under ``evaluate``.  An
-    exact-singular estimate is sigma alone, with no maximizer.
+    ``method`` names how the value was obtained: "exact-singular" from
+    ``exact_norm`` (``spectral_norm``), "ascent" from the block ascent, and
+    "analytic" for a witness's closed-form norm, which the harness prefers.
+    Ascent values are attained lower bounds: the stored maximizer is
+    feasible on the domain balls and reproduces ``value`` under
+    ``evaluate``.  An exact-singular estimate is sigma alone, with no
+    maximizer.
     ``iterations`` counts sweeps summed over restarts; ``converged`` refers
     to the restart that produced the reported value.
     """
@@ -577,40 +583,59 @@ def ascent_norm(T: MultilinearForm, restarts: int = 16, tol: float = 1e-10,
     first restart reaching the best value wins.  The reported value never
     exceeds the l_1 coefficient bound (AscentInvariantError otherwise), and
     the returned maximizer is feasible and attains it.  This is the
-    one-form case of ``ascent_norms``, through the same sweeps.
+    one-form case of the ascent ``norms`` runs, through the same sweeps.
     """
+    check_ascent_settings(restarts, tol, max_iters)
     return _ascent_estimates([T], [seed], restarts, tol, max_iters)[0]
 
 
-def ascent_norms(forms, seeds, restarts: int = 16, tol: float = 1e-10,
-                 max_iters: int = 500) -> list[NormEstimate]:
-    """``ascent_norm`` of each form at its seed, in order, the ascents of
-    forms that share dims, dtype and domain swept as one block.
+def exact_norm(T: MultilinearForm) -> NormEstimate | None:
+    """T's norm when it is computed exactly, else None; no seed is read.
 
-    Such a group's restarts stack into one (K R, n_k) block per slot, each
-    form's R rows contiguous.  Only each form's two tensor reads run on its
-    own active rows; the contractions and folds between them, the
-    ``dual_argmax`` calls and the freeze, finiteness and monotonicity
-    bookkeeping run once per sweep over the group (see ``_sweep_wave``).
-    Every step gives a row the bits it would get alone, so each estimate
-    (value, sweep count, convergence flag and maximizer) has exactly the
-    bits ``ascent_norm`` gives that form and seed.  A zero form gets the
-    zero estimate without an ascent, and the l_1 bound is checked per form.
-    A single form is handed to ``ascent_norm`` by name, so whatever wraps
+    This is the one place that decides it, for ``norms`` and the harness.
+    Today the exact case is a bilinear form on l_2 x l_2, whose norm is the
+    largest singular value of its coefficient matrix (``spectral_norm``)."""
+    if T.arity == 2 and all(e == 2 for e in T.domain_p):
+        return spectral_norm(T.coeffs)
+    return None
+
+
+def norms(forms, seeds, restarts: int = 16, tol: float = 1e-10,
+          max_iters: int = 500) -> list[NormEstimate]:
+    """The norm estimate of each form, in order, seeds[i] seeding forms[i].
+
+    The seed count and the ascent settings are checked up front, whatever
+    the forms.  A form gets ``exact_norm`` where that applies and the ascent
+    at its seed otherwise.  Ascent forms that share dims, dtype and domain
+    are swept as one block (see ``_sweep_wave``), in which every step gives
+    a row the bits it would get alone, so each ascent estimate (value, sweep
+    count, convergence flag and maximizer) has exactly the bits
+    ``ascent_norm`` gives that form and seed.  A zero form gets the zero
+    estimate without an ascent, and the l_1 bound is checked per form.  A
+    lone ascent form is handed to ``ascent_norm`` by name, so whatever wraps
     that function sees every one-form ascent.
     """
     forms, seeds = list(forms), list(seeds)
     if len(seeds) != len(forms):
         raise ValueError(f"{len(forms)} forms but {len(seeds)} seeds")
-    if len(forms) == 1:
-        return [ascent_norm(forms[0], restarts, tol, max_iters, seeds[0])]
-    return _ascent_estimates(forms, seeds, restarts, tol, max_iters)
+    check_ascent_settings(restarts, tol, max_iters)
+    out = [exact_norm(T) for T in forms]
+    rest = [i for i, est in enumerate(out) if est is None]
+    if len(rest) == 1:
+        out[rest[0]] = ascent_norm(forms[rest[0]], restarts, tol, max_iters, seeds[rest[0]])
+    elif rest:
+        ests = _ascent_estimates([forms[i] for i in rest], [seeds[i] for i in rest],
+                                 restarts, tol, max_iters)
+        for i, est in zip(rest, ests):
+            out[i] = est
+    return out
 
 
 def check_ascent_settings(restarts, tol, max_iters) -> None:
     """Raise ValueError unless restarts >= 1, 0 < tol < inf and
-    max_iters >= 1.  Every ascent checks them, and so do the runs that echo
-    them, so that a run whose norms are all exact refuses them too."""
+    max_iters >= 1.  ``ascent_norm`` and ``norms`` check them up front, and
+    so do the runs that echo them, so that a run whose norms are all exact
+    refuses them too."""
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     if not 0 < tol < math.inf:
@@ -620,10 +645,9 @@ def check_ascent_settings(restarts, tol, max_iters) -> None:
 
 
 def _ascent_estimates(forms, seeds, restarts, tol, max_iters) -> list:
-    """The engine of ``ascent_norm`` and ``ascent_norms``: validate the
-    settings, group the nonzero forms by dims, dtype and domain, ascend
-    each group as one block and take each form's best restart."""
-    check_ascent_settings(restarts, tol, max_iters)
+    """The engine of ``ascent_norm`` and ``norms``, on checked settings:
+    group the nonzero forms by dims, dtype and domain, ascend each group as
+    one block and take each form's best restart."""
     out = [None] * len(forms)
     groups = []   # (first form, indices of the forms with its dims, dtype and domain)
     for i, T in enumerate(forms):
@@ -678,14 +702,14 @@ def weak_norm(vectors, p: ExtLike, space_q: ExtLike, *, seed: int | Sequence[int
     For p = q = 2 that is the largest singular value, which ``spectral_norm``
     gives exactly and no seed is used; otherwise it is the attained lower
     bound of the seeded ascent at the fixed settings above, the estimate
-    ``operator_norm`` gives the pairing form at that seed.  A sequence is
+    ``norms`` gives the pairing form at that seed.  A sequence is
     the rows of a 2-d array (a 1-d array is one vector).
 
     Given a list of sequences and a list of seeds, one per sequence, it
     returns the weak norm of each in order.  The pairing domain is resolved
     once, l_2 x l_2 pairings go straight to ``spectral_norm`` with no form
-    built, and the ascent pairings are swept in one ``ascent_norms`` call,
-    which groups them by dims, so each value has the bits of its own call.
+    built, and the other pairings are swept in one ``norms`` call, which
+    groups them by dims, so each value has the bits of its own call.
     """
     batched = not isinstance(seed, numbers.Integral)
     seqs, seeds = (list(vectors), list(seed)) if batched else ([vectors], [seed])
@@ -702,8 +726,8 @@ def weak_norm(vectors, p: ExtLike, space_q: ExtLike, *, seed: int | Sequence[int
         values = [spectral_norm(X).value for X in mats]
     else:
         domain = ExponentVector((conjugate(p), conjugate(q)))
-        ests = ascent_norms([MultilinearForm(X, domain_p=domain) for X in mats], seeds,
-                            restarts=_WEAK_RESTARTS, tol=_WEAK_TOL, max_iters=_WEAK_MAX_ITERS)
+        ests = norms([MultilinearForm(X, domain_p=domain) for X in mats], seeds,
+                     restarts=_WEAK_RESTARTS, tol=_WEAK_TOL, max_iters=_WEAK_MAX_ITERS)
         values = [est.value for est in ests]
     return values if batched else values[0]
 
@@ -728,17 +752,3 @@ def upper_bound_l1(T: MultilinearForm) -> float:
     flat = T.coeffs.reshape(-1)
     return float(sum(np.abs(flat[s:s + CHUNK_ELEMENTS]).sum()
                      for s in range(0, flat.size, CHUNK_ELEMENTS)))
-
-
-def is_spectral_case(T: MultilinearForm) -> bool:
-    """Whether ``operator_norm`` takes T's norm exactly, as the largest
-    singular value: a bilinear form on l_2 x l_2.  No seed is used then."""
-    return T.arity == 2 and all(e == 2 for e in T.domain_p)
-
-
-def operator_norm(T: MultilinearForm, restarts: int = 16, tol: float = 1e-10,
-                  max_iters: int = 500, seed: int = 42) -> NormEstimate:
-    """Dispatch: exact singular value on the bilinear l_2 case, ascent otherwise."""
-    if is_spectral_case(T):
-        return spectral_norm(T.coeffs)
-    return ascent_norm(T, restarts=restarts, tol=tol, max_iters=max_iters, seed=seed)

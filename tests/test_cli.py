@@ -9,8 +9,9 @@ import warnings
 import numpy as np
 import pytest
 
-from critnorm import (ExperimentConfig, MultilinearForm, make_gaussian_random, save_tensor,
-                      to_dict)
+from critnorm import (ExperimentConfig, MultilinearForm, NormEstimate, make_gaussian_random,
+                      run_verify, save_tensor, to_dict, weak_norm)
+from critnorm import opnorm
 from critnorm.cli import _build_parser, main
 from critnorm.harness import READS
 
@@ -119,6 +120,30 @@ def test_norm_op_on_an_arity_1_form(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["method"] == "ascent"
     assert payload["converged"] is True
+
+
+def test_one_exact_norm_decision_reaches_every_caller(monkeypatch, capsys):
+    """``exact_norm`` alone decides that a norm is exact: stubbed in every
+    module that binds it, it gives ``norm op``, ``verify`` and ``weak_norm``
+    their norms, on forms that would otherwise take an ascent, and no ascent
+    runs."""
+    real = opnorm.exact_norm
+    bound = [module for name, module in list(sys.modules.items())
+             if name.split(".")[0] == "critnorm" and getattr(module, "exact_norm", None) is real]
+    assert {module.__name__ for module in bound} >= {"critnorm", "critnorm.opnorm",
+                                                     "critnorm.harness"}
+    for module in bound:
+        monkeypatch.setattr(module, "exact_norm", lambda T: NormEstimate(1.0, "stub"))
+
+    def no_ascent(*args, **kwargs):
+        raise AssertionError("an ascent ran")
+
+    monkeypatch.setattr(opnorm, "_ascend", no_ascent)
+    assert main(["norm", "op", "--form", "gauss:m=3", "--n", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["method"] == "stub"
+    rep = run_verify(ExperimentConfig(experiment="verify", form="gauss:m=3", n=4, trials=3))
+    assert [t["method"] for t in rep.trials] == ["stub"] * 3
+    assert weak_norm(make_gaussian_random((3, 5), seed=1).coeffs, 4, 2, seed=2) == 1.0
 
 
 def test_norm_mixed_needs_orders(capsys):

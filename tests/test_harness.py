@@ -131,12 +131,12 @@ def test_verify_explicit_exponents_override_the_variant():
 
 
 def _low_estimates(monkeypatch, low):
-    """Route harness.ascent_norms through the real one, cutting the value of
+    """Route harness.norms through the real one, cutting the value of
     the estimates numbered in ``low`` (1-based, counted over the forms of
     every call in order) a thousandfold, which puts any ratio far above its
     constant.  Returns the log of (restarts, seed, value), one entry per
     estimate, and the number of forms of each call in ``log.calls``."""
-    real = harness.ascent_norms
+    real = harness.norms
     log = _EstimateLog()
 
     def fake(forms, seeds, **kwargs):
@@ -148,7 +148,7 @@ def _low_estimates(monkeypatch, low):
             log.append((kwargs["restarts"], seed, est.value))
         return ests
 
-    monkeypatch.setattr(harness, "ascent_norms", fake)
+    monkeypatch.setattr(harness, "norms", fake)
     return log
 
 
@@ -308,7 +308,7 @@ def test_exact_trials_are_recorded_as_they_are_built(monkeypatch, run, cfg, trac
     forms (32 KB each) alternate builds and singular values, and never hold
     more than a few forms at once, where one 64-form batch would take 2 MB."""
     calls = []
-    for owner, name in ((FormFactory, "make"), (harness, "spectral_norm")):
+    for owner, name in ((FormFactory, "make"), (opnorm, "spectral_norm")):
         real = getattr(owner, name)
 
         def logged(*args, _real=real, _name=name, **kwargs):

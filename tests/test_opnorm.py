@@ -18,18 +18,18 @@ from critnorm import (
     AscentInvariantError,
     MultilinearForm,
     ascent_norm,
-    ascent_norms,
     child_rng,
     conjugate,
     dual_argmax,
     evaluate,
+    exact_norm,
     lp_norm,
     make_dot,
     make_gaussian_random,
     make_partial_dot,
     make_sign_random,
     make_t0,
-    operator_norm,
+    norms,
     spectral_norm,
     upper_bound_l1,
 )
@@ -854,7 +854,7 @@ def test_ascent_complex_forms_report_modulus():
     assert abs(evaluate(T, est.maximizer)) == pytest.approx(est.value, rel=1e-10)
 
 
-# ------------------------------------------------------------ ascent_norms
+# ------------------------------------------------------------------- norms
 
 _BATCH_DIMS = {1: (5,), 2: (4, 3), 3: (3, 4, 2), 4: (3, 2, 4, 2), 5: (2, 3, 2, 2, 3)}
 _BATCH_DOMAINS = {1: ("inf",), 2: ("1", "3"), 3: ("inf", "3/2", "1"),
@@ -874,7 +874,7 @@ def _assert_same_estimate(got, want):
 def test_ascent_norms_match_ascent_norm_bit_for_bit(arity, field):
     """A batch of K = 1..7 forms on one domain (holding p = 1 and inf from
     arity 2 on), at 16 restarts for odd K and one for even K, and with a
-    zero form second from K = 3 on: every estimate is the one
+    zero form second from K = 3 on: every ``norms`` estimate is the one
     ``ascent_norm`` gives that form and seed alone, bit for bit."""
     dims, dom = _BATCH_DIMS[arity], _BATCH_DOMAINS[arity]
     for K in range(1, 8):
@@ -885,7 +885,7 @@ def test_ascent_norms_match_ascent_norm_bit_for_bit(arity, field):
         if K >= 3:
             forms[1] = MultilinearForm(np.zeros(dims, dtype=forms[0].coeffs.dtype), domain_p=dom)
         seeds = [100 + 3 * f for f in range(K)]
-        batched = ascent_norms(forms, seeds, restarts=restarts)
+        batched = norms(forms, seeds, restarts=restarts)
         assert len(batched) == K
         for T, seed, est in zip(forms, seeds, batched):
             _assert_same_estimate(est, ascent_norm(T, restarts=restarts, seed=seed))
@@ -894,11 +894,13 @@ def test_ascent_norms_match_ascent_norm_bit_for_bit(arity, field):
 
 
 def test_ascent_norms_groups_mixed_forms_and_sweeps_chunked_rows(monkeypatch):
-    """Forms of different dims, dtype or domain in one call are grouped, and
-    the estimates come back in call order.  With a one-element cap each
-    form's rows sweep in chunks of min(n_0, n_1) rows, several chunks to a
-    wave, and every estimate still has the bits of ``ascent_norm`` under
-    the same cap."""
+    """Forms of different dims, dtype or domain in one ``norms`` call are
+    grouped, and the estimates come back in call order.  With a one-element
+    cap each form's rows sweep in chunks of min(n_0, n_1) rows, several
+    chunks to a wave, and every ascent estimate still has the bits of
+    ``ascent_norm`` under the same cap.  The 4 x 4 forms on the default
+    l_2 x l_2 domain get exactly what ``spectral_norm`` gives them, and the
+    one on l_4 x l_4 the ascent."""
     monkeypatch.setattr(opnorm, "_GRADIENT_CHUNK", 1)
     forms = []
     for f in range(8):
@@ -907,14 +909,19 @@ def test_ascent_norms_groups_mixed_forms_and_sweeps_chunked_rows(monkeypatch):
         dom = ("3/2",) * len(dims) if f % 4 == 2 else None
         T = make_gaussian_random(dims, seed=f, scalar_field=field)
         forms.append(MultilinearForm(T.coeffs, domain_p=dom))
-    seeds = list(range(20, 28))
-    for est, T, seed in zip(ascent_norms(forms, seeds), forms, seeds):
-        _assert_same_estimate(est, ascent_norm(T, seed=seed))
+    forms.append(MultilinearForm(make_gaussian_random((4, 4), seed=8).coeffs, domain_p=(4, 4)))
+    seeds = list(range(20, 29))
+    for f, (est, T, seed) in enumerate(zip(norms(forms, seeds), forms, seeds)):
+        if f % 4 == 3:
+            assert (est.value, est.method) == (spectral_norm(T.coeffs).value, "exact-singular")
+        else:
+            _assert_same_estimate(est, ascent_norm(T, seed=seed))
 
 
 def test_ascent_norms_hands_one_form_to_ascent_norm(monkeypatch):
-    """A one-form call goes through ``opnorm.ascent_norm`` by name, so a
-    wrapper of that function sees it; a batch does not."""
+    """A lone ascent form, alone or beside exact forms, goes through
+    ``opnorm.ascent_norm`` by name, so a wrapper of that function sees it;
+    a batch of ascent forms does not."""
     calls = []
     real = opnorm.ascent_norm
 
@@ -924,33 +931,45 @@ def test_ascent_norms_hands_one_form_to_ascent_norm(monkeypatch):
 
     monkeypatch.setattr(opnorm, "ascent_norm", counting)
     T = make_gaussian_random((3, 3, 3), seed=1)
-    ascent_norms([T], [5], restarts=2)
+    norms([T], [5], restarts=2)
     assert calls == [T]
-    ascent_norms([T, T], [5, 6], restarts=2)
+    norms([T, T], [5, 6], restarts=2)
     assert calls == [T]
-    assert ascent_norms([], []) == []
+    assert norms([], []) == []
+    ests = norms([make_t0(3, 4), T, make_t0(2, 2)], [1, 5, 2], restarts=2)
+    assert calls == [T, T]
+    assert [est.method for est in ests] == ["exact-singular", "ascent", "exact-singular"]
 
 
 def test_ascent_norms_validation():
+    """The seed count and the ascent settings are refused up front, even
+    when every form's norm is exact."""
     T = make_dot(2, 2)
     with pytest.raises(ValueError, match="seeds"):
-        ascent_norms([T, T], [1])
+        norms([T, T], [1])
     for bad in ({"restarts": 0}, {"tol": 0.0}, {"tol": math.nan}, {"tol": math.inf},
                 {"max_iters": 0}):
         with pytest.raises(ValueError):
-            ascent_norms([T, T], [1, 2], **bad)
+            norms([T, T], [1, 2], **bad)
+        with pytest.raises(ValueError):
+            norms([make_t0(2, 2)], [1], **bad)
 
 
-# ----------------------------------------------------------- operator_norm
+# -------------------------------------------------------------- exact_norm
 
 def test_operator_norm_dispatch():
+    """``exact_norm`` takes the l_2 x l_2 bilinear case and nothing else, and
+    ``norms`` follows it."""
     A = np.diag([1.0, 2.0])
-    assert operator_norm(MultilinearForm(A, domain_p=(2, 2))).method == "exact-singular"
-    assert operator_norm(MultilinearForm(A, domain_p=(4, 2))).method == "ascent"
-    assert operator_norm(make_dot(3, 3)).method == "ascent"
+    forms = [MultilinearForm(A, domain_p=(2, 2)), MultilinearForm(A, domain_p=(4, 2)),
+             make_dot(3, 3)]
+    assert [est.method for est in norms(forms, [42] * 3)] == \
+        ["exact-singular", "ascent", "ascent"]
+    assert exact_norm(forms[0]).value == 2.0
+    assert exact_norm(forms[1]) is None and exact_norm(forms[2]) is None
 
 
 def test_operator_norm_exact_case_value():
-    est = operator_norm(make_t0(4, 16))
+    est = norms([make_t0(4, 16)], [42])[0]
     assert est.method == "exact-singular"
     assert est.value == pytest.approx(4.0, rel=1e-12)

@@ -1,5 +1,5 @@
 """Every ``$ critnorm`` example in README.md, run in-process and checked
-against the README text.
+against the README text, and every ``python`` block of it, run as written.
 
 The examples are parsed and compared by the benchmark's ``readme`` workload
 code (bench/workloads.py): the exit code is the one README documents (2 for
@@ -10,6 +10,7 @@ otherwise), text must match exactly and each printed number at a relative
 
 import importlib.util
 import pathlib
+import re
 import sys
 
 import pytest
@@ -29,14 +30,17 @@ def _load_bench(name):
     return module
 
 
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 WORKLOADS = _load_bench("workloads")
-EXAMPLES = WORKLOADS.readme_invocations((ROOT / "README.md").read_text(encoding="utf-8"))
+EXAMPLES = WORKLOADS.readme_invocations(README)
+PYTHON_BLOCKS = re.findall(r"^```python\n(.*?)^```$", README, re.DOTALL | re.MULTILINE)
 
 
 def test_the_readme_has_examples_with_documented_failures():
     assert len(EXAMPLES) >= 10
     assert {inv.expect_exit for inv in EXAMPLES} == {0, 1, 2}
     assert all(inv.expect_lines for inv in EXAMPLES)
+    assert PYTHON_BLOCKS
 
 
 @pytest.mark.parametrize("example", EXAMPLES, ids=[inv.label for inv in EXAMPLES])
@@ -44,6 +48,14 @@ def test_a_readme_example_prints_what_the_readme_shows(example, capsys):
     code = main(list(example.argv))
     out, err = capsys.readouterr()
     assert example.check(code, out + err, None) == []
+
+
+@pytest.mark.parametrize("block", PYTHON_BLOCKS,
+                         ids=[f"block{i}" for i in range(len(PYTHON_BLOCKS))])
+def test_a_readme_python_block_runs(block):
+    """A library snippet runs as written: its names exist and, outside
+    ``python -O``, its assertions hold."""
+    exec(compile(block, "README.md", "exec"), {})
 
 
 def test_a_traced_readme_pass_calls_every_expected_layer(capsys):

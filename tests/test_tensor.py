@@ -30,7 +30,7 @@ from critnorm import (
     make_partial_dot,
     make_t0,
     mixed_norm,
-    operator_norm,
+    norms,
     save_tensor,
     to_dict,
     weak_norm,
@@ -426,7 +426,7 @@ def test_weak_norm_is_the_pairing_operator_norm_at_fixed_settings(p, q):
     assert list(inspect.signature(weak_norm).parameters) == ["vectors", "p", "space_q", "seed"]
     X = make_gaussian_random((3, 5), seed=4).coeffs
     pairing = MultilinearForm(X, domain_p=(conjugate(p), conjugate(q)))
-    want = operator_norm(pairing, restarts=8, tol=1e-12, max_iters=200, seed=9).value
+    want = norms([pairing], [9], restarts=8, tol=1e-12, max_iters=200)[0].value
     assert weak_norm(X, p, q, seed=9) == want
 
 
