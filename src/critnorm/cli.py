@@ -2,7 +2,9 @@
 
 Exit codes: 0 success (and, for experiments, zero violations), 1 for a
 completed run that found violations (or a false admissibility answer),
-2 for usage or data errors.
+2 for usage or data errors.  For inclusion-instance, 1 marks a suspicion:
+its ratio divides one battery maximum by another, and a value above 1.05
+is not evidence against the inclusion theorem.
 """
 
 from __future__ import annotations

@@ -412,8 +412,10 @@ class BilinearAdmissibility:
 def bilinear_admissibility(p: ExtLike, q: ExtLike, a: ExtLike, b: ExtLike) -> BilinearAdmissibility:
     """Check the subcritical bilinear conditions on (a, b) for the l_p x l_q domain.
 
-    For p, q in [2, inf] with 1/p + 1/q < 1 the pair must satisfy
-    a >= q/(q-1), b >= pq/(pq-p-q) and 1/a + 1/b <= 3/2 - (1/p + 1/q).
+    For p, q in [2, inf] with 1/p + 1/q < 1 it checks the three conditions
+    a >= q/(q-1), b >= pq/(pq-p-q) and 1/a + 1/b <= 3/2 - (1/p + 1/q) as
+    stated.  No proof that they suffice is cited here; Osikiewicz & Tonge,
+    Linear Algebra Appl. 331 (2001), is the source to check.
     Infinite endpoints follow from the same reciprocal arithmetic: q/(q-1)
     is conjugate(q) and pq/(pq-p-q) is 1/(1 - 1/p - 1/q).  The critical
     line 1/p + 1/q = 1 is out of scope and raises ValueError.

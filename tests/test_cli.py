@@ -11,7 +11,7 @@ import pytest
 
 from critnorm import (ExperimentConfig, MultilinearForm, NormEstimate, make_gaussian_random,
                       run_verify, save_tensor, to_dict, weak_norm)
-from critnorm import opnorm
+from critnorm import harness, opnorm
 from critnorm.cli import _build_parser, main
 from critnorm.harness import READS
 
@@ -144,6 +144,47 @@ def test_one_exact_norm_decision_reaches_every_caller(monkeypatch, capsys):
     rep = run_verify(ExperimentConfig(experiment="verify", form="gauss:m=3", n=4, trials=3))
     assert [t["method"] for t in rep.trials] == ["stub"] * 3
     assert weak_norm(make_gaussian_random((3, 5), seed=1).coeffs, 4, 2, seed=2) == 1.0
+
+
+EXPERIMENT_ARGS = {
+    "verify": ["--form", "gauss:m=3", "--n", "4", "--trials", "2"],
+    "sharpness": ["--form", "partial:m=3,r=1", "--sweep", "4,8,16"],
+    "bilinear-law": ["--form", "t0:n1=4", "--n", "8", "--a", "1", "--b", "inf", "--trials", "2"],
+    "base-hl": ["--m", "3", "--n", "4", "--trials", "2"],
+    "inclusion-instance": ["--r", "2", "--p", "2,2", "--q", "4,4", "--form", "gauss:m=2",
+                           "--n", "3", "--trials", "2", "--datasets", "2"],
+}
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_one_verdict_reaches_every_experiment(monkeypatch, tmp_path, capsys, flag):
+    """``harness.verdict`` alone decides what a ratio proves: stubbed in
+    every module that binds it, its ratio and violation reach the records
+    of all five experiments, their summary counts and the exit code."""
+    real = harness.verdict
+    bound = [module for name, module in list(sys.modules.items())
+             if name.split(".")[0] == "critnorm" and getattr(module, "verdict", None) is real]
+    assert "critnorm.harness" in {module.__name__ for module in bound}
+    calls = []
+
+    def stub(lhs, denominator, C, exact, retried=None):
+        calls.append((C, exact))
+        flags = {} if retried is None else {"retried": retried}
+        return {"ratio": 0.25, **flags, "violation": flag}
+
+    for module in bound:
+        monkeypatch.setattr(module, "verdict", stub)
+    for experiment, args in EXPERIMENT_ARGS.items():
+        calls.clear()
+        out = tmp_path / f"{experiment}.json"
+        assert main([experiment, *args, "--out", str(out)]) == (1 if flag else 0)
+        payload = json.loads(out.read_text())
+        trials, violations = payload["trials"], len(payload["trials"]) if flag else 0
+        assert [(t["ratio"], t["violation"]) for t in trials] == [(0.25, flag)] * len(trials)
+        assert payload["summary"]["violations"] == violations
+        assert f"{violations} violations" in capsys.readouterr().out
+        if experiment in ("bilinear-law", "inclusion-instance"):
+            assert set(calls) == {(1, experiment == "bilinear-law")}
 
 
 def test_norm_mixed_needs_orders(capsys):

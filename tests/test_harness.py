@@ -671,3 +671,28 @@ def test_report_write_json_is_stable(tmp_path):
 def test_slack_constants():
     assert SLACK_EXACT == 1e-9
     assert SLACK_ASCENT == 0.05
+
+
+@pytest.mark.parametrize("exact, slack", [(True, SLACK_EXACT), (False, SLACK_ASCENT)])
+@pytest.mark.parametrize("C", [1, math.sqrt(2)])
+def test_verdict_edges(exact, slack, C):
+    """A ratio at C * (1 + slack) passes and the next float up does not; a
+    NaN ratio is a violation; 0/0 passes as ratio 0 and a positive lhs over
+    a zero denominator fails as ratio inf."""
+    limit = C * (1 + slack)
+    assert harness.verdict(limit, 1.0, C, exact) == {"ratio": limit, "violation": False}
+    assert harness.verdict(np.nextafter(limit, math.inf), 1.0, C, exact)["violation"] is True
+    nan = harness.verdict(math.nan, 1.0, C, exact)
+    assert math.isnan(nan["ratio"]) and nan["violation"] is True
+    assert harness.verdict(0.0, 0.0, C, exact) == {"ratio": 0.0, "violation": False}
+    assert harness.verdict(2.0, 0.0, C, exact) == {"ratio": math.inf, "violation": True}
+
+
+def test_verdict_slack_follows_the_denominator_kind():
+    """The ascent slack is headroom for a lower bound only: the same ratio
+    over an exact denominator is a violation.  ``retried`` sits between
+    ratio and violation when given."""
+    assert harness.verdict(1 + SLACK_ASCENT, 1.0, 1, exact=False)["violation"] is False
+    assert harness.verdict(1 + SLACK_ASCENT, 1.0, 1, exact=True)["violation"] is True
+    assert list(harness.verdict(1.0, 1.0, 1, False, retried=True)) == \
+        ["ratio", "retried", "violation"]
