@@ -493,8 +493,8 @@ def _unit_starts(T: MultilinearForm, restarts: int, seeds: Sequence[int]) -> lis
             child_rng(seed, r).standard_normal(out=D[f * restarts + r])
     X = [D[:, a:a + n] + 1j * D[:, a + n:b] if cplx else D[:, a:b].copy()
          for a, b, n in zip(edges[:-1], edges[1:], T.dims)]
-    drawn = np.logical_or.reduceat(D != 0, edges[:-1], axis=1)
-    for row in np.flatnonzero(~drawn.all(axis=1)):
+    drawn = np.all([x.any(axis=1) for x in X], axis=0)
+    for row in np.flatnonzero(~drawn):
         rng = child_rng(seeds[row // restarts], row % restarts)
         for x in X:
             while True:

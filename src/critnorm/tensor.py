@@ -18,14 +18,15 @@ copied.  The finiteness check and ``mixed_norm`` work in chunks of at most
 ``CHUNK_ELEMENTS`` elements (or one leading-axis row, if a row is larger),
 so their scratch stays bounded whatever the tensor size.  The diagonal
 witnesses (``make_dot``, ``make_partial_dot``) hold n nonzero entries of an
-n^m tensor, so they keep only their support: one index array per slot and
-the values.  Such a form builds its dense tensor on the first read of
-``coeffs``, and ``mixed_norm`` reduces the support without building it.
+n^m tensor, so they keep only their compressed group-diagonal block.  Such
+a form builds its dense tensor on the first read of ``coeffs``, and
+``mixed_norm`` reduces the block without building it.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from typing import Sequence
@@ -74,13 +75,13 @@ class MultilinearForm:
     Finiteness is checked in chunks of ``CHUNK_ELEMENTS``, so beyond the
     coefficients themselves construction allocates at most one chunk.
 
-    A form made by ``_from_support`` keeps its real nonzero entries only.
+    A form made by ``_from_block`` keeps its real compressed block only.
     ``dims``, ``arity`` and ``is_complex`` are stored apart from the
     coefficients, and the read-only dense ``coeffs`` is built from the
-    support on its first read, once.
+    block on its first read, once.
     """
 
-    __slots__ = ("_coeffs", "_support", "_dims", "_dtype", "domain_p", "analytic_norm")
+    __slots__ = ("_coeffs", "_block", "_dims", "_dtype", "domain_p", "analytic_norm")
 
     def __init__(self, coeffs, domain_p=None, analytic_norm=None):
         arr = np.asarray(coeffs)
@@ -99,20 +100,24 @@ class MultilinearForm:
         for i in range(0, flat.size, CHUNK_ELEMENTS):
             if not np.isfinite(flat[i:i + CHUNK_ELEMENTS]).all():
                 raise ValueError("coefficients must be finite; the tensor holds NaN or inf")
-        self._coeffs, self._support = arr, None
+        self._coeffs, self._block = arr, None
         self._set_layout(arr.shape, arr.dtype, domain_p, analytic_norm)
 
     @classmethod
-    def _from_support(cls, dims, index, values, domain_p=None, analytic_norm=None):
-        """A real form from its nonzero entries: entry i sits at
-        (index[0][i], ..., index[m-1][i]) and holds values[i].  The entries
-        must be distinct and in row-major order; the caller guarantees it.
-        A NaN or inf value raises ValueError."""
-        values = np.asarray(values, dtype=np.float64)
-        if not np.isfinite(values).all():
-            raise ValueError("coefficients must be finite; the support holds NaN or inf")
+    def _from_block(cls, dims, U, groups, domain_p=None, analytic_norm=None):
+        """A real form from its compressed group-diagonal block U, one axis
+        per group of ``groups[l]`` consecutive slots: the entry whose slots
+        in group l all hold i_l is U[i_1, ..., i_L], every other entry is 0.
+        An axis of U may be shorter than its slots' dimension, so a pinned
+        slot is a group of one slot with an axis of length 1.  U is taken
+        over and marked read-only, and the shapes must fit; the caller
+        guarantees it.  A NaN or inf in U raises ValueError."""
+        U = np.asarray(U, dtype=np.float64)
+        U.setflags(write=False)
+        if not np.isfinite(U).all():
+            raise ValueError("coefficients must be finite; the block holds NaN or inf")
         T = cls.__new__(cls)
-        T._coeffs, T._support = None, (tuple(index), values)
+        T._coeffs, T._block = None, (U, tuple(groups))
         T._set_layout(tuple(dims), np.dtype(np.float64), domain_p, analytic_norm)
         return T
 
@@ -135,12 +140,13 @@ class MultilinearForm:
 
     @property
     def coeffs(self) -> np.ndarray:
-        """The read-only dense coefficient tensor (built from the support on
+        """The read-only dense coefficient tensor (built from the block on
         first read when the form keeps one)."""
         if self._coeffs is None:
-            index, values = self._support
+            U, groups = self._block
+            axes = zip(np.indices(U.shape, sparse=True), groups)
             arr = np.zeros(self._dims)
-            arr[index] = values
+            arr[tuple(axis for axis, g in axes for _ in range(g))] = U
             arr.setflags(write=False)
             self._coeffs = arr
         return self._coeffs
@@ -164,10 +170,10 @@ class MultilinearForm:
     def with_domain(self, domain_p) -> "MultilinearForm":
         """Same coefficients on different unit balls (analytic metadata drops,
         since a closed-form norm is tied to its domain).  The two forms share
-        one coefficient array, or one support."""
-        if self._support is None:
+        one coefficient array, or one block."""
+        if self._block is None:
             return MultilinearForm(self._coeffs, domain_p)
-        return MultilinearForm._from_support(self._dims, *self._support, domain_p=domain_p)
+        return MultilinearForm._from_block(self._dims, *self._block, domain_p=domain_p)
 
     def __repr__(self):
         shape = "x".join(map(str, self.dims))
@@ -209,21 +215,22 @@ def mixed_norm(T, orders) -> float:
     so the result is bit for bit that of a single chunk, and the scratch
     stays at a few chunks instead of a tensor-sized copy of the moduli.
 
-    A form that keeps only its support (see ``MultilinearForm``) is reduced
-    from the support, one level at a time, without its dense tensor: each
-    level raises the moduli to the power, sums (or takes the maximum of)
-    each run of entries that share an index prefix, and takes the same root
-    as the dense path.  Absent entries are zeros, which add nothing, so on
-    the 0/1 supports of the diagonal witnesses, where every sum is an exact
-    count or a single term, the result has the dense path's bits.
+    A form that keeps only its block (see ``MultilinearForm``) is reduced
+    as the bare block U, with the order of each group's first slot on the
+    group's axis.  Inside a group every slot after the first sees one
+    nonzero entry per index prefix, and the levels there leave it as it is
+    up to rounding.  On the 0/1 blocks of the diagonal witnesses that entry
+    is exactly 1, so every other level runs the dense path's operations on
+    the same values and the result has the dense path's bits.
     """
     s = orders if isinstance(orders, ExponentVector) else ExponentVector(orders)
     form = isinstance(T, MultilinearForm)
     m = T.arity if form else np.ndim(T)
     if len(s) != m:
         raise ValueError(f"expected {m} orders for arity {m}, got {len(s)}")
-    if form and T._support is not None:
-        return _support_norm(*T._support, s)
+    if form and T._block is not None:
+        U, groups = T._block
+        return mixed_norm(U, [s[k] for k in itertools.accumulate(groups[:-1], initial=0)])
     arr = T.coeffs if form else np.asarray(T)
     if arr.size == 0:
         return 0.0
@@ -244,34 +251,6 @@ def mixed_norm(T, orders) -> float:
     for i in starts:
         heads[i:i + rows] = _reduce_levels(np.abs(arr[i:i + rows]), inner, scale)
     return float(_reduce_levels(heads, (outer,))) * scale
-
-
-def _support_norm(index, values, s) -> float:
-    """``mixed_norm`` of the form whose nonzero entries sit at the row-major
-    ``index`` with ``values``.  Level k groups the entries left by level
-    k + 1 into runs of equal (j_1, ..., j_k); the outermost level reduces
-    all of them to a scalar, as the dense path's last level does, so each
-    root acts on an array or a scalar just as it does there."""
-    work = np.abs(values)
-    scale = float(work.max())
-    work /= scale
-    for k in reversed(range(len(s))):
-        order = s[k]
-        if k:
-            heads = np.zeros(work.size, dtype=bool)
-            heads[0] = True
-            for axis in index[:k]:
-                heads[1:] |= axis[1:] != axis[:-1]
-            starts = np.flatnonzero(heads)
-            index = [axis[starts] for axis in index[:k]]
-        if not order.is_inf:
-            e = float(order.fraction)
-            np.power(work, e, out=work)
-        op = np.maximum if order.is_inf else np.add
-        work = op.reduceat(work, starts) if k else op.reduce(work)
-        if not order.is_inf:
-            work = work ** (1.0 / e)
-    return float(work) * scale
 
 
 def _finite_scale(top) -> float:
@@ -337,10 +316,11 @@ def to_dict(T: MultilinearForm) -> dict:
 
 
 def from_dict(payload: dict) -> MultilinearForm:
-    """Inverse of ``to_dict``.  A payload that is not a dict with ``m``,
-    ``dims``, ``scalar`` and a ``coeffs`` list of the right length and shape,
-    or that holds a NaN or inf coefficient, raises ValueError.  The parsed
-    array is handed to the form without a second copy."""
+    """Inverse of ``to_dict``.  A payload that is not a dict with integer
+    ``m`` and ``dims``, ``scalar`` and a ``coeffs`` list of the right length
+    and shape, whose ``domain_p`` holds anything but integers and token
+    strings, or that holds a NaN or inf coefficient, raises ValueError.
+    The parsed array is handed to the form without a second copy."""
     if not isinstance(payload, dict):
         raise ValueError("a tensor file must hold a JSON object")
     missing = [k for k in ("m", "dims", "scalar", "coeffs") if k not in payload]
@@ -350,11 +330,12 @@ def from_dict(payload: dict) -> MultilinearForm:
     domain = payload.get("domain_p")
     if not all(isinstance(v, list) for v in (payload["dims"], raw, domain or [])):
         raise ValueError("tensor file: dims, coeffs and domain_p must be lists")
-    try:
-        m = int(payload["m"])
-        dims = tuple(int(d) for d in payload["dims"])
-    except TypeError as exc:
-        raise ValueError(f"tensor file: m and dims must be integers ({exc})") from None
+    m, dims = payload["m"], tuple(payload["dims"])
+    # type(), not isinstance: JSON true parses to bool, an int subclass
+    if not all(type(v) is int for v in (m, *dims)):
+        raise ValueError("tensor file: m and dims must be integers")
+    if not all(type(e) is int or isinstance(e, str) for e in domain or []):
+        raise ValueError("tensor file: domain_p entries must be integers or token strings")
     if len(dims) != m:
         raise ValueError(f"dims has {len(dims)} entries but m = {m}")
     scalar = payload["scalar"]

@@ -48,8 +48,8 @@ def make_partial_dot(m: int, n: int, r: int) -> MultilinearForm:
     e_1.  The same argument extends past r = 2, where the value is
     cross-checked numerically rather than quoted.
 
-    The form keeps its n unit entries (j, ..., j) with the pinned indices 0,
-    so building it and taking its mixed norms cost O(m n); its dense n^m
+    The form keeps its compressed block, n ones behind r axes of length 1,
+    so building it and taking its mixed norms cost O(n); its dense n^m
     tensor is built only if ``coeffs`` is read.
     """
     if m < 2:
@@ -58,9 +58,8 @@ def make_partial_dot(m: int, n: int, r: int) -> MultilinearForm:
         raise ValueError(f"dimension must be >= 1, got {n}")
     if not 0 <= r <= m - 2:
         raise ValueError(f"pinned slots must satisfy 0 <= r <= m-2, got r = {r}")
-    index = (np.zeros(n, dtype=int),) * r + (np.arange(n),) * (m - r)
-    return MultilinearForm._from_support((n,) * m, index, np.ones(n),
-                                         analytic_norm=float(n) ** (r / m))
+    return MultilinearForm._from_block((n,) * m, np.ones((1,) * r + (n,)),
+                                       (1,) * r + (m - r,), analytic_norm=float(n) ** (r / m))
 
 
 def make_t0(n1: int, n2: int) -> MultilinearForm:
@@ -179,6 +178,9 @@ class FormFactory:
         else:
             raise ValueError(f"unknown form kind {self.kind!r}")
         if domain_p is not None:
+            if len(domain_p) != T.arity:
+                raise ValueError(f"this run needs forms of {len(domain_p)} slots, "
+                                 f"but the {k} form has arity {T.arity}")
             T = T.with_domain(domain_p)
         return T
 

@@ -364,6 +364,19 @@ def test_inclusion_instance_inapplicable(capsys):
     assert "inapplicable:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, needs, arity", [
+    (["inclusion-instance", "--r", "2", "--p", "2,2", "--q", "4,4",
+      "--form", "gauss:m=3", "--n", "3"], 2, 3),
+    (["base-hl", "--m", "4", "--form", "gauss:m=2", "--n", "3"], 3, 2),
+])
+def test_a_form_of_the_wrong_arity_is_exit_2_with_one_error_line(argv, needs, arity, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: this run needs forms of {needs} slots, "
+                            f"but the gauss form has arity {arity}\n")
+
+
 def test_verify_on_an_inf_coefficient_is_exit_2_without_warnings(tmp_path):
     """An inf in a saved tensor is refused when the file is loaded: exit 2
     with one message, and no NumPy RuntimeWarning or traceback on stderr."""
@@ -389,6 +402,12 @@ _MALFORMED_FILES = {
     "complex-ragged-pairs": {"m": 2, "dims": [2, 2], "scalar": "complex",
                              "coeffs": [[1, 2], [3], [5, 6], [7, 8]]},
     "not-an-object": [1, 2, 3, 4],
+    "m-float": {"m": 2.7, "dims": [2, 2], "scalar": "real", "coeffs": [1, 2, 3, 4]},
+    "dims-float": {"m": 2, "dims": [2.9, 2], "scalar": "real", "coeffs": [1, 2, 3, 4]},
+    "domain-float": {"m": 2, "dims": [2, 2], "scalar": "real", "coeffs": [1, 2, 3, 4],
+                     "domain_p": [2.5, 2]},
+    "domain-bool": {"m": 2, "dims": [2, 2], "scalar": "real", "coeffs": [1, 2, 3, 4],
+                    "domain_p": [True, 2]},
 }
 
 

@@ -297,7 +297,7 @@ def _support_cases():
 
 @pytest.mark.parametrize("m, r, n", _support_cases())
 def test_support_mixed_norm_has_the_dense_bits(m, r, n):
-    """A witness's mixed norm, reduced from its n nonzero entries, equals the
+    """A witness's mixed norm, reduced from its compressed block, equals the
     one reduced from its dense tensor under ==, for every variant and for
     orders with inf at an inner level."""
     T = make_partial_dot(m, n, r)
@@ -311,16 +311,19 @@ def test_support_mixed_norm_has_the_dense_bits(m, r, n):
         assert mixed_norm(T, orders) == mixed_norm(dense, orders), orders
 
 
-@pytest.mark.parametrize("dims", [(4, 5), (3, 4, 5), (2, 3, 2, 4), (1, 6, 1, 3)])
-def test_a_general_support_reduces_to_the_dense_value(dims):
-    """Runs of equal index prefixes are found on every leading slot, not on
-    the last one alone: a random sparse support agrees with its dense
-    tensor up to summation order."""
+@pytest.mark.parametrize("groups", [(2, 1), (1, 2, 1), (3,), (1, 1, 2), (2, 2), (1, 3)])
+def test_a_general_block_reduces_to_the_dense_value(groups):
+    """Each axis of a block takes the order of its group's first slot,
+    whatever the group sizes, and an axis may be shorter than its slots'
+    dimension: a random block agrees with its dense tensor up to summation
+    order, and the dense tensor holds the block on its group diagonals."""
     rng = np.random.default_rng(31)
-    flat = np.flatnonzero(rng.random(math.prod(dims)) < 0.4)
-    flat = flat if flat.size else np.array([0])
-    values = rng.standard_normal(flat.size)
-    T = MultilinearForm._from_support(dims, np.unravel_index(flat, dims), values)
+    U = rng.standard_normal(tuple(rng.integers(1, 5, size=len(groups))))
+    dims = tuple(int(u + rng.integers(0, 2)) for u, g in zip(U.shape, groups) for _ in range(g))
+    T = MultilinearForm._from_block(dims, U, groups)
+    assert np.count_nonzero(T.coeffs) == U.size
+    diagonal = tuple(i for i, g in zip(np.indices(U.shape), groups) for _ in range(g))
+    assert np.array_equal(T.coeffs[diagonal], U)
     m = len(dims)
     for orders in [critical_exponents(m), ExponentVector.uniform("3/2", m),
                    ExponentVector((("inf", "7/3") * 2)[:m]),
@@ -328,12 +331,12 @@ def test_a_general_support_reduces_to_the_dense_value(dims):
         assert mixed_norm(T, orders) == pytest.approx(mixed_norm(T.coeffs, orders), rel=1e-13)
 
 
-def test_a_support_refuses_non_finite_values_and_mismatched_orders():
-    index = (np.arange(3), np.arange(3))
-    with pytest.raises(ValueError, match="finite"):
-        MultilinearForm._from_support((3, 3), index, [1.0, np.nan, 1.0])
-    with pytest.raises(ValueError, match="finite"):
-        MultilinearForm._from_support((3, 3), index, [1.0, 1.0, np.inf])
+def test_a_block_refuses_non_finite_values_and_mismatched_orders():
+    for bad in (np.nan, np.inf, -np.inf):
+        U = np.ones((1, 3))
+        U[0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            MultilinearForm._from_block((3, 3, 3), U, (1, 2))
     with pytest.raises(ValueError, match="expected 2 orders"):
         mixed_norm(make_dot(2, 3), "2,2,2")
 
@@ -516,7 +519,7 @@ def test_comparison_gap_is_nonnegative(A, data):
 # traced_peak fixture), so each bound is exact rather than a loose RSS read.
 
 def test_mixed_norm_scratch_is_bounded_by_the_chunk(traced_peak):
-    # the dense tensor, so the chunked path runs (the form itself takes the support path)
+    # the dense tensor, so the chunked path runs (the form itself takes the block path)
     A = make_dot(4, 40).coeffs
     assert A.size > 4 * tensor.CHUNK_ELEMENTS
     value, peak = traced_peak(lambda: mixed_norm(A, critical_exponents(4)))
@@ -526,8 +529,8 @@ def test_mixed_norm_scratch_is_bounded_by_the_chunk(traced_peak):
 
 
 def test_a_witness_and_its_mixed_norm_stay_within_64_kb(traced_peak):
-    """make_dot(4, 40) keeps its 40 entries, not its 20 MB tensor, and its
-    mixed norm is reduced from them."""
+    """make_dot(4, 40) keeps its block of 40 ones, not its 20 MB tensor, and
+    its mixed norm is reduced from the block."""
     value, peak = traced_peak(lambda: mixed_norm(make_dot(4, 40), critical_exponents(4)))
     assert value == 1.0
     assert peak < 64 * 1024
@@ -590,6 +593,14 @@ MALFORMED_PAYLOADS = {
     "complex-object": dict(_GOOD_PAYLOAD, coeffs=[[1, 2], [3, {}], [5, 6], [7, 8]]),
     "real-pairs": dict(_GOOD_PAYLOAD, scalar="real"),
     "real-object": dict(_GOOD_PAYLOAD, scalar="real", coeffs=[1, 2, {}, 4]),
+    "m-float": dict(_GOOD_PAYLOAD, m=2.7),
+    "m-bool": dict(_GOOD_PAYLOAD, m=True, dims=[4]),
+    "dims-float": dict(_GOOD_PAYLOAD, dims=[2.9, 2]),
+    "dims-bool": dict(_GOOD_PAYLOAD, dims=[True, 4]),
+    "domain-float": dict(_GOOD_PAYLOAD, domain_p=[2.5, 2]),
+    "domain-bool": dict(_GOOD_PAYLOAD, domain_p=[True, 2]),
+    "domain-null": dict(_GOOD_PAYLOAD, domain_p=[None, 2]),
+    "domain-object": dict(_GOOD_PAYLOAD, domain_p=[{}, 2]),
 }
 
 

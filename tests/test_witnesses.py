@@ -171,7 +171,7 @@ def test_witness_coefficients_are_built_once_with_the_dense_bytes(m, n, r):
 
 def test_witness_metadata_does_not_build_the_coefficients(traced_peak):
     """dims, arity, is_complex, repr, with_domain and mixed_norm read the
-    support alone: the 20 MB tensor of make_dot(4, 40) is first allocated
+    block alone: the 20 MB tensor of make_dot(4, 40) is first allocated
     when coeffs is read."""
     T = make_dot(4, 40)
 
