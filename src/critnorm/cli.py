@@ -34,8 +34,8 @@ from .harness import (
     run_sharpness,
     run_verify,
 )
-from .opnorm import norms
-from .tensor import load_tensor, mixed_norm
+from .opnorm import ASCENT_DEFAULTS, norms
+from .tensor import mixed_norm
 from .witnesses import parse_form_spec
 
 __all__ = ["main"]
@@ -139,15 +139,15 @@ def _cmd_admissible(args) -> int:
 
 
 def _load_form(args):
+    """The form of ``--form``, or of ``--tensor FILE`` read as ``file:FILE``,
+    so both spellings of a file refuse ``--n``."""
     if args.tensor and args.form:
         raise ValueError("give either --tensor or --form, not both")
-    if args.tensor:
-        return load_tensor(args.tensor)
-    if not args.form:
+    spec = f"file:{args.tensor}" if args.tensor else args.form
+    if not spec:
         raise ValueError("give --tensor <file> or --form "
                          "(e.g. gauss:m=3,n=8,seed=1 or file:tensor.json)")
-    fac = parse_form_spec(args.form)
-    return fac.make(n=args.n, seed=args.seed)
+    return parse_form_spec(spec).make(n=args.n, seed=args.seed)
 
 
 def _cmd_norm(args) -> int:
@@ -211,11 +211,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--exponents", "--orders", dest="exponents",
                      help="mixed orders: a vector like inf,3,12/5 or a "
                           "variant name resolved at the form's arity")
-    sub.add_argument("--seed", type=int, default=42)
-    sub.add_argument("--restarts", type=int, default=16)
-    sub.add_argument("--tol", type=float, default=1e-10)
-    sub.add_argument("--max-iters", type=int, default=500)
-    sub.set_defaults(handler=_cmd_norm)
+    sub.add_argument("--seed", type=int)
+    sub.add_argument("--restarts", type=int)
+    sub.add_argument("--tol", type=float)
+    sub.add_argument("--max-iters", type=int)
+    sub.set_defaults(handler=_cmd_norm, **ASCENT_DEFAULTS._asdict())
 
     sub = subs.add_parser("verify", help="check the critical inequality over trials")
     sub.add_argument("--exponents", type=ExponentVector)

@@ -119,44 +119,41 @@ class ExtRational:
             return INF
         return cls(1 / recip)
 
-    def _key(self):
-        return (1, Fraction(0)) if self._frac is None else (0, self._frac)
-
     @staticmethod
-    def _coerce(other):
-        if isinstance(other, ExtRational):
-            return other
-        if isinstance(other, bool):
-            return None
-        if isinstance(other, (int, Fraction, str)):
+    def _key(value):
+        """The comparison key of an exponent: its exact value, an int or
+        Fraction as itself, math.inf for infinity; a token string is parsed.
+        None for anything else (a bool included), which compares as
+        NotImplemented."""
+        if isinstance(value, ExtRational):
+            return math.inf if value._frac is None else value._frac
+        if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+            return value
+        if isinstance(value, str):
             try:
-                return ExtRational(other)
+                return ExtRational._key(ExtRational(value))
             except (ValueError, TypeError):
                 return None
         return None
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._key() == o._key()
+        o = self._key(other)
+        return NotImplemented if o is None else self._key(self) == o
 
     def __hash__(self):
         return hash(self._frac) if self._frac is not None else hash(math.inf)
 
     def __lt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._key() < o._key()
+        o = self._key(other)
+        return NotImplemented if o is None else self._key(self) < o
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = self._key(other)
         if o is None:
             return NotImplemented
-        if self.is_inf or o.is_inf:
+        if self._frac is None or o == math.inf:
             return INF
-        return ExtRational(self._frac + o._frac)
+        return ExtRational(self._frac + o)
 
     __radd__ = __add__
 

@@ -47,7 +47,8 @@ from .exponents import (
     inclusion_exponents,
     inequality_constant,
 )
-from .opnorm import NormEstimate, check_ascent_settings, exact_norm, norms, weak_norm
+from .opnorm import (ASCENT_DEFAULTS, NormEstimate, check_ascent_settings, exact_norm, norms,
+                     weak_norm)
 from .rng import child_rng, child_seed
 from .tensor import CHUNK_ELEMENTS, MultilinearForm, lp_norm, mixed_norm
 from .witnesses import FormFactory, parse_form_spec
@@ -90,10 +91,10 @@ class ExperimentConfig:
     space: ExtRational | None = None
     trials: int = 1
     datasets: int = 6
-    seed: int = 42
-    restarts: int = 16
-    tol: float = 1e-10
-    max_iters: int = 500
+    seed: int = ASCENT_DEFAULTS.seed
+    restarts: int = ASCENT_DEFAULTS.restarts
+    tol: float = ASCENT_DEFAULTS.tol
+    max_iters: int = ASCENT_DEFAULTS.max_iters
 
     def __post_init__(self):
         check_ascent_settings(self.restarts, self.tol, self.max_iters)
@@ -418,8 +419,8 @@ def run_verify(cfg: ExperimentConfig) -> ExperimentReport:
 
     s defaults to the configured critical variant at the form's arity and C
     to the configured constant choice.  Witness forms use their closed-form
-    norms and everything else the exact singular value when available, both
-    exact denominators; otherwise the seeded ascent gives a lower bound, and
+    norms and everything else ``exact_norm`` where it applies, both exact
+    denominators; otherwise the seeded ascent gives a lower bound, and
     a violation it shows is retried at 4x restarts before it is reported.
     """
     lhs = _CriticalLhs(cfg)

@@ -1,16 +1,18 @@
 """Operator norms of multilinear forms over products of lp unit balls.
 
 Two functions choose how a norm is taken.  ``exact_norm`` is the one place
-that decides a form's norm is computed exactly; today that is the bilinear
-l_2 x l_2 case, a largest singular value: sigma is the square root of the
-top Gram eigenvalue (one product on the short side and one LAPACK
-eigenvalue call), and that value is all the case reports.  ``norms`` is the
-batch entry: it takes ``exact_norm`` where that applies and runs
-block-coordinate ascent on every other form: one slot at a time is replaced
-by the exact maximizer of its linearized problem on the slot's ball, which
-never decreases the modulus of the value, so every ascent value is an
-attained lower bound carrying a feasible witness.  Restarts are seeded
-through child streams, making runs reproducible.
+that decides a form's norm is computed exactly.  Today that is two cases: a
+linear form, whose norm is the conjugate norm of its coefficients, attained
+at the ``dual_argmax`` maximizer; and the bilinear l_2 x l_2 case, a
+largest singular value: sigma is the square root of the top Gram eigenvalue
+(one product on the short side and one LAPACK eigenvalue call), and that
+value is all the case reports.  ``norms`` is the batch entry: it takes
+``exact_norm`` where that applies and runs block-coordinate ascent on every
+other form, all of arity 2 or more: one slot at a time is replaced by the
+exact maximizer of its linearized problem on the slot's ball, which never
+decreases the modulus of the value, so every ascent value is an attained
+lower bound carrying a feasible witness.  Restarts are seeded through child
+streams, making runs reproducible.
 
 All restarts of one ascent move together: slot k holds an (R, n_k) block
 whose row r is restart r, and matmuls against the coefficient tensor
@@ -58,10 +60,9 @@ so building them costs one child stream and one draw per restart plus a
 few NumPy calls per slot, and every start keeps the bits of its own stream.
 
 Weak norms of finite vector sequences are operator norms of the induced
-pairing, so ``weak_norm`` lives here too: an l_2 x l_2 pairing is one
-``spectral_norm`` call on the sequence itself, and the others are ascents
-at fixed settings.  Given a list of sequences, one call resolves the
-pairing domain once and sweeps all its ascents in one ``norms`` call,
+pairing, so ``weak_norm`` lives here too: every pairing is a form, and one
+``norms`` call at fixed ascent settings gives all of a call's values, so
+``exact_norm`` settles the l_2 x l_2 pairings and the others are ascents,
 each value with the bits of its solo call.
 """
 
@@ -69,6 +70,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -79,6 +81,7 @@ from .rng import child_rng
 from .tensor import CHUNK_ELEMENTS, MultilinearForm
 
 __all__ = [
+    "ASCENT_DEFAULTS",
     "AscentInvariantError",
     "NormEstimate",
     "dual_argmax",
@@ -92,6 +95,12 @@ __all__ = [
 ]
 
 
+# The default ascent settings and seed: of ``ascent_norm`` and ``norms``, of
+# an ``ExperimentConfig`` and of the ``norm`` command.
+ASCENT_DEFAULTS = namedtuple("AscentDefaults", "restarts tol max_iters seed")(
+    restarts=16, tol=1e-10, max_iters=500, seed=42)
+
+
 class AscentInvariantError(ValueError):
     """Block ascent broke an invariant that holds for every finite form: a
     sweep lowered a value, a value left the finite range, or the best value
@@ -102,13 +111,14 @@ class AscentInvariantError(ValueError):
 class NormEstimate:
     """A norm value plus how it was obtained.
 
-    ``method`` names how the value was obtained: "exact-singular" from
-    ``exact_norm`` (``spectral_norm``), "ascent" from the block ascent, and
-    "analytic" for a witness's closed-form norm, which the harness prefers.
-    Ascent values are attained lower bounds: the stored maximizer is
-    feasible on the domain balls and reproduces ``value`` under
-    ``evaluate``.  An exact-singular estimate is sigma alone, with no
-    maximizer.
+    ``method`` names how the value was obtained: "exact-dual" from
+    ``exact_norm`` on a linear form (``dual_argmax``), "exact-singular" from
+    ``exact_norm`` on an l_2 x l_2 bilinear form (``spectral_norm``),
+    "ascent" from the block ascent, and "analytic" for a witness's
+    closed-form norm, which the harness prefers.  Exact-dual and ascent
+    estimates carry a maximizer, feasible on the domain balls, at which
+    ``evaluate`` reproduces ``value``; ascent values are attained lower
+    bounds.  An exact-singular estimate is sigma alone, with no maximizer.
     ``iterations`` counts sweeps summed over restarts; ``converged`` refers
     to the restart that produced the reported value.
     """
@@ -296,19 +306,17 @@ _GRADIENT_CHUNK = 1 << 20
 def _chunk_rows(dims, size: int) -> int:
     """Rows of one sweep chunk: the most rows for which neither tensor-sized
     intermediate, of R * |T| / n_1 or R * |T| / n_0 elements (at arity 2
-    only the latter is formed, at arity 1 neither), exceeds
-    max(|T|, _GRADIENT_CHUNK); at least one."""
+    only the latter is formed), exceeds max(|T|, _GRADIENT_CHUNK); at least
+    one."""
     return max(1, max(size, _GRADIENT_CHUNK) * min(dims[:2]) // size)
 
 
 def _tensor_reads(coeffs):
     """The operands of a sweep's two reads of ``coeffs``: the slot-1 read,
-    the (n_0, n_1, |T| / (n_0 n_1)) view from arity 3 on, T^T at arity 2
-    (whose product is the slot-0 gradient itself) and T at arity 1; and the
-    prefix read, the (n_0, |T| / n_0) view, from arity 2 on."""
+    the (n_0, n_1, |T| / (n_0 n_1)) view from arity 3 on and T^T at arity 2
+    (whose product is the slot-0 gradient itself); and the prefix read, the
+    (n_0, |T| / n_0) view."""
     dims = coeffs.shape
-    if len(dims) == 1:
-        return coeffs, None
     if len(dims) == 2:
         return coeffs.T, coeffs
     return coeffs.reshape(dims[0], dims[1], -1), coeffs.reshape(dims[0], -1)
@@ -316,13 +324,13 @@ def _tensor_reads(coeffs):
 
 class _Group:
     """The forms that one ascent sweeps together, which share dims, dtype and
-    domain.  ``reads`` holds the operands of each form's two tensor reads
-    (see ``_tensor_reads``) in block order, ``dims`` their dims and
-    ``balls`` the ``_Ball`` of each slot.  ``scratch`` is a 1-d buffer of
-    their dtype that the sweeps write their tensor-sized intermediates into,
-    sized for a wave of the rows first given, ``counts[f]`` of them form
-    f's; it is None at arity 1, whose sweeps form no intermediate.
-    ``waves`` is the cut of the rows the next sweep takes (see ``cut``)."""
+    domain, of arity 2 or more.  ``reads`` holds the operands of each form's
+    two tensor reads (see ``_tensor_reads``) in block order, ``dims`` their
+    dims and ``balls`` the ``_Ball`` of each slot.  ``scratch`` is a 1-d
+    buffer of their dtype that the sweeps write their tensor-sized
+    intermediates into, sized for a wave of the rows first given,
+    ``counts[f]`` of them form f's.  ``waves`` is the cut of the rows the
+    next sweep takes (see ``cut``)."""
 
     __slots__ = ("reads", "dims", "balls", "scratch", "waves", "_rows")
 
@@ -332,11 +340,9 @@ class _Group:
         self.reads = [_tensor_reads(c) for c in tensors]
         self.dims = first.shape
         self.balls = [_Ball(p) for p in orders]
-        self.scratch = None
         self._rows = _chunk_rows(first.shape, first.size)
-        if first.ndim > 1:
-            self.scratch = np.empty(min(sum(counts), self._rows) * first.size
-                                    // min(first.shape[:2]), dtype=first.dtype)
+        self.scratch = np.empty(min(sum(counts), self._rows) * first.size
+                                // min(first.shape[:2]), dtype=first.dtype)
         self.cut(counts)
 
     def cut(self, counts):
@@ -352,7 +358,7 @@ class _Group:
         at the start of the scratch buffer, never alive together: Y, the
         (n_0, rows, |T| / (n_0 n_1)) slot-1 intermediate (at arity 2 the
         (1, rows, n_0) slot-0 gradient), and P, the (rows, |T| / n_0)
-        prefix; at arity 1 there are none.  A segment is (start, stop,
+        prefix.  A segment is (start, stop,
         slot-1 read, prefix read, Y[:, start:stop], P[start:stop]): its rows
         within the wave, its form's operands (see ``_tensor_reads``) and the
         views its two reads write into, so the segments' intermediates lie
@@ -374,8 +380,6 @@ class _Group:
         """The wave of rows lo..hi-1 whose segments span ``spans``, a list of
         (start, stop, reads) within the wave; see ``cut``."""
         dims, rows = self.dims, hi - lo
-        if len(dims) == 1:
-            return lo, hi, [(s, e, first, None, None, None) for s, e, (first, _) in spans], None, None
         size = math.prod(dims)
         Y = self.scratch[:rows * size // dims[1]].reshape(dims[0] if len(dims) > 2 else 1, rows, -1)
         P = self.scratch[:rows * size // dims[0]].reshape(rows, -1)
@@ -422,20 +426,14 @@ def _sweep_wave(group, X, wave):
     dims, balls = group.dims, group.balls
     m, rows = len(dims), len(X[0])
     X = list(X)
-    if m == 1:
-        G = [np.broadcast_to(first, (e - s, dims[0])) for s, e, first, _, _, _ in segments]
-        G = G[0] if len(G) == 1 else np.concatenate(G)
-    else:
-        for s, e, first, _, Ys, _ in segments:
-            np.matmul(X[1][s:e], first, out=Ys)
-        G = Y
-        for i in range(2, m - 1):
-            G = np.matmul(X[i][:, np.newaxis, :], G.reshape(dims[0], rows, dims[i], -1))[:, :, 0, :]
-        G = G[0] if m == 2 else np.matmul(G.transpose(1, 0, 2), X[-1][:, :, np.newaxis])[:, :, 0]
+    for s, e, first, _, Ys, _ in segments:
+        np.matmul(X[1][s:e], first, out=Ys)
+    G = Y
+    for i in range(2, m - 1):
+        G = np.matmul(X[i][:, np.newaxis, :], G.reshape(dims[0], rows, dims[i], -1))[:, :, 0, :]
+    G = G[0] if m == 2 else np.matmul(G.transpose(1, 0, 2), X[-1][:, :, np.newaxis])[:, :, 0]
     before = np.abs((G * X[0]).sum(axis=1))
-    value, X[0] = dual_argmax(G, balls[0], value=m == 1)
-    if m == 1:
-        return before, value, X
+    _, X[0] = dual_argmax(G, balls[0], value=False)
     for s, e, _, prefix, _, Ps in segments:
         np.matmul(X[0][s:e], prefix, out=Ps)
     for k in range(1, m):
@@ -573,8 +571,9 @@ def _ascend(forms, X, tol, max_iters):
     return values, X, sweeps, converged
 
 
-def ascent_norm(T: MultilinearForm, restarts: int = 16, tol: float = 1e-10,
-                max_iters: int = 500, seed: int = 42) -> NormEstimate:
+def ascent_norm(T: MultilinearForm, restarts: int = ASCENT_DEFAULTS.restarts,
+                tol: float = ASCENT_DEFAULTS.tol, max_iters: int = ASCENT_DEFAULTS.max_iters,
+                seed: int = ASCENT_DEFAULTS.seed) -> NormEstimate:
     """Best block-ascent value across seeded restarts: a certified lower bound.
 
     Restart r draws its start from the child stream (seed, r) on the slot
@@ -584,7 +583,14 @@ def ascent_norm(T: MultilinearForm, restarts: int = 16, tol: float = 1e-10,
     exceeds the l_1 coefficient bound (AscentInvariantError otherwise), and
     the returned maximizer is feasible and attains it.  This is the
     one-form case of the ascent ``norms`` runs, through the same sweeps.
+    The ascent serves forms of arity 2 or more: a linear form's norm is
+    exact, and ``exact_norm`` or ``norms`` gives it, so one is refused with
+    ValueError.  A zero form takes one sweep per restart, to value 0 at the
+    first unit vectors.
     """
+    if T.arity == 1:
+        raise ValueError("a linear form's norm is exact: take it from exact_norm or norms, "
+                         "not from the ascent")
     check_ascent_settings(restarts, tol, max_iters)
     return _ascent_estimates([T], [seed], restarts, tol, max_iters)[0]
 
@@ -593,15 +599,26 @@ def exact_norm(T: MultilinearForm) -> NormEstimate | None:
     """T's norm when it is computed exactly, else None; no seed is read.
 
     This is the one place that decides it, for ``norms`` and the harness.
-    Today the exact case is a bilinear form on l_2 x l_2, whose norm is the
-    largest singular value of its coefficient matrix (``spectral_norm``)."""
+    Today there are two exact cases.  A linear form's norm is the conjugate
+    norm of its coefficients, which ``dual_argmax`` returns with the
+    maximizer that attains it ("exact-dual").  A bilinear form on
+    l_2 x l_2 has the largest singular value of its coefficient matrix
+    (``spectral_norm``).  Either raises ValueError on a norm past the float
+    range."""
+    if T.arity == 1:
+        with np.errstate(over="ignore"):   # an overflow is refused below
+            value, x = dual_argmax(T.coeffs, T.domain_p[0])
+        if not math.isfinite(value):
+            raise ValueError(f"the dual norm is {value}; the coefficients are too large")
+        return NormEstimate(value, "exact-dual", maximizer=[x])
     if T.arity == 2 and all(e == 2 for e in T.domain_p):
         return spectral_norm(T.coeffs)
     return None
 
 
-def norms(forms, seeds, restarts: int = 16, tol: float = 1e-10,
-          max_iters: int = 500) -> list[NormEstimate]:
+def norms(forms, seeds, restarts: int = ASCENT_DEFAULTS.restarts,
+          tol: float = ASCENT_DEFAULTS.tol,
+          max_iters: int = ASCENT_DEFAULTS.max_iters) -> list[NormEstimate]:
     """The norm estimate of each form, in order, seeds[i] seeding forms[i].
 
     The seed count and the ascent settings are checked up front, whatever
@@ -610,10 +627,10 @@ def norms(forms, seeds, restarts: int = 16, tol: float = 1e-10,
     are swept as one block (see ``_sweep_wave``), in which every step gives
     a row the bits it would get alone, so each ascent estimate (value, sweep
     count, convergence flag and maximizer) has exactly the bits
-    ``ascent_norm`` gives that form and seed.  A zero form gets the zero
-    estimate without an ascent, and the l_1 bound is checked per form.  A
-    lone ascent form is handed to ``ascent_norm`` by name, so whatever wraps
-    that function sees every one-form ascent.
+    ``ascent_norm`` gives that form and seed, zero forms included.  The l_1
+    bound is checked per form.  A lone ascent form is handed to
+    ``ascent_norm`` by name, so whatever wraps that function sees every
+    one-form ascent.
     """
     forms, seeds = list(forms), list(seeds)
     if len(seeds) != len(forms):
@@ -646,14 +663,11 @@ def check_ascent_settings(restarts, tol, max_iters) -> None:
 
 def _ascent_estimates(forms, seeds, restarts, tol, max_iters) -> list:
     """The engine of ``ascent_norm`` and ``norms``, on checked settings:
-    group the nonzero forms by dims, dtype and domain, ascend each group as
-    one block and take each form's best restart."""
+    group the forms by dims, dtype and domain, ascend each group as one
+    block and take each form's best restart."""
     out = [None] * len(forms)
     groups = []   # (first form, indices of the forms with its dims, dtype and domain)
     for i, T in enumerate(forms):
-        if not T.coeffs.any():
-            out[i] = _zero_estimate(T)
-            continue
         for first, members in groups:
             if (T.dims, T.coeffs.dtype, T.domain_p) == (first.dims, first.coeffs.dtype,
                                                        first.domain_p):
@@ -679,17 +693,6 @@ def _ascent_estimates(forms, seeds, restarts, tol, max_iters) -> list:
     return out
 
 
-def _zero_estimate(T: MultilinearForm) -> NormEstimate:
-    """The ascent estimate of a zero form: value 0 at the first unit vectors."""
-    unit = []
-    for n in T.dims:
-        e = np.zeros(n, dtype=T.coeffs.dtype)
-        e[0] = 1.0
-        unit.append(e)
-    return NormEstimate(0.0, "ascent", restarts_used=0, iterations=0,
-                        converged=True, maximizer=unit)
-
-
 # The fixed ascent settings of weak_norm.
 _WEAK_RESTARTS, _WEAK_TOL, _WEAK_MAX_ITERS = 8, 1e-12, 200
 
@@ -698,18 +701,17 @@ def weak_norm(vectors, p: ExtLike, space_q: ExtLike, *, seed: int | Sequence[int
     """Weak-l_p norm of a finite sequence of vectors living in l_{space_q}^n.
 
     Equals the operator norm of the map c -> sum_k c_k x_k from the unit
-    l_{p*} ball into l_{space_q}, i.e. of the pairing on l_{p*} x l_{q*}.
-    For p = q = 2 that is the largest singular value, which ``spectral_norm``
-    gives exactly and no seed is used; otherwise it is the attained lower
-    bound of the seeded ascent at the fixed settings above, the estimate
-    ``norms`` gives the pairing form at that seed.  A sequence is
-    the rows of a 2-d array (a 1-d array is one vector).
+    l_{p*} ball into l_{space_q}, i.e. of the pairing on l_{p*} x l_{q*}:
+    the estimate ``norms`` gives the pairing form at the seed, with the
+    fixed ascent settings above.  So ``exact_norm`` decides which values
+    are exact; for p = q = 2 it is the largest singular value, and no seed
+    is used.  Otherwise it is the attained lower bound of the seeded ascent.
+    A sequence is the rows of a 2-d array (a 1-d array is one vector).
 
     Given a list of sequences and a list of seeds, one per sequence, it
     returns the weak norm of each in order.  The pairing domain is resolved
-    once, l_2 x l_2 pairings go straight to ``spectral_norm`` with no form
-    built, and the other pairings are swept in one ``norms`` call, which
-    groups them by dims, so each value has the bits of its own call.
+    once and every pairing form goes through one ``norms`` call, which
+    groups the ascents by dims, so each value has the bits of its own call.
     """
     batched = not isinstance(seed, numbers.Integral)
     seqs, seeds = (list(vectors), list(seed)) if batched else ([vectors], [seed])
@@ -722,13 +724,10 @@ def weak_norm(vectors, p: ExtLike, space_q: ExtLike, *, seed: int | Sequence[int
     q = as_ext(space_q)
     if q < 1:
         raise ValueError(f"the container space needs q >= 1, got {q}")
-    if p == 2 and q == 2:
-        values = [spectral_norm(X).value for X in mats]
-    else:
-        domain = ExponentVector((conjugate(p), conjugate(q)))
-        ests = norms([MultilinearForm(X, domain_p=domain) for X in mats], seeds,
-                     restarts=_WEAK_RESTARTS, tol=_WEAK_TOL, max_iters=_WEAK_MAX_ITERS)
-        values = [est.value for est in ests]
+    domain = ExponentVector((conjugate(p), conjugate(q)))
+    ests = norms([MultilinearForm(X, domain_p=domain) for X in mats], seeds,
+                 restarts=_WEAK_RESTARTS, tol=_WEAK_TOL, max_iters=_WEAK_MAX_ITERS)
+    values = [est.value for est in ests]
     return values if batched else values[0]
 
 

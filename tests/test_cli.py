@@ -1,6 +1,7 @@
 """Command line behavior: output, exit codes, and report files."""
 
 import dataclasses
+import inspect
 import json
 import subprocess
 import sys
@@ -116,17 +117,37 @@ def test_norm_op_ascent_case(capsys):
 
 
 def test_norm_op_on_an_arity_1_form(capsys):
+    """A linear form's norm is exact: on its default l_1 domain, the largest
+    coefficient modulus, taken with no restart or sweep."""
     assert main(["norm", "op", "--form", "gauss:dims=6", "--restarts", "4"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["method"] == "ascent"
-    assert payload["converged"] is True
+    want = float(f"{np.abs(make_gaussian_random((6,), seed=42).coeffs).max():.12g}")
+    assert payload == {"value": want, "method": "exact-dual", "restarts_used": 0,
+                       "iterations": 0, "converged": True}
+
+
+def test_the_ascent_defaults_have_one_definition():
+    """``ascent_norm``, ``norms``, ``ExperimentConfig`` and the ``norm``
+    command all default to ``opnorm.ASCENT_DEFAULTS``."""
+    defaults = opnorm.ASCENT_DEFAULTS
+    assert tuple(defaults) == (16, 1e-10, 500, 42)
+    for fn in (opnorm.ascent_norm, opnorm.norms):
+        for name, param in inspect.signature(fn).parameters.items():
+            if name in defaults._fields:
+                assert param.default == getattr(defaults, name), (fn.__name__, name)
+    cfg = ExperimentConfig("verify")
+    args = _build_parser().parse_args(["norm", "op", "--form", "dot:m=2"])
+    for name in defaults._fields:
+        assert getattr(cfg, name) == getattr(args, name) == getattr(defaults, name)
 
 
 def test_one_exact_norm_decision_reaches_every_caller(monkeypatch, capsys):
     """``exact_norm`` alone decides that a norm is exact: stubbed in every
     module that binds it, it gives ``norm op``, ``verify`` and ``weak_norm``
-    their norms, on forms that would otherwise take an ascent, and no ascent
-    runs."""
+    their norms, on forms that would otherwise take an ascent, on the linear
+    form ``norm op`` would take as exact-dual and on the l_2 x l_2 pairing
+    ``weak_norm`` would take as exact-singular; no ascent runs and no
+    singular value is taken."""
     real = opnorm.exact_norm
     bound = [module for name, module in list(sys.modules.items())
              if name.split(".")[0] == "critnorm" and getattr(module, "exact_norm", None) is real]
@@ -139,11 +160,15 @@ def test_one_exact_norm_decision_reaches_every_caller(monkeypatch, capsys):
         raise AssertionError("an ascent ran")
 
     monkeypatch.setattr(opnorm, "_ascend", no_ascent)
-    assert main(["norm", "op", "--form", "gauss:m=3", "--n", "4"]) == 0
-    assert json.loads(capsys.readouterr().out)["method"] == "stub"
+    monkeypatch.setattr(opnorm, "spectral_norm", no_ascent)
+    for form in (["gauss:m=3", "--n", "4"], ["gauss:dims=6"]):
+        assert main(["norm", "op", "--form", *form]) == 0
+        assert json.loads(capsys.readouterr().out)["method"] == "stub"
     rep = run_verify(ExperimentConfig(experiment="verify", form="gauss:m=3", n=4, trials=3))
     assert [t["method"] for t in rep.trials] == ["stub"] * 3
-    assert weak_norm(make_gaussian_random((3, 5), seed=1).coeffs, 4, 2, seed=2) == 1.0
+    X = make_gaussian_random((3, 5), seed=1).coeffs
+    assert weak_norm(X, 4, 2, seed=2) == 1.0
+    assert weak_norm([X, X.T], 2, 2, seed=[2, 3]) == [1.0, 1.0]
 
 
 EXPERIMENT_ARGS = {
@@ -213,6 +238,21 @@ def test_norm_tensor_flag(tmp_path, capsys):
     assert main(["norm", "mixed", "--tensor", str(path), "--form", "dot:m=2",
                  "--exponents", "inf,2"]) == 2
     assert "not both" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", [["op"], ["mixed", "--exponents", "inf,2"]])
+@pytest.mark.parametrize("flag", ["--tensor", "--form"])
+def test_a_tensor_file_refuses_n_whichever_flag_names_it(flag, mode, tmp_path, capsys):
+    """A file fixes its dimensions: ``--tensor FILE`` and ``--form
+    file:FILE`` both refuse ``--n`` with exit 2 and one error line."""
+    path = tmp_path / "t.json"
+    save_tensor(make_gaussian_random((3, 3), seed=4), path)
+    name = str(path) if flag == "--tensor" else f"file:{path}"
+    assert main(["norm", mode[0], flag, name, "--n", "5", *mode[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the file form spec fixes its dimensions, "
+                            "so a separate n = 5 cannot apply\n")
 
 
 def test_verify_writes_report_and_exits_zero(tmp_path, capsys):
@@ -455,13 +495,17 @@ def test_an_ascent_that_overflows_is_exit_2_without_warnings(flags, tmp_path, ca
 @pytest.mark.parametrize("flags", [None, ["-O"]], ids=["in-process", "optimized"])
 def test_an_overflowing_singular_value_is_exit_2_without_warnings(flags, tmp_path, capsys):
     """A bilinear l_2 form with finite entries of 1e308 has a largest
-    singular value past the float range: exit 2 with one ``error:`` line
-    that says the entries are too large, no warning and no stdout, also
-    under python -O."""
+    singular value past the float range, and a linear form of them on
+    l_inf a dual l_1 norm past it: exit 2 with one ``error:`` line that
+    says the entries are too large, no warning and no stdout, also under
+    python -O."""
     path = tmp_path / "huge.json"
     save_tensor(MultilinearForm(np.full((2, 2), 1e308), domain_p=(2, 2)), path)
+    linear = tmp_path / "huge-linear.json"
+    save_tensor(MultilinearForm(np.full(4, 1e308), domain_p=("inf",)), linear)
     for argv in (["verify", "--form", f"file:{path}"],
-                 ["norm", "op", "--form", f"file:{path}"]):
+                 ["norm", "op", "--form", f"file:{path}"],
+                 ["norm", "op", "--tensor", str(linear)]):
         if flags is None:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")

@@ -419,7 +419,7 @@ def _einsum_gradient(coeffs, xs, k):
 
 @pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("chunk", ["whole", "chunked"])
-@pytest.mark.parametrize("dims", [(4,), (1,), (5, 3), (1, 4), (4, 1), (3, 4, 2),
+@pytest.mark.parametrize("dims", [(1, 1), (6, 2), (5, 3), (1, 4), (4, 1), (3, 4, 2),
                                   (2, 1, 5), (2, 3, 4, 2), (1, 3, 1, 2),
                                   (3, 2, 1, 3, 2), (2, 2, 2, 2, 2),
                                   (3, 1, 4), (2, 5, 1, 3), (4, 6, 2)])
@@ -597,15 +597,26 @@ def test_ascent_witness_is_feasible_and_attains():
 @pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("p", ["1", "4/3", "2", "inf"])
 def test_ascent_on_an_arity_1_form_is_the_dual_norm(p, field):
+    """The ascent leaves a linear form to ``exact_norm``: ``norms`` gives it
+    the conjugate norm of its coefficients, with a feasible maximizer that
+    attains it and no restart or sweep."""
     rng = np.random.default_rng(8)
     c = rng.standard_normal(6)
     if field == "complex":
         c = c + 1j * rng.standard_normal(6)
-    est = ascent_norm(MultilinearForm(c, domain_p=(p,)), restarts=4, seed=2)
+    est = norms([MultilinearForm(c, domain_p=(p,))], [2], restarts=4)[0]
+    assert (est.method, est.restarts_used, est.iterations, est.converged) == \
+        ("exact-dual", 0, 0, True)
     assert est.value == pytest.approx(lp_norm(c, conjugate(p)), rel=1e-12)
-    assert est.converged
     assert lp_norm(est.maximizer[0], p) <= 1 + 1e-12
     assert abs(evaluate(MultilinearForm(c), est.maximizer)) == pytest.approx(est.value, rel=1e-12)
+
+
+def test_ascent_norm_refuses_an_arity_1_form():
+    for T in (MultilinearForm(np.arange(1.0, 5.0), domain_p=("3",)),
+              MultilinearForm(np.zeros(3, dtype=complex))):
+        with pytest.raises(ValueError, match="exact_norm or norms"):
+            ascent_norm(T)
 
 
 def test_ascent_zero_form():
@@ -875,7 +886,9 @@ def test_ascent_norms_match_ascent_norm_bit_for_bit(arity, field):
     """A batch of K = 1..7 forms on one domain (holding p = 1 and inf from
     arity 2 on), at 16 restarts for odd K and one for even K, and with a
     zero form second from K = 3 on: every ``norms`` estimate is the one
-    ``ascent_norm`` gives that form and seed alone, bit for bit."""
+    ``ascent_norm`` gives that form and seed alone, bit for bit, and at
+    arity 1 the one ``exact_norm`` gives.  A zero form is no special case:
+    one sweep per restart takes it to 0 at the first unit vectors."""
     dims, dom = _BATCH_DIMS[arity], _BATCH_DOMAINS[arity]
     for K in range(1, 8):
         restarts = 16 if K % 2 else 1
@@ -888,9 +901,14 @@ def test_ascent_norms_match_ascent_norm_bit_for_bit(arity, field):
         batched = norms(forms, seeds, restarts=restarts)
         assert len(batched) == K
         for T, seed, est in zip(forms, seeds, batched):
-            _assert_same_estimate(est, ascent_norm(T, restarts=restarts, seed=seed))
+            _assert_same_estimate(est, exact_norm(T) if arity == 1 else
+                                  ascent_norm(T, restarts=restarts, seed=seed))
         if K >= 3:
-            assert (batched[1].value, batched[1].restarts_used) == (0.0, 0)
+            zero = batched[1]
+            assert (zero.value, zero.converged) == (0.0, True)
+            if arity > 1:
+                assert zero.restarts_used == zero.iterations == restarts
+            assert [x.tolist() for x in zero.maximizer] == [[1] + [0] * (n - 1) for n in dims]
 
 
 def test_ascent_norms_groups_mixed_forms_and_sweeps_chunked_rows(monkeypatch):
@@ -958,15 +976,17 @@ def test_ascent_norms_validation():
 # -------------------------------------------------------------- exact_norm
 
 def test_operator_norm_dispatch():
-    """``exact_norm`` takes the l_2 x l_2 bilinear case and nothing else, and
-    ``norms`` follows it."""
+    """``exact_norm`` takes linear forms and the l_2 x l_2 bilinear case and
+    nothing else, and ``norms`` follows it."""
     A = np.diag([1.0, 2.0])
     forms = [MultilinearForm(A, domain_p=(2, 2)), MultilinearForm(A, domain_p=(4, 2)),
-             make_dot(3, 3)]
-    assert [est.method for est in norms(forms, [42] * 3)] == \
-        ["exact-singular", "ascent", "ascent"]
+             make_dot(3, 3), MultilinearForm(np.array([3.0, -4.0]), domain_p=(2,))]
+    assert [est.method for est in norms(forms, [42] * 4)] == \
+        ["exact-singular", "ascent", "ascent", "exact-dual"]
     assert exact_norm(forms[0]).value == 2.0
     assert exact_norm(forms[1]) is None and exact_norm(forms[2]) is None
+    assert exact_norm(forms[3]).value == 5.0
+    assert exact_norm(forms[3]).maximizer[0].tolist() == [0.6, -0.8]
 
 
 def test_operator_norm_exact_case_value():

@@ -31,3 +31,33 @@ def test_every_exported_name_exists():
         if stale:
             missing[name] = stale
     assert missing == {}
+
+
+def _callers(name: str) -> set:
+    """(module, enclosing function) of every call of ``name`` in the package,
+    by its bare name or as an attribute; a call at module level has
+    function None."""
+    found = set()
+
+    def visit(node, module, function):
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if called == name:
+                found.add((module, function))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for path in SOURCES:
+        visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path.stem, None)
+    return found
+
+
+def test_one_place_decides_an_exact_norm_and_one_runs_the_ascent():
+    """A singular value is taken only where ``exact_norm`` decides a norm is
+    exact, and the block ascent runs only from ``_ascent_estimates``, so no
+    caller forks around either decision."""
+    assert _callers("spectral_norm") == {("opnorm", "exact_norm")}
+    assert _callers("_ascend") == {("opnorm", "_ascent_estimates")}
