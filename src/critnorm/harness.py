@@ -13,18 +13,21 @@ them in every trial; ascent denominators still draw per-trial seeds.
 Ratio denominators prefer a form's closed-form norm and otherwise fall
 back to ``opnorm.exact_norm`` or the seeded ascent; ascent is a lower
 bound, which can only inflate ratios, so violation counts err on the loud
-side.  The method is chosen in one place, as each trial's form is built: a
-trial with a closed-form or exact denominator is recorded there and then,
-and its form released before the next is built.  Only trials that wait for
-an ascent run in batches of consecutive trials, up to ``CHUNK_ELEMENTS``
-ascent coefficients in all, whose denominators (and then their retries)
-are taken in one ``opnorm.norms`` call; an estimate does not depend on the
-batch it is taken in, so neither do the reports.  Verify, sharpness and
-base-hl share one trial check: an ascent-backed violation is retried with
-four times the restarts before it is reported.  Every record's ratio and
-violation come from one function, ``verdict``.  A report's config block
-echoes only the settings its experiment reads (``READS``).
-Floating output is written at 12 significant digits.
+side.  The method is chosen in one place, as each trial's form is built,
+and every trial reaches one ``check`` callback with its ``NormEstimate``:
+a trial with a closed-form or exact denominator arrives alone, as soon as
+it is built, and its form is released before the next is built.  Trials
+that wait for an ascent arrive in batches of consecutive trials, up to
+``CHUNK_ELEMENTS`` ascent coefficients in all, whose denominators (and
+then their retries) are taken in one ``opnorm.norms`` call; an estimate
+does not depend on the batch it is taken in, so neither do the reports.
+Verify, sharpness and base-hl share one trial check: ``_checked`` alone
+turns an estimate into a record's norm, method, ratio, retried and
+violation, and an ascent-backed violation is retried with four times the
+restarts before it is reported.  Every record's ratio and violation come
+from one function, ``verdict``.  A report's config block echoes only the
+settings its experiment reads (``READS``).  Floating output is written at
+12 significant digits.
 """
 
 from __future__ import annotations
@@ -261,24 +264,24 @@ def _resolve_exponents(cfg: ExperimentConfig, arity: int) -> ExponentVector:
     return s
 
 
-def _run_trials(fac: FormFactory, cfg: ExperimentConfig, measure, settle, check,
-                domain_p=None, ns=None):
+def _run_trials(fac: FormFactory, cfg: ExperimentConfig, measure, check,
+                domain_p=None, ns=None, exact=True):
     """The records of a run's trials, in trial order.
 
     Trial t builds its form at ``ns[t]`` (by default ``cfg.n`` for each of
-    ``cfg.trials`` trials) from the child seed (t, 0), and ``measure(T)``
-    is taken as the form is built.  This is the one place a trial's
-    denominator method is chosen: when ``settle`` is given and T's norm is
-    known exactly, as its closed form ``T.analytic_norm`` or else by
-    ``exact_norm`` (no seed is used), ``settle(t, T, value, norm, method)``
-    is the trial's record, written at once, and the form is released before
-    the next trial is built.  Every other trial waits in a batch of
-    consecutive trials of one n, up to ``CHUNK_ELEMENTS`` coefficients in
-    all (at least one trial), and ``check(batch)`` turns a list of
-    (t, T, measure(T)) into their records; a batch's forms are released
-    before the next batch is built.  A spec that leaves no seed free
+    ``cfg.trials`` trials) from the child seed (t, 0), and takes
+    ``measure(T)`` as it is built.  This is the one place a trial's
+    denominator method is chosen: with ``exact`` set, a norm known as the
+    closed form ``T.analytic_norm`` or else by ``exact_norm`` (no seed is
+    used) is the trial's estimate; otherwise the estimate is None.
+    ``check(batch)`` turns a list of (t, T, measure(T), estimate) into
+    their records.  A trial with an estimate is checked alone as it is
+    built, so its form is released before the next is built.  The others
+    wait in a batch of consecutive trials of one n, up to ``CHUNK_ELEMENTS``
+    coefficients in all (at least one trial), released before the next
+    batch is built.  A spec that leaves no seed free
     (``FormFactory.takes_seed``) gives every trial of one n the same form,
-    so it is built, measured and settled once and repeated.  A spec that
+    so it is built, measured and estimated once and repeated.  A spec that
     pins seed= runs one trial only: more would count one form many times.
     """
     if cfg.trials > 1 and "seed" in fac.params:
@@ -288,7 +291,7 @@ def _run_trials(fac: FormFactory, cfg: ExperimentConfig, measure, settle, check,
     records, batch, T = [None] * len(ns), [], None
 
     def flush():
-        for (u, _, _), rec in zip(batch, check(batch)):
+        for (u, *_), rec in zip(batch, check(batch)):
             records[u] = rec
         batch.clear()
 
@@ -299,65 +302,50 @@ def _run_trials(fac: FormFactory, cfg: ExperimentConfig, measure, settle, check,
             T = None   # no reference to the previous form while the next is built
             T = fac.make(n=n, seed=child_seed(cfg.seed, t, 0), domain_p=domain_p)
             value = measure(T)
-            exact = None
-            if settle:
-                exact = exact_norm(T) if T.analytic_norm is None \
+            est = None
+            if exact:
+                est = exact_norm(T) if T.analytic_norm is None \
                     else NormEstimate(T.analytic_norm, "analytic")
-        if exact is not None:
-            records[t] = settle(t, T, value, exact.value, exact.method)
-        else:
-            batch.append((t, T, value))
-            if (len(batch) + 1) * math.prod(T.dims) > CHUNK_ELEMENTS:
-                flush()
+        batch.append((t, T, value, est))
+        if est is not None or (len(batch) + 1) * math.prod(T.dims) > CHUNK_ELEMENTS:
+            flush()
     if batch:
         flush()
     return records
 
 
-def _check_trials(batch, C: float, cfg: ExperimentConfig) -> list:
-    """Check lhs <= C * ||T|| for each (t, T, lhs) of ``batch``, trials
-    whose norm only the ascent gives: one record of norm, method, ratio,
-    retried and violation per trial, in order.
+def _check_trials(batch, C: float, cfg: ExperimentConfig, row) -> list:
+    """Check lhs <= C * ||T|| for each (t, T, lhs, est) of ``batch``: the
+    record ``row(t, T, lhs, checked)`` per trial, in order, where
+    ``checked`` is the trial's ``_checked`` fields.
 
-    The batch's denominators are taken in one ``norms`` call, trial t
-    seeded from (t, 1); those that ``verdict`` flags are then retried
-    together in one more call at four times the restarts, seeded from
-    (t, 2).  A trial's estimate does not depend on the trials beside it, so
-    records match a check of one trial at a time.
+    A trial whose estimate is known is judged at once.  The others' norms
+    are taken in one ``norms`` call, trial t seeded from (t, 1); those that
+    ``verdict`` flags are then retried together in one more call at four
+    times the restarts, seeded from (t, 2).  A trial's estimate does not
+    depend on the trials beside it, so records match a check of one trial
+    at a time.
     """
-    records = {}
-    pending = batch
+    records = {t: _checked(lhs, est, C, False) for t, _, lhs, est in batch if est is not None}
+    pending = [trial for trial in batch if trial[3] is None]
     for path, restarts in ((1, cfg.restarts), (2, 4 * cfg.restarts)):
         if not pending:
             break
-        ests = norms([T for _, T, _ in pending],
-                     [child_seed(cfg.seed, t, path) for t, _, _ in pending],
+        ests = norms([T for _, T, *_ in pending],
+                     [child_seed(cfg.seed, t, path) for t, *_ in pending],
                      restarts=restarts, tol=cfg.tol, max_iters=cfg.max_iters)
-        flagged = []
-        for (t, T, lhs), est in zip(pending, ests):
-            rec = records[t] = {"norm": est.value, "method": est.method, **verdict(
-                lhs, est.value, C, exact=est.method != "ascent", retried=path == 2)}
-            if rec["violation"]:
-                flagged.append((t, T, lhs))
-        pending = flagged
-    return [records[t] for t, _, _ in batch]
+        for (t, _, lhs, _), est in zip(pending, ests):
+            records[t] = _checked(lhs, est, C, path == 2)
+        pending = [trial for trial in pending if records[trial[0]]["violation"]]
+    return [row(t, T, lhs, records[t]) for t, T, lhs, _ in batch]
 
 
-def _ratio_checks(cfg: ExperimentConfig, limit, row):
-    """The ``settle`` and ``check`` of ``_run_trials`` for a run that checks
-    lhs <= C * ||T||, C = ``limit()``: an exact denominator is judged by
-    ``verdict`` at once, the others go through ``_check_trials``, and
-    ``row(t, T, lhs, checked)`` makes a trial's record from its norm,
-    method, ratio, retried and violation."""
-
-    def settle(t, T, lhs, norm, method):
-        return row(t, T, lhs, {"norm": norm, "method": method,
-                               **verdict(lhs, norm, limit(), exact=True, retried=False)})
-
-    def check(batch):
-        return [row(*trial, rec) for trial, rec in zip(batch, _check_trials(batch, limit(), cfg))]
-
-    return settle, check
+def _checked(lhs: float, est: NormEstimate, C: float, retried: bool) -> dict:
+    """The one place an estimate becomes a trial's norm, method, ratio,
+    retried and violation: ``verdict`` of lhs <= C * ||T||, exact unless
+    the estimate is an ascent lower bound."""
+    return {"norm": est.value, "method": est.method,
+            **verdict(lhs, est.value, C, exact=est.method != "ascent", retried=retried)}
 
 
 def verdict(lhs: float, denominator: float, C: float, exact: bool, retried=None) -> dict:
@@ -424,7 +412,8 @@ def run_verify(cfg: ExperimentConfig) -> ExperimentReport:
     a violation it shows is retried at 4x restarts before it is reported.
     """
     lhs = _CriticalLhs(cfg)
-    records = _run_trials(_factory(cfg), cfg, lhs, *_ratio_checks(cfg, lambda: lhs.C, _trial_row))
+    records = _run_trials(_factory(cfg), cfg, lhs,
+                          lambda batch: _check_trials(batch, lhs.C, cfg, _trial_row))
     summary = _summary(records, {"constant": lhs.C})
     return ExperimentReport("verify", _echo(cfg, "verify", {"exponents_used": str(lhs.s)}),
                             records, summary)
@@ -454,7 +443,8 @@ def run_sharpness(cfg: ExperimentConfig) -> ExperimentReport:
         return {"n": cfg.sweep[i], "lhs": value,
                 **{k: checked[k] for k in ("norm", "method", "ratio", "violation")}}
 
-    records = _run_trials(fac, cfg, lhs, *_ratio_checks(cfg, lambda: lhs.C, row), ns=cfg.sweep)
+    records = _run_trials(fac, cfg, lhs, lambda batch: _check_trials(batch, lhs.C, cfg, row),
+                          ns=cfg.sweep)
     pts = [(rec["n"], rec["ratio"]) for rec in records]
     fit = fit_growth(pts)
     trimmed = fit_growth(pts[1:]) if fit.residual > 0.02 and len(pts) > 3 else None
@@ -490,13 +480,14 @@ def run_bilinear_law(cfg: ExperimentConfig) -> ExperimentReport:
             raise ValueError("bilinear-law forms must live on l_2 x l_2")
         return mixed_norm(U, orders)
 
-    def record(t, U, lhs, denom, method):
-        n1, n2 = U.dims
-        bound = (n1 ** inv_b) * (n2 ** (inv_a - 0.5)) * denom
-        return {"trial": t, "n1": n1, "n2": n2, "lhs": lhs, "norm": denom, "method": method,
+    def record(t, U, lhs, est):
+        (n1, n2), norm = U.dims, est.value
+        bound = (n1 ** inv_b) * (n2 ** (inv_a - 0.5)) * norm
+        return {"trial": t, "n1": n1, "n2": n2, "lhs": lhs, "norm": norm, "method": est.method,
                 "bound": bound, **verdict(lhs, bound, 1, exact=True)}
 
-    records = _run_trials(fac, cfg, lhs_of, record, None)   # every denominator is exact
+    # every trial arrives alone with its estimate, closed-form or exact
+    records = _run_trials(fac, cfg, lhs_of, lambda batch: [record(*trial) for trial in batch])
     summary = _summary(records)
     return ExperimentReport("bilinear-law", _echo(cfg, "bilinear-law"), records, summary)
 
@@ -520,7 +511,7 @@ def run_base_hl(cfg: ExperimentConfig) -> ExperimentReport:
     full_l2 = ExponentVector.uniform(2, base_arity)
 
     records = _run_trials(fac, cfg, lambda T: mixed_norm(T, full_l2),
-                          *_ratio_checks(cfg, lambda: C, _trial_row), dom)
+                          lambda batch: _check_trials(batch, C, cfg, _trial_row), dom)
     summary = _summary(records, {"constant": C})
     return ExperimentReport("base-hl", _echo(cfg, "base-hl", {"domain": str(dom)}),
                             records, summary)
@@ -604,36 +595,29 @@ def run_inclusion_instance(cfg: ExperimentConfig) -> ExperimentReport:
     dom = ExponentVector.uniform(space, m)
     orders = tuple(dict.fromkeys((*cfg.p, *cfg.q)))
 
-    def denominators(pending):
-        """The (base, target) weak-norm products, in slot order, of each
-        pending (t, d, mats, num_base, num_target)."""
-        weak = {}
-        for o in orders:
-            asked = [(i, k) for i in range(len(pending)) for k in range(m)
-                     if o in (cfg.p[k], cfg.q[k])]
-            values = weak_norm([pending[i][2][k].T for i, k in asked], o, space,
-                               seed=[child_seed(cfg.seed, *pending[i][:2], k, 7)
-                                     for i, k in asked])
-            weak.update(zip([(i, k, o) for i, k in asked], values))
-        return [(math.prod(weak[i, k, cfg.p[k]] for k in range(m)),
-                 math.prod(weak[i, k, cfg.q[k]] for k in range(m)))
-                for i in range(len(pending))]
-
     def check(batch):
-        quotients = {t: [0.0, 0.0] for t, _, _ in batch}   # (base, target) per trial
+        quotients = {t: [0.0, 0.0] for t, *_ in batch}   # (base, target) per trial
 
         def settle(pending):
-            for (t, _, _, num_base, num_target), (den_base, den_target) in \
-                    zip(pending, denominators(pending)):
-                qt = quotients[t]
-                # np.maximum keeps a NaN quotient, so the ratio and verdict flag it
-                if den_base > 0:
-                    qt[0] = float(np.maximum(qt[0], num_base / den_base))
-                if den_target > 0:
-                    qt[1] = float(np.maximum(qt[1], num_target / den_target))
+            """Fold each pending (t, d, mats, num_base, num_target) into its
+            trial's quotients, over the weak-norm products in slot order."""
+            weak = {}
+            for o in orders:
+                asked = [(i, k) for i in range(len(pending)) for k in range(m)
+                         if o in (cfg.p[k], cfg.q[k])]
+                values = weak_norm([pending[i][2][k].T for i, k in asked], o, space,
+                                   seed=[child_seed(cfg.seed, *pending[i][:2], k, 7)
+                                         for i, k in asked])
+                weak.update(zip([(i, k, o) for i, k in asked], values))
+            for i, (t, _, _, *nums) in enumerate(pending):
+                for j, (num, s) in enumerate(zip(nums, (cfg.p, cfg.q))):
+                    den = math.prod(weak[i, k, s[k]] for k in range(m))
+                    # np.maximum keeps a NaN quotient, so the ratio and verdict flag it
+                    if den > 0:
+                        quotients[t][j] = float(np.maximum(quotients[t][j], num / den))
 
         pending, size = [], 0
-        for t, T, _ in batch:
+        for t, T, *_ in batch:
             for d in range(cfg.datasets):
                 mats = _battery_data(T.dims, space, cfg.seed, t, d, T.is_complex)
                 values = _values_tensor(T.coeffs, mats)
@@ -646,14 +630,11 @@ def run_inclusion_instance(cfg: ExperimentConfig) -> ExperimentReport:
                 pending.append((t, d, mats, *nums))
                 size += need
         settle(pending)
-        out = []
-        for t, _, _ in batch:
-            q_base, q_target = quotients[t]
-            out.append({"trial": t, "base_quotient": q_base, "target_quotient": q_target,
-                        **verdict(q_target, q_base, 1, exact=False)})
-        return out
+        return [{"trial": t, "base_quotient": q_base, "target_quotient": q_target,
+                 **verdict(q_target, q_base, 1, exact=False)}
+                for t, (q_base, q_target) in quotients.items()]
 
-    records = _run_trials(fac, cfg, lambda T: None, None, check, dom)
+    records = _run_trials(fac, cfg, lambda T: None, check, dom, exact=False)
     summary = _summary(records)
     return ExperimentReport("inclusion-instance",
                             _echo(cfg, "inclusion-instance", {"target_orders": str(target)}),

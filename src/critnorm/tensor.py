@@ -170,10 +170,11 @@ class MultilinearForm:
     def with_domain(self, domain_p) -> "MultilinearForm":
         """Same coefficients on different unit balls (analytic metadata drops,
         since a closed-form norm is tied to its domain).  The two forms share
-        one coefficient array, or one block."""
-        if self._block is None:
-            return MultilinearForm(self._coeffs, domain_p)
-        return MultilinearForm._from_block(self._dims, *self._block, domain_p=domain_p)
+        one coefficient array, or one block, which is not checked again."""
+        T = MultilinearForm.__new__(MultilinearForm)
+        T._coeffs, T._block = self._coeffs, self._block
+        T._set_layout(self._dims, self._dtype, domain_p, None)
+        return T
 
     def __repr__(self):
         shape = "x".join(map(str, self.dims))
@@ -201,11 +202,11 @@ def mixed_norm(T, orders) -> float:
     infinite order takes the maximum of the level below.  Exact orders are
     converted to double precision once; the global maximum modulus is
     factored out first, which makes the result exactly homogeneous and keeps
-    large orders stable.  A non-finite maximum modulus raises ValueError.
-    Where a level holds zeros only its nonzero entries are raised to the
-    power (0^e = 0, so the sums are the same bits); on mostly-zero arrays
-    such as a ``t0`` tensor this skips nearly all of the work.  Accepts a
-    form or a bare array.
+    large orders stable.  A non-finite maximum modulus raises ValueError,
+    and so does a result past the float range.  Where a level holds zeros
+    only its nonzero entries are raised to the power (0^e = 0, so the sums
+    are the same bits); on mostly-zero arrays such as a ``t0`` tensor this
+    skips nearly all of the work.  Accepts a form or a bare array.
 
     A tensor of more than ``CHUNK_ELEMENTS`` elements is reduced in chunks
     of leading-axis rows, each at most ``CHUNK_ELEMENTS`` elements or one
@@ -235,22 +236,28 @@ def mixed_norm(T, orders) -> float:
     if arr.size == 0:
         return 0.0
     rows = CHUNK_ELEMENTS * arr.shape[0] // arr.size
-    if rows >= arr.shape[0]:
-        work = np.abs(arr)
-        scale = _finite_scale(work.max())
-        if scale == 0.0:
-            return 0.0
-        return float(_reduce_levels(work, s, scale)) * scale
-    rows = max(rows, 1)
-    starts = range(0, arr.shape[0], rows)
-    scale = max(_finite_scale(np.abs(arr[i:i + rows]).max()) for i in starts)
-    if scale == 0.0:
-        return 0.0
-    outer, *inner = s
-    heads = np.empty(arr.shape[0])
-    for i in starts:
-        heads[i:i + rows] = _reduce_levels(np.abs(arr[i:i + rows]), inner, scale)
-    return float(_reduce_levels(heads, (outer,))) * scale
+    with np.errstate(over="ignore"):   # an overflow is refused below
+        if rows >= arr.shape[0]:
+            work = np.abs(arr)
+            scale = _finite_scale(work.max())
+            if scale == 0.0:
+                return 0.0
+            value = float(_reduce_levels(work, s, scale)) * scale
+        else:
+            rows = max(rows, 1)
+            starts = range(0, arr.shape[0], rows)
+            scale = max(_finite_scale(np.abs(arr[i:i + rows]).max()) for i in starts)
+            if scale == 0.0:
+                return 0.0
+            outer, *inner = s
+            heads = np.empty(arr.shape[0])
+            for i in starts:
+                heads[i:i + rows] = _reduce_levels(np.abs(arr[i:i + rows]), inner, scale)
+            value = float(_reduce_levels(heads, (outer,))) * scale
+    if not math.isfinite(value):
+        raise ValueError(f"the mixed norm overflowed float64 arithmetic and reached {value}; "
+                         "rescale the coefficients")
+    return value
 
 
 def _finite_scale(top) -> float:

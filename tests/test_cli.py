@@ -212,6 +212,42 @@ def test_one_verdict_reaches_every_experiment(monkeypatch, tmp_path, capsys, fla
             assert set(calls) == {(1, experiment == "bilinear-law")}
 
 
+RECORD_PATHS = {   # command line -> the method of its trials' estimates
+    "verify --form dot:m=3 --n 4 --trials 2": "analytic",
+    "verify --form gauss:m=2 --n 4 --trials 2": "exact-singular",
+    "verify --form gauss:m=3 --n 4 --trials 2": "ascent",
+    "sharpness --form gauss:m=3 --sweep 3,4,5": "ascent",
+    "base-hl --m 3 --n 4 --trials 2": "ascent",
+}
+
+
+@pytest.mark.parametrize("argv", list(RECORD_PATHS))
+def test_one_record_path_reaches_every_ratio_experiment(argv, monkeypatch, tmp_path):
+    """``harness._checked`` alone turns a trial's estimate into its norm,
+    method, ratio, retried and violation: stubbed, its fields reach analytic
+    and exact-singular trials, and the ascent trials of verify, sharpness
+    and base-hl, where the first one it flags comes back retried."""
+    calls = []
+
+    def stub(lhs, est, C, retried):
+        calls.append((est.method, retried))
+        flagged = est.method == "ascent" and len(calls) == 1
+        return {"norm": -1.0, "method": f"stub-{est.method}", "ratio": 0.25,
+                "retried": retried, "violation": flagged}
+
+    monkeypatch.setattr(harness, "_checked", stub)
+    out = tmp_path / "report.json"
+    assert main([*argv.split(), "--out", str(out)]) == 0
+    trials = json.loads(out.read_text())["trials"]
+    method = RECORD_PATHS[argv]
+    assert [(t["norm"], t["method"], t["ratio"], t["violation"]) for t in trials] == \
+        [(-1.0, f"stub-{method}", 0.25, False)] * len(trials)
+    assert {m for m, _ in calls} == {method}
+    assert calls.count((method, True)) == (method == "ascent")
+    if not argv.startswith("sharpness"):
+        assert [t["retried"] for t in trials] == [method == "ascent"] + [False] * (len(trials) - 1)
+
+
 def test_norm_mixed_needs_orders(capsys):
     assert main(["norm", "mixed", "--form", "dot:m=2,n=4"]) == 2
     assert "--exponents" in capsys.readouterr().err
@@ -464,32 +500,56 @@ def test_a_malformed_tensor_file_is_exit_2_with_one_error_line(name, tmp_path, c
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+def _refused(argv, flags, capsys) -> str:
+    """Run ``argv`` in-process (``flags`` None) or under ``python *flags``,
+    check exit 2 with no stdout and no warning, and return its one stderr
+    line, an ``error:`` line."""
+    if flags is None:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        out, err = capsys.readouterr()
+        assert not caught
+    else:
+        proc = subprocess.run([sys.executable, *flags, "-m", "critnorm.cli", *argv],
+                              capture_output=True, text=True)
+        code, out, err = proc.returncode, proc.stdout, proc.stderr
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ")
+    return lines[0]
+
+
 @pytest.mark.parametrize("flags", [None, ["-O"]], ids=["in-process", "optimized"])
 def test_an_ascent_that_overflows_is_exit_2_without_warnings(flags, tmp_path, capsys):
     """Huge but finite coefficients overflow float64 inside the ascent: exit
     2 with one ``error:`` line that says so, no NumPy RuntimeWarning and no
     stdout, also under python -O, and also when three trials share one
-    batched ascent."""
+    batched ascent.  (A verify at the critical orders overflows at its lhs
+    first; at orders inf its lhs is the finite largest entry.)"""
     path = tmp_path / "huge.json"
     save_tensor(MultilinearForm(np.full((3, 3, 3), 1e308)), path)
     for argv in (["verify", "--form", f"file:{path}"],
                  ["verify", "--form", f"file:{path}", "--trials", "3"],
+                 ["verify", "--form", f"file:{path}", "--exponents", "inf,inf,inf",
+                  "--trials", "3"],
                  ["norm", "op", "--form", f"file:{path}"]):
-        if flags is None:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                code = main(argv)
-            out, err = capsys.readouterr()
-            assert not caught
-        else:
-            proc = subprocess.run([sys.executable, *flags, "-m", "critnorm.cli", *argv],
-                                  capture_output=True, text=True)
-            code, out, err = proc.returncode, proc.stdout, proc.stderr
-        assert code == 2
-        assert out == ""
-        lines = err.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("error: ") and "overflowed" in lines[0]
+        assert "overflowed" in _refused(argv, flags, capsys)
+
+
+@pytest.mark.parametrize("flags", [None, ["-O"]], ids=["in-process", "optimized"])
+def test_a_mixed_norm_that_overflows_is_exit_2_without_warnings(flags, tmp_path, capsys):
+    """A mixed norm past the float range, of finite entries of 1e308 or of
+    an order as small as 1/1000, is refused: exit 2 with one ``error:``
+    line that says it overflowed, no NumPy RuntimeWarning and no stdout,
+    also under python -O."""
+    path = tmp_path / "huge.json"
+    save_tensor(MultilinearForm(np.full((2, 2), 1e308)), path)
+    for argv in (["norm", "mixed", "--form", f"file:{path}", "--exponents", "1,1"],
+                 ["verify", "--form", "gauss:m=2", "--n", "3", "--exponents", "inf,1/1000"]):
+        assert "overflowed" in _refused(argv, flags, capsys)
 
 
 @pytest.mark.parametrize("flags", [None, ["-O"]], ids=["in-process", "optimized"])
@@ -506,21 +566,7 @@ def test_an_overflowing_singular_value_is_exit_2_without_warnings(flags, tmp_pat
     for argv in (["verify", "--form", f"file:{path}"],
                  ["norm", "op", "--form", f"file:{path}"],
                  ["norm", "op", "--tensor", str(linear)]):
-        if flags is None:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                code = main(argv)
-            out, err = capsys.readouterr()
-            assert not caught
-        else:
-            proc = subprocess.run([sys.executable, *flags, "-m", "critnorm.cli", *argv],
-                                  capture_output=True, text=True)
-            code, out, err = proc.returncode, proc.stdout, proc.stderr
-        assert code == 2
-        assert out == ""
-        lines = err.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("error: ") and "too large" in lines[0]
+        assert "too large" in _refused(argv, flags, capsys)
 
 
 def test_norm_mixed_on_a_nan_coefficient_is_exit_2(tmp_path, capsys):

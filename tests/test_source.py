@@ -61,3 +61,17 @@ def test_one_place_decides_an_exact_norm_and_one_runs_the_ascent():
     caller forks around either decision."""
     assert _callers("spectral_norm") == {("opnorm", "exact_norm")}
     assert _callers("_ascend") == {("opnorm", "_ascent_estimates")}
+
+
+def test_one_trial_path_reaches_verdict_norms_and_exact_norm():
+    """Inside the harness an estimate becomes a trial's verdict only in
+    ``_checked``; bilinear-law's record and inclusion-instance's check judge
+    ratios that are not lhs over a norm.  Ascent norms are taken only by
+    ``_check_trials`` and exact norms only by ``_run_trials``."""
+
+    def inside(name):
+        return {function for module, function in _callers(name) if module == "harness"}
+
+    assert inside("verdict") == {"_checked", "record", "check"}
+    assert inside("norms") == {"_check_trials"}
+    assert inside("exact_norm") == {"_run_trials"}

@@ -106,6 +106,27 @@ def test_with_domain_shares_the_coefficients(traced_peak):
     assert peak < 2 * tensor.CHUNK_ELEMENTS < T.coeffs.nbytes
 
 
+@pytest.mark.parametrize("make", [lambda: make_gaussian_random((4, 5, 6), seed=3),
+                                  lambda: make_partial_dot(3, 5, 1)], ids=["dense", "block"])
+def test_with_domain_shares_the_storage_without_a_second_finiteness_scan(make, monkeypatch):
+    """``with_domain`` hands its form the source's coefficient array, or
+    its block, as it is: no ``np.isfinite`` call, and the closed-form norm
+    drops."""
+    T = make()
+
+    def scan(*args, **kwargs):
+        raise AssertionError("with_domain checked the coefficients again")
+
+    monkeypatch.setattr(np, "isfinite", scan)
+    U = T.with_domain((2, 2, 2))
+    monkeypatch.undo()
+    assert U.domain_p == ExponentVector("2, 2, 2") and U.analytic_norm is None
+    assert U._block is T._block
+    if T._block is None:
+        assert np.shares_memory(T.coeffs, U.coeffs)
+    assert mixed_norm(U, "2,2,2") == mixed_norm(T, "2,2,2")
+
+
 @pytest.mark.parametrize("scalar", ["real", "complex"])
 def test_the_chunked_finiteness_check_reaches_the_last_chunk(scalar, monkeypatch):
     dtype = np.complex128 if scalar == "complex" else np.float64
