@@ -5,6 +5,10 @@ completed run that found violations (or a false admissibility answer),
 2 for usage or data errors.  For inclusion-instance, 1 marks a suspicion:
 its ratio divides one battery maximum by another, and a value above 1.05
 is not evidence against the inclusion theorem.
+
+Each setting's option is declared once, in ``_SETTINGS``.  An experiment
+offers exactly the settings it reads (``harness.READS``) plus ``--out`` and
+``--format``, so an option it does not read is a usage error.
 """
 
 from __future__ import annotations
@@ -58,21 +62,34 @@ def _decimal_list(s) -> list:
     return ["inf" if v.is_inf else float(_fmt(float(v))) for v in s]
 
 
-def _experiment_options(sub: argparse.ArgumentParser, experiment: str) -> None:
-    """Report options, plus the shared settings ``experiment`` reads (READS);
-    an option left unset keeps its ExperimentConfig default."""
-    shared = {"form": {"help": "form spec, e.g. gauss:m=3 or file:tensor.json"},
-              "n": {"type": int, "help": "dimension per slot for size-free specs"},
-              "trials": {"type": int}, "seed": {"type": int}, "restarts": {"type": int},
-              "tol": {"type": float}, "max_iters": {"type": int}}
-    for dest in READS[experiment]:
-        if dest in shared:
-            sub.add_argument("--" + dest.replace("_", "-"), **shared[dest])
-    sub.add_argument("--out", "--output", dest="output",
-                     help="write the full report to this path")
-    sub.add_argument("--format", choices=("json", "csv"),
-                     help="report format (default: by --out extension, else json)")
-    sub.set_defaults(handler=_cmd_experiment)
+# The argparse keywords of each ExperimentConfig field.  An option left
+# unset keeps its ExperimentConfig default.
+_SETTINGS = {
+    "form": {"help": "form spec, e.g. gauss:m=3 or file:tensor.json"},
+    "n": {"type": int, "help": "dimension per slot for size-free specs"},
+    "sweep": {"type": _sweep, "help": "comma list of dimensions, e.g. 4,8,16,32,64"},
+    "variant": {"choices": VARIANTS}, "constant": {"choices": CONSTANT_CHOICES},
+    "tol": {"type": float},
+    **dict.fromkeys(("m", "trials", "datasets", "seed", "restarts", "max_iters"), {"type": int}),
+    **dict.fromkeys(("a", "b", "r", "space"), {"type": ExtRational}),
+    **dict.fromkeys(("exponents", "p", "q"), {"type": ExponentVector}),
+}
+# The settings an experiment that reads them cannot run without.
+_REQUIRED = {"sweep", "a", "b", "m", "r", "p", "q"}
+
+_EXPERIMENTS = {
+    "verify": "check the critical inequality over trials",
+    "sharpness": "fit ratio growth across dimensions",
+    "bilinear-law": "check the dimension-weighted bilinear mixed-norm bound",
+    "base-hl": "check the full-l_2 coefficient bound on the widened domain",
+    "inclusion-instance": "compare summing quotients empirically for one (r, p, q) instance",
+}
+
+
+def _option(sub: argparse.ArgumentParser, dest: str, **overrides) -> None:
+    """Add setting ``dest`` to ``sub``: its _SETTINGS keywords, then ``overrides``."""
+    keywords = {**_SETTINGS[dest], "required": dest in _REQUIRED, **overrides}
+    sub.add_argument("--" + dest.replace("_", "-"), **keywords)
 
 
 def _cmd_experiment(args) -> int:
@@ -81,14 +98,16 @@ def _cmd_experiment(args) -> int:
     The runner is looked up here, in this module's globals, rather than
     stored in the parser, which is built once: a runner rebound later (a
     tracing wrapper, say) is the one that runs."""
+    if args.format and not args.out:
+        raise ValueError("--format chooses the format of the --out report, so it needs --out")
     given = {k: getattr(args, k) for k in READS[args.command]}
     cfg = ExperimentConfig(args.command, **{k: v for k, v in given.items() if v is not None})
     runner = {"verify": run_verify, "sharpness": run_sharpness, "bilinear-law": run_bilinear_law,
               "base-hl": run_base_hl, "inclusion-instance": run_inclusion_instance}
     report = runner[args.command](cfg)
-    if args.output:
-        fmt = args.format or ("csv" if args.output.endswith(".csv") else "json")
-        report.write(args.output, fmt)
+    if args.out:
+        fmt = args.format or ("csv" if args.out.endswith(".csv") else "json")
+        report.write(args.out, fmt)
     summary = report.summary
     parts = [f"{report.experiment}: {summary['trials']} trials",
              f"{report.violations} violations", f"max ratio {_fmt(summary['max_ratio'])}"]
@@ -138,20 +157,8 @@ def _cmd_admissible(args) -> int:
     return 0 if result.ok else 1
 
 
-def _load_form(args):
-    """The form of ``--form``, or of ``--tensor FILE`` read as ``file:FILE``,
-    so both spellings of a file refuse ``--n``."""
-    if args.tensor and args.form:
-        raise ValueError("give either --tensor or --form, not both")
-    spec = f"file:{args.tensor}" if args.tensor else args.form
-    if not spec:
-        raise ValueError("give --tensor <file> or --form "
-                         "(e.g. gauss:m=3,n=8,seed=1 or file:tensor.json)")
-    return parse_form_spec(spec).make(n=args.n, seed=args.seed)
-
-
 def _cmd_norm(args) -> int:
-    T = _load_form(args)
+    T = parse_form_spec(args.form).make(n=args.n, seed=args.seed)
     if args.mode == "mixed":
         if not args.exponents:
             raise ValueError("mixed mode needs --exponents: a vector like "
@@ -185,71 +192,38 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("exponents", help="print a critical exponent family "
                           "or the inclusion-shift orders for (r, p, q)")
-    sub.add_argument("--m", type=int)
-    sub.add_argument("--variant", choices=VARIANTS, default="derived")
-    sub.add_argument("--constant", choices=CONSTANT_CHOICES, default="abstract")
-    sub.add_argument("--r", type=ExtRational)
-    sub.add_argument("--p", type=ExponentVector)
-    sub.add_argument("--q", type=ExponentVector)
+    for dest in ("m", "variant", "constant", "r", "p", "q"):
+        _option(sub, dest, required=False)
     sub.add_argument("--json", action="store_true",
                      help="print one JSON object instead of text lines")
-    sub.set_defaults(handler=_cmd_exponents)
+    sub.set_defaults(handler=_cmd_exponents, variant=ExperimentConfig.variant,
+                     constant=ExperimentConfig.constant)
 
     sub = subs.add_parser("admissible", help="test the bilinear exponent "
                           "admissibility conditions")
-    sub.add_argument("--p", type=ExtRational, required=True)
-    sub.add_argument("--q", type=ExtRational, required=True)
-    sub.add_argument("--a", type=ExtRational, required=True)
-    sub.add_argument("--b", type=ExtRational, required=True)
+    for dest in ("p", "q", "a", "b"):
+        _option(sub, dest, type=ExtRational)
     sub.set_defaults(handler=_cmd_admissible)
 
     sub = subs.add_parser("norm", help="evaluate one norm of one form")
     sub.add_argument("mode", choices=("mixed", "op"))
-    sub.add_argument("--tensor", help="path to a saved tensor file")
-    sub.add_argument("--form", help="form spec, e.g. gauss:m=3 or file:tensor.json")
-    sub.add_argument("--n", type=int)
-    sub.add_argument("--exponents", "--orders", dest="exponents",
-                     help="mixed orders: a vector like inf,3,12/5 or a "
-                          "variant name resolved at the form's arity")
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--restarts", type=int)
-    sub.add_argument("--tol", type=float)
-    sub.add_argument("--max-iters", type=int)
+    _option(sub, "form", required=True)
+    _option(sub, "n")
+    _option(sub, "exponents", type=str,
+            help="mixed orders: a vector like inf,3,12/5 or a "
+                 "variant name resolved at the form's arity")
+    for dest in ("seed", "restarts", "tol", "max_iters"):
+        _option(sub, dest)
     sub.set_defaults(handler=_cmd_norm, **ASCENT_DEFAULTS._asdict())
 
-    sub = subs.add_parser("verify", help="check the critical inequality over trials")
-    sub.add_argument("--exponents", type=ExponentVector)
-    sub.add_argument("--variant", choices=VARIANTS)
-    sub.add_argument("--constant", choices=CONSTANT_CHOICES)
-    _experiment_options(sub, "verify")
-
-    sub = subs.add_parser("sharpness", help="fit ratio growth across dimensions")
-    sub.add_argument("--sweep", type=_sweep, required=True,
-                     help="comma list of dimensions, e.g. 4,8,16,32,64")
-    sub.add_argument("--exponents", type=ExponentVector)
-    sub.add_argument("--variant", choices=VARIANTS)
-    sub.add_argument("--constant", choices=CONSTANT_CHOICES)
-    _experiment_options(sub, "sharpness")
-
-    sub = subs.add_parser("bilinear-law", help="check the dimension-weighted "
-                          "bilinear mixed-norm bound")
-    sub.add_argument("--a", type=ExtRational, required=True)
-    sub.add_argument("--b", type=ExtRational, required=True)
-    _experiment_options(sub, "bilinear-law")
-
-    sub = subs.add_parser("base-hl", help="check the full-l_2 coefficient bound "
-                          "on the widened domain")
-    sub.add_argument("--m", type=int, required=True)
-    _experiment_options(sub, "base-hl")
-
-    sub = subs.add_parser("inclusion-instance", help="compare summing quotients "
-                          "empirically for one (r, p, q) instance")
-    sub.add_argument("--r", type=ExtRational, required=True)
-    sub.add_argument("--p", type=ExponentVector, required=True)
-    sub.add_argument("--q", type=ExponentVector, required=True)
-    sub.add_argument("--space", type=ExtRational)
-    sub.add_argument("--datasets", type=int)
-    _experiment_options(sub, "inclusion-instance")
+    for name, text in _EXPERIMENTS.items():
+        sub = subs.add_parser(name, help=text)
+        for dest in READS[name]:
+            _option(sub, dest)
+        sub.add_argument("--out", help="write the full report to this path")
+        sub.add_argument("--format", choices=("json", "csv"),
+                         help="report format (default: by --out extension, else json)")
+        sub.set_defaults(handler=_cmd_experiment)
 
     return parser
 

@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exponents import ExponentVector, ExtLike, as_ext
+from .exponents import ExponentVector, ExtLike
 
 __all__ = [
     "MultilinearForm",
@@ -287,20 +287,10 @@ def _reduce_levels(work, orders, scale=None):
 
 
 def lp_norm(x, order: ExtLike) -> float:
-    """l_p norm of a vector for any order > 0; inf means the maximum modulus."""
-    p = as_ext(order)
-    a = np.abs(np.asarray(x)).astype(np.float64, copy=False).ravel()
-    if a.size == 0:
-        return 0.0
-    if p.is_inf:
-        return float(a.max())
-    e = float(p.fraction)
-    if e <= 0:
-        raise ValueError(f"norm order must be positive, got {p}")
-    scale = float(a.max())
-    if scale == 0.0:
-        return 0.0
-    return scale * float(np.power(a / scale, e).sum() ** (1.0 / e))
+    """l_p norm of the entries of ``x`` for any order > 0; inf means the
+    maximum modulus.  It is ``mixed_norm`` on the flattened entries, with
+    its refusals: a non-finite entry, or a result past the float range."""
+    return mixed_norm(np.ravel(x), (order,))
 
 
 def to_dict(T: MultilinearForm) -> dict:

@@ -228,6 +228,8 @@ def parse_form_spec(text: str) -> FormFactory:
                 params[key] = val
             else:
                 params[key] = int(val)
+    if "dims" in params and params.keys() & {"m", "n"}:
+        raise ValueError("dims= fixes the arity and every dimension, so give it without m= and n=")
     if kind in ("dot", "partial", "sign") and "m" not in params:
         raise ValueError(f"{kind} forms need m=")
     if kind == "partial" and "r" not in params:

@@ -87,7 +87,7 @@ def test_admissible_exit_codes(capsys):
 
 def test_norm_mixed(capsys):
     assert main(["norm", "mixed", "--form", "dot:m=3,n=8",
-                 "--orders", "inf,3,12/5"]) == 0
+                 "--exponents", "inf,3,12/5"]) == 0
     assert capsys.readouterr().out.strip() == "1"
 
 
@@ -265,26 +265,22 @@ def test_norm_tensor_flag(tmp_path, capsys):
     T = make_gaussian_random((3, 3), seed=4)
     path = tmp_path / "t.json"
     save_tensor(T, path)
-    assert main(["norm", "mixed", "--tensor", str(path),
+    assert main(["norm", "mixed", "--form", f"file:{path}",
                  "--exponents", "inf,2"]) == 0
     want = float(np.abs(T.coeffs).max())
     got = float(capsys.readouterr().out)
     # row with the largest l_2 norm, so at least the largest entry
     assert got >= want
-    assert main(["norm", "mixed", "--tensor", str(path), "--form", "dot:m=2",
-                 "--exponents", "inf,2"]) == 2
-    assert "not both" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mode", [["op"], ["mixed", "--exponents", "inf,2"]])
-@pytest.mark.parametrize("flag", ["--tensor", "--form"])
+@pytest.mark.parametrize("flag", ["--form"])
 def test_a_tensor_file_refuses_n_whichever_flag_names_it(flag, mode, tmp_path, capsys):
-    """A file fixes its dimensions: ``--tensor FILE`` and ``--form
-    file:FILE`` both refuse ``--n`` with exit 2 and one error line."""
+    """A file fixes its dimensions: ``--form file:FILE``, the one flag that
+    names a file, refuses ``--n`` with exit 2 and one error line."""
     path = tmp_path / "t.json"
     save_tensor(make_gaussian_random((3, 3), seed=4), path)
-    name = str(path) if flag == "--tensor" else f"file:{path}"
-    assert main(["norm", mode[0], flag, name, "--n", "5", *mode[1:]]) == 2
+    assert main(["norm", mode[0], flag, f"file:{path}", "--n", "5", *mode[1:]]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("error: the file form spec fixes its dimensions, "
@@ -305,10 +301,35 @@ def test_verify_writes_report_and_exits_zero(tmp_path, capsys):
 def test_verify_csv_output(tmp_path):
     out = tmp_path / "verify.csv"
     assert main(["verify", "--form", "gauss:m=2", "--n", "4",
-                 "--trials", "2", "--output", str(out)]) == 0
+                 "--trials", "2", "--out", str(out)]) == 0
     lines = out.read_text().strip().split("\n")
     assert lines[0].startswith("trial,")
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["norm", "mixed", "--form", "dot:m=2,n=3", "--orders", "inf,2"],
+    ["norm", "op", "--tensor", "{tensor}"],
+    ["verify", "--form", "gauss:m=2", "--n", "3", "--output", "{out}"],
+], ids=["orders", "tensor", "output"])
+def test_a_removed_alias_is_a_usage_error(argv, tmp_path, capsys):
+    """``--orders``, ``--tensor FILE`` and ``--output`` are gone: each spelling
+    is refused with exit 2 before anything runs, and nothing is written."""
+    tensor, out = tmp_path / "t.json", tmp_path / "report.json"
+    save_tensor(make_gaussian_random((3, 3), seed=4), tensor)
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(tensor=tensor, out=out) for a in argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
+def test_format_without_out_is_exit_2(capsys):
+    """``--format`` only chooses how the ``--out`` report is written."""
+    assert main(["verify", "--form", "gauss:m=2", "--n", "3", "--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --format") and captured.err.count("\n") == 1
 
 
 def test_sharpness_violations_exit_one(capsys):
@@ -368,7 +389,10 @@ def test_sharpness_refuses_a_spec_that_pins_the_swept_dimension(spec, capsys):
      "error: the t0 form spec fixes its dimensions"),
     (["norm", "op", "--form", "gauss:dims=4x4,seed=1", "--n", "8"],
      "error: the gauss form spec fixes its dimensions"),
-], ids=["pinned-n", "pinned-seed", "pinned-n2", "pinned-dims"])
+    # dims= fixes the arity and every dimension, so m= or n= beside it is refused
+    (["verify", "--form", "gauss:m=3,dims=4x4", "--trials", "2"], "error: dims= fixes"),
+    (["verify", "--form", "gauss:dims=4x4,n=9", "--trials", "2"], "error: dims= fixes"),
+], ids=["pinned-n", "pinned-seed", "pinned-n2", "pinned-dims", "dims-and-m", "dims-and-n"])
 def test_a_spec_that_pins_what_an_option_sets_is_exit_2(argv, message, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -565,7 +589,7 @@ def test_an_overflowing_singular_value_is_exit_2_without_warnings(flags, tmp_pat
     save_tensor(MultilinearForm(np.full(4, 1e308), domain_p=("inf",)), linear)
     for argv in (["verify", "--form", f"file:{path}"],
                  ["norm", "op", "--form", f"file:{path}"],
-                 ["norm", "op", "--tensor", str(linear)]):
+                 ["norm", "op", "--form", f"file:{linear}"]):
         assert "too large" in _refused(argv, flags, capsys)
 
 

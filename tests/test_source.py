@@ -75,3 +75,22 @@ def test_one_trial_path_reaches_verdict_norms_and_exact_norm():
     assert inside("verdict") == {"_checked", "record", "check"}
     assert inside("norms") == {"_check_trials"}
     assert inside("exact_norm") == {"_run_trials"}
+
+
+def test_every_setting_option_comes_from_the_settings_table():
+    """In ``cli.py`` only the options that are no setting are spelled out
+    (``mode``, ``--json``, ``--out``, ``--format``); every other option is
+    added by ``_option`` from ``_SETTINGS``, so a setting has one declaration."""
+    path = next(p for p in SOURCES if p.name == "cli.py")
+    spelled, computed = set(), set()
+    for function in ast.parse(path.read_text(encoding="utf-8")).body:
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        for node in ast.walk(function):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument":
+                names = {a.value for a in node.args if isinstance(a, ast.Constant)}
+                spelled |= names
+                if not names:
+                    computed.add(function.name)
+    assert spelled == {"mode", "--json", "--out", "--format"}
+    assert computed == {"_option"}

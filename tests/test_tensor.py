@@ -424,6 +424,19 @@ def test_lp_norm_frozen_values():
         lp_norm([1.0], 0)
 
 
+@pytest.mark.parametrize("x, order, message", [
+    ([1.0, 1.0, 1.0], "1/1000", "overflowed"),
+    ([1e308, 1e308], 1, "overflowed"),
+    ([], 0, "positive"),
+])
+def test_lp_norm_refuses_an_overflow_and_a_zero_order(x, order, message):
+    """lp_norm is mixed_norm on one axis, with its refusals: a result past the
+    float range raises without a RuntimeWarning, and so does order 0 on an
+    empty vector."""
+    with pytest.raises(ValueError, match=message):
+        lp_norm(x, order)
+
+
 # --------------------------------------------------------------- weak norms
 
 def test_weak_norm_of_one_vector_is_its_container_norm():

@@ -265,6 +265,13 @@ def test_gauss_dims_spec():
         fac.make(n=8)   # explicit dims exclude a sweep dimension
 
 
+@pytest.mark.parametrize("spec", ["gauss:m=3,dims=4x4", "gauss:dims=4x4,n=9",
+                                  "gauss:m=2,n=4,dims=4x4"])
+def test_gauss_dims_refuses_m_and_n(spec):
+    with pytest.raises(ValueError, match="dims= fixes the arity and every dimension"):
+        parse_form_spec(spec)
+
+
 def test_gauss_scalar_parameter():
     fac = parse_form_spec("gauss:m=2,n=3,seed=1,scalar=complex")
     assert fac.make().is_complex
