@@ -2,13 +2,15 @@
 
 Exit codes: 0 success (and, for experiments, zero violations), 1 for a
 completed run that found violations (or a false admissibility answer),
-2 for usage or data errors.  For inclusion-instance, 1 marks a suspicion:
-its ratio divides one battery maximum by another, and a value above 1.05
-is not evidence against the inclusion theorem.
+2 for usage or data errors, an input too large to compute included.  For
+inclusion-instance, 1 marks a suspicion: its ratio divides one battery
+maximum by another, and a value above 1.05 is not evidence against the
+inclusion theorem.
 
 Each setting's option is declared once, in ``_SETTINGS``.  An experiment
 offers exactly the settings it reads (``harness.READS``) plus ``--out`` and
-``--format``, so an option it does not read is a usage error.
+``--format``, so an option it does not read is a usage error.  Options
+are spelled in full: no parser accepts an abbreviation.
 """
 
 from __future__ import annotations
@@ -51,10 +53,6 @@ def _sweep(text: str) -> tuple:
 
 def _fmt(v: float) -> str:
     return f"{v:.12g}"
-
-
-def _decimal_text(s) -> str:
-    return "(" + ", ".join("inf" if v.is_inf else _fmt(float(v)) for v in s) + ")"
 
 
 def _decimal_list(s) -> list:
@@ -121,31 +119,30 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_exponents(args) -> int:
+    """Print an exponent family, and the critical family's constant, from
+    one payload: as one JSON object with --json, else as text lines.  All
+    of it is computed before anything is printed, so an error prints none."""
     if args.r is not None or args.p is not None or args.q is not None:
         if args.r is None or args.p is None or args.q is None:
             raise ValueError("inclusion mode needs --r, --p and --q together")
+        payload = {}
         s = inclusion_exponents(args.r, args.p, args.q)
-        if args.json:
-            print(json.dumps({"s": [str(v) for v in s],
-                              "s_decimal": _decimal_list(s)}))
-        else:
-            print(f"s = {s}")
-            print(f"s ~ {_decimal_text(s)}")
-        return 0
-    if args.m is None:
+    elif args.m is None:
         raise ValueError("give --m for the critical family or --r/--p/--q")
-    s = critical_exponents(args.m, args.variant)
-    c = inequality_constant(args.m, args.constant)
-    if args.json:
-        print(json.dumps({"m": args.m, "variant": args.variant,
-                          "s": [str(v) for v in s],
-                          "s_decimal": _decimal_list(s),
-                          "constant": str(c),
-                          "constant_decimal": float(_fmt(c.value))}))
     else:
-        print(f"s = {s}")
-        print(f"s ~ {_decimal_text(s)}")
-        print(f"constant = {c} = {_fmt(c.value)}")
+        payload = {"m": args.m, "variant": args.variant}
+        s = critical_exponents(args.m, args.variant)
+    payload |= {"s": [str(v) for v in s], "s_decimal": _decimal_list(s)}
+    if "m" in payload:
+        c = inequality_constant(args.m, args.constant)
+        payload |= {"constant": str(c), "constant_decimal": float(_fmt(c.value))}
+    if args.json:
+        print(json.dumps(payload))
+        return 0
+    print(f"s = ({', '.join(payload['s'])})")
+    print(f"s ~ ({', '.join(v if v == 'inf' else _fmt(v) for v in payload['s_decimal'])})")
+    if "constant" in payload:
+        print(f"constant = {payload['constant']} = {_fmt(payload['constant_decimal'])}")
     return 0
 
 
@@ -185,13 +182,14 @@ def _build_parser() -> argparse.ArgumentParser:
     returns a fresh namespace on every call, so ``main`` reuses it.  It
     stores no harness runner either; ``_cmd_experiment`` looks that up."""
     parser = argparse.ArgumentParser(
-        prog="critnorm",
+        prog="critnorm", allow_abbrev=False,
         description="Verify and stress-test critical mixed-norm inequalities "
                     "for multilinear forms.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("exponents", help="print a critical exponent family "
-                          "or the inclusion-shift orders for (r, p, q)")
+    sub = subs.add_parser("exponents", allow_abbrev=False,
+                          help="print a critical exponent family "
+                               "or the inclusion-shift orders for (r, p, q)")
     for dest in ("m", "variant", "constant", "r", "p", "q"):
         _option(sub, dest, required=False)
     sub.add_argument("--json", action="store_true",
@@ -199,13 +197,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=_cmd_exponents, variant=ExperimentConfig.variant,
                      constant=ExperimentConfig.constant)
 
-    sub = subs.add_parser("admissible", help="test the bilinear exponent "
-                          "admissibility conditions")
+    sub = subs.add_parser("admissible", allow_abbrev=False,
+                          help="test the bilinear exponent admissibility conditions")
     for dest in ("p", "q", "a", "b"):
         _option(sub, dest, type=ExtRational)
     sub.set_defaults(handler=_cmd_admissible)
 
-    sub = subs.add_parser("norm", help="evaluate one norm of one form")
+    sub = subs.add_parser("norm", allow_abbrev=False, help="evaluate one norm of one form")
     sub.add_argument("mode", choices=("mixed", "op"))
     _option(sub, "form", required=True)
     _option(sub, "n")
@@ -217,7 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=_cmd_norm, **ASCENT_DEFAULTS._asdict())
 
     for name, text in _EXPERIMENTS.items():
-        sub = subs.add_parser(name, help=text)
+        sub = subs.add_parser(name, allow_abbrev=False, help=text)
         for dest in READS[name]:
             _option(sub, dest)
         sub.add_argument("--out", help="write the full report to this path")
@@ -235,7 +233,7 @@ def main(argv=None) -> int:
     except InapplicableError as exc:
         print(f"inapplicable: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ZeroDivisionError, OSError) as exc:
+    except (ValueError, ZeroDivisionError, OSError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

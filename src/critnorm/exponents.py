@@ -54,8 +54,9 @@ class ExtRational:
 
     Finite values are stored as :class:`fractions.Fraction` (automatically in
     lowest terms with positive denominator); infinity is the unique value
-    with ``is_inf``.  The type is totally ordered with infinity on top,
-    supports addition, and has exact reciprocals with ``reciprocal(inf) == 0``.
+    with ``is_inf``.  The type is totally ordered with infinity on top, and
+    has exact reciprocals with ``reciprocal(inf) == 0``; sums of exponents
+    are taken on their reciprocals, as Fractions.
     Floats are rejected on input: exactness is the point.  A token with a
     zero denominator, such as ``"1/0"``, is a ValueError.
     """
@@ -122,18 +123,12 @@ class ExtRational:
     @staticmethod
     def _key(value):
         """The comparison key of an exponent: its exact value, an int or
-        Fraction as itself, math.inf for infinity; a token string is parsed.
-        None for anything else (a bool included), which compares as
-        NotImplemented."""
+        Fraction as itself, math.inf for infinity.  None for anything else (a
+        bool or a token string included), which compares as NotImplemented."""
         if isinstance(value, ExtRational):
             return math.inf if value._frac is None else value._frac
         if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
             return value
-        if isinstance(value, str):
-            try:
-                return ExtRational._key(ExtRational(value))
-            except (ValueError, TypeError):
-                return None
         return None
 
     def __eq__(self, other):
@@ -146,16 +141,6 @@ class ExtRational:
     def __lt__(self, other):
         o = self._key(other)
         return NotImplemented if o is None else self._key(self) < o
-
-    def __add__(self, other):
-        o = self._key(other)
-        if o is None:
-            return NotImplemented
-        if self._frac is None or o == math.inf:
-            return INF
-        return ExtRational(self._frac + o)
-
-    __radd__ = __add__
 
     def __float__(self):
         return math.inf if self._frac is None else float(self._frac)
@@ -273,13 +258,8 @@ def inclusion_exponents(r: ExtLike, p: Sequence[ExtLike], q: Sequence[ExtLike]) 
     exactly; a zero reciprocal encodes an infinite order, and every finite
     entry comes out >= r >= 1.
     """
-    r = as_ext(r)
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
-    p = _summing_vector(p, "p")
-    q = _summing_vector(q, "q")
-    if len(p) != len(q):
-        raise ValueError(f"length mismatch: p has {len(p)} entries, q has {len(q)}")
+    crit = criterion(r, p, q).fraction   # checks r, p and q
+    p, q = ExponentVector(p), ExponentVector(q)
     # orders >= 1 compare in reverse on their exact reciprocals (1/inf = 0)
     inv_p, inv_q = [_recip(e) for e in p], [_recip(e) for e in q]
     for i in range(1, len(p)):
@@ -287,7 +267,6 @@ def inclusion_exponents(r: ExtLike, p: Sequence[ExtLike], q: Sequence[ExtLike]) 
             raise InapplicableError(f"q[{i + 1}] = {q[i]} < p[{i + 1}] = {p[i]}")
     if inv_q[0] > inv_p[0]:
         raise InapplicableError(f"q[1] = {q[0]} < p[1] = {p[0]}")
-    crit = criterion(r, p, q).fraction
     if inv_q[0] == inv_p[0]:
         if crit <= 0:
             raise InapplicableError(
@@ -371,7 +350,11 @@ class PowerOfTwo:
 
     @property
     def value(self) -> float:
-        return 2.0 ** float(self.exponent)
+        """The float value; ValueError when it is past the float range."""
+        try:
+            return 2.0 ** float(self.exponent)
+        except OverflowError:
+            raise ValueError(f"2^({self.exponent}) is past the float range") from None
 
     def __str__(self):
         return f"2^({self.exponent})"
@@ -397,13 +380,11 @@ def inequality_constant(m: int, choice: str = "abstract") -> PowerOfTwo:
 
 @dataclass(frozen=True)
 class BilinearAdmissibility:
-    """Outcome of the subcritical bilinear exponent check."""
+    """Outcome of the subcritical bilinear exponent check: ``ok``, and one
+    line per failed condition, quoting its threshold."""
 
     ok: bool
     failures: tuple[str, ...]
-    a_threshold: ExtRational
-    b_threshold: ExtRational
-    budget: Fraction
 
 
 def bilinear_admissibility(p: ExtLike, q: ExtLike, a: ExtLike, b: ExtLike) -> BilinearAdmissibility:
@@ -440,4 +421,4 @@ def bilinear_admissibility(p: ExtLike, q: ExtLike, a: ExtLike, b: ExtLike) -> Bi
         failures.append(
             f"1/a + 1/b = {_recip(a) + _recip(b)} > 3/2 - (1/p + 1/q) = {budget}"
         )
-    return BilinearAdmissibility(not failures, tuple(failures), a_thr, b_thr, budget)
+    return BilinearAdmissibility(not failures, tuple(failures))

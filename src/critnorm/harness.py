@@ -422,9 +422,12 @@ def run_verify(cfg: ExperimentConfig) -> ExperimentReport:
 def run_sharpness(cfg: ExperimentConfig) -> ExperimentReport:
     """Fit the growth of mixed_norm/norm across an n sweep of a form family.
 
-    A zero fitted slope is what a tight family looks like; a positive slope
+    A zero fitted slope is what a tight family looks like.  A positive slope
     certifies that the configured orders cannot carry a dimension-free
-    constant on this family.  When the fit residual exceeds 0.02 the smallest
+    constant on this family only when every point's denominator is
+    closed-form or exact.  An ascent denominator is a lower bound, so its
+    ratio may be too high, and over ascent points a positive slope is a
+    suspicion: the ascent may fall further short as n grows.  When the fit residual exceeds 0.02 the smallest
     sweep point is dropped and both fits are reported.  Each point is
     checked like a verify trial, ascent retry included.
     """
@@ -578,10 +581,10 @@ def run_inclusion_instance(cfg: ExperimentConfig) -> ExperimentReport:
     A batch of trials takes every numerator first, base then target, data
     set after data set.  The data sets then wait, up to ``CHUNK_ELEMENTS``
     sequence coefficients in all (at least one data set), for their weak
-    norms: one list ``weak_norm`` call per distinct order, which asks a slot
+    norms: one ``weak_norm`` call per distinct order, which asks a slot
     with p_k = q_k once and seeds slot k of data set d of trial t from
-    (t, d, k, 7).  Each value has the bits of its own call, so the records
-    match a run that takes every weak norm on its own.
+    (t, d, k, 7).  Each value has the bits of a one-sequence call, so the
+    records match a run that takes every weak norm on its own.
     """
     if cfg.r is None or cfg.p is None or cfg.q is None:
         raise ValueError("inclusion-instance needs r, p and q")

@@ -60,16 +60,16 @@ so building them costs one child stream and one draw per restart plus a
 few NumPy calls per slot, and every start keeps the bits of its own stream.
 
 Weak norms of finite vector sequences are operator norms of the induced
-pairing, so ``weak_norm`` lives here too: every pairing is a form, and one
-``norms`` call at fixed ascent settings gives all of a call's values, so
-``exact_norm`` settles the l_2 x l_2 pairings and the others are ascents,
-each value with the bits of its solo call.
+pairing, so ``weak_norm`` lives here too: it takes a list of sequences,
+every pairing is a form, and one ``norms`` call at fixed ascent settings
+gives all of a call's values, so ``exact_norm`` settles the l_2 x l_2
+pairings and the others are ascents, each value with the bits of a
+one-sequence call.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Sequence
@@ -91,7 +91,6 @@ __all__ = [
     "norms",
     "check_ascent_settings",
     "weak_norm",
-    "upper_bound_l1",
 ]
 
 
@@ -564,8 +563,7 @@ def _ascend(forms, X, tol, max_iters):
                 work = [w[keep] for w in work]
                 if not active.size:
                     break
-                group.cut([active.size] if len(forms) == 1 else
-                          np.bincount(active // R, minlength=len(forms)).tolist())
+                group.cut(np.bincount(active // R, minlength=len(forms)).tolist())
     for x, w in zip(X, work):
         x[active] = w
     return values, X, sweeps, converged
@@ -666,23 +664,17 @@ def _ascent_estimates(forms, seeds, restarts, tol, max_iters) -> list:
     group the forms by dims, dtype and domain, ascend each group as one
     block and take each form's best restart."""
     out = [None] * len(forms)
-    groups = []   # (first form, indices of the forms with its dims, dtype and domain)
+    groups = {}   # (dims, dtype, domain) -> indices of the forms that share them
     for i, T in enumerate(forms):
-        for first, members in groups:
-            if (T.dims, T.coeffs.dtype, T.domain_p) == (first.dims, first.coeffs.dtype,
-                                                       first.domain_p):
-                members.append(i)
-                break
-        else:
-            groups.append((T, [i]))
-    for first, members in groups:
-        X = _unit_starts(first, restarts, [seeds[i] for i in members])
+        groups.setdefault((T.dims, T.coeffs.dtype, T.domain_p), []).append(i)
+    for members in groups.values():
+        X = _unit_starts(forms[members[0]], restarts, [seeds[i] for i in members])
         values, X, sweeps, converged = _ascend([forms[i] for i in members], X, tol, max_iters)
         for j, i in enumerate(members):
             rows = slice(j * restarts, (j + 1) * restarts)
             best = rows.start + int(np.argmax(values[rows]))
             value = float(values[best])
-            bound = upper_bound_l1(forms[i])
+            bound = _upper_bound_l1(forms[i])
             if not value <= bound * (1.0 + 1e-12) + 1e-12:
                 raise AscentInvariantError(
                     f"ascent value {value!r} exceeds the l1 coefficient bound {bound!r}")
@@ -697,27 +689,31 @@ def _ascent_estimates(forms, seeds, restarts, tol, max_iters) -> list:
 _WEAK_RESTARTS, _WEAK_TOL, _WEAK_MAX_ITERS = 8, 1e-12, 200
 
 
-def weak_norm(vectors, p: ExtLike, space_q: ExtLike, *, seed: int | Sequence[int] = 0):
-    """Weak-l_p norm of a finite sequence of vectors living in l_{space_q}^n.
+def weak_norm(sequences, p: ExtLike, space_q: ExtLike, *, seed: Sequence[int]) -> list[float]:
+    """Weak-l_p norms of finite sequences of vectors living in l_{space_q}^n,
+    one per sequence, in order, seed[i] seeding sequences[i].
 
-    Equals the operator norm of the map c -> sum_k c_k x_k from the unit
-    l_{p*} ball into l_{space_q}, i.e. of the pairing on l_{p*} x l_{q*}:
-    the estimate ``norms`` gives the pairing form at the seed, with the
-    fixed ascent settings above.  So ``exact_norm`` decides which values
-    are exact; for p = q = 2 it is the largest singular value, and no seed
-    is used.  Otherwise it is the attained lower bound of the seeded ascent.
-    A sequence is the rows of a 2-d array (a 1-d array is one vector).
-
-    Given a list of sequences and a list of seeds, one per sequence, it
-    returns the weak norm of each in order.  The pairing domain is resolved
-    once and every pairing form goes through one ``norms`` call, which
-    groups the ascents by dims, so each value has the bits of its own call.
+    A sequence's weak norm equals the operator norm of the map
+    c -> sum_k c_k x_k from the unit l_{p*} ball into l_{space_q}, i.e. of
+    the pairing on l_{p*} x l_{q*}: the estimate ``norms`` gives the pairing
+    form at its seed, with the fixed ascent settings above.  So
+    ``exact_norm`` decides which values are exact; for p = q = 2 it is the
+    largest singular value, and no seed is used.  Otherwise it is the
+    attained lower bound of the seeded ascent.  Each sequence is a 2-d
+    array whose rows are its vectors; anything else is a ValueError.  The
+    pairing domain is resolved once and every pairing form goes through one
+    ``norms`` call, which groups the ascents by dims, so each value has the
+    bits of a one-sequence call.
     """
-    batched = not isinstance(seed, numbers.Integral)
-    seqs, seeds = (list(vectors), list(seed)) if batched else ([vectors], [seed])
+    seqs, seeds = list(sequences), list(seed)
     if len(seeds) != len(seqs):
         raise ValueError(f"{len(seqs)} sequences but {len(seeds)} seeds")
-    mats = [_sequence_rows(v) for v in seqs]
+    mats = [np.asarray(v) for v in seqs]
+    for X in mats:
+        if X.ndim != 2:
+            raise ValueError("pass each sequence as the rows of a 2-d array")
+        if 0 in X.shape:
+            raise ValueError(f"a sequence needs at least one nonempty vector, got shape {X.shape}")
     p = as_ext(p)
     if p < 1:
         raise ValueError(f"weak norms need p >= 1, got {p}")
@@ -727,23 +723,10 @@ def weak_norm(vectors, p: ExtLike, space_q: ExtLike, *, seed: int | Sequence[int
     domain = ExponentVector((conjugate(p), conjugate(q)))
     ests = norms([MultilinearForm(X, domain_p=domain) for X in mats], seeds,
                  restarts=_WEAK_RESTARTS, tol=_WEAK_TOL, max_iters=_WEAK_MAX_ITERS)
-    values = [est.value for est in ests]
-    return values if batched else values[0]
+    return [est.value for est in ests]
 
 
-def _sequence_rows(vectors):
-    """A weak-norm sequence as a matrix whose rows are the vectors."""
-    X = np.asarray(vectors)
-    if X.ndim == 1:
-        X = X[np.newaxis, :]
-    if X.ndim != 2:
-        raise ValueError("pass each sequence as rows of a 2-d array")
-    if 0 in X.shape:
-        raise ValueError(f"a sequence needs at least one nonempty vector, got shape {X.shape}")
-    return X
-
-
-def upper_bound_l1(T: MultilinearForm) -> float:
+def _upper_bound_l1(T: MultilinearForm) -> float:
     """Sum of coefficient moduli; dominates the norm on any p >= 1 balls.
 
     The moduli are summed in chunks of ``CHUNK_ELEMENTS`` elements, so no

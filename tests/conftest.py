@@ -1,8 +1,24 @@
 """Shared fixtures."""
 
 import tracemalloc
+import warnings
 
 import pytest
+
+# When a property test fails, Hypothesis imports its patch writer,
+# hypothesis.extra._patching, from inside pytest's report hook.  That module
+# imports libcst, which can raise a DeprecationWarning from a dependency
+# (mypy_extensions); the suite's error::DeprecationWarning filter turns it
+# into an INTERNALERROR that ends the session before the remaining tests
+# run.  Importing the module once here, with warnings ignored, leaves a
+# failing property test to fail like any other.  Package code is still
+# imported under the suite's filters.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 @pytest.fixture

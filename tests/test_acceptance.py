@@ -269,7 +269,7 @@ def test_criterion_09_norm_calculus_properties(monkeypatch):
     worst_weak = 0.0
     for m in (2, 3, 4):
         for n in (4, 8):
-            w = weak_norm(np.eye(n), conjugate(m), m, seed=2)
+            (w,) = weak_norm([np.eye(n)], conjugate(m), m, seed=[2])
             worst_weak = max(worst_weak, abs(w - 1))
             weak_ok = weak_ok and abs(w - 1) <= 1e-6
     ok = ok and weak_ok

@@ -167,7 +167,7 @@ def test_one_exact_norm_decision_reaches_every_caller(monkeypatch, capsys):
     rep = run_verify(ExperimentConfig(experiment="verify", form="gauss:m=3", n=4, trials=3))
     assert [t["method"] for t in rep.trials] == ["stub"] * 3
     X = make_gaussian_random((3, 5), seed=1).coeffs
-    assert weak_norm(X, 4, 2, seed=2) == 1.0
+    assert weak_norm([X], 4, 2, seed=[2]) == [1.0]
     assert weak_norm([X, X.T], 2, 2, seed=[2, 3]) == [1.0, 1.0]
 
 
@@ -322,6 +322,38 @@ def test_a_removed_alias_is_a_usage_error(argv, tmp_path, capsys):
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--form", "gauss:m=2", "--n", "3", "--tri", "2", "--max", "5"],
+    ["exponents", "--m", "3", "--var", "printed"],
+    ["norm", "op", "--form", "gauss:m=2", "--n", "3", "--rest", "2"],
+], ids=["verify", "exponents", "norm"])
+def test_an_abbreviated_option_is_a_usage_error(argv, capsys):
+    """Each option has one spelling: no parser matches a prefix, so an
+    abbreviation is refused with exit 2 before anything runs."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["exponents", "--m", "2050"], "error: 2^(1024) is past the float range\n"),
+    (["exponents", "--m", "2050", "--json"], "error: 2^(1024) is past the float range\n"),
+    (["verify", "--form", "dot:m=2050", "--n", "1"], "error: 2^(1024) is past the float range\n"),
+    (["verify", "--form", "gauss:m=2", "--n", "3", "--trials", "99999999999999999999"], None),
+    (["verify", "--form", "gauss:m=50", "--n", "2"], None),
+], ids=["constant", "constant-json", "verify-constant", "trials", "allocation"])
+def test_an_input_too_large_to_compute_is_exit_2_with_one_error_line(argv, message, capsys):
+    """A constant past the float range, a trial count past the index range
+    and an 8 PiB coefficient array each fail at once: exit 2, one error
+    line, nothing on stdout, no traceback."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message is None or captured.err == message
 
 
 def test_format_without_out_is_exit_2(capsys):

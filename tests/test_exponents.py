@@ -6,6 +6,7 @@ are frozen as exact Fractions; nothing in this file touches floats except
 the float-rejection tests themselves.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -94,8 +95,12 @@ def test_all_six_comparisons_follow_one_order():
         for j, y in enumerate(vals):
             assert (x < y, x <= y, x > y, x >= y, x == y, x != y) == \
                 (i < j, i <= j, i > j, i >= j, i == j, i != j)
-    assert ExtRational(2) >= 2 and ExtRational(2) <= "2" and INF > "4/3"
+    assert ExtRational(2) >= 2 and ExtRational(2) <= Fraction(2) and INF > Fraction(4, 3)
     assert 3 > ExtRational(2) and 1 <= ExtRational(1)
+    # a token string is input to parse, not a value to compare with
+    assert ExtRational(2) != "2" and not ExtRational(2) == "2"
+    with pytest.raises(TypeError):
+        ExtRational(2) <= "2"
     with pytest.raises(TypeError):
         ExtRational(1) <= 1.0
     with pytest.raises(TypeError):
@@ -103,8 +108,14 @@ def test_all_six_comparisons_follow_one_order():
 
 
 def test_addition_absorbs_infinity():
-    assert ExtRational("1/2") + ExtRational("1/3") == ExtRational("5/6")
-    assert (INF + 5).is_inf
+    """Exponents are summed as Fractions on their exact reciprocals, where
+    1/inf = 0 absorbs an infinite order; ExtRational has no addition."""
+    assert tail_sum((INF, 5), 1) == Fraction(1, 5)
+    assert ExtRational.from_reciprocal(INF.reciprocal().fraction + Fraction(1, 2)) == 2
+    with pytest.raises(TypeError):
+        ExtRational(1) + ExtRational(2)
+    with pytest.raises(TypeError):
+        INF + 5
     assert float(INF) == float("inf")
     assert float(ExtRational("3/2")) == 1.5
 
@@ -134,7 +145,7 @@ def test_conjugate_involution_and_holder_identity(p):
     p = as_ext(p)
     q = conjugate(p)
     assert conjugate(q) == p
-    assert p.reciprocal() + q.reciprocal() == Fraction(1)
+    assert p.reciprocal().fraction + q.reciprocal().fraction == 1
 
 
 # ------------------------------------------------------------ exponent vectors
@@ -379,6 +390,14 @@ def test_constant_values():
         inequality_constant(3, "nonsense")
 
 
+def test_a_constant_past_the_float_range_is_a_value_error():
+    assert inequality_constant(2049).value == 2.0 ** 1023.5
+    c = inequality_constant(2050)
+    assert str(c) == "2^(1024)"
+    with pytest.raises(ValueError, match=r"^2\^\(1024\) is past the float range$"):
+        c.value
+
+
 # ------------------------------------------------------ bilinear admissibility
 
 def test_admissibility_worked_examples():
@@ -397,11 +416,15 @@ def test_admissibility_reports_every_failed_condition():
 
 
 def test_admissibility_thresholds_are_exact():
-    res = bilinear_admissibility(4, 4, 2, 2)
-    assert res.ok
-    assert res.a_threshold == ExtRational("4/3")   # q/(q-1)
-    assert res.b_threshold == ExtRational(2)       # 1/(1 - 1/p - 1/q)
-    assert res.budget == Fraction(1)               # 3/2 - (1/p + 1/q)
+    # the outcome is the verdict and the failed conditions, each quoting its
+    # exact threshold
+    assert [f.name for f in dataclasses.fields(exponents.BilinearAdmissibility)] == \
+        ["ok", "failures"]
+    assert bilinear_admissibility(4, 4, 2, 2).ok   # 1/a + 1/b equals the budget 1
+    res = bilinear_admissibility(4, 4, 1, 1)
+    assert res.failures == ("a = 1 < q/(q-1) = 4/3",
+                            "b = 1 < pq/(pq-p-q) = 2",
+                            "1/a + 1/b = 2 > 3/2 - (1/p + 1/q) = 1")
 
 
 def test_admissibility_domain_errors():

@@ -555,8 +555,8 @@ def _inclusion_one_weak_norm_at_a_time(cfg):
             den_base = den_target = 1.0
             for k, X in enumerate(mats):
                 wseed = child_seed(cfg.seed, t, d, k, 7)
-                den_base *= weak_norm(X.T, cfg.p[k], space, seed=wseed)
-                den_target *= weak_norm(X.T, cfg.q[k], space, seed=wseed)
+                den_base *= weak_norm([X.T], cfg.p[k], space, seed=[wseed])[0]
+                den_target *= weak_norm([X.T], cfg.q[k], space, seed=[wseed])[0]
             if den_base > 0:
                 q_base = float(np.maximum(q_base, num_base / den_base))
             if den_target > 0:

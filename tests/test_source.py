@@ -1,8 +1,12 @@
-"""Rules on the package source itself."""
+"""Rules on the package source itself, and on the test tooling."""
 
 import ast
+import graphlib
 import importlib
 import pathlib
+import shutil
+import subprocess
+import sys
 
 SOURCES = sorted((pathlib.Path(__file__).parents[1] / "src" / "critnorm").glob("*.py"))
 
@@ -94,3 +98,41 @@ def test_every_setting_option_comes_from_the_settings_table():
                     computed.add(function.name)
     assert spelled == {"mode", "--json", "--out", "--format"}
     assert computed == {"_option"}
+
+
+def test_the_relative_imports_of_the_package_form_no_cycle():
+    """Module a depends on module b when a imports from b by a relative
+    import, at the top or inside a function.  The graph has no cycle
+    (``prepare`` raises CycleError naming one), so every module can be read,
+    and loaded, after the ones it uses."""
+    graph = {}
+    for path in SOURCES:
+        deps = graph.setdefault(path.stem, set())
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                deps |= {node.module} if node.module else {a.name for a in node.names}
+    graphlib.TopologicalSorter(graph).prepare()
+    assert graph["tensor"] == {"exponents"}
+
+
+def test_a_failing_property_test_does_not_end_the_session(tmp_path):
+    """A failing Hypothesis test fails alone and the next test still runs,
+    under the suite's own conftest and warning filters.  Hypothesis imports
+    its patch writer when a test fails; conftest imports it up front, so a
+    DeprecationWarning from that import is not turned into an INTERNALERROR."""
+    tests = pathlib.Path(__file__).parent
+    shutil.copy(tests / "conftest.py", tmp_path)
+    (tmp_path / "test_probe.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n\n\n"
+        "def test_passes():\n"
+        "    pass\n", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(tests.parent / "pyproject.toml"), "--rootdir", str(tmp_path),
+         "--confcutdir", str(tmp_path), str(tmp_path / "test_probe.py")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout

@@ -442,38 +442,45 @@ def test_lp_norm_refuses_an_overflow_and_a_zero_order(x, order, message):
 def test_weak_norm_of_one_vector_is_its_container_norm():
     # a single row reduces to |c| * x with |c| <= 1, so the weak norm is the
     # plain l_q norm whatever p is
-    assert weak_norm([3.0, 4.0], "3/2", 2, seed=5) == pytest.approx(5.0, rel=1e-9)
-    assert weak_norm([3.0, 4.0], 3, "inf", seed=5) == pytest.approx(4.0, rel=1e-9)
+    assert weak_norm([[[3.0, 4.0]]], "3/2", 2, seed=[5]) == [pytest.approx(5.0, rel=1e-9)]
+    assert weak_norm([[[3.0, 4.0]]], 3, "inf", seed=[5]) == [pytest.approx(4.0, rel=1e-9)]
 
 
 def test_weak_norm_l2_l2_is_the_top_singular_value():
     X = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    assert weak_norm(X, 2, 2) == pytest.approx(math.sqrt(3), rel=1e-12)
+    assert weak_norm([X], 2, 2, seed=[0]) == [pytest.approx(math.sqrt(3), rel=1e-12)]
 
 
 def test_weak_norm_canonical_basis_is_one_at_the_conjugate_order():
     for m in (2, 3, 4):
-        w = weak_norm(np.eye(6), conjugate(m), m, seed=2)
-        assert w == pytest.approx(1.0, rel=1e-9)
+        assert weak_norm([np.eye(6)], conjugate(m), m, seed=[2]) == [pytest.approx(1.0, rel=1e-9)]
 
 
 @pytest.mark.parametrize("p, q", [(3, 4), (2, 2)])
 def test_weak_norm_is_the_pairing_operator_norm_at_fixed_settings(p, q):
     # the seed is the only setting a caller passes
-    assert list(inspect.signature(weak_norm).parameters) == ["vectors", "p", "space_q", "seed"]
+    assert list(inspect.signature(weak_norm).parameters) == ["sequences", "p", "space_q", "seed"]
     X = make_gaussian_random((3, 5), seed=4).coeffs
     pairing = MultilinearForm(X, domain_p=(conjugate(p), conjugate(q)))
     want = norms([pairing], [9], restarts=8, tol=1e-12, max_iters=200)[0].value
-    assert weak_norm(X, p, q, seed=9) == want
+    assert weak_norm([X], p, q, seed=[9]) == [want]
 
 
 def test_weak_norm_input_validation():
     with pytest.raises(ValueError):
-        weak_norm(np.ones((2, 2, 2)), 2, 2)
+        weak_norm([np.ones((2, 2, 2))], 2, 2, seed=[0])
     with pytest.raises(ValueError):
-        weak_norm(np.eye(2), "1/2", 2)
+        weak_norm([np.eye(2)], "1/2", 2, seed=[0])
     with pytest.raises(ValueError):
-        weak_norm(np.eye(2), 2, "2/3")
+        weak_norm([np.eye(2)], 2, "2/3", seed=[0])
+    # a sequence is one 2-d array inside the list: a lone array, a 1-d
+    # array or a bare sequence of numbers is refused, never promoted
+    with pytest.raises(ValueError):
+        weak_norm(np.eye(2), 2, 2, seed=[0, 1])
+    with pytest.raises(ValueError):
+        weak_norm([np.array([3.0, 4.0])], 2, 2, seed=[0])
+    with pytest.raises(ValueError):
+        weak_norm([3.0, 4.0], 2, 2, seed=[0, 1])
 
 
 def _weak_sequences(scalar_field):
@@ -494,7 +501,7 @@ def _weak_sequences(scalar_field):
 @pytest.mark.parametrize("p", ["1", "4/3", "2", "4", "inf"])
 def test_list_weak_norm_equals_one_call_per_sequence_bitwise(p, q, scalar_field):
     seqs, seeds = _weak_sequences(scalar_field)
-    want = [weak_norm(X, p, q, seed=s) for X, s in zip(seqs, seeds)]
+    want = [weak_norm([X], p, q, seed=[s])[0] for X, s in zip(seqs, seeds)]
     assert weak_norm(seqs, p, q, seed=seeds) == want
     assert want[2] == want[0] and want[-1] == 0.0
 
