@@ -100,6 +100,8 @@ class ExperimentConfig:
     max_iters: int = ASCENT_DEFAULTS.max_iters
 
     def __post_init__(self):
+        if self.experiment not in READS:
+            raise ValueError(f"unknown experiment {self.experiment!r}; choose from {list(READS)}")
         check_ascent_settings(self.restarts, self.tol, self.max_iters)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
@@ -239,7 +241,7 @@ READS = {
 
 def _echo(cfg: ExperimentConfig, experiment: str, extra: dict | None = None) -> dict:
     """The config block of a report: every set field that ``experiment`` reads."""
-    out: dict = {"experiment": cfg.experiment}
+    out: dict = {"experiment": experiment}
     for key in READS[experiment]:
         v = getattr(cfg, key)
         if isinstance(v, (ExtRational, ExponentVector)):
@@ -251,10 +253,12 @@ def _echo(cfg: ExperimentConfig, experiment: str, extra: dict | None = None) -> 
     return out
 
 
-def _factory(cfg: ExperimentConfig) -> FormFactory:
-    if not cfg.form:
+def _factory(cfg: ExperimentConfig, default: str | None = None) -> FormFactory:
+    """The run's form spec, parsed: ``cfg.form``, else ``default``."""
+    spec = cfg.form or default
+    if not spec:
         raise ValueError(f"{cfg.experiment} needs a form spec")
-    return parse_form_spec(cfg.form)
+    return parse_form_spec(spec)
 
 
 def _resolve_exponents(cfg: ExperimentConfig, arity: int) -> ExponentVector:
@@ -509,7 +513,7 @@ def run_base_hl(cfg: ExperimentConfig) -> ExperimentReport:
     m = cfg.m
     base_arity = m - 1
     dom = ExponentVector.uniform(2 * base_arity, base_arity)
-    fac = parse_form_spec(cfg.form) if cfg.form else parse_form_spec(f"gauss:m={base_arity}")
+    fac = _factory(cfg, f"gauss:m={base_arity}")
     C = inequality_constant(m, "abstract").value
     full_l2 = ExponentVector.uniform(2, base_arity)
 
@@ -593,7 +597,7 @@ def run_inclusion_instance(cfg: ExperimentConfig) -> ExperimentReport:
     space = cfg.space if cfg.space is not None else ExtRational(2)
     if space < 1:
         raise ValueError(f"the data space order must be >= 1, got {space}")
-    fac = parse_form_spec(cfg.form) if cfg.form else parse_form_spec(f"gauss:m={m}")
+    fac = _factory(cfg, f"gauss:m={m}")
     base = ExponentVector.uniform(cfg.r, m)
     dom = ExponentVector.uniform(space, m)
     orders = tuple(dict.fromkeys((*cfg.p, *cfg.q)))

@@ -14,13 +14,19 @@ import numpy as np
 __all__ = ["child_rng", "child_seed"]
 
 
+def _sequence(seed: int, path) -> np.random.SeedSequence:
+    """The SeedSequence of child ``path`` under ``seed``; a negative seed is refused."""
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return np.random.SeedSequence(seed, spawn_key=tuple(int(i) for i in path))
+
+
 def child_rng(seed: int, *path: int) -> np.random.Generator:
     """Generator for the child stream addressed by ``path`` under ``seed``."""
-    ss = np.random.SeedSequence(int(seed), spawn_key=tuple(int(i) for i in path))
-    return np.random.default_rng(ss)
+    return np.random.default_rng(_sequence(seed, path))
 
 
 def child_seed(seed: int, *path: int) -> int:
     """Integer seed derived from the same child stream (for APIs taking ints)."""
-    ss = np.random.SeedSequence(int(seed), spawn_key=tuple(int(i) for i in path))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+    return int(_sequence(seed, path).generate_state(1, dtype=np.uint64)[0])

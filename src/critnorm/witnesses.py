@@ -3,9 +3,9 @@
 The diagonal family and its pinned variants attain the critical mixed-norm
 bound on the l_m domain, so they carry closed-form operator norms as
 metadata.  Random sign and Gaussian forms draw from child streams of an
-explicit seed and are reproducible.  ``parse_form_spec`` turns compact specs
-like ``"partial:m=3,n=8,r=1"`` into factories whose dimension and seed can be
-filled in later by an experiment sweep.
+explicit seed and are reproducible.  ``parse_form_spec`` reads compact specs
+like ``"partial:m=3,n=8,r=1"`` by their kind's one row in ``_KINDS``, into
+factories whose dimension and seed an experiment sweep fills in later.
 """
 
 from __future__ import annotations
@@ -103,6 +103,8 @@ def make_gaussian_random(dims, seed: int, scalar_field: str = "real") -> Multili
     dims = tuple(int(d) for d in dims)
     if not dims:
         raise ValueError("dims must be nonempty")
+    if min(dims) < 1:
+        raise ValueError(f"all dimensions must be positive, got {dims}")
     rng = child_rng(seed)
     if scalar_field == "real":
         coeffs = rng.standard_normal(dims)
@@ -115,13 +117,20 @@ def make_gaussian_random(dims, seed: int, scalar_field: str = "real") -> Multili
     return MultilinearForm(_frozen(coeffs))
 
 
+def _gauss(seed: int, m=None, n=None, dims=None, scalar="real") -> MultilinearForm:
+    """A gauss spec's form: its dims=, or m= slots of dimension n."""
+    return make_gaussian_random(dims or (n,) * m, seed, scalar)
+
+
+# One row per form kind: (builder, keys a spec may set, keys it must set, the
+# key make's n fills).  A kind is random exactly when its keys hold seed.
 _KINDS = {
-    "dot": {"m", "n"},
-    "partial": {"m", "n", "r"},
-    "t0": {"n1", "n2"},
-    "sign": {"m", "n", "seed"},
-    "gauss": {"dims", "m", "n", "seed", "scalar"},
-    "file": {"path"},
+    "dot": (make_dot, {"m", "n"}, ("m",), "n"),
+    "partial": (make_partial_dot, {"m", "n", "r"}, ("m", "r"), "n"),
+    "t0": (make_t0, {"n1", "n2"}, ("n1",), "n2"),
+    "sign": (make_sign_random, {"m", "n", "seed"}, ("m",), "n"),
+    "gauss": (_gauss, {"dims", "m", "n", "seed", "scalar"}, (), "n"),
+    "file": (load_tensor, {"path"}, ("path",), None),
 }
 
 
@@ -143,97 +152,66 @@ class FormFactory:
     @property
     def takes_n(self) -> bool:
         """Whether ``make`` reads its ``n``: the spec pins no dimension."""
-        if self.kind == "file" or "dims" in self.params:
-            return False
-        return ("n2" if self.kind == "t0" else "n") not in self.params
+        dim = _KINDS[self.kind][3]
+        return dim is not None and not self.params.keys() & {dim, "dims"}
 
     @property
     def takes_seed(self) -> bool:
         """Whether ``make`` reads its ``seed``: a random kind with no seed pinned."""
-        return self.kind in ("sign", "gauss") and "seed" not in self.params
+        return bool(_KINDS[self.kind][1] & ({"seed"} - self.params.keys()))
 
     def make(self, n=None, seed=None, domain_p=None) -> MultilinearForm:
-        P = self.params
-        k = self.kind
-        if n is not None and not self.takes_n:
-            raise ValueError(f"the {k} form spec fixes its dimensions, "
+        build, keys, _, dim = _KINDS[self.kind]
+        params = {**dict.fromkeys(keys & {"seed"}, seed), **self.params}   # pinned wins
+        if self.takes_n:
+            if n is None:
+                raise ValueError("a dimension is required (pin n in the spec or pass one)")
+            params[dim] = int(n)
+        elif n is not None:
+            raise ValueError(f"the {self.kind} form spec fixes its dimensions, "
                              f"so a separate n = {n} cannot apply")
-        if k == "file":
-            T = load_tensor(P["path"])
-        elif k == "dot":
-            T = make_dot(P["m"], self._dim(P.get("n"), n))
-        elif k == "partial":
-            T = make_partial_dot(P["m"], self._dim(P.get("n"), n), P["r"])
-        elif k == "t0":
-            T = make_t0(P["n1"], self._dim(P.get("n2"), n))
-        elif k == "sign":
-            T = make_sign_random(P["m"], self._dim(P.get("n"), n), self._seed(P, seed))
-        elif k == "gauss":
-            dims = P.get("dims")
-            if dims is None:
-                if "m" not in P:
-                    raise ValueError("gauss forms need dims=AxBx... or m= plus a dimension")
-                dims = (self._dim(P.get("n"), n),) * P["m"]
-            T = make_gaussian_random(dims, self._seed(P, seed), P.get("scalar", "real"))
-        else:
-            raise ValueError(f"unknown form kind {self.kind!r}")
+        if None in params.values():   # only a random kind's seed can be missing
+            raise ValueError("a seed is required for random forms")
+        T = build(**params)
         if domain_p is not None:
             if len(domain_p) != T.arity:
                 raise ValueError(f"this run needs forms of {len(domain_p)} slots, "
-                                 f"but the {k} form has arity {T.arity}")
+                                 f"but the {self.kind} form has arity {T.arity}")
             T = T.with_domain(domain_p)
         return T
 
-    @staticmethod
-    def _dim(pinned, n):
-        if pinned is not None:
-            return int(pinned)
-        if n is not None:
-            return int(n)
-        raise ValueError("a dimension is required (pin n in the spec or pass one)")
-
-    @staticmethod
-    def _seed(params, seed):
-        if "seed" in params:
-            return params["seed"]
-        if seed is not None:
-            return seed
-        raise ValueError("a seed is required for random forms")
-
 
 def parse_form_spec(text: str) -> FormFactory:
-    """Parse ``kind:key=value,...`` (dims as AxBxC; ``file:<path>`` is verbatim)."""
+    """Parse ``kind:key=value,...`` by the kind's ``_KINDS`` row (dims as
+    AxBxC; ``file:<path>`` is verbatim), refusing a key given twice."""
     head, _, rest = text.partition(":")
-    kind = head.strip().lower()
+    kind, rest = head.strip().lower(), rest.strip()
     if kind not in _KINDS:
         raise ValueError(f"unknown form kind {kind!r}; choose from {sorted(_KINDS)}")
     if kind == "file":
-        path = rest.strip()
-        if not path:
+        if not rest:
             raise ValueError("file forms need a path: file:/path/to/tensor.json")
-        return FormFactory("file", {"path": path})
+        return FormFactory("file", {"path": rest})
     params: dict = {}
-    rest = rest.strip()
-    if rest:
-        for item in rest.split(","):
-            key, eq, val = item.partition("=")
-            key, val = key.strip(), val.strip()
-            if not eq or not val:
-                raise ValueError(f"malformed parameter {item!r}; expected key=value")
-            if key not in _KINDS[kind]:
-                raise ValueError(f"parameter {key!r} does not apply to {kind!r} forms")
-            if key == "dims":
-                params[key] = tuple(int(t) for t in val.split("x"))
-            elif key == "scalar":
-                params[key] = val
-            else:
-                params[key] = int(val)
+    for item in rest.split(",") if rest else ():
+        key, eq, val = (s.strip() for s in item.partition("="))
+        if not eq or not val:
+            raise ValueError(f"malformed parameter {item!r}; expected key=value")
+        if key not in _KINDS[kind][1]:
+            raise ValueError(f"parameter {key!r} does not apply to {kind!r} forms")
+        if key in params:
+            raise ValueError(f"parameter {key!r} is given twice")
+        try:
+            params[key] = (val if key == "scalar" else int(val) if key != "dims"
+                           else tuple(int(t) for t in val.split("x")))
+        except ValueError:
+            shape = "integers joined by x, like 4x8x6" if key == "dims" else "an integer"
+            raise ValueError(f"parameter {key!r} must be {shape}, got {val!r}") from None
     if "dims" in params and params.keys() & {"m", "n"}:
         raise ValueError("dims= fixes the arity and every dimension, so give it without m= and n=")
-    if kind in ("dot", "partial", "sign") and "m" not in params:
-        raise ValueError(f"{kind} forms need m=")
-    if kind == "partial" and "r" not in params:
-        raise ValueError("partial forms need r=")
-    if kind == "t0" and "n1" not in params:
-        raise ValueError("t0 forms need n1=")
+    for key in _KINDS[kind][2]:
+        if key not in params:
+            raise ValueError(f"{kind} forms need {key}=")
+    if kind == "gauss" and not params.keys() & {"dims", "m"}:
+        raise ValueError("gauss forms need dims=AxBx... or m= plus a dimension")
     return FormFactory(kind, params)

@@ -433,6 +433,25 @@ def test_a_spec_that_pins_what_an_option_sets_is_exit_2(argv, message, capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["norm", "op", "--form", "dot:m=3,m=4", "--n", "4"], "parameter 'm' is given twice"),
+    (["verify", "--form", "dot:m=abc", "--n", "3"], "parameter 'm' must be an integer, got 'abc'"),
+    (["verify", "--form", "gauss:dims=4x"],
+     "parameter 'dims' must be integers joined by x, like 4x8x6, got '4x'"),
+    (["verify", "--form", "gauss:m=2", "--n", "3", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["norm", "op", "--form", "gauss:m=2", "--n", "3", "--seed", "-1"],
+     "seed must be >= 0, got -1"),
+    (["verify", "--form", "gauss:m=2", "--n", "-3"],
+     "all dimensions must be positive, got (-3, -3)"),
+], ids=["repeated-key", "m-not-an-integer", "dims-not-integers", "verify-negative-seed",
+        "norm-op-negative-seed", "gauss-negative-n"])
+def test_a_bad_spec_value_seed_or_dimension_is_exit_2_naming_it(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf"])
 @pytest.mark.parametrize("argv", [
     ["norm", "op", "--form", "gauss:m=3", "--n", "4"],

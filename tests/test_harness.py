@@ -57,6 +57,20 @@ def test_config_validation():
         ExperimentConfig(experiment="verify", constant="two")
 
 
+def test_config_refuses_an_experiment_no_runner_reads():
+    with pytest.raises(ValueError, match="unknown experiment 'nonsense'"):
+        ExperimentConfig("nonsense", form="gauss:m=2", n=3)
+
+
+def test_a_report_names_the_runner_that_wrote_it():
+    """The config block echoes the runner's own name and settings, whatever
+    experiment the config was made for."""
+    rep = run_verify(ExperimentConfig("sharpness", form="gauss:m=2", n=3))
+    assert rep.experiment == rep.config["experiment"] == "verify"
+    assert json.loads(rep.to_json())["config"]["experiment"] == "verify"
+    assert rep.config["n"] == 3
+
+
 @pytest.mark.parametrize("settings, message", [
     ({"restarts": 0}, "restarts must be >= 1"),
     ({"tol": math.nan}, "tol must be positive and finite"),

@@ -16,6 +16,7 @@ import sys
 import pytest
 
 import critnorm
+from critnorm import witnesses
 from critnorm.cli import main
 
 ROOT = pathlib.Path(__file__).parents[1]
@@ -56,6 +57,13 @@ def test_a_readme_python_block_runs(block):
     """A library snippet runs as written: its names exist and, outside
     ``python -O``, its assertions hold."""
     exec(compile(block, "README.md", "exec"), {})
+
+
+def test_the_form_specs_table_lists_every_kind_once():
+    """README's "Form specs" table has one row per ``_KINDS`` key, no more."""
+    section = README.split("### Form specs\n", 1)[1].split("\n#", 1)[0]
+    kinds = re.findall(r"^\| `([^`]+)` +\|", section, re.MULTILINE)
+    assert sorted(kinds) == sorted(witnesses._KINDS)
 
 
 def test_a_traced_readme_pass_calls_every_expected_layer(capsys):

@@ -81,6 +81,22 @@ def test_one_trial_path_reaches_verdict_norms_and_exact_norm():
     assert inside("exact_norm") == {"_run_trials"}
 
 
+def test_every_form_kind_is_built_from_its_kinds_row():
+    """``FormFactory`` compares nothing with a string literal, so no branch
+    on a kind's name (or on one key) can come back: every kind is built and
+    described from its ``_KINDS`` row.  Inside the harness a form spec is
+    parsed only by ``_factory``, default specs included."""
+    path = next(p for p in SOURCES if p.name == "witnesses.py")
+    factory = next(node for node in ast.parse(path.read_text(encoding="utf-8")).body
+                   if isinstance(node, ast.ClassDef) and node.name == "FormFactory")
+    literal = [node.lineno for node in ast.walk(factory) if isinstance(node, ast.Compare)
+               and any(isinstance(side, ast.Constant) and isinstance(side.value, str)
+                       for side in (node.left, *node.comparators))]
+    assert literal == []
+    parsers = {function for module, function in _callers("parse_form_spec") if module == "harness"}
+    assert parsers == {"_factory"}
+
+
 def test_every_setting_option_comes_from_the_settings_table():
     """In ``cli.py`` only the options that are no setting are spelled out
     (``mode``, ``--json``, ``--out``, ``--format``); every other option is

@@ -110,6 +110,8 @@ def test_gaussian_random_real_and_complex():
         make_gaussian_random((3, 4), seed=1, scalar_field="rational")
     with pytest.raises(ValueError):
         make_gaussian_random((), seed=1)
+    with pytest.raises(ValueError, match=r"^all dimensions must be positive, got \(3, -1\)$"):
+        make_gaussian_random((3, -1), seed=1)
 
 
 # Leading 16 hex digits of the sha256 of each form's coefficient bytes, as
@@ -316,6 +318,35 @@ def test_spec_parse_errors():
         parse_form_spec("dot:m")            # malformed pair
     with pytest.raises(ValueError):
         parse_form_spec("file:")
+
+
+@pytest.mark.parametrize("spec, key", [("dot:m=3,m=4", "m"), ("gauss:seed=1,m=2,seed=1", "seed"),
+                                       ("t0:n1=4,n2=8,n2=8", "n2")])
+def test_a_repeated_key_is_refused(spec, key):
+    with pytest.raises(ValueError, match=f"^parameter '{key}' is given twice$"):
+        parse_form_spec(spec)
+
+
+@pytest.mark.parametrize("spec", ["gauss", "gauss:", "gauss:n=4", "gauss:scalar=complex,seed=1"])
+def test_a_gauss_spec_without_dims_or_m_is_refused_when_parsed(spec):
+    with pytest.raises(ValueError, match=r"^gauss forms need dims=AxBx\.\.\. or m= plus"):
+        parse_form_spec(spec)
+
+
+@pytest.mark.parametrize("kind", sorted(witnesses._KINDS))
+def test_every_kind_is_built_by_the_builder_of_its_row(kind, tmp_path, monkeypatch):
+    """``make`` hands a kind's row builder the spec's keys, with n filled
+    into the row's dimension key and a free seed filled for a random kind."""
+    _, keys, required, dim = witnesses._KINDS[kind]
+    calls = []
+    monkeypatch.setitem(witnesses._KINDS, kind,
+                        (lambda **kw: calls.append(kw) or make_dot(2, 2), keys, required, dim))
+    spec = {"dot": "dot:m=3", "partial": "partial:m=3,r=1", "t0": "t0:n1=2", "sign": "sign:m=2",
+            "gauss": "gauss:m=2,scalar=complex", "file": f"file:{tmp_path}"}[kind]
+    parse_form_spec(spec).make(n=5 if dim else None, seed=9)
+    expected = {**parse_form_spec(spec).params, **({dim: 5} if dim else {}),
+                **({"seed": 9} if "seed" in keys else {})}
+    assert calls == [expected]
 
 
 def test_factory_is_frozen():
