@@ -4,125 +4,18 @@ multilinear forms on finite-dimensional l_p spaces.
 Exact exponent arithmetic lives in critnorm.exponents, form containers and
 mixed norms in critnorm.tensor, operator and weak norms in critnorm.opnorm,
 canonical test forms in critnorm.witnesses, and the reporting experiment
-runner in critnorm.harness.
+runner in critnorm.harness.  The package exports each module's ``__all__``.
 """
 
-from .exponents import (
-    CONSTANT_CHOICES,
-    ExponentInvariantError,
-    ExponentVector,
-    ExtRational,
-    INF,
-    InapplicableError,
-    PowerOfTwo,
-    VARIANTS,
-    as_ext,
-    bilinear_admissibility,
-    conjugate,
-    criterion,
-    critical_exponents,
-    inclusion_exponents,
-    inequality_constant,
-    tail_sum,
-)
-from .harness import (
-    ExperimentConfig,
-    ExperimentReport,
-    GrowthFit,
-    SLACK_ASCENT,
-    SLACK_EXACT,
-    fit_growth,
-    run_base_hl,
-    run_bilinear_law,
-    run_inclusion_instance,
-    run_sharpness,
-    run_verify,
-)
-from .opnorm import (
-    AscentInvariantError,
-    NormEstimate,
-    ascent_norm,
-    dual_argmax,
-    exact_norm,
-    norms,
-    spectral_norm,
-    weak_norm,
-)
-from .rng import child_rng, child_seed
-from .tensor import (
-    MultilinearForm,
-    evaluate,
-    from_dict,
-    load_tensor,
-    lp_norm,
-    mixed_norm,
-    save_tensor,
-    to_dict,
-)
-from .witnesses import (
-    FormFactory,
-    make_dot,
-    make_gaussian_random,
-    make_partial_dot,
-    make_sign_random,
-    make_t0,
-    parse_form_spec,
-)
+from . import exponents, harness, opnorm, rng, tensor, witnesses
+from .exponents import *  # noqa: F401,F403
+from .harness import *  # noqa: F401,F403
+from .opnorm import *  # noqa: F401,F403
+from .rng import *  # noqa: F401,F403
+from .tensor import *  # noqa: F401,F403
+from .witnesses import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AscentInvariantError",
-    "CONSTANT_CHOICES",
-    "ExponentInvariantError",
-    "ExponentVector",
-    "ExperimentConfig",
-    "ExperimentReport",
-    "ExtRational",
-    "FormFactory",
-    "GrowthFit",
-    "INF",
-    "InapplicableError",
-    "MultilinearForm",
-    "NormEstimate",
-    "PowerOfTwo",
-    "SLACK_ASCENT",
-    "SLACK_EXACT",
-    "VARIANTS",
-    "as_ext",
-    "ascent_norm",
-    "bilinear_admissibility",
-    "child_rng",
-    "child_seed",
-    "conjugate",
-    "criterion",
-    "critical_exponents",
-    "dual_argmax",
-    "evaluate",
-    "exact_norm",
-    "fit_growth",
-    "from_dict",
-    "inclusion_exponents",
-    "inequality_constant",
-    "load_tensor",
-    "lp_norm",
-    "make_dot",
-    "make_gaussian_random",
-    "make_partial_dot",
-    "make_sign_random",
-    "make_t0",
-    "mixed_norm",
-    "norms",
-    "parse_form_spec",
-    "run_base_hl",
-    "run_bilinear_law",
-    "run_inclusion_instance",
-    "run_sharpness",
-    "run_verify",
-    "save_tensor",
-    "spectral_norm",
-    "tail_sum",
-    "to_dict",
-    "weak_norm",
-    "__version__",
-]
+__all__ = [*exponents.__all__, *harness.__all__, *opnorm.__all__, *rng.__all__,
+           *tensor.__all__, *witnesses.__all__, "__version__"]

@@ -7,10 +7,12 @@ inclusion-instance, 1 marks a suspicion: its ratio divides one battery
 maximum by another, and a value above 1.05 is not evidence against the
 inclusion theorem.
 
-Each setting's option is declared once, in ``_SETTINGS``.  An experiment
-offers exactly the settings it reads (``harness.READS``) plus ``--out`` and
-``--format``, so an option it does not read is a usage error.  Options
-are spelled in full: no parser accepts an abbreviation.
+Each setting's option is declared once, in ``_SETTINGS``, and each
+experiment once, in ``harness.EXPERIMENTS``: its subcommand offers exactly
+the settings it reads plus ``--out``, so an option it does not read is a
+usage error, and requires exactly the settings it needs.  ``--out`` writes
+the full report, as CSV when the path ends in ``.csv`` and as JSON
+otherwise.  Options are spelled in full: no parser accepts an abbreviation.
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ from .exponents import (
     inequality_constant,
 )
 from .harness import (
-    READS,
+    EXPERIMENTS,
     ExperimentConfig,
+    fmt12,
     run_base_hl,
     run_bilinear_law,
     run_inclusion_instance,
@@ -51,13 +54,9 @@ def _sweep(text: str) -> tuple:
     return tuple(int(v) for v in text.split(","))
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.12g}"
-
-
 def _decimal_list(s) -> list:
     # "inf" stays a token: strict JSON has no Infinity literal
-    return ["inf" if v.is_inf else float(_fmt(float(v))) for v in s]
+    return ["inf" if v.is_inf else float(fmt12(float(v))) for v in s]
 
 
 # The argparse keywords of each ExperimentConfig field.  An option left
@@ -72,49 +71,36 @@ _SETTINGS = {
     **dict.fromkeys(("a", "b", "r", "space"), {"type": ExtRational}),
     **dict.fromkeys(("exponents", "p", "q"), {"type": ExponentVector}),
 }
-# The settings an experiment that reads them cannot run without.
-_REQUIRED = {"sweep", "a", "b", "m", "r", "p", "q"}
-
-_EXPERIMENTS = {
-    "verify": "check the critical inequality over trials",
-    "sharpness": "fit ratio growth across dimensions",
-    "bilinear-law": "check the dimension-weighted bilinear mixed-norm bound",
-    "base-hl": "check the full-l_2 coefficient bound on the widened domain",
-    "inclusion-instance": "compare summing quotients empirically for one (r, p, q) instance",
-}
 
 
 def _option(sub: argparse.ArgumentParser, dest: str, **overrides) -> None:
     """Add setting ``dest`` to ``sub``: its _SETTINGS keywords, then ``overrides``."""
-    keywords = {**_SETTINGS[dest], "required": dest in _REQUIRED, **overrides}
-    sub.add_argument("--" + dest.replace("_", "-"), **keywords)
+    sub.add_argument("--" + dest.replace("_", "-"), **{**_SETTINGS[dest], **overrides})
 
 
 def _cmd_experiment(args) -> int:
     """Run the subcommand's experiment on the config named by its options:
     every setting the experiment reads, as given, or its default if unset.
-    The runner is looked up here, in this module's globals, rather than
-    stored in the parser, which is built once: a runner rebound later (a
-    tracing wrapper, say) is the one that runs."""
-    if args.format and not args.out:
-        raise ValueError("--format chooses the format of the --out report, so it needs --out")
-    given = {k: getattr(args, k) for k in READS[args.command]}
+    The runner is looked up here, at call time, in this module's globals,
+    rather than stored in ``EXPERIMENTS`` or in the parser, which is built
+    once: a runner rebound later as a module attribute (a tracing wrapper,
+    say) is the one that runs."""
+    given = {k: getattr(args, k) for k in EXPERIMENTS[args.command].reads}
     cfg = ExperimentConfig(args.command, **{k: v for k, v in given.items() if v is not None})
     runner = {"verify": run_verify, "sharpness": run_sharpness, "bilinear-law": run_bilinear_law,
               "base-hl": run_base_hl, "inclusion-instance": run_inclusion_instance}
     report = runner[args.command](cfg)
     if args.out:
-        fmt = args.format or ("csv" if args.out.endswith(".csv") else "json")
-        report.write(args.out, fmt)
+        report.write(args.out)
     summary = report.summary
     parts = [f"{report.experiment}: {summary['trials']} trials",
-             f"{report.violations} violations", f"max ratio {_fmt(summary['max_ratio'])}"]
-    parts += [f"{key} {_fmt(summary[key])}" for key in ("constant", "slope") if key in summary]
+             f"{report.violations} violations", f"max ratio {fmt12(summary['max_ratio'])}"]
+    parts += [f"{key} {fmt12(summary[key])}" for key in ("constant", "slope") if key in summary]
     print(", ".join(parts))
     for rec in report.trials:
         if rec.get("violation"):
             label = rec.get("trial", rec.get("n"))
-            print(f"  violation at {label}: ratio {_fmt(rec['ratio'])}")
+            print(f"  violation at {label}: ratio {fmt12(rec['ratio'])}")
     return 0 if report.violations == 0 else 1
 
 
@@ -135,14 +121,14 @@ def _cmd_exponents(args) -> int:
     payload |= {"s": [str(v) for v in s], "s_decimal": _decimal_list(s)}
     if "m" in payload:
         c = inequality_constant(args.m, args.constant)
-        payload |= {"constant": str(c), "constant_decimal": float(_fmt(c.value))}
+        payload |= {"constant": str(c), "constant_decimal": float(fmt12(c.value))}
     if args.json:
         print(json.dumps(payload))
         return 0
     print(f"s = ({', '.join(payload['s'])})")
-    print(f"s ~ ({', '.join(v if v == 'inf' else _fmt(v) for v in payload['s_decimal'])})")
+    print(f"s ~ ({', '.join(v if v == 'inf' else fmt12(v) for v in payload['s_decimal'])})")
     if "constant" in payload:
-        print(f"constant = {payload['constant']} = {_fmt(payload['constant_decimal'])}")
+        print(f"constant = {payload['constant']} = {fmt12(payload['constant_decimal'])}")
     return 0
 
 
@@ -164,11 +150,11 @@ def _cmd_norm(args) -> int:
             orders = critical_exponents(T.arity, args.exponents)
         else:
             orders = ExponentVector(args.exponents)
-        print(_fmt(mixed_norm(T, orders)))
+        print(fmt12(mixed_norm(T, orders)))
         return 0
     est = norms([T], [args.seed], restarts=args.restarts, tol=args.tol,
                 max_iters=args.max_iters)[0]
-    print(json.dumps({"value": float(_fmt(est.value)), "method": est.method,
+    print(json.dumps({"value": float(fmt12(est.value)), "method": est.method,
                       "restarts_used": est.restarts_used,
                       "iterations": est.iterations,
                       "converged": est.converged}))
@@ -191,7 +177,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="print a critical exponent family "
                                "or the inclusion-shift orders for (r, p, q)")
     for dest in ("m", "variant", "constant", "r", "p", "q"):
-        _option(sub, dest, required=False)
+        _option(sub, dest)
     sub.add_argument("--json", action="store_true",
                      help="print one JSON object instead of text lines")
     sub.set_defaults(handler=_cmd_exponents, variant=ExperimentConfig.variant,
@@ -200,7 +186,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("admissible", allow_abbrev=False,
                           help="test the bilinear exponent admissibility conditions")
     for dest in ("p", "q", "a", "b"):
-        _option(sub, dest, type=ExtRational)
+        _option(sub, dest, type=ExtRational, required=True)
     sub.set_defaults(handler=_cmd_admissible)
 
     sub = subs.add_parser("norm", allow_abbrev=False, help="evaluate one norm of one form")
@@ -214,13 +200,12 @@ def _build_parser() -> argparse.ArgumentParser:
         _option(sub, dest)
     sub.set_defaults(handler=_cmd_norm, **ASCENT_DEFAULTS._asdict())
 
-    for name, text in _EXPERIMENTS.items():
+    for name, (reads, needs, text) in EXPERIMENTS.items():
         sub = subs.add_parser(name, allow_abbrev=False, help=text)
-        for dest in READS[name]:
-            _option(sub, dest)
-        sub.add_argument("--out", help="write the full report to this path")
-        sub.add_argument("--format", choices=("json", "csv"),
-                         help="report format (default: by --out extension, else json)")
+        for dest in reads:
+            _option(sub, dest, required=dest in needs)
+        sub.add_argument("--out", help="write the full report to this path: "
+                                       "CSV if it ends in .csv, else JSON")
         sub.set_defaults(handler=_cmd_experiment)
 
     return parser

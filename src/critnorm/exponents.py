@@ -27,7 +27,6 @@ from typing import Iterable, Sequence, Union
 __all__ = [
     "ExtRational",
     "INF",
-    "ExtLike",
     "as_ext",
     "ExponentVector",
     "InapplicableError",
@@ -41,7 +40,6 @@ __all__ = [
     "PowerOfTwo",
     "CONSTANT_CHOICES",
     "inequality_constant",
-    "BilinearAdmissibility",
     "bilinear_admissibility",
 ]
 

@@ -25,9 +25,12 @@ Verify, sharpness and base-hl share one trial check: ``_checked`` alone
 turns an estimate into a record's norm, method, ratio, retried and
 violation, and an ascent-backed violation is retried with four times the
 restarts before it is reported.  Every record's ratio and violation come
-from one function, ``verdict``.  A report's config block echoes only the
-settings its experiment reads (``READS``).  Floating output is written at
-12 significant digits.
+from one function, ``verdict``.  Each experiment is declared once, by its
+``EXPERIMENTS`` row: the settings it reads (the only ones its report's
+config block echoes and the CLI offers), the settings it needs (a config
+without one is refused) and its help line.  Floating output is written at
+12 significant digits (``fmt12``); a report is written as CSV when its path
+ends in ``.csv`` and as JSON otherwise.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ import csv
 import io
 import json
 import math
+import os
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,10 +78,34 @@ __all__ = [
 SLACK_ASCENT = 0.05   # denominators that are lower bounds get real headroom
 SLACK_EXACT = 1e-9    # analytic or singular-value denominators are exact
 
+# One row per experiment: the ExperimentConfig fields its runner reads, in
+# config-block order; the fields it cannot run without; its help line.
+_Experiment = namedtuple("Experiment", "reads needs help")
+EXPERIMENTS = {
+    "verify": _Experiment(
+        ("form", "n", "variant", "constant", "trials", "seed", "restarts", "tol", "max_iters",
+         "exponents"), ("form",),
+        "check the critical inequality over trials"),
+    "sharpness": _Experiment(
+        ("form", "variant", "constant", "seed", "restarts", "tol", "max_iters", "sweep",
+         "exponents"), ("form", "sweep"),
+        "fit ratio growth across dimensions"),
+    "bilinear-law": _Experiment(
+        ("form", "n", "trials", "seed", "a", "b"), ("form", "a", "b"),
+        "check the dimension-weighted bilinear mixed-norm bound"),
+    "base-hl": _Experiment(
+        ("form", "m", "n", "trials", "seed", "restarts", "tol", "max_iters"), ("m",),
+        "check the full-l_2 coefficient bound on the widened domain"),
+    "inclusion-instance": _Experiment(
+        ("form", "n", "trials", "datasets", "seed", "r", "p", "q", "space"), ("r", "p", "q"),
+        "compare summing quotients empirically for one (r, p, q) instance"),
+}
+
 
 @dataclass
 class ExperimentConfig:
-    """Settings for one harness run; each experiment reads the fields READS names."""
+    """Settings for one harness run; each experiment reads the fields its
+    ``EXPERIMENTS`` row names, and a config that lacks one it needs is refused."""
 
     experiment: str
     form: str | None = None
@@ -100,8 +129,14 @@ class ExperimentConfig:
     max_iters: int = ASCENT_DEFAULTS.max_iters
 
     def __post_init__(self):
-        if self.experiment not in READS:
-            raise ValueError(f"unknown experiment {self.experiment!r}; choose from {list(READS)}")
+        if self.experiment not in EXPERIMENTS:
+            raise ValueError(f"unknown experiment {self.experiment!r}; "
+                             f"choose from {list(EXPERIMENTS)}")
+        missing = [k for k in EXPERIMENTS[self.experiment].needs if getattr(self, k) is None]
+        if missing:
+            *rest, last = missing
+            said = f"{', '.join(rest)} and {last}" if rest else last
+            raise ValueError(f"{self.experiment} needs {said}")
         check_ascent_settings(self.restarts, self.tol, self.max_iters)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
@@ -199,17 +234,21 @@ class ExperimentReport:
             writer.writerow([_csv_cell(row.get(c)) for c in cols])
         return buf.getvalue()
 
-    def write(self, path, fmt: str = "json") -> None:
-        if fmt not in ("csv", "json"):
-            raise ValueError(f"unknown format {fmt!r}")
-        text = self.to_csv() if fmt == "csv" else self.to_json()
+    def write(self, path) -> None:
+        """Write the report to ``path``: CSV if it ends in ``.csv``, else JSON."""
+        text = self.to_csv() if os.fspath(path).endswith(".csv") else self.to_json()
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
 
 
+def fmt12(v: float) -> str:
+    """A float as written in every output: 12 significant digits."""
+    return f"{v:.12g}"
+
+
 def _round_floats(obj):
     if isinstance(obj, float):
-        return float(f"{obj:.12g}")
+        return float(fmt12(obj))
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -221,28 +260,14 @@ def _csv_cell(v):
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        return f"{v:.12g}"
+        return fmt12(v)
     return "" if v is None else str(v)
-
-
-# The ExperimentConfig fields each runner reads, in config-block order: the
-# settings the CLI offers an experiment and the only ones its report echoes.
-READS = {
-    "verify": ("form", "n", "variant", "constant", "trials", "seed", "restarts",
-               "tol", "max_iters", "exponents"),
-    "sharpness": ("form", "variant", "constant", "seed", "restarts", "tol",
-                  "max_iters", "sweep", "exponents"),
-    "bilinear-law": ("form", "n", "trials", "seed", "a", "b"),
-    "base-hl": ("form", "m", "n", "trials", "seed", "restarts", "tol", "max_iters"),
-    "inclusion-instance": ("form", "n", "trials", "datasets", "seed", "r", "p", "q",
-                           "space"),
-}
 
 
 def _echo(cfg: ExperimentConfig, experiment: str, extra: dict | None = None) -> dict:
     """The config block of a report: every set field that ``experiment`` reads."""
     out: dict = {"experiment": experiment}
-    for key in READS[experiment]:
+    for key in EXPERIMENTS[experiment].reads:
         v = getattr(cfg, key)
         if isinstance(v, (ExtRational, ExponentVector)):
             v = str(v)
@@ -255,10 +280,7 @@ def _echo(cfg: ExperimentConfig, experiment: str, extra: dict | None = None) -> 
 
 def _factory(cfg: ExperimentConfig, default: str | None = None) -> FormFactory:
     """The run's form spec, parsed: ``cfg.form``, else ``default``."""
-    spec = cfg.form or default
-    if not spec:
-        raise ValueError(f"{cfg.experiment} needs a form spec")
-    return parse_form_spec(spec)
+    return parse_form_spec(cfg.form or default)
 
 
 def _resolve_exponents(cfg: ExperimentConfig, arity: int) -> ExponentVector:
@@ -349,7 +371,7 @@ def _checked(lhs: float, est: NormEstimate, C: float, retried: bool) -> dict:
     retried and violation: ``verdict`` of lhs <= C * ||T||, exact unless
     the estimate is an ascent lower bound."""
     return {"norm": est.value, "method": est.method,
-            **verdict(lhs, est.value, C, exact=est.method != "ascent", retried=retried)}
+            **verdict(lhs, est.value, C, exact=not est.lower_bound, retried=retried)}
 
 
 def verdict(lhs: float, denominator: float, C: float, exact: bool, retried=None) -> dict:
@@ -435,7 +457,7 @@ def run_sharpness(cfg: ExperimentConfig) -> ExperimentReport:
     sweep point is dropped and both fits are reported.  Each point is
     checked like a verify trial, ascent retry included.
     """
-    if not cfg.sweep or len(cfg.sweep) < 3:
+    if len(cfg.sweep) < 3:
         raise ValueError("sharpness needs a sweep of at least 3 dimensions")
     if cfg.trials != 1 or cfg.n is not None:
         raise ValueError("sharpness takes its dimensions from the sweep and runs "
@@ -447,8 +469,7 @@ def run_sharpness(cfg: ExperimentConfig) -> ExperimentReport:
     lhs = _CriticalLhs(cfg)
 
     def row(i, T, value, checked):
-        return {"n": cfg.sweep[i], "lhs": value,
-                **{k: checked[k] for k in ("norm", "method", "ratio", "violation")}}
+        return {"n": cfg.sweep[i], "lhs": value, **checked}
 
     records = _run_trials(fac, cfg, lhs, lambda batch: _check_trials(batch, lhs.C, cfg, row),
                           ns=cfg.sweep)
@@ -469,8 +490,6 @@ def run_bilinear_law(cfg: ExperimentConfig) -> ExperimentReport:
     singular value.  The reported ratio is the attainment against the
     dimension-weighted bound, 1 meaning the law is tight on that form.
     """
-    if cfg.a is None or cfg.b is None:
-        raise ValueError("bilinear-law needs a and b")
     a, b = cfg.a, cfg.b
     for name, e in (("a", a), ("b", b)):
         if e <= 0:
@@ -508,7 +527,7 @@ def run_base_hl(cfg: ExperimentConfig) -> ExperimentReport:
     it isolates the base step from the shift step.  The constant is fixed by
     the base arity (the configured constant choice is not consulted).
     """
-    if cfg.m is None or cfg.m < 3:
+    if cfg.m < 3:
         raise ValueError("base-hl needs m >= 3")
     m = cfg.m
     base_arity = m - 1
@@ -590,8 +609,6 @@ def run_inclusion_instance(cfg: ExperimentConfig) -> ExperimentReport:
     (t, d, k, 7).  Each value has the bits of a one-sequence call, so the
     records match a run that takes every weak norm on its own.
     """
-    if cfg.r is None or cfg.p is None or cfg.q is None:
-        raise ValueError("inclusion-instance needs r, p and q")
     target = inclusion_exponents(cfg.r, cfg.p, cfg.q)
     m = len(cfg.p)
     space = cfg.space if cfg.space is not None else ExtRational(2)

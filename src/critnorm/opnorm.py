@@ -81,7 +81,6 @@ from .rng import child_rng
 from .tensor import CHUNK_ELEMENTS, MultilinearForm
 
 __all__ = [
-    "ASCENT_DEFAULTS",
     "AscentInvariantError",
     "NormEstimate",
     "dual_argmax",
@@ -89,7 +88,6 @@ __all__ = [
     "ascent_norm",
     "exact_norm",
     "norms",
-    "check_ascent_settings",
     "weak_norm",
 ]
 
@@ -128,6 +126,11 @@ class NormEstimate:
     iterations: int = 0
     converged: bool = True
     maximizer: list | None = None
+
+    @property
+    def lower_bound(self) -> bool:
+        """True when ``value`` is an ascent lower bound, not an exact norm."""
+        return self.method == "ascent"
 
 
 class _Ball:

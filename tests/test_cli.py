@@ -14,7 +14,7 @@ from critnorm import (ExperimentConfig, MultilinearForm, NormEstimate, make_gaus
                       run_verify, save_tensor, to_dict, weak_norm)
 from critnorm import harness, opnorm
 from critnorm.cli import _build_parser, main
-from critnorm.harness import READS
+from critnorm.harness import EXPERIMENTS
 
 
 def _save_with_bad_entry(T, index, bad, path):
@@ -135,7 +135,7 @@ def test_the_ascent_defaults_have_one_definition():
         for name, param in inspect.signature(fn).parameters.items():
             if name in defaults._fields:
                 assert param.default == getattr(defaults, name), (fn.__name__, name)
-    cfg = ExperimentConfig("verify")
+    cfg = ExperimentConfig("verify", form="dot:m=2")
     args = _build_parser().parse_args(["norm", "op", "--form", "dot:m=2"])
     for name in defaults._fields:
         assert getattr(cfg, name) == getattr(args, name) == getattr(defaults, name)
@@ -311,10 +311,12 @@ def test_verify_csv_output(tmp_path):
     ["norm", "mixed", "--form", "dot:m=2,n=3", "--orders", "inf,2"],
     ["norm", "op", "--tensor", "{tensor}"],
     ["verify", "--form", "gauss:m=2", "--n", "3", "--output", "{out}"],
-], ids=["orders", "tensor", "output"])
+    ["verify", "--form", "gauss:m=2", "--n", "3", "--out", "{out}", "--format", "csv"],
+], ids=["orders", "tensor", "output", "format"])
 def test_a_removed_alias_is_a_usage_error(argv, tmp_path, capsys):
-    """``--orders``, ``--tensor FILE`` and ``--output`` are gone: each spelling
-    is refused with exit 2 before anything runs, and nothing is written."""
+    """``--orders``, ``--tensor FILE``, ``--output`` and ``--format`` are
+    gone: each spelling is refused with exit 2 before anything runs, and
+    nothing is written; a report's format follows from its path."""
     tensor, out = tmp_path / "t.json", tmp_path / "report.json"
     save_tensor(make_gaussian_random((3, 3), seed=4), tensor)
     with pytest.raises(SystemExit) as exc:
@@ -354,14 +356,6 @@ def test_an_input_too_large_to_compute_is_exit_2_with_one_error_line(argv, messa
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert message is None or captured.err == message
-
-
-def test_format_without_out_is_exit_2(capsys):
-    """``--format`` only chooses how the ``--out`` report is written."""
-    assert main(["verify", "--form", "gauss:m=2", "--n", "3", "--format", "csv"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: --format") and captured.err.count("\n") == 1
 
 
 def test_sharpness_violations_exit_one(capsys):
@@ -732,11 +726,11 @@ def test_each_experiment_offers_exactly_the_settings_it_reads():
         "base-hl": "form m n trials seed restarts tol max_iters",
         "inclusion-instance": "form n trials datasets seed r p q space",
     }
-    assert {name: set(reads) for name, reads in READS.items()} == \
+    assert {name: set(row.reads) for name, row in EXPERIMENTS.items()} == \
         {name: set(fields.split()) for name, fields in pinned.items()}
     subparsers = next(a for a in _build_parser()._actions if a.dest == "command")
     config_fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    for name, reads in READS.items():
+    for name, (reads, *_) in EXPERIMENTS.items():
         dests = {a.dest for a in subparsers.choices[name]._actions}
         assert dests & config_fields == set(reads), name
 
@@ -746,7 +740,7 @@ def test_a_report_config_echoes_only_settings_the_run_read(name, tmp_path, capsy
     out = tmp_path / "report.json"
     assert main([name, *_EXPERIMENT_RUNS[name], "--out", str(out)]) == 0
     config = json.loads(out.read_text())["config"]
-    assert set(config) <= set(READS[name]) | _REPORT_EXTRAS
+    assert set(config) <= set(EXPERIMENTS[name].reads) | _REPORT_EXTRAS
     assert config["experiment"] == name
 
 

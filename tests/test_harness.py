@@ -38,7 +38,7 @@ from critnorm import (
 # ------------------------------------------------------------- configuration
 
 def test_config_coerces_exact_fields():
-    cfg = ExperimentConfig(experiment="verify", exponents="inf,3,12/5",
+    cfg = ExperimentConfig(experiment="verify", form="gauss:m=3", exponents="inf,3,12/5",
                            a="4/3", p="2,2", sweep=[4, 8, 16])
     assert isinstance(cfg.exponents, ExponentVector)
     assert cfg.a == ExtRational("4/3")
@@ -48,13 +48,13 @@ def test_config_coerces_exact_fields():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        ExperimentConfig(experiment="verify", trials=0)
+        ExperimentConfig(experiment="verify", form="gauss:m=2", trials=0)
     with pytest.raises(ValueError):
-        ExperimentConfig(experiment="verify", sweep=(8, 8))
+        ExperimentConfig(experiment="verify", form="gauss:m=2", sweep=(8, 8))
     with pytest.raises(ValueError):
-        ExperimentConfig(experiment="verify", variant="best")
+        ExperimentConfig(experiment="verify", form="gauss:m=2", variant="best")
     with pytest.raises(ValueError):
-        ExperimentConfig(experiment="verify", constant="two")
+        ExperimentConfig(experiment="verify", form="gauss:m=2", constant="two")
 
 
 def test_config_refuses_an_experiment_no_runner_reads():
@@ -65,7 +65,7 @@ def test_config_refuses_an_experiment_no_runner_reads():
 def test_a_report_names_the_runner_that_wrote_it():
     """The config block echoes the runner's own name and settings, whatever
     experiment the config was made for."""
-    rep = run_verify(ExperimentConfig("sharpness", form="gauss:m=2", n=3))
+    rep = run_verify(ExperimentConfig("sharpness", form="gauss:m=2", n=3, sweep=(3, 4, 5)))
     assert rep.experiment == rep.config["experiment"] == "verify"
     assert json.loads(rep.to_json())["config"]["experiment"] == "verify"
     assert rep.config["n"] == 3
@@ -370,7 +370,7 @@ def test_sharpness_retries_a_low_first_estimate(monkeypatch):
     rec = rep.trials[0]
     assert rec["norm"] == log[1][2]
     assert rec["violation"] is False
-    assert list(rec) == ["n", "lhs", "norm", "method", "ratio", "violation"]
+    assert list(rec) == ["n", "lhs", "norm", "method", "ratio", "retried", "violation"]
     assert rep.violations == 0
 
 
@@ -666,10 +666,8 @@ def test_report_csv_shape(tmp_path):
     assert lines[0].split(",")[0] == "trial"
     assert lines[1].endswith("false")
     out = tmp_path / "rep.csv"
-    rep.write(out, "csv")
+    rep.write(out)
     assert out.read_text() == csv_text
-    with pytest.raises(ValueError):
-        rep.write(out, "yaml")
 
 
 def test_report_write_json_is_stable(tmp_path):

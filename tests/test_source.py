@@ -37,6 +37,19 @@ def test_every_exported_name_exists():
     assert missing == {}
 
 
+def test_the_package_exports_each_modules_names_once():
+    """``critnorm.__all__`` is every library module's ``__all__`` plus
+    ``__version__``, and no name is in two modules' lists, where one star
+    import would silently shadow the other."""
+    import critnorm
+
+    lists = [importlib.import_module(f"critnorm.{path.stem}").__all__ for path in SOURCES
+             if path.stem not in ("__init__", "cli")]
+    names = [n for names in lists for n in names]
+    assert len(names) == len(set(names))
+    assert sorted(critnorm.__all__) == sorted([*names, "__version__"])
+
+
 def _callers(name: str) -> set:
     """(module, enclosing function) of every call of ``name`` in the package,
     by its bare name or as an attribute; a call at module level has
@@ -97,10 +110,28 @@ def test_every_form_kind_is_built_from_its_kinds_row():
     assert parsers == {"_factory"}
 
 
+def test_a_denominator_is_a_lower_bound_by_its_estimate_alone():
+    """``harness.py`` compares no string with a ``method``: whether a
+    denominator is exact is ``NormEstimate.lower_bound``, so a new method
+    cannot be taken for exact by a test on one method's name."""
+
+    def names_method(node):
+        return any(getattr(n, "attr", None) == "method" or getattr(n, "id", None) == "method"
+                   or (isinstance(n, ast.Constant) and n.value == "method")
+                   for n in ast.walk(node))
+
+    path = next(p for p in SOURCES if p.name == "harness.py")
+    found = [node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Compare) and names_method(node)
+             and any(isinstance(side, ast.Constant) and isinstance(side.value, str)
+                     for side in (node.left, *node.comparators))]
+    assert found == []
+
+
 def test_every_setting_option_comes_from_the_settings_table():
     """In ``cli.py`` only the options that are no setting are spelled out
-    (``mode``, ``--json``, ``--out``, ``--format``); every other option is
-    added by ``_option`` from ``_SETTINGS``, so a setting has one declaration."""
+    (``mode``, ``--json``, ``--out``); every other option is added by
+    ``_option`` from ``_SETTINGS``, so a setting has one declaration."""
     path = next(p for p in SOURCES if p.name == "cli.py")
     spelled, computed = set(), set()
     for function in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -112,8 +143,27 @@ def test_every_setting_option_comes_from_the_settings_table():
                 spelled |= names
                 if not names:
                     computed.add(function.name)
-    assert spelled == {"mode", "--json", "--out", "--format"}
+    assert spelled == {"mode", "--json", "--out"}
     assert computed == {"_option"}
+
+
+def test_every_experiment_subcommand_comes_from_the_experiments_table():
+    """In ``cli.py`` the subcommands named by a literal are the three that
+    run no experiment; the one other ``add_parser`` call sits in a loop over
+    ``EXPERIMENTS``, so an experiment has one declaration."""
+    path = next(p for p in SOURCES if p.name == "cli.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    named, computed = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_parser":
+            if isinstance(node.args[0], ast.Constant):
+                named.add(node.args[0].value)
+            else:
+                computed.append(node)
+    assert named == {"exponents", "admissible", "norm"}
+    loops = [node for node in ast.walk(tree) if isinstance(node, ast.For)
+             and "EXPERIMENTS" in {getattr(n, "id", None) for n in ast.walk(node.iter)}]
+    assert len(computed) == 1 and any(computed[0] in set(ast.walk(loop)) for loop in loops)
 
 
 def test_the_relative_imports_of_the_package_form_no_cycle():
