@@ -33,16 +33,8 @@ from .exponents import (
     inclusion_exponents,
     inequality_constant,
 )
-from .harness import (
-    EXPERIMENTS,
-    ExperimentConfig,
-    fmt12,
-    run_base_hl,
-    run_bilinear_law,
-    run_inclusion_instance,
-    run_sharpness,
-    run_verify,
-)
+from . import harness
+from .harness import EXPERIMENTS, PARSERS, ExperimentConfig, fmt12
 from .opnorm import ASCENT_DEFAULTS, norms
 from .tensor import mixed_norm
 from .witnesses import parse_form_spec
@@ -50,46 +42,39 @@ from .witnesses import parse_form_spec
 __all__ = ["main"]
 
 
-def _sweep(text: str) -> tuple:
-    return tuple(int(v) for v in text.split(","))
-
-
 def _decimal_list(s) -> list:
     # "inf" stays a token: strict JSON has no Infinity literal
     return ["inf" if v.is_inf else float(fmt12(float(v))) for v in s]
 
 
-# The argparse keywords of each ExperimentConfig field.  An option left
-# unset keeps its ExperimentConfig default.
+# The argparse keywords of each ExperimentConfig field, less the parsers
+# that ``PARSERS`` declares.  An option left unset keeps its default.
 _SETTINGS = {
     "form": {"help": "form spec, e.g. gauss:m=3 or file:tensor.json"},
     "n": {"type": int, "help": "dimension per slot for size-free specs"},
-    "sweep": {"type": _sweep, "help": "comma list of dimensions, e.g. 4,8,16,32,64"},
+    "sweep": {"help": "comma list of dimensions, e.g. 4,8,16,32,64"},
     "variant": {"choices": VARIANTS}, "constant": {"choices": CONSTANT_CHOICES},
     "tol": {"type": float},
     **dict.fromkeys(("m", "trials", "datasets", "seed", "restarts", "max_iters"), {"type": int}),
-    **dict.fromkeys(("a", "b", "r", "space"), {"type": ExtRational}),
-    **dict.fromkeys(("exponents", "p", "q"), {"type": ExponentVector}),
 }
 
 
 def _option(sub: argparse.ArgumentParser, dest: str, **overrides) -> None:
-    """Add setting ``dest`` to ``sub``: its _SETTINGS keywords, then ``overrides``."""
-    sub.add_argument("--" + dest.replace("_", "-"), **{**_SETTINGS[dest], **overrides})
+    """Add setting ``dest`` to ``sub``: its parser, its _SETTINGS keywords, then ``overrides``."""
+    sub.add_argument("--" + dest.replace("_", "-"),
+                     **{"type": PARSERS.get(dest), **_SETTINGS.get(dest, {}), **overrides})
 
 
 def _cmd_experiment(args) -> int:
     """Run the subcommand's experiment on the config named by its options:
     every setting the experiment reads, as given, or its default if unset.
-    The runner is looked up here, at call time, in this module's globals,
-    rather than stored in ``EXPERIMENTS`` or in the parser, which is built
-    once: a runner rebound later as a module attribute (a tracing wrapper,
-    say) is the one that runs."""
+    The runner is ``harness.run_<name>``, looked up here, at call time,
+    rather than stored in the parser, which is built once: a runner rebound
+    later as a harness attribute (a tracing wrapper, say) is the one that
+    runs."""
     given = {k: getattr(args, k) for k in EXPERIMENTS[args.command].reads}
     cfg = ExperimentConfig(args.command, **{k: v for k, v in given.items() if v is not None})
-    runner = {"verify": run_verify, "sharpness": run_sharpness, "bilinear-law": run_bilinear_law,
-              "base-hl": run_base_hl, "inclusion-instance": run_inclusion_instance}
-    report = runner[args.command](cfg)
+    report = getattr(harness, "run_" + args.command.replace("-", "_"))(cfg)
     if args.out:
         report.write(args.out)
     summary = report.summary

@@ -50,7 +50,6 @@ from .exponents import (
     ExponentVector,
     ExtRational,
     VARIANTS,
-    as_ext,
     critical_exponents,
     inclusion_exponents,
     inequality_constant,
@@ -102,6 +101,20 @@ EXPERIMENTS = {
 }
 
 
+def _sweep(value) -> tuple:
+    """Sweep dimensions from a comma list such as "4,8,16" or from any iterable."""
+    return tuple(int(v) for v in (value.split(",") if isinstance(value, str) else value))
+
+
+# The parser of each setting that is more than an int, a float or a string,
+# applied by ExperimentConfig to a given value and by the CLI to an option.
+PARSERS = {
+    **dict.fromkeys(("a", "b", "r", "space"), ExtRational),
+    **dict.fromkeys(("exponents", "p", "q"), ExponentVector),
+    "sweep": _sweep,
+}
+
+
 @dataclass
 class ExperimentConfig:
     """Settings for one harness run; each experiment reads the fields its
@@ -146,20 +159,12 @@ class ExperimentConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.constant not in CONSTANT_CHOICES:
             raise ValueError(f"unknown constant choice {self.constant!r}")
-        if self.sweep is not None:
-            self.sweep = tuple(int(v) for v in self.sweep)
-            if any(y <= x for x, y in zip(self.sweep, self.sweep[1:])):
-                raise ValueError("sweep values must increase strictly")
-        if self.exponents is not None and not isinstance(self.exponents, ExponentVector):
-            self.exponents = ExponentVector(self.exponents)
-        for name in ("a", "b", "r", "space"):
-            v = getattr(self, name)
-            if v is not None:
-                setattr(self, name, as_ext(v))
-        for name in ("p", "q"):
-            v = getattr(self, name)
-            if v is not None and not isinstance(v, ExponentVector):
-                setattr(self, name, ExponentVector(v))
+        for name, parse in PARSERS.items():
+            value = getattr(self, name)
+            if value is not None:
+                setattr(self, name, parse(value))
+        if self.sweep is not None and any(y <= x for x, y in zip(self.sweep, self.sweep[1:])):
+            raise ValueError("sweep values must increase strictly")
 
 
 @dataclass(frozen=True)

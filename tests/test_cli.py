@@ -773,8 +773,6 @@ def test_the_cached_parser_carries_nothing_from_one_call_to_the_next(tmp_path, c
 def test_a_runner_rebound_after_the_parser_is_built_is_the_one_that_runs(monkeypatch, capsys):
     """Tracing rebinds the harness runners in every critnorm module; the
     once-built parser must not keep calling the originals."""
-    from critnorm import cli
-
     _build_parser()
     calls = []
 
@@ -782,7 +780,7 @@ def test_a_runner_rebound_after_the_parser_is_built_is_the_one_that_runs(monkeyp
         calls.append(cfg.experiment)
         return original(cfg)
 
-    original = cli.run_verify
-    monkeypatch.setattr(cli, "run_verify", counting)
+    original = harness.run_verify
+    monkeypatch.setattr(harness, "run_verify", counting)
     assert main(["verify", "--form", "gauss:m=2", "--n", "3", "--exponents", "inf,2"]) == 0
     assert calls == ["verify"]
