@@ -7,12 +7,15 @@ inclusion-instance, 1 marks a suspicion: its ratio divides one battery
 maximum by another, and a value above 1.05 is not evidence against the
 inclusion theorem.
 
-Each setting's option is declared once, in ``_SETTINGS``, and each
-experiment once, in ``harness.EXPERIMENTS``: its subcommand offers exactly
-the settings it reads plus ``--out``, so an option it does not read is a
-usage error, and requires exactly the settings it needs.  ``--out`` writes
-the full report, as CSV when the path ends in ``.csv`` and as JSON
-otherwise.  Options are spelled in full: no parser accepts an abbreviation.
+Each setting's option is declared once, in ``_SETTINGS``, with the
+parser that ``harness.PARSERS`` declares for it, and each experiment once,
+in ``harness.EXPERIMENTS``: its subcommand offers exactly the settings it
+reads plus ``--out``, so an option it does not read is a usage error, and
+requires exactly the settings it needs; it runs ``harness.run_<name>``,
+looked up when it is called.  ``exponents`` and ``norm`` refuse, with exit
+code 2, an option that their mode does not read.  ``--out`` writes the full
+report, as CSV when the path ends in ``.csv`` and as JSON otherwise.
+Options are spelled in full: no parser accepts an abbreviation.
 """
 
 from __future__ import annotations
@@ -59,6 +62,11 @@ _SETTINGS = {
 }
 
 
+# The settings of the block ascent, which only ``norm op`` reads of ``norm``'s
+# options; --seed seeds a random form in either mode.
+_ASCENT = ("restarts", "tol", "max_iters")
+
+
 def _option(sub: argparse.ArgumentParser, dest: str, **overrides) -> None:
     """Add setting ``dest`` to ``sub``: its parser, its _SETTINGS keywords, then ``overrides``."""
     sub.add_argument("--" + dest.replace("_", "-"),
@@ -89,11 +97,21 @@ def _cmd_experiment(args) -> int:
     return 0 if report.violations == 0 else 1
 
 
+def _refuse_unread(args, mode: str, dests) -> None:
+    """Refuse those of the settings ``dests`` that were given: ``mode`` does
+    not read them, and an option must not be dropped silently."""
+    given = ["--" + dest.replace("_", "-") for dest in dests if getattr(args, dest) is not None]
+    if given:
+        raise ValueError(f"{mode} mode does not read {', '.join(given)}")
+
+
 def _cmd_exponents(args) -> int:
     """Print an exponent family, and the critical family's constant, from
     one payload: as one JSON object with --json, else as text lines.  All
-    of it is computed before anything is printed, so an error prints none."""
+    of it is computed before anything is printed, so an error prints none.
+    The critical family's variant and constant default to ExperimentConfig's."""
     if args.r is not None or args.p is not None or args.q is not None:
+        _refuse_unread(args, "inclusion", ("m", "variant", "constant"))
         if args.r is None or args.p is None or args.q is None:
             raise ValueError("inclusion mode needs --r, --p and --q together")
         payload = {}
@@ -101,11 +119,12 @@ def _cmd_exponents(args) -> int:
     elif args.m is None:
         raise ValueError("give --m for the critical family or --r/--p/--q")
     else:
-        payload = {"m": args.m, "variant": args.variant}
-        s = critical_exponents(args.m, args.variant)
+        variant = args.variant or ExperimentConfig.variant
+        payload = {"m": args.m, "variant": variant}
+        s = critical_exponents(args.m, variant)
     payload |= {"s": [str(v) for v in s], "s_decimal": _decimal_list(s)}
     if "m" in payload:
-        c = inequality_constant(args.m, args.constant)
+        c = inequality_constant(args.m, args.constant or ExperimentConfig.constant)
         payload |= {"constant": str(c), "constant_decimal": float(fmt12(c.value))}
     if args.json:
         print(json.dumps(payload))
@@ -126,6 +145,9 @@ def _cmd_admissible(args) -> int:
 
 
 def _cmd_norm(args) -> int:
+    """Print one norm of one form.  Each mode refuses the settings only the
+    other reads; ``op`` leaves an unset ascent setting to ``norms``."""
+    _refuse_unread(args, args.mode, _ASCENT if args.mode == "mixed" else ("exponents",))
     T = parse_form_spec(args.form).make(n=args.n, seed=args.seed)
     if args.mode == "mixed":
         if not args.exponents:
@@ -137,8 +159,8 @@ def _cmd_norm(args) -> int:
             orders = ExponentVector(args.exponents)
         print(fmt12(mixed_norm(T, orders)))
         return 0
-    est = norms([T], [args.seed], restarts=args.restarts, tol=args.tol,
-                max_iters=args.max_iters)[0]
+    ascent = {k: getattr(args, k) for k in _ASCENT if getattr(args, k) is not None}
+    est = norms([T], [args.seed], **ascent)[0]
     print(json.dumps({"value": float(fmt12(est.value)), "method": est.method,
                       "restarts_used": est.restarts_used,
                       "iterations": est.iterations,
@@ -165,13 +187,14 @@ def _build_parser() -> argparse.ArgumentParser:
         _option(sub, dest)
     sub.add_argument("--json", action="store_true",
                      help="print one JSON object instead of text lines")
-    sub.set_defaults(handler=_cmd_exponents, variant=ExperimentConfig.variant,
-                     constant=ExperimentConfig.constant)
+    sub.set_defaults(handler=_cmd_exponents)
 
     sub = subs.add_parser("admissible", allow_abbrev=False,
-                          help="test the bilinear exponent admissibility conditions")
-    for dest in ("p", "q", "a", "b"):
+                          help="check the three stated bilinear admissibility conditions")
+    for dest in ("p", "q"):   # scalar domain orders here, not the experiments' vectors
         _option(sub, dest, type=ExtRational, required=True)
+    for dest in ("a", "b"):
+        _option(sub, dest, required=True)
     sub.set_defaults(handler=_cmd_admissible)
 
     sub = subs.add_parser("norm", allow_abbrev=False, help="evaluate one norm of one form")
@@ -181,9 +204,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _option(sub, "exponents", type=str,
             help="mixed orders: a vector like inf,3,12/5 or a "
                  "variant name resolved at the form's arity")
-    for dest in ("seed", "restarts", "tol", "max_iters"):
+    for dest in ("seed", *_ASCENT):
         _option(sub, dest)
-    sub.set_defaults(handler=_cmd_norm, **ASCENT_DEFAULTS._asdict())
+    sub.set_defaults(handler=_cmd_norm, seed=ASCENT_DEFAULTS.seed)
 
     for name, (reads, needs, text) in EXPERIMENTS.items():
         sub = subs.add_parser(name, allow_abbrev=False, help=text)

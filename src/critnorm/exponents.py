@@ -386,7 +386,7 @@ class BilinearAdmissibility:
 
 
 def bilinear_admissibility(p: ExtLike, q: ExtLike, a: ExtLike, b: ExtLike) -> BilinearAdmissibility:
-    """Check the subcritical bilinear conditions on (a, b) for the l_p x l_q domain.
+    """Check the three stated subcritical bilinear conditions on (a, b) for l_p x l_q.
 
     For p, q in [2, inf] with 1/p + 1/q < 1 it checks the three conditions
     a >= q/(q-1), b >= pq/(pq-p-q) and 1/a + 1/b <= 3/2 - (1/p + 1/q) as

@@ -28,7 +28,10 @@ restarts before it is reported.  Every record's ratio and violation come
 from one function, ``verdict``.  Each experiment is declared once, by its
 ``EXPERIMENTS`` row: the settings it reads (the only ones its report's
 config block echoes and the CLI offers), the settings it needs (a config
-without one is refused) and its help line.  Floating output is written at
+without one is refused) and its help line; its runner is ``run_<name>``,
+with ``-`` read as ``_``.  Each setting that is more than an int, a float
+or a string has its parser declared once, in ``PARSERS``, which both
+``ExperimentConfig`` and the CLI apply.  Floating output is written at
 12 significant digits (``fmt12``); a report is written as CSV when its path
 ends in ``.csv`` and as JSON otherwise.
 """

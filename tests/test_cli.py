@@ -128,7 +128,8 @@ def test_norm_op_on_an_arity_1_form(capsys):
 
 def test_the_ascent_defaults_have_one_definition():
     """``ascent_norm``, ``norms``, ``ExperimentConfig`` and the ``norm``
-    command all default to ``opnorm.ASCENT_DEFAULTS``."""
+    command all default to ``opnorm.ASCENT_DEFAULTS``: the command seeds by
+    it and leaves an ascent setting it is not given to ``norms``."""
     defaults = opnorm.ASCENT_DEFAULTS
     assert tuple(defaults) == (16, 1e-10, 500, 42)
     for fn in (opnorm.ascent_norm, opnorm.norms):
@@ -138,7 +139,8 @@ def test_the_ascent_defaults_have_one_definition():
     cfg = ExperimentConfig("verify", form="dot:m=2")
     args = _build_parser().parse_args(["norm", "op", "--form", "dot:m=2"])
     for name in defaults._fields:
-        assert getattr(cfg, name) == getattr(args, name) == getattr(defaults, name)
+        assert getattr(cfg, name) == getattr(defaults, name)
+        assert getattr(args, name) == (defaults.seed if name == "seed" else None)
 
 
 def test_one_exact_norm_decision_reaches_every_caller(monkeypatch, capsys):
@@ -251,6 +253,34 @@ def test_one_record_path_reaches_every_ratio_experiment(argv, monkeypatch, tmp_p
 def test_norm_mixed_needs_orders(capsys):
     assert main(["norm", "mixed", "--form", "dot:m=2,n=4"]) == 2
     assert "--exponents" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["exponents", "--m", "3", "--r", "2", "--p", "2,2", "--q", "4,4"],
+     "inclusion mode does not read --m"),
+    (["exponents", "--r", "2", "--p", "2,2", "--q", "4,4", "--variant", "derived",
+      "--constant", "abstract"], "inclusion mode does not read --variant, --constant"),
+    (["norm", "op", "--form", "dot:m=3", "--n", "8", "--exponents", "inf,3,2"],
+     "op mode does not read --exponents"),
+    (["norm", "mixed", "--form", "dot:m=3", "--n", "8", "--exponents", "inf,3,2",
+      "--restarts", "4", "--tol", "1e-3", "--max-iters", "3"],
+     "mixed mode does not read --restarts, --tol, --max-iters"),
+], ids=["exponents-m", "exponents-variant-constant", "norm-op", "norm-mixed"])
+def test_an_option_its_mode_does_not_read_is_exit_2_with_one_error_line(argv, message, capsys):
+    """An option is read or refused, never dropped silently; options at
+    their default values are refused too, because they were given."""
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_both_norm_modes_read_the_seed_of_a_random_form(capsys):
+    for mode, extra in (("mixed", ["--exponents", "inf,3,2"]), ("op", [])):
+        printed = []
+        for seed in ("3", "4"):
+            assert main(["norm", mode, "--form", "gauss:m=3", "--n", "4", "--seed", seed,
+                         *extra]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] != printed[1]
 
 
 def test_file_form(tmp_path, capsys):

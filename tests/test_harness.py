@@ -44,6 +44,7 @@ def test_config_coerces_exact_fields():
     assert cfg.a == ExtRational("4/3")
     assert isinstance(cfg.p, ExponentVector)
     assert cfg.sweep == (4, 8, 16)
+    assert ExperimentConfig("sharpness", form="dot:m=3", sweep="4,8,16").sweep == (4, 8, 16)
 
 
 def test_config_validation():

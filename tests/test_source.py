@@ -202,3 +202,53 @@ def test_a_failing_property_test_does_not_end_the_session(tmp_path):
         cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert "INTERNALERROR" not in proc.stdout + proc.stderr
     assert "1 failed, 1 passed" in proc.stdout
+
+
+def test_each_setting_parser_and_experiment_runner_is_declared_once():
+    """``cli.py`` binds no ``run_*`` name: the CLI calls ``harness.run_<name>``.
+    A setting that ``harness.PARSERS`` types has its parser declared there
+    alone: ``_SETTINGS`` gives no such setting a type, and each option of
+    one takes the table's parser, except where a subcommand's option means
+    something else: ``admissible``'s scalar domain orders ``--p``/``--q``,
+    and ``norm``'s ``--exponents``, which also takes a variant name.  Those
+    two are the only ``type=`` that ``cli.py`` passes.
+    ``ExperimentConfig.__post_init__`` names no parser: it coerces settings
+    in one loop over the table."""
+    import argparse
+
+    from critnorm import cli
+    from critnorm.exponents import ExtRational
+    from critnorm.harness import PARSERS
+
+    path = next(p for p in SOURCES if p.name == "cli.py")
+    bound = {alias.asname or alias.name for node in ast.walk(ast.parse(path.read_text("utf-8")))
+             if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert [n for n in {*bound, *vars(cli)} if n.startswith("run_")] == []
+
+    assert [k for k, kw in cli._SETTINGS.items() if "type" in kw and k in PARSERS] == []
+    passed = sorted(ast.unparse(k.value) for node in ast.walk(ast.parse(path.read_text("utf-8")))
+                    if isinstance(node, ast.Call) for k in node.keywords if k.arg == "type")
+    assert passed == ["ExtRational", "str"]
+    own = {("admissible", "p"): ExtRational, ("admissible", "q"): ExtRational,
+           ("norm", "exponents"): str}
+    subs = next(a for a in cli._build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+    typed = {(name, a.dest): a.type for name, sub in subs.items() for a in sub._actions
+             if a.dest in PARSERS}
+    assert {key: t for key, t in typed.items() if t is not PARSERS[key[1]]} == own
+
+    path = next(p for p in SOURCES if p.name == "harness.py")
+    config = next(node for node in ast.parse(path.read_text("utf-8")).body
+                  if isinstance(node, ast.ClassDef) and node.name == "ExperimentConfig")
+    post_init = next(node for node in config.body
+                     if isinstance(node, ast.FunctionDef) and node.name == "__post_init__")
+    names = {n.id for n in ast.walk(post_init) if isinstance(n, ast.Name)}
+    assert names & {"ExtRational", "ExponentVector", "as_ext", "_sweep", "int", "tuple"} == set()
+    loops = [node for node in ast.walk(post_init) if isinstance(node, ast.For)]
+    assert len(loops) == 1 and "PARSERS" in {getattr(n, "id", None) for n in ast.walk(loops[0])}
+    setters = [n for n in ast.walk(post_init) if isinstance(n, ast.Call)
+               and getattr(n.func, "id", None) == "setattr"]
+    assert setters and all(n in set(ast.walk(loops[0])) for n in setters)
+    assigned = [n for n in ast.walk(post_init) if isinstance(n, ast.Attribute)
+                and isinstance(n.ctx, ast.Store)]
+    assert assigned == []
