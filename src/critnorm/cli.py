@@ -12,10 +12,13 @@ parser that ``harness.PARSERS`` declares for it, and each experiment once,
 in ``harness.EXPERIMENTS``: its subcommand offers exactly the settings it
 reads plus ``--out``, so an option it does not read is a usage error, and
 requires exactly the settings it needs; it runs ``harness.run_<name>``,
-looked up when it is called.  ``exponents`` and ``norm`` refuse, with exit
-code 2, an option that their mode does not read.  ``--out`` writes the full
-report, as CSV when the path ends in ``.csv`` and as JSON otherwise.
-Options are spelled in full: no parser accepts an abbreviation.
+looked up when it is called, on a config that sets only what it reads.
+``--exponents`` alone gives the orders of ``verify``, ``sharpness`` and
+``norm mixed``: a variant name, resolved at the form's arity, or a vector.
+``exponents`` and ``norm`` refuse, with exit code 2, an option that their
+mode does not read.  ``--out`` writes the full report, as CSV when the path
+ends in ``.csv`` and as JSON otherwise.  Options are spelled in full: no
+parser accepts an abbreviation.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import sys
 
 from .exponents import (
     CONSTANT_CHOICES,
-    ExponentVector,
     ExtRational,
     InapplicableError,
     VARIANTS,
@@ -37,7 +39,7 @@ from .exponents import (
     inequality_constant,
 )
 from . import harness
-from .harness import EXPERIMENTS, PARSERS, ExperimentConfig, fmt12
+from .harness import EXPERIMENTS, PARSERS, ExperimentConfig, fmt12, orders_at
 from .opnorm import ASCENT_DEFAULTS, norms
 from .tensor import mixed_norm
 from .witnesses import parse_form_spec
@@ -50,12 +52,14 @@ def _decimal_list(s) -> list:
     return ["inf" if v.is_inf else float(fmt12(float(v))) for v in s]
 
 
-# The argparse keywords of each ExperimentConfig field, less the parsers
-# that ``PARSERS`` declares.  An option left unset keeps its default.
+# The argparse keywords of each ExperimentConfig field and of exponents' --variant,
+# less the parsers that ``PARSERS`` declares.  An option left unset keeps its default.
 _SETTINGS = {
     "form": {"help": "form spec, e.g. gauss:m=3 or file:tensor.json"},
     "n": {"type": int, "help": "dimension per slot for size-free specs"},
     "sweep": {"help": "comma list of dimensions, e.g. 4,8,16,32,64"},
+    "exponents": {"help": f"mixed-norm orders: a variant name ({', '.join(VARIANTS)}), "
+                          "resolved at the form's arity, or a vector like inf,3,12/5"},
     "variant": {"choices": VARIANTS}, "constant": {"choices": CONSTANT_CHOICES},
     "tol": {"type": float},
     **dict.fromkeys(("m", "trials", "datasets", "seed", "restarts", "max_iters"), {"type": int}),
@@ -109,7 +113,7 @@ def _cmd_exponents(args) -> int:
     """Print an exponent family, and the critical family's constant, from
     one payload: as one JSON object with --json, else as text lines.  All
     of it is computed before anything is printed, so an error prints none.
-    The critical family's variant and constant default to ExperimentConfig's."""
+    The variant defaults to derived and the constant to ExperimentConfig's."""
     if args.r is not None or args.p is not None or args.q is not None:
         _refuse_unread(args, "inclusion", ("m", "variant", "constant"))
         if args.r is None or args.p is None or args.q is None:
@@ -119,9 +123,8 @@ def _cmd_exponents(args) -> int:
     elif args.m is None:
         raise ValueError("give --m for the critical family or --r/--p/--q")
     else:
-        variant = args.variant or ExperimentConfig.variant
-        payload = {"m": args.m, "variant": variant}
-        s = critical_exponents(args.m, variant)
+        payload = {"m": args.m, "variant": args.variant or "derived"}
+        s = critical_exponents(args.m, payload["variant"])
     payload |= {"s": [str(v) for v in s], "s_decimal": _decimal_list(s)}
     if "m" in payload:
         c = inequality_constant(args.m, args.constant or ExperimentConfig.constant)
@@ -150,14 +153,9 @@ def _cmd_norm(args) -> int:
     _refuse_unread(args, args.mode, _ASCENT if args.mode == "mixed" else ("exponents",))
     T = parse_form_spec(args.form).make(n=args.n, seed=args.seed)
     if args.mode == "mixed":
-        if not args.exponents:
-            raise ValueError("mixed mode needs --exponents: a vector like "
-                             "inf,3,12/5 or a variant name like derived")
-        if args.exponents in VARIANTS:
-            orders = critical_exponents(T.arity, args.exponents)
-        else:
-            orders = ExponentVector(args.exponents)
-        print(fmt12(mixed_norm(T, orders)))
+        if args.exponents is None:
+            raise ValueError("mixed mode needs --exponents: a variant name or a vector")
+        print(fmt12(mixed_norm(T, orders_at(args.exponents, T.arity))))
         return 0
     ascent = {k: getattr(args, k) for k in _ASCENT if getattr(args, k) is not None}
     est = norms([T], [args.seed], **ascent)[0]
@@ -201,10 +199,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("mode", choices=("mixed", "op"))
     _option(sub, "form", required=True)
     _option(sub, "n")
-    _option(sub, "exponents", type=str,
-            help="mixed orders: a vector like inf,3,12/5 or a "
-                 "variant name resolved at the form's arity")
-    for dest in ("seed", *_ASCENT):
+    for dest in ("exponents", "seed", *_ASCENT):
         _option(sub, dest)
     sub.set_defaults(handler=_cmd_norm, seed=ASCENT_DEFAULTS.seed)
 

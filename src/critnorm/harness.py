@@ -26,14 +26,14 @@ turns an estimate into a record's norm, method, ratio, retried and
 violation, and an ascent-backed violation is retried with four times the
 restarts before it is reported.  Every record's ratio and violation come
 from one function, ``verdict``.  Each experiment is declared once, by its
-``EXPERIMENTS`` row: the settings it reads (the only ones its report's
-config block echoes and the CLI offers), the settings it needs (a config
-without one is refused) and its help line; its runner is ``run_<name>``,
-with ``-`` read as ``_``.  Each setting that is more than an int, a float
-or a string has its parser declared once, in ``PARSERS``, which both
-``ExperimentConfig`` and the CLI apply.  Floating output is written at
-12 significant digits (``fmt12``); a report is written as CSV when its path
-ends in ``.csv`` and as JSON otherwise.
+``EXPERIMENTS`` row: the settings it reads (the only ones its config may
+set, its report's config block echoes and the CLI offers), the settings it
+needs (a config without one is refused) and its help line; its runner is
+``run_<name>``, with ``-`` read as ``_``.  A setting that is more than an
+int, a float or a string has its parser declared once, in ``PARSERS``,
+which ``ExperimentConfig`` and the CLI apply and whose syntax the config
+block writes.  Floats are written at 12 significant digits (``fmt12``); a
+report is written as CSV when its path ends in ``.csv``, else as JSON.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import json
 import math
 import os
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -85,12 +85,12 @@ SLACK_EXACT = 1e-9    # analytic or singular-value denominators are exact
 _Experiment = namedtuple("Experiment", "reads needs help")
 EXPERIMENTS = {
     "verify": _Experiment(
-        ("form", "n", "variant", "constant", "trials", "seed", "restarts", "tol", "max_iters",
-         "exponents"), ("form",),
+        ("form", "n", "exponents", "constant", "trials", "seed", "restarts", "tol", "max_iters"),
+        ("form",),
         "check the critical inequality over trials"),
     "sharpness": _Experiment(
-        ("form", "variant", "constant", "seed", "restarts", "tol", "max_iters", "sweep",
-         "exponents"), ("form", "sweep"),
+        ("form", "exponents", "constant", "seed", "restarts", "tol", "max_iters", "sweep"),
+        ("form", "sweep"),
         "fit ratio growth across dimensions"),
     "bilinear-law": _Experiment(
         ("form", "n", "trials", "seed", "a", "b"), ("form", "a", "b"),
@@ -109,27 +109,41 @@ def _sweep(value) -> tuple:
     return tuple(int(v) for v in (value.split(",") if isinstance(value, str) else value))
 
 
+def mixed_orders(value):
+    """Mixed-norm orders: a variant name, kept until an arity resolves it, or a vector."""
+    return value if value in VARIANTS else ExponentVector(value)
+
+
+def orders_at(value, arity: int) -> ExponentVector:
+    """``mixed_orders`` at ``arity``: the variant's critical family, or the vector if it fits."""
+    s = critical_exponents(arity, value) if isinstance(value, str) else value
+    if len(s) != arity:
+        raise ValueError(f"{len(s)} orders given for arity-{arity} forms")
+    return s
+
+
 # The parser of each setting that is more than an int, a float or a string,
 # applied by ExperimentConfig to a given value and by the CLI to an option.
 PARSERS = {
     **dict.fromkeys(("a", "b", "r", "space"), ExtRational),
-    **dict.fromkeys(("exponents", "p", "q"), ExponentVector),
+    **dict.fromkeys(("p", "q"), ExponentVector),
+    "exponents": mixed_orders,
     "sweep": _sweep,
 }
 
 
 @dataclass
 class ExperimentConfig:
-    """Settings for one harness run; each experiment reads the fields its
-    ``EXPERIMENTS`` row names, and a config that lacks one it needs is refused."""
+    """Settings for one harness run: each experiment reads the fields its
+    ``EXPERIMENTS`` row names, and a config that sets another (to other than
+    its default) or lacks one it needs is refused."""
 
     experiment: str
     form: str | None = None
     m: int | None = None
     n: int | None = None
     sweep: tuple[int, ...] | None = None
-    exponents: ExponentVector | None = None
-    variant: str = "derived"
+    exponents: ExponentVector | str = "derived"
     constant: str = "abstract"
     a: ExtRational | None = None
     b: ExtRational | None = None
@@ -148,18 +162,19 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}; "
                              f"choose from {list(EXPERIMENTS)}")
-        missing = [k for k in EXPERIMENTS[self.experiment].needs if getattr(self, k) is None]
+        reads, needs, _ = EXPERIMENTS[self.experiment]
+        unread = [f.name for f in fields(self)[1:]
+                  if f.name not in reads and getattr(self, f.name) != f.default]
+        if unread:
+            raise ValueError(f"{self.experiment} does not read {', '.join(unread)}")
+        missing = [k for k in needs if getattr(self, k) is None]
         if missing:
-            *rest, last = missing
-            said = f"{', '.join(rest)} and {last}" if rest else last
-            raise ValueError(f"{self.experiment} needs {said}")
+            raise ValueError(f"{self.experiment} needs {', '.join(missing)}")
         check_ascent_settings(self.restarts, self.tol, self.max_iters)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.datasets < 1:
             raise ValueError("datasets must be >= 1")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
         if self.constant not in CONSTANT_CHOICES:
             raise ValueError(f"unknown constant choice {self.constant!r}")
         for name, parse in PARSERS.items():
@@ -277,8 +292,8 @@ def _echo(cfg: ExperimentConfig, experiment: str, extra: dict | None = None) -> 
     out: dict = {"experiment": experiment}
     for key in EXPERIMENTS[experiment].reads:
         v = getattr(cfg, key)
-        if isinstance(v, (ExtRational, ExponentVector)):
-            v = str(v)
+        if isinstance(v, (ExtRational, ExponentVector)):   # as its option takes it
+            v = ",".join(map(str, v)) if isinstance(v, ExponentVector) else str(v)
         if v is not None:
             out[key] = list(v) if key == "sweep" else v
     if extra:
@@ -289,13 +304,6 @@ def _echo(cfg: ExperimentConfig, experiment: str, extra: dict | None = None) -> 
 def _factory(cfg: ExperimentConfig, default: str | None = None) -> FormFactory:
     """The run's form spec, parsed: ``cfg.form``, else ``default``."""
     return parse_form_spec(cfg.form or default)
-
-
-def _resolve_exponents(cfg: ExperimentConfig, arity: int) -> ExponentVector:
-    s = cfg.exponents if cfg.exponents is not None else critical_exponents(arity, cfg.variant)
-    if len(s) != arity:
-        raise ValueError(f"{len(s)} orders given for arity-{arity} forms")
-    return s
 
 
 def _run_trials(fac: FormFactory, cfg: ExperimentConfig, measure, check,
@@ -415,7 +423,7 @@ def _summary(records, extra: dict | None = None) -> dict:
 
 class _CriticalLhs:
     """The lhs ``mixed_norm(T, s)`` of verify and sharpness.  The orders s
-    (the configured ones or the critical variant) and the constant C are
+    (``orders_at`` of the configured exponents) and the constant C are
     resolved from the first form's arity, which every form of a run has."""
 
     s = C = None
@@ -425,7 +433,7 @@ class _CriticalLhs:
 
     def __call__(self, T: MultilinearForm) -> float:
         if self.s is None:
-            self.s = _resolve_exponents(self.cfg, T.arity)
+            self.s = orders_at(self.cfg.exponents, T.arity)
             self.C = inequality_constant(T.arity, self.cfg.constant).value
         return mixed_norm(T, self.s)
 
@@ -439,11 +447,11 @@ def run_verify(cfg: ExperimentConfig) -> ExperimentReport:
     """Check mixed_norm(T, s) <= C * ||T|| over the trials, each judged by
     ``verdict``.
 
-    s defaults to the configured critical variant at the form's arity and C
-    to the configured constant choice.  Witness forms use their closed-form
-    norms and everything else ``exact_norm`` where it applies, both exact
-    denominators; otherwise the seeded ascent gives a lower bound, and
-    a violation it shows is retried at 4x restarts before it is reported.
+    s is the configured orders at the form's arity and C the configured
+    constant choice.  Witness forms use their closed-form norms and
+    everything else ``exact_norm`` where it applies, both exact denominators;
+    otherwise the seeded ascent gives a lower bound, and a violation it
+    shows is retried at 4x restarts before it is reported.
     """
     lhs = _CriticalLhs(cfg)
     records = _run_trials(_factory(cfg), cfg, lhs,
@@ -467,9 +475,6 @@ def run_sharpness(cfg: ExperimentConfig) -> ExperimentReport:
     """
     if len(cfg.sweep) < 3:
         raise ValueError("sharpness needs a sweep of at least 3 dimensions")
-    if cfg.trials != 1 or cfg.n is not None:
-        raise ValueError("sharpness takes its dimensions from the sweep and runs "
-                         "one form per point; leave trials and n unset")
     fac = _factory(cfg)
     if not fac.takes_n:
         raise ValueError(f"the form spec pins the swept dimension: every n in "

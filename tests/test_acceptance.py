@@ -163,7 +163,7 @@ def test_criterion_06_sharpness_slopes():
         experiment="sharpness", form="partial:m=3,r=1", sweep=(4, 8, 16, 32, 64)))
     printed = run_sharpness(ExperimentConfig(
         experiment="sharpness", form="partial:m=3,r=1", sweep=(4, 8, 16, 32, 64),
-        variant="printed"))
+        exponents="printed"))
     off = run_sharpness(ExperimentConfig(
         experiment="sharpness", form="dot:m=3", sweep=(4, 8, 16, 32, 64),
         exponents="4,inf,inf"))

@@ -409,9 +409,11 @@ def test_sharpness_refuses_trials_and_n(capsys):
     assert "error:" in captured.err and "--trials" in captured.err
 
 
-# experiment -> (a valid command line, the options it does not read)
+# experiment -> (a valid command line, the options it does not read); a
+# run's orders have one option, --exponents, so --variant is none of theirs
 _UNREAD_OPTIONS = {
-    "sharpness": (["--form", "dot:m=3", "--sweep", "4,8,16"], ("--n", "--trials")),
+    "verify": (["--form", "dot:m=3", "--n", "4", "--exponents", "inf,3,2"], ("--variant",)),
+    "sharpness": (["--form", "dot:m=3", "--sweep", "4,8,16"], ("--n", "--trials", "--variant")),
     "bilinear-law": (["--form", "t0:n1=4", "--n", "8", "--a", "1", "--b", "inf"],
                      ("--restarts", "--tol", "--max-iters")),
     "inclusion-instance": (["--r", "2", "--p", "2,2", "--q", "4,4", "--n", "3"],
@@ -750,8 +752,8 @@ _REPORT_EXTRAS = {"experiment", "exponents_used", "domain", "target_orders"}
 
 def test_each_experiment_offers_exactly_the_settings_it_reads():
     pinned = {
-        "verify": "form n trials seed exponents variant constant restarts tol max_iters",
-        "sharpness": "form sweep exponents variant constant seed restarts tol max_iters",
+        "verify": "form n trials seed exponents constant restarts tol max_iters",
+        "sharpness": "form sweep exponents constant seed restarts tol max_iters",
         "bilinear-law": "form n trials seed a b",
         "base-hl": "form m n trials seed restarts tol max_iters",
         "inclusion-instance": "form n trials datasets seed r p q space",
@@ -772,6 +774,68 @@ def test_a_report_config_echoes_only_settings_the_run_read(name, tmp_path, capsy
     config = json.loads(out.read_text())["config"]
     assert set(config) <= set(EXPERIMENTS[name].reads) | _REPORT_EXTRAS
     assert config["experiment"] == name
+
+
+@pytest.mark.parametrize("name", sorted(_EXPERIMENT_RUNS))
+def test_a_report_config_block_rebuilds_its_config_and_trials(name, tmp_path, capsys):
+    """Each setting is echoed in the syntax its option takes (an order
+    vector as inf,2, an extended rational as inf), so the config block
+    parses back into a config whose run writes the same trials."""
+    out = tmp_path / "report.json"
+    assert main([name, *_EXPERIMENT_RUNS[name], "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    cfg = ExperimentConfig(**{k: v for k, v in report["config"].items() if k in fields})
+    rerun = json.loads(getattr(harness, "run_" + name.replace("-", "_"))(cfg).to_json())
+    assert rerun == report
+
+
+# The orders and ratios that verify on sign:m=M (n 3, two trials) and
+# sharpness on partial:m=M,r=1 (sweep 4,8,16) gave for each critical
+# variant when it was named by a --variant option of its own.
+_VARIANT_RUNS = {
+    (3, "derived"): ("(inf, 3, 12/5)",
+                     [0.435745853979, 0.513116971891], [1.0, 1.0, 1.0]),
+    (3, "printed"): ("(inf, 12/5, 2)",
+                     [0.523303299108, 0.616221133871], [1.12246204831, 1.189207115, 1.25992104989]),
+    (3, "corollary-printed"): ("(inf, 3, 2)",
+                               [0.477521981651, 0.562310876853], [1.0, 1.0, 1.0]),
+    (3, "corollary-derived"): ("(inf, 6, 3)", [0.331095249728, 0.389884586156],
+                               [0.793700525984, 0.707106781187, 0.629960524947]),
+    (3, "lower-bound"): ("(inf, 3, 3/2)",
+                         [0.573473794673, 0.67529991231], [1.0, 1.0, 1.0]),
+    (4, "derived"): ("(inf, 4, 3, 12/5)",
+                     [0.318097283664, 0.267003720212], [1.0, 1.0, 1.0]),
+    (4, "printed"): ("(inf, 3, 12/5, 2)",
+                     [0.418639568621, 0.351396657533], [1.12246204831, 1.189207115, 1.25992104989]),
+    (4, "corollary-printed"): ("(inf, 4, 8/3, 2)",
+                               [0.364922059641, 0.306307386185], [1.0, 1.0, 1.0]),
+    (4, "corollary-derived"): ("(inf, 8, 4, 8/3)", [0.241701667637, 0.202878954819],
+                               [0.840896415254, 0.771105412704, 0.707106781187]),
+    (4, "lower-bound"): ("(inf, 4, 2, 4/3)",
+                         [0.550960657055, 0.462464009217], [1.0, 1.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("m, variant", sorted(_VARIANT_RUNS))
+def test_exponents_names_a_variant_as_variant_did(m, variant, tmp_path, capsys):
+    """--exponents V gives the orders and ratios --variant V gave, and the
+    trials of the same orders written out as a vector."""
+    used, *ratios = _VARIANT_RUNS[m, variant]
+    vector = ",".join(used.strip("()").split(", "))
+    runs = [["verify", "--form", f"sign:m={m}", "--n", "3", "--trials", "2"],
+            ["sharpness", "--form", f"partial:m={m},r=1", "--sweep", "4,8,16"]]
+    for argv, want in zip(runs, ratios):
+        reports = []
+        for orders in (variant, vector):
+            out = tmp_path / f"{argv[0]}-{len(reports)}.json"
+            assert main([*argv, "--exponents", orders, "--out", str(out)]) == 0
+            reports.append(json.loads(out.read_text()))
+        named, spelled = reports
+        assert named["config"]["exponents"] == variant
+        assert named["config"]["exponents_used"] == spelled["config"]["exponents_used"] == used
+        assert named["trials"] == spelled["trials"]
+        assert [t["ratio"] for t in named["trials"]] == pytest.approx(want, rel=1e-9)
 
 
 def test_the_cached_parser_carries_nothing_from_one_call_to_the_next(tmp_path, capsys):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from critnorm import harness, opnorm
+from critnorm.opnorm import ASCENT_DEFAULTS
 from critnorm import (
     ExperimentConfig,
     ExponentVector,
@@ -38,24 +39,39 @@ from critnorm import (
 # ------------------------------------------------------------- configuration
 
 def test_config_coerces_exact_fields():
-    cfg = ExperimentConfig(experiment="verify", form="gauss:m=3", exponents="inf,3,12/5",
-                           a="4/3", p="2,2", sweep=[4, 8, 16])
+    cfg = ExperimentConfig(experiment="verify", form="gauss:m=3", exponents="inf,3,12/5")
     assert isinstance(cfg.exponents, ExponentVector)
-    assert cfg.a == ExtRational("4/3")
-    assert isinstance(cfg.p, ExponentVector)
-    assert cfg.sweep == (4, 8, 16)
+    assert ExperimentConfig("verify", form="gauss:m=3", exponents="printed").exponents == "printed"
+    assert ExperimentConfig("bilinear-law", form="t0:n1=2", a="4/3", b="inf").a == \
+        ExtRational("4/3")
+    cfg = ExperimentConfig("inclusion-instance", r=2, p="2,2", q=[4, 4])
+    assert isinstance(cfg.p, ExponentVector) and isinstance(cfg.q, ExponentVector)
+    assert ExperimentConfig("sharpness", form="dot:m=3", sweep=[4, 8, 16]).sweep == (4, 8, 16)
     assert ExperimentConfig("sharpness", form="dot:m=3", sweep="4,8,16").sweep == (4, 8, 16)
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(experiment="verify", form="gauss:m=2", trials=0)
+    with pytest.raises(ValueError, match="sweep values must increase strictly"):
+        ExperimentConfig(experiment="sharpness", form="gauss:m=2", sweep=(8, 8))
     with pytest.raises(ValueError):
-        ExperimentConfig(experiment="verify", form="gauss:m=2", sweep=(8, 8))
-    with pytest.raises(ValueError):
-        ExperimentConfig(experiment="verify", form="gauss:m=2", variant="best")
+        ExperimentConfig(experiment="verify", form="gauss:m=2", exponents="best")
     with pytest.raises(ValueError):
         ExperimentConfig(experiment="verify", form="gauss:m=2", constant="two")
+
+
+def test_config_refuses_a_setting_its_experiment_does_not_read():
+    """A field outside the experiment's reads must keep its default, so no
+    setting is dropped silently; a default given explicitly is not a setting."""
+    with pytest.raises(ValueError, match="^verify does not read sweep, a, space, datasets$"):
+        ExperimentConfig("verify", form="gauss:m=3", n=3, sweep=(4, 8, 16), datasets=9, a=2,
+                         space=3)
+    with pytest.raises(ValueError, match="^base-hl does not read exponents$"):
+        ExperimentConfig("base-hl", m=3, exponents="printed")
+    cfg = ExperimentConfig("bilinear-law", form="t0:n1=2", n=4, a=2, b=2, exponents="derived",
+                           restarts=ASCENT_DEFAULTS.restarts, datasets=6)
+    assert run_bilinear_law(cfg).violations == 0
 
 
 def test_config_refuses_an_experiment_no_runner_reads():
@@ -66,10 +82,10 @@ def test_config_refuses_an_experiment_no_runner_reads():
 def test_a_report_names_the_runner_that_wrote_it():
     """The config block echoes the runner's own name and settings, whatever
     experiment the config was made for."""
-    rep = run_verify(ExperimentConfig("sharpness", form="gauss:m=2", n=3, sweep=(3, 4, 5)))
+    rep = run_verify(ExperimentConfig("sharpness", form="gauss:m=2,n=3", sweep=(3, 4, 5)))
     assert rep.experiment == rep.config["experiment"] == "verify"
     assert json.loads(rep.to_json())["config"]["experiment"] == "verify"
-    assert rep.config["n"] == 3
+    assert rep.trials[0]["dims"] == "3x3" and "sweep" not in rep.config
 
 
 @pytest.mark.parametrize("settings, message", [
@@ -136,12 +152,12 @@ def test_verify_is_deterministic():
     assert a == b
 
 
-def test_verify_explicit_exponents_override_the_variant():
+def test_verify_takes_an_explicit_order_vector():
     # all-inf orders give the max modulus, far below the norm
     cfg = ExperimentConfig(experiment="verify", form="gauss:m=2", n=5,
                            exponents="inf,inf", trials=2)
     rep = run_verify(cfg)
-    assert rep.config["exponents_used"] == "(inf, inf)"
+    assert (rep.config["exponents"], rep.config["exponents_used"]) == ("inf,inf", "(inf, inf)")
     assert rep.violations == 0
 
 
@@ -355,7 +371,7 @@ def test_sharpness_flat_family_has_zero_slope():
 
 def test_sharpness_printed_variant_grows_like_the_twelfth_root():
     cfg = ExperimentConfig(experiment="sharpness", form="partial:m=3,r=1",
-                           sweep=(4, 8, 16, 32), variant="printed")
+                           sweep=(4, 8, 16, 32), exponents="printed")
     rep = run_sharpness(cfg)
     assert rep.growth["slope"] == pytest.approx(1 / 12, abs=1e-10)
     # growth above the constant is a per-point violation at large n
@@ -416,7 +432,7 @@ def test_sharpness_reaches_n_1024_on_a_pinned_witness():
     n = 128 on its closed-form ratio exceeds the constant, a certified
     violation.  The dense tensor at n = 1024 would take 8.6 GB."""
     cfg = ExperimentConfig(experiment="sharpness", form="partial:m=3,r=1",
-                           sweep=(64, 128, 256, 512, 1024), variant="printed")
+                           sweep=(64, 128, 256, 512, 1024), exponents="printed")
     rep = run_sharpness(cfg)
     assert rep.growth["slope"] == pytest.approx(1 / 12, abs=1e-12)
     assert [rec["n"] for rec in rep.trials if rec["violation"]] == [128, 256, 512, 1024]
@@ -425,9 +441,11 @@ def test_sharpness_reaches_n_1024_on_a_pinned_witness():
 
 @pytest.mark.parametrize("extra", [{"trials": 5}, {"n": 99}, {"trials": 5, "n": 99}])
 def test_sharpness_refuses_trials_and_n(extra):
-    with pytest.raises(ValueError, match="sweep"):
-        run_sharpness(ExperimentConfig(experiment="sharpness", form="partial:m=3,r=1",
-                                       sweep=(4, 8, 16), **extra))
+    """Sharpness takes its dimensions from the sweep and runs one form per
+    point, so its config refuses the settings it does not read."""
+    with pytest.raises(ValueError, match="^sharpness does not read (n|trials|n, trials)$"):
+        ExperimentConfig(experiment="sharpness", form="partial:m=3,r=1", sweep=(4, 8, 16),
+                         **extra)
 
 
 def test_sharpness_needs_three_points():

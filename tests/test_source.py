@@ -210,8 +210,7 @@ def test_each_setting_parser_and_experiment_runner_is_declared_once():
     alone: ``_SETTINGS`` gives no such setting a type, and each option of
     one takes the table's parser, except where a subcommand's option means
     something else: ``admissible``'s scalar domain orders ``--p``/``--q``,
-    and ``norm``'s ``--exponents``, which also takes a variant name.  Those
-    two are the only ``type=`` that ``cli.py`` passes.
+    whose ``type=`` is the only one that ``cli.py`` passes.
     ``ExperimentConfig.__post_init__`` names no parser: it coerces settings
     in one loop over the table."""
     import argparse
@@ -228,9 +227,8 @@ def test_each_setting_parser_and_experiment_runner_is_declared_once():
     assert [k for k, kw in cli._SETTINGS.items() if "type" in kw and k in PARSERS] == []
     passed = sorted(ast.unparse(k.value) for node in ast.walk(ast.parse(path.read_text("utf-8")))
                     if isinstance(node, ast.Call) for k in node.keywords if k.arg == "type")
-    assert passed == ["ExtRational", "str"]
-    own = {("admissible", "p"): ExtRational, ("admissible", "q"): ExtRational,
-           ("norm", "exponents"): str}
+    assert passed == ["ExtRational"]
+    own = {("admissible", "p"): ExtRational, ("admissible", "q"): ExtRational}
     subs = next(a for a in cli._build_parser()._actions
                 if isinstance(a, argparse._SubParsersAction)).choices
     typed = {(name, a.dest): a.type for name, sub in subs.items() for a in sub._actions
