@@ -72,9 +72,18 @@ _ASCENT = ("restarts", "tol", "max_iters")
 
 
 def _option(sub: argparse.ArgumentParser, dest: str, **overrides) -> None:
-    """Add setting ``dest`` to ``sub``: its parser, its _SETTINGS keywords, then ``overrides``."""
+    """Add setting ``dest`` to ``sub``: its parser, its _SETTINGS keywords, then ``overrides``.
+    The parser's ValueError becomes an ArgumentTypeError, so argparse prints its message."""
+    parse = PARSERS.get(dest)
+
+    @functools.wraps(parse, updated=())
+    def typed(text):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(exc) from None
     sub.add_argument("--" + dest.replace("_", "-"),
-                     **{"type": PARSERS.get(dest), **_SETTINGS.get(dest, {}), **overrides})
+                     **{"type": parse and typed, **_SETTINGS.get(dest, {}), **overrides})
 
 
 def _cmd_experiment(args) -> int:

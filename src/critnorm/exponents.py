@@ -172,8 +172,8 @@ class ExponentVector(tuple):
     """Ordered positive norm orders (s_1, ..., s_m); entries may be inf.
 
     Accepts any iterable of exact values or a comma-separated token string
-    like ``"inf,3,12/5"``.  Entries must be positive; callers that need the
-    summing range additionally check entries >= 1.
+    like ``"inf,3,12/5"``, which is its ``str``.  Entries must be positive;
+    callers that need the summing range additionally check entries >= 1.
     """
 
     def __new__(cls, entries: Iterable[ExtLike] | str):
@@ -192,10 +192,10 @@ class ExponentVector(tuple):
         return cls((as_ext(order),) * m)
 
     def __str__(self):
-        return "(" + ", ".join(str(e) for e in self) + ")"
+        return ",".join(map(str, self))
 
     def __repr__(self):
-        return f"ExponentVector('{','.join(str(e) for e in self)}')"
+        return f"ExponentVector('{self}')"
 
 
 class InapplicableError(ValueError):

@@ -29,11 +29,13 @@ from one function, ``verdict``.  Each experiment is declared once, by its
 ``EXPERIMENTS`` row: the settings it reads (the only ones its config may
 set, its report's config block echoes and the CLI offers), the settings it
 needs (a config without one is refused) and its help line; its runner is
-``run_<name>``, with ``-`` read as ``_``.  A setting that is more than an
-int, a float or a string has its parser declared once, in ``PARSERS``,
-which ``ExperimentConfig`` and the CLI apply and whose syntax the config
-block writes.  Floats are written at 12 significant digits (``fmt12``); a
-report is written as CSV when its path ends in ``.csv``, else as JSON.
+``run_<name>``, with ``-`` read as ``_``, which refuses a config made for
+another experiment.  A setting that is more than an int, a float or a
+string has its parser declared once, in ``PARSERS``, which
+``ExperimentConfig`` and the CLI apply; the config block writes it, and
+the orders the run used, in that parser's syntax (``str``), so the whole
+block parses back.  Floats are written at 12 significant digits
+(``fmt12``); a report is CSV when its path ends in ``.csv``, else JSON.
 """
 
 from __future__ import annotations
@@ -111,6 +113,12 @@ def _sweep(value) -> tuple:
 
 def mixed_orders(value):
     """Mixed-norm orders: a variant name, kept until an arity resolves it, or a vector."""
+    if isinstance(value, str) and "," not in value and value not in VARIANTS:
+        try:
+            ExtRational(value)   # a lone order is a vector of one entry
+        except ValueError:
+            raise ValueError(f"{value!r} is neither a variant ({', '.join(VARIANTS)}) "
+                             "nor an order vector such as inf,3,12/5") from None
     return value if value in VARIANTS else ExponentVector(value)
 
 
@@ -287,23 +295,24 @@ def _csv_cell(v):
     return "" if v is None else str(v)
 
 
-def _echo(cfg: ExperimentConfig, experiment: str, extra: dict | None = None) -> dict:
-    """The config block of a report: every set field that ``experiment`` reads."""
-    out: dict = {"experiment": experiment}
-    for key in EXPERIMENTS[experiment].reads:
-        v = getattr(cfg, key)
-        if isinstance(v, (ExtRational, ExponentVector)):   # as its option takes it
-            v = ",".join(map(str, v)) if isinstance(v, ExponentVector) else str(v)
-        if v is not None:
-            out[key] = list(v) if key == "sweep" else v
-    if extra:
-        out.update(extra)
-    return out
+def _factory(cfg: ExperimentConfig, experiment: str, arity=None) -> FormFactory:
+    """A run's first step: refuse a ``cfg`` made for another experiment, then
+    parse its form spec, ``cfg.form``, else Gaussian forms of arity ``arity(cfg)``."""
+    if cfg.experiment != experiment:
+        raise ValueError(f"{experiment} cannot run a config made for {cfg.experiment}")
+    return parse_form_spec(f"gauss:m={arity(cfg)}" if cfg.form is None else cfg.form)
 
 
-def _factory(cfg: ExperimentConfig, default: str | None = None) -> FormFactory:
-    """The run's form spec, parsed: ``cfg.form``, else ``default``."""
-    return parse_form_spec(cfg.form or default)
+def _report(cfg: ExperimentConfig, records, summary: dict, growth=None, growth_trimmed=None,
+            **extra) -> ExperimentReport:
+    """The report of a run on ``cfg``: its config block holds every set field
+    that ``cfg.experiment`` reads, then ``extra``, the orders the run used, each
+    order or order vector in its option's syntax (``str``), so it parses back."""
+    block = {"experiment": cfg.experiment,
+             **{k: getattr(cfg, k) for k in EXPERIMENTS[cfg.experiment].reads}, **extra}
+    block = {k: str(v) if isinstance(v, (ExtRational, ExponentVector)) else
+             list(v) if k == "sweep" else v for k, v in block.items() if v is not None}
+    return ExperimentReport(cfg.experiment, block, records, summary, growth, growth_trimmed)
 
 
 def _run_trials(fac: FormFactory, cfg: ExperimentConfig, measure, check,
@@ -453,12 +462,10 @@ def run_verify(cfg: ExperimentConfig) -> ExperimentReport:
     otherwise the seeded ascent gives a lower bound, and a violation it
     shows is retried at 4x restarts before it is reported.
     """
+    fac = _factory(cfg, "verify")
     lhs = _CriticalLhs(cfg)
-    records = _run_trials(_factory(cfg), cfg, lhs,
-                          lambda batch: _check_trials(batch, lhs.C, cfg, _trial_row))
-    summary = _summary(records, {"constant": lhs.C})
-    return ExperimentReport("verify", _echo(cfg, "verify", {"exponents_used": str(lhs.s)}),
-                            records, summary)
+    records = _run_trials(fac, cfg, lhs, lambda batch: _check_trials(batch, lhs.C, cfg, _trial_row))
+    return _report(cfg, records, _summary(records, {"constant": lhs.C}), exponents_used=lhs.s)
 
 
 def run_sharpness(cfg: ExperimentConfig) -> ExperimentReport:
@@ -473,9 +480,9 @@ def run_sharpness(cfg: ExperimentConfig) -> ExperimentReport:
     sweep point is dropped and both fits are reported.  Each point is
     checked like a verify trial, ascent retry included.
     """
+    fac = _factory(cfg, "sharpness")
     if len(cfg.sweep) < 3:
         raise ValueError("sharpness needs a sweep of at least 3 dimensions")
-    fac = _factory(cfg)
     if not fac.takes_n:
         raise ValueError(f"the form spec pins the swept dimension: every n in "
                          f"{','.join(map(str, cfg.sweep))} would build the same form")
@@ -490,9 +497,8 @@ def run_sharpness(cfg: ExperimentConfig) -> ExperimentReport:
     fit = fit_growth(pts)
     trimmed = fit_growth(pts[1:]) if fit.residual > 0.02 and len(pts) > 3 else None
     summary = _summary(records, {"constant": lhs.C, "slope": fit.slope})
-    return ExperimentReport("sharpness", _echo(cfg, "sharpness", {"exponents_used": str(lhs.s)}),
-                            records, summary, growth=fit.as_dict(),
-                            growth_trimmed=trimmed.as_dict() if trimmed else None)
+    return _report(cfg, records, summary, fit.as_dict(), trimmed and trimmed.as_dict(),
+                   exponents_used=lhs.s)
 
 
 def run_bilinear_law(cfg: ExperimentConfig) -> ExperimentReport:
@@ -503,11 +509,11 @@ def run_bilinear_law(cfg: ExperimentConfig) -> ExperimentReport:
     singular value.  The reported ratio is the attainment against the
     dimension-weighted bound, 1 meaning the law is tight on that form.
     """
+    fac = _factory(cfg, "bilinear-law")
     a, b = cfg.a, cfg.b
     for name, e in (("a", a), ("b", b)):
         if e <= 0:
             raise ValueError(f"{name} must be positive, got {e}")
-    fac = _factory(cfg)
     orders = ExponentVector((b, a))
     inv_b = float(b.reciprocal())
     inv_a = float(a.reciprocal())
@@ -527,8 +533,7 @@ def run_bilinear_law(cfg: ExperimentConfig) -> ExperimentReport:
 
     # every trial arrives alone with its estimate, closed-form or exact
     records = _run_trials(fac, cfg, lhs_of, lambda batch: [record(*trial) for trial in batch])
-    summary = _summary(records)
-    return ExperimentReport("bilinear-law", _echo(cfg, "bilinear-law"), records, summary)
+    return _report(cfg, records, _summary(records))
 
 
 def run_base_hl(cfg: ExperimentConfig) -> ExperimentReport:
@@ -540,20 +545,17 @@ def run_base_hl(cfg: ExperimentConfig) -> ExperimentReport:
     it isolates the base step from the shift step.  The constant is fixed by
     the base arity (the configured constant choice is not consulted).
     """
+    fac = _factory(cfg, "base-hl", lambda c: c.m - 1)
     if cfg.m < 3:
         raise ValueError("base-hl needs m >= 3")
-    m = cfg.m
-    base_arity = m - 1
+    base_arity = cfg.m - 1
     dom = ExponentVector.uniform(2 * base_arity, base_arity)
-    fac = _factory(cfg, f"gauss:m={base_arity}")
-    C = inequality_constant(m, "abstract").value
+    C = inequality_constant(cfg.m, "abstract").value
     full_l2 = ExponentVector.uniform(2, base_arity)
 
     records = _run_trials(fac, cfg, lambda T: mixed_norm(T, full_l2),
                           lambda batch: _check_trials(batch, C, cfg, _trial_row), dom)
-    summary = _summary(records, {"constant": C})
-    return ExperimentReport("base-hl", _echo(cfg, "base-hl", {"domain": str(dom)}),
-                            records, summary)
+    return _report(cfg, records, _summary(records, {"constant": C}), domain=dom)
 
 
 def _battery_data(dims, space, seed, trial, d, want_complex):
@@ -622,12 +624,12 @@ def run_inclusion_instance(cfg: ExperimentConfig) -> ExperimentReport:
     (t, d, k, 7).  Each value has the bits of a one-sequence call, so the
     records match a run that takes every weak norm on its own.
     """
+    fac = _factory(cfg, "inclusion-instance", lambda c: len(c.p))
     target = inclusion_exponents(cfg.r, cfg.p, cfg.q)
     m = len(cfg.p)
     space = cfg.space if cfg.space is not None else ExtRational(2)
     if space < 1:
         raise ValueError(f"the data space order must be >= 1, got {space}")
-    fac = _factory(cfg, f"gauss:m={m}")
     base = ExponentVector.uniform(cfg.r, m)
     dom = ExponentVector.uniform(space, m)
     orders = tuple(dict.fromkeys((*cfg.p, *cfg.q)))
@@ -672,7 +674,4 @@ def run_inclusion_instance(cfg: ExperimentConfig) -> ExperimentReport:
                 for t, (q_base, q_target) in quotients.items()]
 
     records = _run_trials(fac, cfg, lambda T: None, check, dom, exact=False)
-    summary = _summary(records)
-    return ExperimentReport("inclusion-instance",
-                            _echo(cfg, "inclusion-instance", {"target_orders": str(target)}),
-                            records, summary)
+    return _report(cfg, records, _summary(records), target_orders=target)

@@ -10,11 +10,12 @@ import warnings
 import numpy as np
 import pytest
 
-from critnorm import (ExperimentConfig, MultilinearForm, NormEstimate, make_gaussian_random,
-                      run_verify, save_tensor, to_dict, weak_norm)
+from critnorm import (ExperimentConfig, ExponentVector, MultilinearForm, NormEstimate,
+                      inclusion_exponents, make_gaussian_random, parse_form_spec, run_verify,
+                      save_tensor, to_dict, weak_norm)
 from critnorm import harness, opnorm
 from critnorm.cli import _build_parser, main
-from critnorm.harness import EXPERIMENTS
+from critnorm.harness import EXPERIMENTS, orders_at
 
 
 def _save_with_bad_entry(T, index, bad, path):
@@ -459,6 +460,9 @@ def test_a_spec_that_pins_what_an_option_sets_is_exit_2(argv, message, capsys):
     assert captured.err.count("\n") == 1
 
 
+_NO_KIND = "unknown form kind ''; choose from ['dot', 'file', 'gauss', 'partial', 'sign', 't0']"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["norm", "op", "--form", "dot:m=3,m=4", "--n", "4"], "parameter 'm' is given twice"),
     (["verify", "--form", "dot:m=abc", "--n", "3"], "parameter 'm' must be an integer, got 'abc'"),
@@ -469,8 +473,11 @@ def test_a_spec_that_pins_what_an_option_sets_is_exit_2(argv, message, capsys):
      "seed must be >= 0, got -1"),
     (["verify", "--form", "gauss:m=2", "--n", "-3"],
      "all dimensions must be positive, got (-3, -3)"),
+    # an empty spec is parsed, not replaced by a runner's default spec
+    (["verify", "--form", "", "--n", "3"], _NO_KIND),
+    (["base-hl", "--m", "3", "--form", "", "--n", "3"], _NO_KIND),
 ], ids=["repeated-key", "m-not-an-integer", "dims-not-integers", "verify-negative-seed",
-        "norm-op-negative-seed", "gauss-negative-n"])
+        "norm-op-negative-seed", "gauss-negative-n", "verify-empty-spec", "base-hl-empty-spec"])
 def test_a_bad_spec_value_seed_or_dimension_is_exit_2_naming_it(argv, message, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -709,6 +716,34 @@ def test_a_zero_denominator_is_a_usage_error(argv):
     assert proc.stdout == ""
 
 
+_NOT_ORDERS = ("'pritned' is neither a variant (derived, printed, corollary-printed, "
+               "corollary-derived, lower-bound) nor an order vector such as inf,3,12/5")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--form", "dot:m=3", "--n", "4", "--exponents", "pritned"], _NOT_ORDERS),
+    (["norm", "mixed", "--form", "dot:m=3", "--n", "4", "--exponents", "pritned"], _NOT_ORDERS),
+    (["verify", "--form", "dot:m=3", "--n", "4", "--exponents", "inf,3,x"],
+     "Invalid literal for Fraction: 'x'"),
+    (["inclusion-instance", "--r", "2", "--q", "4,4", "--p", "2,0"],
+     "norm orders must be positive, got 0"),
+], ids=["verify", "norm", "bad-entry", "nonpositive"])
+def test_a_bad_order_option_prints_its_parsers_message(argv, message, capsys):
+    """argparse prints the ``harness.PARSERS`` parser's own message, not
+    only an "invalid mixed_orders value"; the library raises the same one."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(f"error: argument {argv[-2]}: {message}")
+    with pytest.raises(ValueError) as exc:
+        harness.PARSERS[argv[-2].lstrip("-")](argv[-1])
+    assert str(exc.value) == message
+    with pytest.raises(ValueError, match="^'pritned' is neither a variant"):
+        ExperimentConfig("verify", form="dot:m=3", n=4, exponents="pritned")
+
+
 def test_unknown_command_raises_usage():
     with pytest.raises(SystemExit):
         main(["optimize"])
@@ -780,7 +815,8 @@ def test_a_report_config_echoes_only_settings_the_run_read(name, tmp_path, capsy
 def test_a_report_config_block_rebuilds_its_config_and_trials(name, tmp_path, capsys):
     """Each setting is echoed in the syntax its option takes (an order
     vector as inf,2, an extended rational as inf), so the config block
-    parses back into a config whose run writes the same trials."""
+    parses back into a config whose run writes the same trials.  Each
+    extra parses back too, into the orders the run used."""
     out = tmp_path / "report.json"
     assert main([name, *_EXPERIMENT_RUNS[name], "--out", str(out)]) == 0
     report = json.loads(out.read_text())
@@ -788,31 +824,42 @@ def test_a_report_config_block_rebuilds_its_config_and_trials(name, tmp_path, ca
     cfg = ExperimentConfig(**{k: v for k, v in report["config"].items() if k in fields})
     rerun = json.loads(getattr(harness, "run_" + name.replace("-", "_"))(cfg).to_json())
     assert rerun == report
+    extras = {k: ExponentVector(v) for k, v in report["config"].items()
+              if k not in fields | {"experiment"}}
+    if name in ("verify", "sharpness"):
+        arity = parse_form_spec(cfg.form).make(n=2, seed=cfg.seed).arity
+        assert extras == {"exponents_used": orders_at(cfg.exponents, arity)}
+    elif name == "base-hl":
+        assert extras == {"domain": ExponentVector.uniform(2 * (cfg.m - 1), cfg.m - 1)}
+    elif name == "inclusion-instance":
+        assert extras == {"target_orders": inclusion_exponents(cfg.r, cfg.p, cfg.q)}
+    else:
+        assert extras == {}
 
 
 # The orders and ratios that verify on sign:m=M (n 3, two trials) and
 # sharpness on partial:m=M,r=1 (sweep 4,8,16) gave for each critical
 # variant when it was named by a --variant option of its own.
 _VARIANT_RUNS = {
-    (3, "derived"): ("(inf, 3, 12/5)",
+    (3, "derived"): ("inf,3,12/5",
                      [0.435745853979, 0.513116971891], [1.0, 1.0, 1.0]),
-    (3, "printed"): ("(inf, 12/5, 2)",
+    (3, "printed"): ("inf,12/5,2",
                      [0.523303299108, 0.616221133871], [1.12246204831, 1.189207115, 1.25992104989]),
-    (3, "corollary-printed"): ("(inf, 3, 2)",
+    (3, "corollary-printed"): ("inf,3,2",
                                [0.477521981651, 0.562310876853], [1.0, 1.0, 1.0]),
-    (3, "corollary-derived"): ("(inf, 6, 3)", [0.331095249728, 0.389884586156],
+    (3, "corollary-derived"): ("inf,6,3", [0.331095249728, 0.389884586156],
                                [0.793700525984, 0.707106781187, 0.629960524947]),
-    (3, "lower-bound"): ("(inf, 3, 3/2)",
+    (3, "lower-bound"): ("inf,3,3/2",
                          [0.573473794673, 0.67529991231], [1.0, 1.0, 1.0]),
-    (4, "derived"): ("(inf, 4, 3, 12/5)",
+    (4, "derived"): ("inf,4,3,12/5",
                      [0.318097283664, 0.267003720212], [1.0, 1.0, 1.0]),
-    (4, "printed"): ("(inf, 3, 12/5, 2)",
+    (4, "printed"): ("inf,3,12/5,2",
                      [0.418639568621, 0.351396657533], [1.12246204831, 1.189207115, 1.25992104989]),
-    (4, "corollary-printed"): ("(inf, 4, 8/3, 2)",
+    (4, "corollary-printed"): ("inf,4,8/3,2",
                                [0.364922059641, 0.306307386185], [1.0, 1.0, 1.0]),
-    (4, "corollary-derived"): ("(inf, 8, 4, 8/3)", [0.241701667637, 0.202878954819],
+    (4, "corollary-derived"): ("inf,8,4,8/3", [0.241701667637, 0.202878954819],
                                [0.840896415254, 0.771105412704, 0.707106781187]),
-    (4, "lower-bound"): ("(inf, 4, 2, 4/3)",
+    (4, "lower-bound"): ("inf,4,2,4/3",
                          [0.550960657055, 0.462464009217], [1.0, 1.0, 1.0]),
 }
 
@@ -822,12 +869,11 @@ def test_exponents_names_a_variant_as_variant_did(m, variant, tmp_path, capsys):
     """--exponents V gives the orders and ratios --variant V gave, and the
     trials of the same orders written out as a vector."""
     used, *ratios = _VARIANT_RUNS[m, variant]
-    vector = ",".join(used.strip("()").split(", "))
     runs = [["verify", "--form", f"sign:m={m}", "--n", "3", "--trials", "2"],
             ["sharpness", "--form", f"partial:m={m},r=1", "--sweep", "4,8,16"]]
     for argv, want in zip(runs, ratios):
         reports = []
-        for orders in (variant, vector):
+        for orders in (variant, used):
             out = tmp_path / f"{argv[0]}-{len(reports)}.json"
             assert main([*argv, "--exponents", orders, "--out", str(out)]) == 0
             reports.append(json.loads(out.read_text()))

@@ -153,12 +153,27 @@ def test_conjugate_involution_and_holder_identity(p):
 def test_exponent_vector_parse_and_str():
     v = ExponentVector("inf, 3, 12/5")
     assert v == ExponentVector((INF, 3, "12/5"))
-    assert str(v) == "(inf, 3, 12/5)"
+    assert str(v) == "inf,3,12/5" and repr(v) == "ExponentVector('inf,3,12/5')"
     assert ExponentVector.uniform(2, 3) == ExponentVector((2, 2, 2))
     with pytest.raises(ValueError):
         ExponentVector(())
     with pytest.raises(ValueError):
         ExponentVector((1, 0))
+
+
+_ORDERS = st.one_of(st.just(INF), st.integers(1, 10**6),
+                    st.fractions(min_value="1/1000", max_value=10**6, max_denominator=10**4))
+
+
+@given(st.lists(_ORDERS, min_size=1, max_size=6),
+       st.one_of(st.just(INF), st.integers(), st.fractions()))
+def test_str_is_the_syntax_the_constructors_parse(entries, value):
+    """An order vector's text is the option syntax (inf,3,12/5), so a
+    report's config block parses back into the orders it was written from."""
+    v = ExponentVector(entries)
+    assert ExponentVector(str(v)) == v
+    e = as_ext(value)
+    assert ExtRational(str(e)) == e
 
 
 def test_tail_sum_reciprocal_tails():

@@ -79,13 +79,29 @@ def test_config_refuses_an_experiment_no_runner_reads():
         ExperimentConfig("nonsense", form="gauss:m=2", n=3)
 
 
-def test_a_report_names_the_runner_that_wrote_it():
-    """The config block echoes the runner's own name and settings, whatever
-    experiment the config was made for."""
-    rep = run_verify(ExperimentConfig("sharpness", form="gauss:m=2,n=3", sweep=(3, 4, 5)))
-    assert rep.experiment == rep.config["experiment"] == "verify"
-    assert json.loads(rep.to_json())["config"]["experiment"] == "verify"
-    assert rep.trials[0]["dims"] == "3x3" and "sweep" not in rep.config
+# one config that each experiment runs
+_CONFIGS = {
+    "verify": {"form": "dot:m=3", "n": 4},
+    "sharpness": {"form": "dot:m=2", "sweep": (2, 3, 4)},
+    "bilinear-law": {"form": "t0:n1=2", "n": 4, "a": 2, "b": "inf"},
+    "base-hl": {"m": 3, "n": 3},
+    "inclusion-instance": {"r": 2, "p": "2,2", "q": "4,4", "n": 3},
+}
+
+
+@pytest.mark.parametrize("runner, made_for", [(runner, other) for runner in _CONFIGS
+                                              for other in _CONFIGS if other != runner])
+def test_a_runner_refuses_a_config_made_for_another_experiment(runner, made_for, monkeypatch):
+    """A config was checked against the settings its own experiment reads
+    and needs, so another runner would read settings nobody checked.  The
+    refusal names both experiments and comes before any form is built."""
+    built = []
+    monkeypatch.setattr(FormFactory, "make", lambda self, **kw: built.append(kw))
+    run = getattr(harness, "run_" + runner.replace("-", "_"))
+    cfg = ExperimentConfig(made_for, **_CONFIGS[made_for])
+    with pytest.raises(ValueError, match=f"^{runner} cannot run a config made for {made_for}$"):
+        run(cfg)
+    assert built == []
 
 
 @pytest.mark.parametrize("settings, message", [
@@ -157,7 +173,7 @@ def test_verify_takes_an_explicit_order_vector():
     cfg = ExperimentConfig(experiment="verify", form="gauss:m=2", n=5,
                            exponents="inf,inf", trials=2)
     rep = run_verify(cfg)
-    assert (rep.config["exponents"], rep.config["exponents_used"]) == ("inf,inf", "(inf, inf)")
+    assert (rep.config["exponents"], rep.config["exponents_used"]) == ("inf,inf", "inf,inf")
     assert rep.violations == 0
 
 
@@ -542,7 +558,7 @@ def test_inclusion_instance_worked_shift():
                            p="4/3,4/3", q="3/2,3/2", n=4, trials=3, datasets=4)
     rep = run_inclusion_instance(cfg)
     assert rep.violations == 0
-    assert rep.config["target_orders"] == "(3, 12/5)"
+    assert rep.config["target_orders"] == "3,12/5"
     for rec in rep.trials:
         assert rec["ratio"] <= 1 + SLACK_ASCENT
 

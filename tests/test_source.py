@@ -208,7 +208,8 @@ def test_each_setting_parser_and_experiment_runner_is_declared_once():
     """``cli.py`` binds no ``run_*`` name: the CLI calls ``harness.run_<name>``.
     A setting that ``harness.PARSERS`` types has its parser declared there
     alone: ``_SETTINGS`` gives no such setting a type, and each option of
-    one takes the table's parser, except where a subcommand's option means
+    one takes the table's parser (wrapped, so that argparse prints the
+    parser's own message), except where a subcommand's option means
     something else: ``admissible``'s scalar domain orders ``--p``/``--q``,
     whose ``type=`` is the only one that ``cli.py`` passes.
     ``ExperimentConfig.__post_init__`` names no parser: it coerces settings
@@ -231,8 +232,8 @@ def test_each_setting_parser_and_experiment_runner_is_declared_once():
     own = {("admissible", "p"): ExtRational, ("admissible", "q"): ExtRational}
     subs = next(a for a in cli._build_parser()._actions
                 if isinstance(a, argparse._SubParsersAction)).choices
-    typed = {(name, a.dest): a.type for name, sub in subs.items() for a in sub._actions
-             if a.dest in PARSERS}
+    typed = {(name, a.dest): getattr(a.type, "__wrapped__", a.type)
+             for name, sub in subs.items() for a in sub._actions if a.dest in PARSERS}
     assert {key: t for key, t in typed.items() if t is not PARSERS[key[1]]} == own
 
     path = next(p for p in SOURCES if p.name == "harness.py")
