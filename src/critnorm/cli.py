@@ -72,9 +72,10 @@ _ASCENT = ("restarts", "tol", "max_iters")
 
 
 def _option(sub: argparse.ArgumentParser, dest: str, **overrides) -> None:
-    """Add setting ``dest`` to ``sub``: its parser, its _SETTINGS keywords, then ``overrides``.
+    """Add setting ``dest`` to ``sub``: its parser (an override ``type`` or its
+    ``PARSERS`` entry), its _SETTINGS keywords, then the other ``overrides``.
     The parser's ValueError becomes an ArgumentTypeError, so argparse prints its message."""
-    parse = PARSERS.get(dest)
+    parse = overrides.pop("type", PARSERS.get(dest))
 
     @functools.wraps(parse, updated=())
     def typed(text):
@@ -141,8 +142,8 @@ def _cmd_exponents(args) -> int:
     if args.json:
         print(json.dumps(payload))
         return 0
-    print(f"s = ({', '.join(payload['s'])})")
-    print(f"s ~ ({', '.join(v if v == 'inf' else fmt12(v) for v in payload['s_decimal'])})")
+    print(f"s = {s}")
+    print(f"s ~ {','.join(v if v == 'inf' else fmt12(v) for v in payload['s_decimal'])}")
     if "constant" in payload:
         print(f"constant = {payload['constant']} = {fmt12(payload['constant_decimal'])}")
     return 0

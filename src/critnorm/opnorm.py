@@ -473,16 +473,15 @@ def _unit_starts(T: MultilinearForm, restarts: int, seeds: Sequence[int]) -> lis
     f restarts .. f restarts + restarts - 1 being the starts of seeds[f].
 
     Start r of seed s is, slot after slot, a Gaussian vector (plus i times
-    one for a complex form) drawn from the child stream (s, r) and redrawn
-    while all zero, then scaled onto the slot's unit sphere.  The group's
-    starts are built as one block: each start takes one ``standard_normal``
-    draw of all its slots' values in that order (real then imaginary parts
-    per slot), which the stream gives exactly as it gives the slot-by-slot
-    draws, into one row of a (K restarts, width) array.  That array is split
-    per slot, and each slot block is normalized by one ``_normalize_rows``
-    call, which rounds row by row.  A start where some slot drew all zeros
-    is drawn again slot by slot with the redraw, so every start has the bits
-    of its own stream.
+    one for a complex form) from the child stream (s, r), scaled onto the
+    slot's unit sphere.  The group's starts are built as one block: each
+    start takes one ``standard_normal`` draw of all its slots' values in
+    that order (real then imaginary parts per slot), which the stream gives
+    exactly as it gives the slot-by-slot draws, into one row of a
+    (K restarts, width) array.  That array is split per slot, and each slot
+    block is normalized by one ``_normalize_rows`` call, which rounds row by
+    row, so every start has the bits of its own stream.  A slot that draws
+    all zeros (odds 2^(-52 n)) scales to a non-finite start, which ``_ascend`` refuses.
     """
     cplx = T.is_complex
     parts = 2 if cplx else 1
@@ -493,17 +492,6 @@ def _unit_starts(T: MultilinearForm, restarts: int, seeds: Sequence[int]) -> lis
             child_rng(seed, r).standard_normal(out=D[f * restarts + r])
     X = [D[:, a:a + n] + 1j * D[:, a + n:b] if cplx else D[:, a:b].copy()
          for a, b, n in zip(edges[:-1], edges[1:], T.dims)]
-    drawn = np.all([x.any(axis=1) for x in X], axis=0)
-    for row in np.flatnonzero(~drawn):
-        rng = child_rng(seeds[row // restarts], row % restarts)
-        for x in X:
-            while True:
-                g = rng.standard_normal(x.shape[1])
-                if cplx:
-                    g = g + 1j * rng.standard_normal(x.shape[1])
-                if g.any():
-                    break
-            x[row] = g
     return [_normalize_rows(x, p) for x, p in zip(X, T.domain_p)]
 
 

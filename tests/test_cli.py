@@ -10,12 +10,13 @@ import warnings
 import numpy as np
 import pytest
 
-from critnorm import (ExperimentConfig, ExponentVector, MultilinearForm, NormEstimate,
-                      inclusion_exponents, make_gaussian_random, parse_form_spec, run_verify,
+from critnorm import (VARIANTS, ExperimentConfig, ExponentVector, MultilinearForm,
+                      NormEstimate, critical_exponents, inclusion_exponents,
+                      make_gaussian_random, mixed_norm, parse_form_spec, run_verify,
                       save_tensor, to_dict, weak_norm)
 from critnorm import harness, opnorm
 from critnorm.cli import _build_parser, main
-from critnorm.harness import EXPERIMENTS, orders_at
+from critnorm.harness import EXPERIMENTS, fmt12, orders_at
 
 
 def _save_with_bad_entry(T, index, bad, path):
@@ -30,8 +31,8 @@ def _save_with_bad_entry(T, index, bad, path):
 def test_exponents_critical_family(capsys):
     assert main(["exponents", "--m", "3"]) == 0
     out = capsys.readouterr().out
-    assert "s = (inf, 3, 12/5)" in out
-    assert "s ~ (inf, 3, 2.4)" in out
+    assert "s = inf,3,12/5" in out.splitlines()
+    assert "s ~ inf,3,2.4" in out.splitlines()
     assert "constant = 2^(1/2) = 1.41421356237" in out
 
 
@@ -56,13 +57,53 @@ def test_exponents_variant_and_constant_flags(capsys):
     assert main(["exponents", "--m", "4", "--variant", "printed",
                  "--constant", "theorem"]) == 0
     out = capsys.readouterr().out
-    assert "s = (inf, 3, 12/5, 2)" in out
+    assert "s = inf,3,12/5,2" in out.splitlines()
     assert "2^(3/2)" in out
 
 
 def test_exponents_inclusion_mode(capsys):
     assert main(["exponents", "--r", "2", "--p", "4/3,4/3", "--q", "3/2,3/2"]) == 0
-    assert "s = (3, 12/5)" in capsys.readouterr().out
+    assert "s = 3,12/5" in capsys.readouterr().out.splitlines()
+
+
+def _printed_orders(capsys, argv) -> str:
+    """The value of the ``s =`` line that ``exponents`` prints for ``argv``."""
+    assert main(["exponents", *argv]) == 0
+    (line,) = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("s = ")]
+    return line[len("s = "):]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_the_printed_orders_parse_back_and_run_as_the_variant(variant, tmp_path, capsys):
+    """The ``s =`` value is in the syntax of the order options: it parses to
+    the critical family at every m, and at m = 3 it runs ``verify`` to the
+    trials that the variant's name gives."""
+    for m in range(2, 13):
+        printed = _printed_orders(capsys, ["--m", str(m), "--variant", variant])
+        assert ExponentVector(printed) == critical_exponents(m, variant)
+    printed = _printed_orders(capsys, ["--m", "3", "--variant", variant])
+    trials = []
+    for orders in (printed, variant):
+        out = tmp_path / f"{len(trials)}.json"
+        assert main(["verify", "--form", "gauss:m=3", "--n", "4", "--trials", "2",
+                     "--exponents", orders, "--out", str(out)]) == 0
+        trials.append(json.loads(out.read_text())["trials"])
+    assert trials[0] == trials[1]
+
+
+@pytest.mark.parametrize("r, p, q", [("2", "2,2", "4,4"), ("2", "4/3,4/3", "3/2,3/2"),
+                                     ("1", "2,2,2", "4,4,4"), ("1", "3/2,2,3", "2,4,inf")])
+def test_the_printed_inclusion_orders_parse_back_and_run(r, p, q, capsys):
+    """In inclusion mode the ``s =`` value parses to ``inclusion_exponents``
+    and, given to ``norm mixed --exponents``, takes the lhs at those orders."""
+    printed = _printed_orders(capsys, ["--r", r, "--p", p, "--q", q])
+    s = inclusion_exponents(r, p, q)
+    assert ExponentVector(printed) == s
+    form = f"gauss:m={len(s)}"
+    assert main(["norm", "mixed", "--form", form, "--n", "3", "--seed", "7",
+                 "--exponents", printed]) == 0
+    want = fmt12(mixed_norm(parse_form_spec(form).make(n=3, seed=7), s))
+    assert capsys.readouterr().out.strip() == want
 
 
 def test_exponents_inapplicable_is_exit_2(capsys):
@@ -73,6 +114,21 @@ def test_exponents_inapplicable_is_exit_2(capsys):
 def test_exponents_usage_error(capsys):
     assert main(["exponents"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, message", [
+    ("x", "Invalid literal for Fraction: 'x'"), ("1/0", "'1/0' has a zero denominator"),
+], ids=["bad-literal", "zero-denominator"])
+@pytest.mark.parametrize("option", ["--p", "--q"])
+def test_admissible_prints_its_parsers_message(option, value, message, capsys):
+    """A bad scalar order prints ``ExtRational``'s own message, as a
+    ``harness.PARSERS`` option prints its parser's."""
+    argv = {"--p": "4", "--q": "4", "--a": "2", "--b": "inf", option: value}
+    with pytest.raises(SystemExit) as exc:
+        main(["admissible", *(t for kv in argv.items() for t in kv)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        f"error: argument {option}: {message}")
 
 
 def test_admissible_exit_codes(capsys):
@@ -753,7 +809,7 @@ def test_console_script_entry_point():
     proc = subprocess.run([sys.executable, "-m", "critnorm.cli", "exponents",
                            "--m", "2"], capture_output=True, text=True)
     assert proc.returncode == 0
-    assert "s = (inf, 2)" in proc.stdout
+    assert "s = inf,2" in proc.stdout.splitlines()
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])

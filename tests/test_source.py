@@ -211,7 +211,8 @@ def test_each_setting_parser_and_experiment_runner_is_declared_once():
     one takes the table's parser (wrapped, so that argparse prints the
     parser's own message), except where a subcommand's option means
     something else: ``admissible``'s scalar domain orders ``--p``/``--q``,
-    whose ``type=`` is the only one that ``cli.py`` passes.
+    whose ``type=`` (wrapped the same way) is the only one that ``cli.py``
+    passes.
     ``ExperimentConfig.__post_init__`` names no parser: it coerces settings
     in one loop over the table."""
     import argparse
