@@ -1,11 +1,15 @@
 """Exact arithmetic on extended-rational norm exponents.
 
 Norm orders here live in (0, +inf]; summing orders live in [1, +inf].  Every
-exponent is carried as an :class:`ExtRational`: an exact rational (lowest
-terms) extended with a distinguished +infinity, under the exact convention
-1/inf = 0.  All bookkeeping, conjugation ``1/p* = 1 - 1/p``, reciprocal tail
-sums, the inclusion shift between summing families, admissibility thresholds,
-happens in this exact arithmetic.  Floating point appears only when a value
+exponent is carried as an :class:`ExtRational`, built by ``ExtRational(value)``
+from an int, a Fraction, another ExtRational or a token string: an exact
+rational (lowest terms) extended with a distinguished +infinity, whose one
+token is ``inf``, as ``str`` prints it.  Reciprocal space is plain
+:class:`~fractions.Fraction`, under the exact convention 1/inf = 0:
+``reciprocal()``, ``tail_sum`` and ``criterion`` return Fractions.  All
+bookkeeping, conjugation ``1/p* = 1 - 1/p``, reciprocal tail sums, the
+inclusion shift between summing families, admissibility thresholds, happens
+in this exact arithmetic.  Floating point appears only when a value
 is explicitly converted at the numerical boundary (``float(...)``).
 
 The central object is the critical exponent family on the l_m domain,
@@ -27,7 +31,6 @@ from typing import Iterable, Sequence, Union
 __all__ = [
     "ExtRational",
     "INF",
-    "as_ext",
     "ExponentVector",
     "InapplicableError",
     "ExponentInvariantError",
@@ -52,30 +55,25 @@ class ExtRational:
 
     Finite values are stored as :class:`fractions.Fraction` (automatically in
     lowest terms with positive denominator); infinity is the unique value
-    with ``is_inf``.  The type is totally ordered with infinity on top, and
-    has exact reciprocals with ``reciprocal(inf) == 0``; sums of exponents
-    are taken on their reciprocals, as Fractions.
+    with ``is_inf``, spelled ``"inf"``.  The type is totally ordered with
+    infinity on top, and has exact reciprocals, Fractions with
+    ``reciprocal(inf) == 0``; sums of exponents are taken on them.
     Floats are rejected on input: exactness is the point.  A token with a
     zero denominator, such as ``"1/0"``, is a ValueError.
     """
 
     __slots__ = ("_frac",)
 
-    def __init__(self, value: ExtLike = 0, den: int | None = None):
-        if den is not None:
-            if not isinstance(value, int) or not isinstance(den, int):
-                raise TypeError("two-argument form takes integers (num, den)")
-            self._frac: Fraction | None = Fraction(value, den)
-            return
+    def __init__(self, value: ExtLike):
         if isinstance(value, ExtRational):
-            self._frac = value._frac
+            self._frac: Fraction | None = value._frac
         elif isinstance(value, bool):
             raise TypeError("bool is not an exponent")
         elif isinstance(value, (int, Fraction)):
             self._frac = Fraction(value)
         elif isinstance(value, str):
-            tok = value.strip().lower()
-            if tok in {"inf", "+inf", "infinity", "oo"}:
+            tok = value.strip()
+            if tok == "inf":
                 self._frac = None
             else:
                 try:
@@ -99,14 +97,14 @@ class ExtRational:
             raise ValueError("infinity has no finite value")
         return self._frac
 
-    def reciprocal(self) -> "ExtRational":
-        """Exact 1/x with reciprocal(inf) == 0.  Zero has no reciprocal here
-        (going back from reciprocal space is ``from_reciprocal``)."""
+    def reciprocal(self) -> Fraction:
+        """Exact 1/x as a Fraction, with 1/inf = 0.  Zero has no reciprocal
+        here (going back from reciprocal space is ``from_reciprocal``)."""
         if self._frac is None:
-            return ExtRational(0)
+            return Fraction(0)
         if self._frac == 0:
-            raise ZeroDivisionError("reciprocal of zero is undefined")
-        return ExtRational(Fraction(self._frac.denominator, self._frac.numerator))
+            raise ZeroDivisionError("zero is not a norm order")
+        return 1 / self._frac
 
     @classmethod
     def from_reciprocal(cls, recip: Fraction | int) -> "ExtRational":
@@ -153,21 +151,6 @@ class ExtRational:
 INF = ExtRational("inf")
 
 
-def as_ext(value: ExtLike) -> ExtRational:
-    """Coerce an int, Fraction or token string to :class:`ExtRational`."""
-    return value if isinstance(value, ExtRational) else ExtRational(value)
-
-
-def _recip(value: ExtLike) -> Fraction:
-    """Exact 1/x as a plain Fraction, with 1/inf = 0."""
-    e = as_ext(value)
-    if e.is_inf:
-        return Fraction(0)
-    if e.fraction == 0:
-        raise ZeroDivisionError("zero is not a norm order")
-    return 1 / e.fraction
-
-
 class ExponentVector(tuple):
     """Ordered positive norm orders (s_1, ..., s_m); entries may be inf.
 
@@ -179,7 +162,7 @@ class ExponentVector(tuple):
     def __new__(cls, entries: Iterable[ExtLike] | str):
         if isinstance(entries, str):
             entries = [tok for tok in entries.split(",")]
-        items = tuple(as_ext(e) for e in entries)
+        items = tuple(map(ExtRational, entries))
         if not items:
             raise ValueError("exponent vector needs at least one entry")
         for e in items:
@@ -189,7 +172,7 @@ class ExponentVector(tuple):
 
     @classmethod
     def uniform(cls, order: ExtLike, m: int) -> "ExponentVector":
-        return cls((as_ext(order),) * m)
+        return cls((ExtRational(order),) * m)
 
     def __str__(self):
         return ",".join(map(str, self))
@@ -211,18 +194,18 @@ class ExponentInvariantError(ValueError):
 
 def conjugate(p: ExtLike) -> ExtRational:
     """Conjugate order p* with 1/p + 1/p* = 1; conjugate(1) = inf, conjugate(inf) = 1."""
-    p = as_ext(p)
+    p = ExtRational(p)
     if p < 1:
         raise ValueError(f"conjugation needs p >= 1, got {p}")
-    return ExtRational.from_reciprocal(1 - _recip(p))
+    return ExtRational.from_reciprocal(1 - p.reciprocal())
 
 
-def tail_sum(p: Sequence[ExtLike], k: int) -> ExtRational:
+def tail_sum(p: Sequence[ExtLike], k: int) -> Fraction:
     """Exact reciprocal tail |1/p|_{>=k} = 1/p_k + ... + 1/p_m (k is 1-based)."""
-    entries = tuple(as_ext(e) for e in p)
+    entries = tuple(map(ExtRational, p))
     if not 1 <= k <= len(entries):
         raise IndexError(f"k = {k} outside 1..{len(entries)}")
-    return ExtRational(sum((_recip(e) for e in entries[k - 1:]), Fraction(0)))
+    return sum((e.reciprocal() for e in entries[k - 1:]), Fraction(0))
 
 
 def _summing_vector(p, name: str) -> ExponentVector:
@@ -233,17 +216,16 @@ def _summing_vector(p, name: str) -> ExponentVector:
     return v
 
 
-def criterion(r: ExtLike, p: Sequence[ExtLike], q: Sequence[ExtLike]) -> ExtRational:
+def criterion(r: ExtLike, p: Sequence[ExtLike], q: Sequence[ExtLike]) -> Fraction:
     """Exact shift budget 1/r - |1/p| + |1/q| (any sign; finite)."""
-    r = as_ext(r)
+    r = ExtRational(r)
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     p = _summing_vector(p, "p")
     q = _summing_vector(q, "q")
     if len(p) != len(q):
         raise ValueError(f"length mismatch: p has {len(p)} entries, q has {len(q)}")
-    value = _recip(r) - tail_sum(p, 1).fraction + tail_sum(q, 1).fraction
-    return ExtRational(value)
+    return r.reciprocal() - tail_sum(p, 1) + tail_sum(q, 1)
 
 
 def inclusion_exponents(r: ExtLike, p: Sequence[ExtLike], q: Sequence[ExtLike]) -> ExponentVector:
@@ -256,10 +238,10 @@ def inclusion_exponents(r: ExtLike, p: Sequence[ExtLike], q: Sequence[ExtLike]) 
     exactly; a zero reciprocal encodes an infinite order, and every finite
     entry comes out >= r >= 1.
     """
-    crit = criterion(r, p, q).fraction   # checks r, p and q
+    crit = criterion(r, p, q)   # checks r, p and q
     p, q = ExponentVector(p), ExponentVector(q)
     # orders >= 1 compare in reverse on their exact reciprocals (1/inf = 0)
-    inv_p, inv_q = [_recip(e) for e in p], [_recip(e) for e in q]
+    inv_p, inv_q = [e.reciprocal() for e in p], [e.reciprocal() for e in q]
     for i in range(1, len(p)):
         if inv_q[i] > inv_p[i]:
             raise InapplicableError(f"q[{i + 1}] = {q[i]} < p[{i + 1}] = {p[i]}")
@@ -273,7 +255,7 @@ def inclusion_exponents(r: ExtLike, p: Sequence[ExtLike], q: Sequence[ExtLike]) 
     elif crit < 0:
         raise InapplicableError(f"budget 1/r - |1/p| + |1/q| = {crit} is negative")
     # 1/s_k = 1/r + (|1/q|_{>=k} - |1/p|_{>=k}), the tails summed in one reverse pass
-    inv = _recip(r)
+    inv = ExtRational(r).reciprocal()
     recips = []
     for ip, iq in zip(reversed(inv_p), reversed(inv_q)):
         inv += iq - ip
@@ -332,11 +314,11 @@ def critical_exponents(m: int, variant: str = "derived") -> ExponentVector:
             ExponentVector.uniform(conjugate(m), m),
         )
     if variant == "printed":
-        tail = [ExtRational(2 * m * (m - 1), m + m * k - 2 * k) for k in range(2, m + 1)]
+        tail = [Fraction(2 * m * (m - 1), m + m * k - 2 * k) for k in range(2, m + 1)]
     elif variant == "corollary-printed":
-        tail = [ExtRational(2 * m, k) for k in range(2, m + 1)]
+        tail = [Fraction(2 * m, k) for k in range(2, m + 1)]
     else:  # lower-bound
-        tail = [ExtRational(m, k - 1) for k in range(2, m + 1)]
+        tail = [Fraction(m, k - 1) for k in range(2, m + 1)]
     return ExponentVector((INF, *tail))
 
 
@@ -396,10 +378,10 @@ def bilinear_admissibility(p: ExtLike, q: ExtLike, a: ExtLike, b: ExtLike) -> Bi
     is conjugate(q) and pq/(pq-p-q) is 1/(1 - 1/p - 1/q).  The critical
     line 1/p + 1/q = 1 is out of scope and raises ValueError.
     """
-    p, q, a, b = as_ext(p), as_ext(q), as_ext(a), as_ext(b)
+    p, q, a, b = map(ExtRational, (p, q, a, b))
     if p < 2 or q < 2:
         raise ValueError(f"domain orders must lie in [2, inf], got p={p}, q={q}")
-    gap = 1 - _recip(p) - _recip(q)
+    gap = 1 - p.reciprocal() - q.reciprocal()
     if gap <= 0:
         raise ValueError(
             "1/p + 1/q >= 1 is the critical line; this predicate covers only the subcritical range"
@@ -409,14 +391,14 @@ def bilinear_admissibility(p: ExtLike, q: ExtLike, a: ExtLike, b: ExtLike) -> Bi
             raise ValueError(f"{name} must be positive, got {e}")
     a_thr = conjugate(q)
     b_thr = ExtRational.from_reciprocal(gap)
-    budget = Fraction(3, 2) - (_recip(p) + _recip(q))
+    budget = Fraction(3, 2) - (p.reciprocal() + q.reciprocal())
     failures = []
     if a < a_thr:
         failures.append(f"a = {a} < q/(q-1) = {a_thr}")
     if b < b_thr:
         failures.append(f"b = {b} < pq/(pq-p-q) = {b_thr}")
-    if _recip(a) + _recip(b) > budget:
+    if a.reciprocal() + b.reciprocal() > budget:
         failures.append(
-            f"1/a + 1/b = {_recip(a) + _recip(b)} > 3/2 - (1/p + 1/q) = {budget}"
+            f"1/a + 1/b = {a.reciprocal() + b.reciprocal()} > 3/2 - (1/p + 1/q) = {budget}"
         )
     return BilinearAdmissibility(not failures, tuple(failures))

@@ -76,7 +76,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exponents import ExponentVector, ExtLike, as_ext, conjugate
+from .exponents import ExponentVector, ExtLike, ExtRational, conjugate
 from .rng import child_rng
 from .tensor import CHUNK_ELEMENTS, MultilinearForm
 
@@ -145,7 +145,7 @@ class _Ball:
     __slots__ = ("kind", "profile", "inv_e", "inv_estar")
 
     def __init__(self, p: ExtLike):
-        p = as_ext(p)
+        p = ExtRational(p)
         if p.is_inf:
             self.kind = "inf"
             return
@@ -454,7 +454,7 @@ def _normalize_rows(A, order: ExtLike):
     exactly as ``lp_norm`` rounds it: row max, the power sum of the scaled
     moduli, then its root taken one row at a time, since a vectorized root
     may round differently."""
-    p = as_ext(order)
+    p = ExtRational(order)
     a = np.abs(A).astype(np.float64, copy=False)
     scale = a.max(axis=1)
     if p.is_inf:
@@ -705,10 +705,10 @@ def weak_norm(sequences, p: ExtLike, space_q: ExtLike, *, seed: Sequence[int]) -
             raise ValueError("pass each sequence as the rows of a 2-d array")
         if 0 in X.shape:
             raise ValueError(f"a sequence needs at least one nonempty vector, got shape {X.shape}")
-    p = as_ext(p)
+    p = ExtRational(p)
     if p < 1:
         raise ValueError(f"weak norms need p >= 1, got {p}")
-    q = as_ext(space_q)
+    q = ExtRational(space_q)
     if q < 1:
         raise ValueError(f"the container space needs q >= 1, got {q}")
     domain = ExponentVector((conjugate(p), conjugate(q)))

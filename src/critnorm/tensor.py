@@ -4,7 +4,7 @@ An arity-m form on l_{p_1} x ... x l_{p_m} is read as its dense coefficient
 tensor a[j_1, ..., j_m] = T(e_{j_1}, ..., e_{j_m}), row-major, float64 or
 complex128.  The mixed norm nests one l_s reduction per axis, innermost axis
 first, with an infinite order meaning a running maximum; the leading modulus
-is factored out before any exponentiation so extreme orders neither overflow
+is factored out before any exponentiation so large orders neither overflow
 nor underflow.  JSON interchange keeps the flat row-major coefficient list
 with complex entries as [re, im] pairs.  Weak norms of vector sequences
 are operator norms, so they live in critnorm.opnorm.
@@ -203,10 +203,11 @@ def mixed_norm(T, orders) -> float:
     converted to double precision once; the global maximum modulus is
     factored out first, which makes the result exactly homogeneous and keeps
     large orders stable.  A non-finite maximum modulus raises ValueError,
-    and so does a result past the float range.  Where a level holds zeros
-    only its nonzero entries are raised to the power (0^e = 0, so the sums
-    are the same bits); on mostly-zero arrays such as a ``t0`` tensor this
-    skips nearly all of the work.  Accepts a form or a bare array.
+    and so does a result past the float range, blaming the orders when it
+    overflows before the maximum is multiplied back.  Where a level holds
+    zeros only its nonzero entries are raised to the power (0^e = 0, so the
+    sums are the same bits); on mostly-zero arrays such as a ``t0`` tensor
+    this skips nearly all of the work.  Accepts a form or a bare array.
 
     A tensor of more than ``CHUNK_ELEMENTS`` elements is reduced in chunks
     of leading-axis rows, each at most ``CHUNK_ELEMENTS`` elements or one
@@ -242,7 +243,7 @@ def mixed_norm(T, orders) -> float:
             scale = _finite_scale(work.max())
             if scale == 0.0:
                 return 0.0
-            value = float(_reduce_levels(work, s, scale)) * scale
+            value = float(_reduce_levels(work, s, scale))
         else:
             rows = max(rows, 1)
             starts = range(0, arr.shape[0], rows)
@@ -253,7 +254,11 @@ def mixed_norm(T, orders) -> float:
             heads = np.empty(arr.shape[0])
             for i in starts:
                 heads[i:i + rows] = _reduce_levels(np.abs(arr[i:i + rows]), inner, scale)
-            value = float(_reduce_levels(heads, (outer,))) * scale
+            value = float(_reduce_levels(heads, (outer,)))
+    if not math.isfinite(value):   # the moduli were divided by the largest: the orders overflowed
+        raise ValueError(f"the mixed norm overflowed float64 arithmetic and reached {value} "
+                         "before its scale was applied; the orders are too small")
+    value *= scale
     if not math.isfinite(value):
         raise ValueError(f"the mixed norm overflowed float64 arithmetic and reached {value}; "
                          "rescale the coefficients")

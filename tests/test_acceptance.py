@@ -83,8 +83,8 @@ def test_criterion_02_inclusion_relation_on_random_applicable_triples():
         Q = ExponentVector(q)
         s = inclusion_exponents(ExtRational(r), P, Q)
         for k in range(1, m + 1):
-            lhs = s[k - 1].reciprocal().fraction
-            rhs = (Fraction(1) / r - tail_sum(P, k).fraction + tail_sum(Q, k).fraction)
+            lhs = s[k - 1].reciprocal()
+            rhs = Fraction(1) / r - tail_sum(P, k) + tail_sum(Q, k)
             ok = ok and lhs == rhs
         ok = ok and all(s[i] >= s[i + 1] for i in range(m - 1))
         ok = ok and all(e >= ExtRational(r) for e in s)

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from critnorm import (VARIANTS, ExperimentConfig, ExponentVector, MultilinearForm,
+from critnorm import (VARIANTS, ExperimentConfig, ExponentVector, ExtRational, MultilinearForm,
                       NormEstimate, critical_exponents, inclusion_exponents,
                       make_gaussian_random, mixed_norm, parse_form_spec, run_verify,
                       save_tensor, to_dict, weak_norm)
@@ -129,6 +129,23 @@ def test_admissible_prints_its_parsers_message(option, value, message, capsys):
     assert exc.value.code == 2
     assert capsys.readouterr().err.splitlines()[-1].endswith(
         f"error: argument {option}: {message}")
+
+
+def test_an_order_has_one_infinity_token_and_one_argument(capsys):
+    """``inf``, as ``str`` prints it, is the one spelling of infinity, and
+    ``ExtRational`` takes one value: a Fraction, not a (num, den) pair."""
+    for token in ("+inf", "infinity", "oo", "INF"):
+        with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+            ExtRational(token)
+    with pytest.raises(TypeError):
+        ExtRational(3, 2)
+    with pytest.raises(SystemExit) as exc:
+        main(["admissible", "--p", "infinity", "--q", "4", "--a", "2", "--b", "inf"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(
+        "error: argument --p: Invalid literal for Fraction: 'infinity'")
 
 
 def test_admissible_exit_codes(capsys):
@@ -455,6 +472,22 @@ def test_sharpness_violations_exit_one(capsys):
     assert "violation at" in out
 
 
+def test_sharpness_reports_the_trimmed_refit_past_the_residual_bound(tmp_path, capsys):
+    """Gaussian m = 2 points have exact singular-value denominators and a
+    fit residual of 0.110, past 0.02: the JSON report adds the refit without
+    the smallest point, and the printed line keeps the full fit's slope."""
+    out = tmp_path / "sharp.json"
+    assert main(["sharpness", "--form", "gauss:m=2", "--sweep", "2,3,4,8", "--seed", "1",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ("sharpness: 4 trials, 0 violations, max ratio "
+                                       "0.847117000808, constant 1, slope 0.0264639378898\n")
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert {rec["method"] for rec in report["trials"]} == {"exact-singular"}
+    assert report["growth"]["residual"] == pytest.approx(0.110, abs=5e-4)
+    trimmed = harness.fit_growth([(rec["n"], rec["ratio"]) for rec in report["trials"][1:]])
+    assert report["growth_trimmed"] == pytest.approx(trimmed.as_dict(), rel=1e-9)
+
+
 def test_sharpness_refuses_trials_and_n(capsys):
     # sharpness reads neither, so argparse does not offer them
     with pytest.raises(SystemExit) as exc:
@@ -532,8 +565,23 @@ _NO_KIND = "unknown form kind ''; choose from ['dot', 'file', 'gauss', 'partial'
     # an empty spec is parsed, not replaced by a runner's default spec
     (["verify", "--form", "", "--n", "3"], _NO_KIND),
     (["base-hl", "--m", "3", "--form", "", "--n", "3"], _NO_KIND),
+    # the refusals of an option's value that only a run can judge
+    (["verify", "--form", "gauss:m=2", "--n", "3", "--exponents", "inf"],
+     "1 orders given for arity-2 forms"),
+    (["inclusion-instance", "--r", "1/2", "--p", "2,2", "--q", "4,4", "--n", "3"],
+     "r must be >= 1, got 1/2"),
+    (["exponents", "--r", "2", "--p", "2,2", "--q", "4"],
+     "length mismatch: p has 2 entries, q has 1"),
+    (["inclusion-instance", "--r", "2", "--p", "2,2", "--q", "4,4", "--n", "3",
+      "--datasets", "0"], "datasets must be >= 1"),
+    (["inclusion-instance", "--r", "2", "--p", "2,2", "--q", "4,4", "--n", "3",
+      "--space", "0"], "the data space order must be >= 1, got 0"),
+    (["bilinear-law", "--form", "t0:n1=4", "--n", "4", "--a", "0", "--b", "1"],
+     "a must be positive, got 0"),
 ], ids=["repeated-key", "m-not-an-integer", "dims-not-integers", "verify-negative-seed",
-        "norm-op-negative-seed", "gauss-negative-n", "verify-empty-spec", "base-hl-empty-spec"])
+        "norm-op-negative-seed", "gauss-negative-n", "verify-empty-spec", "base-hl-empty-spec",
+        "too-few-orders", "r-below-1", "length-mismatch", "no-datasets", "space-below-1",
+        "a-not-positive"])
 def test_a_bad_spec_value_seed_or_dimension_is_exit_2_naming_it(argv, message, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -707,13 +755,21 @@ def test_an_ascent_that_overflows_is_exit_2_without_warnings(flags, tmp_path, ca
 def test_a_mixed_norm_that_overflows_is_exit_2_without_warnings(flags, tmp_path, capsys):
     """A mixed norm past the float range, of finite entries of 1e308 or of
     an order as small as 1/1000, is refused: exit 2 with one ``error:``
-    line that says it overflowed, no NumPy RuntimeWarning and no stdout,
-    also under python -O."""
+    line that says it overflowed and names the cause, no NumPy
+    RuntimeWarning and no stdout, also under python -O.  The moduli are
+    divided by the largest first, so only the entries' overflow can be
+    mended by rescaling them."""
     path = tmp_path / "huge.json"
     save_tensor(MultilinearForm(np.full((2, 2), 1e308)), path)
-    for argv in (["norm", "mixed", "--form", f"file:{path}", "--exponents", "1,1"],
-                 ["verify", "--form", "gauss:m=2", "--n", "3", "--exponents", "inf,1/1000"]):
-        assert "overflowed" in _refused(argv, flags, capsys)
+    for argv, cause in (
+            (["norm", "mixed", "--form", f"file:{path}", "--exponents", "1,1"],
+             "; rescale the coefficients"),
+            (["verify", "--form", "gauss:m=2", "--n", "3", "--exponents", "inf,1/1000"],
+             "; the orders are too small"),
+            (["norm", "mixed", "--form", "gauss:m=3", "--n", "3", "--exponents", "1/100000,1,1"],
+             "; the orders are too small")):
+        line = _refused(argv, flags, capsys)
+        assert "overflowed" in line and line.endswith(cause)
 
 
 @pytest.mark.parametrize("flags", [None, ["-O"]], ids=["in-process", "optimized"])

@@ -23,7 +23,6 @@ from critnorm import (
     INF,
     InapplicableError,
     VARIANTS,
-    as_ext,
     bilinear_admissibility,
     conjugate,
     criterion,
@@ -44,9 +43,7 @@ def test_ext_rational_parsing_and_str():
     assert ExtRational("4/3").fraction == _F("4/3")
     assert ExtRational(3).fraction == 3
     assert ExtRational(Fraction(7, 2)).fraction == _F("7/2")
-    assert ExtRational(3, 2).fraction == _F("3/2")
-    for token in ("inf", "+inf", "Infinity", "oo"):
-        assert ExtRational(token).is_inf
+    assert ExtRational(" inf ").is_inf and ExtRational(INF) == INF
     assert str(INF) == "inf"
     assert str(ExtRational("12/5")) == "12/5"
     assert repr(ExtRational("4/3")) == "ExtRational('4/3')"
@@ -58,7 +55,7 @@ def test_ext_rational_rejects_floats():
     with pytest.raises(TypeError):
         ExtRational(True)
     with pytest.raises(TypeError):
-        as_ext(0.5)
+        ExponentVector((2, 0.5))
 
 
 def test_a_zero_denominator_is_a_value_error():
@@ -70,8 +67,8 @@ def test_a_zero_denominator_is_a_value_error():
 
 
 def test_reciprocal_pair():
-    assert INF.reciprocal() == ExtRational(0)
-    assert ExtRational(4).reciprocal() == ExtRational("1/4")
+    assert INF.reciprocal() == 0 and type(INF.reciprocal()) is Fraction
+    assert ExtRational(4).reciprocal() == Fraction(1, 4)
     assert ExtRational.from_reciprocal(Fraction(0)).is_inf
     assert ExtRational.from_reciprocal(_F("5/12")) == ExtRational("12/5")
     with pytest.raises(ZeroDivisionError):
@@ -86,7 +83,7 @@ def test_ordering_puts_inf_on_top():
     assert INF > 10**9
     assert not (INF < INF)
     assert INF == ExtRational("inf")
-    assert hash(INF) == hash(ExtRational("oo"))
+    assert hash(INF) == hash(ExtRational("inf"))
 
 
 def test_all_six_comparisons_follow_one_order():
@@ -111,7 +108,7 @@ def test_addition_absorbs_infinity():
     """Exponents are summed as Fractions on their exact reciprocals, where
     1/inf = 0 absorbs an infinite order; ExtRational has no addition."""
     assert tail_sum((INF, 5), 1) == Fraction(1, 5)
-    assert ExtRational.from_reciprocal(INF.reciprocal().fraction + Fraction(1, 2)) == 2
+    assert ExtRational.from_reciprocal(INF.reciprocal() + Fraction(1, 2)) == 2
     with pytest.raises(TypeError):
         ExtRational(1) + ExtRational(2)
     with pytest.raises(TypeError):
@@ -123,8 +120,8 @@ def test_addition_absorbs_infinity():
 @given(st.fractions(min_value="1/64", max_value=64, max_denominator=64))
 def test_reciprocal_is_an_involution(f):
     x = ExtRational(f)
-    assert x.reciprocal().reciprocal() == x
-    assert ExtRational.from_reciprocal(x.reciprocal().fraction) == x
+    assert 1 / x.reciprocal() == x
+    assert ExtRational.from_reciprocal(x.reciprocal()) == x
 
 
 # ------------------------------------------------------------ conjugate index
@@ -142,10 +139,10 @@ def test_conjugate_worked_values():
 @given(st.one_of(st.just(INF),
                  st.fractions(min_value=1, max_value=64, max_denominator=32)))
 def test_conjugate_involution_and_holder_identity(p):
-    p = as_ext(p)
+    p = ExtRational(p)
     q = conjugate(p)
     assert conjugate(q) == p
-    assert p.reciprocal().fraction + q.reciprocal().fraction == 1
+    assert p.reciprocal() + q.reciprocal() == 1
 
 
 # ------------------------------------------------------------ exponent vectors
@@ -172,7 +169,7 @@ def test_str_is_the_syntax_the_constructors_parse(entries, value):
     report's config block parses back into the orders it was written from."""
     v = ExponentVector(entries)
     assert ExponentVector(str(v)) == v
-    e = as_ext(value)
+    e = ExtRational(value)
     assert ExtRational(str(e)) == e
 
 
@@ -226,7 +223,7 @@ def test_a_broken_derived_family_raises_instead_of_asserting(monkeypatch):
 def test_an_entry_below_the_budget_raises_an_invariant_error(monkeypatch):
     """With the applicability budget forced positive, the negative reciprocal
     of r = 2, p = (1, 1), q = (inf, inf) reaches the per-slot check."""
-    monkeypatch.setattr(exponents, "criterion", lambda r, p, q: ExtRational(1))
+    monkeypatch.setattr(exponents, "criterion", lambda r, p, q: Fraction(1))
     with pytest.raises(ExponentInvariantError, match="1/s_1 = -3/2 < 0"):
         inclusion_exponents(2, "1,1", "inf,inf")
 
@@ -343,8 +340,8 @@ def test_inclusion_relation_holds_exactly(triple):
     s = inclusion_exponents(r, p, q)
     assert len(s) == len(p)
     for k in range(1, len(p) + 1):
-        lhs = s[k - 1].reciprocal().fraction
-        rhs = r.reciprocal().fraction - tail_sum(p, k).fraction + tail_sum(q, k).fraction
+        lhs = s[k - 1].reciprocal()
+        rhs = r.reciprocal() - tail_sum(p, k) + tail_sum(q, k)
         assert lhs == rhs
     # orders never increase along the vector and never dip below r
     assert all(s[i] >= s[i + 1] for i in range(len(p) - 1))
@@ -380,9 +377,9 @@ def test_inclusion_shift_equals_the_tail_sum_formula():
     with_inf = [0, 0, 0]
     for _ in range(300):
         r, p, q = _long_triple_with_infinite_orders(rng)
-        inv_r = r.reciprocal().fraction
-        ref = ExponentVector([ExtRational.from_reciprocal(inv_r - tail_sum(p, k).fraction
-                                                          + tail_sum(q, k).fraction)
+        inv_r = r.reciprocal()
+        ref = ExponentVector([ExtRational.from_reciprocal(inv_r - tail_sum(p, k)
+                                                          + tail_sum(q, k))
                               for k in range(1, len(p) + 1)])
         assert inclusion_exponents(r, p, q) == ref
         for i, v in enumerate((p, q, ref)):
@@ -457,8 +454,8 @@ def subcritical_pairs(draw):
                        st.fractions(min_value=2, max_value=64, max_denominator=16)))
     q = draw(st.one_of(st.just(INF),
                        st.fractions(min_value=2, max_value=64, max_denominator=16)))
-    p, q = as_ext(p), as_ext(q)
-    if p.reciprocal().fraction + q.reciprocal().fraction >= 1:
+    p, q = ExtRational(p), ExtRational(q)
+    if p.reciprocal() + q.reciprocal() >= 1:
         q = INF
     return p, q
 

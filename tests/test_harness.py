@@ -20,6 +20,7 @@ from critnorm import (
     FormFactory,
     GrowthFit,
     InapplicableError,
+    MultilinearForm,
     SLACK_ASCENT,
     SLACK_EXACT,
     child_seed,
@@ -32,6 +33,7 @@ from critnorm import (
     run_inclusion_instance,
     run_sharpness,
     run_verify,
+    save_tensor,
     weak_norm,
 )
 
@@ -492,14 +494,16 @@ def test_bilinear_law_hilbert_case_never_violates():
     assert all(rec["method"] == "exact-singular" for rec in rep.trials)
 
 
-def test_bilinear_law_requires_the_l2_domain():
+def test_bilinear_law_requires_the_l2_domain(tmp_path):
     cfg = ExperimentConfig(experiment="bilinear-law", form="gauss:m=3",
                            n=4, a=2, b=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="needs arity-2 forms"):
         run_bilinear_law(cfg)
-    with pytest.raises(ValueError):
+    path = tmp_path / "l3.json"
+    save_tensor(MultilinearForm(np.eye(2), domain_p=(3, 3)), path)
+    with pytest.raises(ValueError, match="must live on l_2 x l_2"):
         run_bilinear_law(ExperimentConfig(experiment="bilinear-law",
-                                          form="t0:n1=2,n2=2", a=2))
+                                          form=f"file:{path}", a=2, b=2))
 
 
 def _nan_mixed_norm(monkeypatch, calls):

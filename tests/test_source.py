@@ -94,6 +94,23 @@ def test_one_trial_path_reaches_verdict_norms_and_exact_norm():
     assert inside("exact_norm") == {"_run_trials"}
 
 
+def test_an_order_has_one_constructor_and_one_reciprocal():
+    """``ExtRational(value)`` is the one way to build an order and
+    ``reciprocal()`` the one exact 1/p, so no module defines or imports a
+    coercion or reciprocal helper beside them, and every ``ExtRational``
+    call passes one positional argument."""
+    banned, calls = set(), []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            # a def's, a class's or an imported alias's name, or a name read or bound
+            names = {getattr(node, "name", None), getattr(node, "id", None)}
+            banned |= {(path.stem, n) for n in names & {"as_ext", "_recip"}}
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ExtRational":
+                calls.append((path.stem, node.lineno, len(node.args), len(node.keywords)))
+    assert banned == set()
+    assert calls and [c for c in calls if c[2:] != (1, 0)] == []
+
+
 def test_every_form_kind_is_built_from_its_kinds_row():
     """``FormFactory`` compares nothing with a string literal, so no branch
     on a kind's name (or on one key) can come back: every kind is built and
@@ -243,7 +260,7 @@ def test_each_setting_parser_and_experiment_runner_is_declared_once():
     post_init = next(node for node in config.body
                      if isinstance(node, ast.FunctionDef) and node.name == "__post_init__")
     names = {n.id for n in ast.walk(post_init) if isinstance(n, ast.Name)}
-    assert names & {"ExtRational", "ExponentVector", "as_ext", "_sweep", "int", "tuple"} == set()
+    assert names & {"ExtRational", "ExponentVector", "_sweep", "int", "tuple"} == set()
     loops = [node for node in ast.walk(post_init) if isinstance(node, ast.For)]
     assert len(loops) == 1 and "PARSERS" in {getattr(n, "id", None) for n in ast.walk(loops[0])}
     setters = [n for n in ast.walk(post_init) if isinstance(n, ast.Call)
