@@ -180,9 +180,9 @@ class ExperimentConfig:
             raise ValueError(f"{self.experiment} needs {', '.join(missing)}")
         check_ascent_settings(self.restarts, self.tol, self.max_iters)
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.datasets < 1:
-            raise ValueError("datasets must be >= 1")
+            raise ValueError(f"datasets must be >= 1, got {self.datasets}")
         if self.constant not in CONSTANT_CHOICES:
             raise ValueError(f"unknown constant choice {self.constant!r}")
         for name, parse in PARSERS.items():

@@ -101,7 +101,9 @@ ASCENT_DEFAULTS = namedtuple("AscentDefaults", "restarts tol max_iters seed")(
 class AscentInvariantError(ValueError):
     """Block ascent broke an invariant that holds for every finite form: a
     sweep lowered a value, a value left the finite range, or the best value
-    exceeded the l_1 coefficient bound.  No norm is reported."""
+    exceeded the l_1 coefficient bound; or a start slot drew all zeros, so
+    it has no direction to scale onto the unit sphere.  No norm is
+    reported."""
 
 
 @dataclass
@@ -481,7 +483,8 @@ def _unit_starts(T: MultilinearForm, restarts: int, seeds: Sequence[int]) -> lis
     (K restarts, width) array.  That array is split per slot, and each slot
     block is normalized by one ``_normalize_rows`` call, which rounds row by
     row, so every start has the bits of its own stream.  A slot that draws
-    all zeros (odds 2^(-52 n)) scales to a non-finite start, which ``_ascend`` refuses.
+    all zeros (odds 2^(-52 n) per start) is refused with an
+    AscentInvariantError that names its seed, restart and slot.
     """
     cplx = T.is_complex
     parts = 2 if cplx else 1
@@ -490,6 +493,12 @@ def _unit_starts(T: MultilinearForm, restarts: int, seeds: Sequence[int]) -> lis
     for f, seed in enumerate(seeds):
         for r in range(restarts):
             child_rng(seed, r).standard_normal(out=D[f * restarts + r])
+    drawn = np.logical_or.reduceat(D != 0, edges[:-1], axis=1)
+    if not drawn.all():
+        row, k = np.argwhere(~drawn)[0]
+        f, r = divmod(int(row), restarts)
+        raise AscentInvariantError(
+            f"the ascent start of seed {seeds[f]}, restart {r} drew all zeros in slot {k}")
     X = [D[:, a:a + n] + 1j * D[:, a + n:b] if cplx else D[:, a:b].copy()
          for a, b, n in zip(edges[:-1], edges[1:], T.dims)]
     return [_normalize_rows(x, p) for x, p in zip(X, T.domain_p)]
@@ -643,11 +652,11 @@ def check_ascent_settings(restarts, tol, max_iters) -> None:
     so do the runs that echo them, so that a run whose norms are all exact
     refuses them too."""
     if restarts < 1:
-        raise ValueError("restarts must be >= 1")
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
 
 
 def _ascent_estimates(forms, seeds, restarts, tol, max_iters) -> list:

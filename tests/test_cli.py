@@ -573,15 +573,20 @@ _NO_KIND = "unknown form kind ''; choose from ['dot', 'file', 'gauss', 'partial'
     (["exponents", "--r", "2", "--p", "2,2", "--q", "4"],
      "length mismatch: p has 2 entries, q has 1"),
     (["inclusion-instance", "--r", "2", "--p", "2,2", "--q", "4,4", "--n", "3",
-      "--datasets", "0"], "datasets must be >= 1"),
+      "--datasets", "0"], "datasets must be >= 1, got 0"),
     (["inclusion-instance", "--r", "2", "--p", "2,2", "--q", "4,4", "--n", "3",
       "--space", "0"], "the data space order must be >= 1, got 0"),
     (["bilinear-law", "--form", "t0:n1=4", "--n", "4", "--a", "0", "--b", "1"],
      "a must be positive, got 0"),
+    (["verify", "--form", "gauss:m=2", "--n", "3", "--trials", "0"], "trials must be >= 1, got 0"),
+    (["verify", "--form", "gauss:m=3", "--n", "3", "--restarts", "0"],
+     "restarts must be >= 1, got 0"),
+    (["norm", "op", "--form", "gauss:m=3", "--n", "3", "--max-iters", "0"],
+     "max_iters must be >= 1, got 0"),
 ], ids=["repeated-key", "m-not-an-integer", "dims-not-integers", "verify-negative-seed",
         "norm-op-negative-seed", "gauss-negative-n", "verify-empty-spec", "base-hl-empty-spec",
         "too-few-orders", "r-below-1", "length-mismatch", "no-datasets", "space-below-1",
-        "a-not-positive"])
+        "a-not-positive", "no-trials", "no-restarts", "no-max-iters"])
 def test_a_bad_spec_value_seed_or_dimension_is_exit_2_naming_it(argv, message, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -606,11 +611,11 @@ def test_a_non_finite_tol_is_exit_2(argv, tol, capsys):
     (["verify", "--form", "gauss:dims=4x4", "--tol", "nan"],
      "tol must be positive and finite, got nan"),
     (["verify", "--form", "gauss:dims=4x4", "--tol", "-1", "--restarts", "0"],
-     "restarts must be >= 1"),
+     "restarts must be >= 1, got 0"),
     (["verify", "--form", "dot:m=3", "--n", "8", "--restarts", "0"],
-     "restarts must be >= 1"),
+     "restarts must be >= 1, got 0"),
     (["verify", "--form", "dot:m=3", "--n", "8", "--max-iters", "0"],
-     "max_iters must be >= 1"),
+     "max_iters must be >= 1, got 0"),
     (["norm", "op", "--form", "gauss:dims=4x4", "--tol", "0"],
      "tol must be positive and finite, got 0.0"),
 ], ids=["exact-nan-tol", "exact-bad-tol-and-restarts", "analytic-restarts",

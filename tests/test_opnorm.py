@@ -744,8 +744,8 @@ def test_unit_starts_match_one_vector_at_a_time(p, field):
 @pytest.mark.parametrize("field", ("real", "complex"))
 def test_a_start_slot_that_drew_all_zeros_is_refused(field, slot, monkeypatch):
     """No slot of a start is drawn again: one that drew all zeros (2^(-52 n)
-    odds per start) scales to a non-finite start, which the first sweep's
-    checks refuse, so no norm is reported from it."""
+    odds per start) is refused where it is drawn, by seed, restart and slot,
+    with no warning, so no norm is reported from it."""
     T = make_gaussian_random((3, 4, 2), seed=1, scalar_field=field)
     T = MultilinearForm(T.coeffs, domain_p=("3/2", "1", "inf"))
     edges = np.cumsum((0,) + T.dims) * (2 if T.is_complex else 1)
@@ -759,8 +759,9 @@ def test_a_start_slot_that_drew_all_zeros_is_refused(field, slot, monkeypatch):
         return rng
 
     monkeypatch.setattr(opnorm, "child_rng", stream)
-    with np.errstate(invalid="ignore"), pytest.raises(AscentInvariantError):
-        norms([T], [5])
+    message = f"^the ascent start of seed 5, restart 1 drew all zeros in slot {slot}$"
+    with pytest.raises(AscentInvariantError, match=message):
+        norms([T, T], [4, 5])
 
 
 def test_ascent_sweep_counts_are_pinned():
