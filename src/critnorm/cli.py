@@ -13,12 +13,12 @@ in ``harness.EXPERIMENTS``: its subcommand offers exactly the settings it
 reads plus ``--out``, so an option it does not read is a usage error, and
 requires exactly the settings it needs; it runs ``harness.run_<name>``,
 looked up when it is called, on a config that sets only what it reads.
+``norm mixed`` and ``norm op`` offer only the options each reads, too.
 ``--exponents`` alone gives the orders of ``verify``, ``sharpness`` and
 ``norm mixed``: a variant name, resolved at the form's arity, or a vector.
-``exponents`` and ``norm`` refuse, with exit code 2, an option that their
-mode does not read.  ``--out`` writes the full report, as CSV when the path
-ends in ``.csv`` and as JSON otherwise.  Options are spelled in full: no
-parser accepts an abbreviation.
+``exponents`` refuses, with exit code 2, an option its mode does not read.
+``--out`` writes the full report: CSV for a ``.csv`` path, else JSON.
+Options are spelled in full: no parser accepts an abbreviation.
 """
 
 from __future__ import annotations
@@ -64,11 +64,6 @@ _SETTINGS = {
     "tol": {"type": float},
     **dict.fromkeys(("m", "trials", "datasets", "seed", "restarts", "max_iters"), {"type": int}),
 }
-
-
-# The settings of the block ascent, which only ``norm op`` reads of ``norm``'s
-# options; --seed seeds a random form in either mode.
-_ASCENT = ("restarts", "tol", "max_iters")
 
 
 def _option(sub: argparse.ArgumentParser, dest: str, **overrides) -> None:
@@ -158,16 +153,14 @@ def _cmd_admissible(args) -> int:
 
 
 def _cmd_norm(args) -> int:
-    """Print one norm of one form.  Each mode refuses the settings only the
-    other reads; ``op`` leaves an unset ascent setting to ``norms``."""
-    _refuse_unread(args, args.mode, _ASCENT if args.mode == "mixed" else ("exponents",))
+    """Print one norm of one form: ``mixed`` at its ``--exponents``, ``op``
+    by ``norms``, which takes the ascent settings left unset at their defaults."""
     T = parse_form_spec(args.form).make(n=args.n, seed=args.seed)
     if args.mode == "mixed":
-        if args.exponents is None:
-            raise ValueError("mixed mode needs --exponents: a variant name or a vector")
         print(fmt12(mixed_norm(T, orders_at(args.exponents, T.arity))))
         return 0
-    ascent = {k: getattr(args, k) for k in _ASCENT if getattr(args, k) is not None}
+    ascent = {k: getattr(args, k) for k in ("restarts", "tol", "max_iters")
+              if getattr(args, k) is not None}
     est = norms([T], [args.seed], **ascent)[0]
     print(json.dumps({"value": float(fmt12(est.value)), "method": est.method,
                       "restarts_used": est.restarts_used,
@@ -205,13 +198,16 @@ def _build_parser() -> argparse.ArgumentParser:
         _option(sub, dest, required=True)
     sub.set_defaults(handler=_cmd_admissible)
 
-    sub = subs.add_parser("norm", allow_abbrev=False, help="evaluate one norm of one form")
-    sub.add_argument("mode", choices=("mixed", "op"))
-    _option(sub, "form", required=True)
-    _option(sub, "n")
-    for dest in ("exponents", "seed", *_ASCENT):
-        _option(sub, dest)
-    sub.set_defaults(handler=_cmd_norm, seed=ASCENT_DEFAULTS.seed)
+    modes = subs.add_parser("norm", allow_abbrev=False, help="evaluate one norm of one form"
+                            ).add_subparsers(dest="mode", required=True)
+    mixed = modes.add_parser("mixed", allow_abbrev=False, help="the mixed norm at --exponents")
+    op = modes.add_parser("op", allow_abbrev=False,
+                          help="the operator norm: exact where it applies, else the ascent")
+    for sub, dests in ((mixed, ("exponents",)), (op, ("restarts", "tol", "max_iters"))):
+        _option(sub, "form", required=True)
+        for dest in ("n", "seed", *dests):
+            _option(sub, dest, required=dest == "exponents")
+        sub.set_defaults(handler=_cmd_norm, seed=ASCENT_DEFAULTS.seed)
 
     for name, (reads, needs, text) in EXPERIMENTS.items():
         sub = subs.add_parser(name, allow_abbrev=False, help=text)

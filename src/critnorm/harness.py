@@ -7,9 +7,10 @@ inclusion-shift instance checks.
 
 Every randomized ingredient draws from child streams of the run seed, so a
 report is a pure function of its configuration (re-running writes identical
-bytes).  A spec with no free seed (a seedless kind such as ``dot``, ``t0``
-or ``file``) is one form, so a run builds it and its lhs once and reuses
-them in every trial; ascent denominators still draw per-trial seeds.
+bytes).  A spec names a family, whose members a run picks by n and seed; a
+seedless kind (``dot``, ``partial``, ``t0``, ``file``) is one form per n,
+so a run builds it and its lhs once and reuses them in every trial; ascent
+denominators still draw per-trial seeds.
 Ratio denominators prefer a form's closed-form norm and otherwise fall
 back to ``opnorm.exact_norm`` or the seeded ascent; ascent is a lower
 bound, which can only inflate ratios, so violation counts err on the loud
@@ -330,14 +331,10 @@ def _run_trials(fac: FormFactory, cfg: ExperimentConfig, measure, check,
     built, so its form is released before the next is built.  The others
     wait in a batch of consecutive trials of one n, up to ``CHUNK_ELEMENTS``
     coefficients in all (at least one trial), released before the next
-    batch is built.  A spec that leaves no seed free
-    (``FormFactory.takes_seed``) gives every trial of one n the same form,
-    so it is built, measured and estimated once and repeated.  A spec that
-    pins seed= runs one trial only: more would count one form many times.
+    batch is built.  A seedless kind (``FormFactory.takes_seed`` false)
+    gives every trial of one n the same form, so it is built, measured and
+    estimated once and repeated.
     """
-    if cfg.trials > 1 and "seed" in fac.params:
-        raise ValueError(f"the form spec pins seed={fac.params['seed']}, so all "
-                         f"{cfg.trials} trials would be one form; drop seed= or run one trial")
     ns = (cfg.n,) * cfg.trials if ns is None else ns
     records, batch, T = [None] * len(ns), [], None
 
@@ -373,12 +370,13 @@ def _check_trials(batch, C: float, cfg: ExperimentConfig, row) -> list:
     A trial whose estimate is known is judged at once.  The others' norms
     are taken in one ``norms`` call, trial t seeded from (t, 1); those that
     ``verdict`` flags are then retried together in one more call at four
-    times the restarts, seeded from (t, 2).  A trial's estimate does not
+    times the restarts, seeded from (t, 2); both are lower bounds, so a
+    retried trial is judged by the larger.  A trial's estimate does not
     depend on the trials beside it, so records match a check of one trial
     at a time.
     """
     records = {t: _checked(lhs, est, C, False) for t, _, lhs, est in batch if est is not None}
-    pending = [trial for trial in batch if trial[3] is None]
+    pending, best = [trial for trial in batch if trial[3] is None], {}
     for path, restarts in ((1, cfg.restarts), (2, 4 * cfg.restarts)):
         if not pending:
             break
@@ -386,7 +384,8 @@ def _check_trials(batch, C: float, cfg: ExperimentConfig, row) -> list:
                      [child_seed(cfg.seed, t, path) for t, *_ in pending],
                      restarts=restarts, tol=cfg.tol, max_iters=cfg.max_iters)
         for (t, _, lhs, _), est in zip(pending, ests):
-            records[t] = _checked(lhs, est, C, path == 2)
+            best[t] = max(est, best.get(t, est), key=lambda e: e.value)
+            records[t] = _checked(lhs, best[t], C, path == 2)
         pending = [trial for trial in pending if records[trial[0]]["violation"]]
     return [row(t, T, lhs, records[t]) for t, T, lhs, _ in batch]
 
@@ -508,6 +507,9 @@ def run_bilinear_law(cfg: ExperimentConfig) -> ExperimentReport:
     the inner level a), so every denominator is closed-form or the exact
     singular value.  The reported ratio is the attainment against the
     dimension-weighted bound, 1 meaning the law is tight on that form.
+    The bound is Hoelder's inequality for a <= 2 and false for a > 2, where
+    the n x n identity has ratio n^(1/2 - 1/a): a flag there is a
+    counterexample to this bound, not to the critical inequality.
     """
     fac = _factory(cfg, "bilinear-law")
     a, b = cfg.a, cfg.b

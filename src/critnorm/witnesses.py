@@ -4,8 +4,9 @@ The diagonal family and its pinned variants attain the critical mixed-norm
 bound on the l_m domain, so they carry closed-form operator norms as
 metadata.  Random sign and Gaussian forms draw from child streams of an
 explicit seed and are reproducible.  ``parse_form_spec`` reads compact specs
-like ``"partial:m=3,n=8,r=1"`` by their kind's one row in ``_KINDS``, into
-factories whose dimension and seed an experiment sweep fills in later.
+like ``"partial:m=3,r=1"`` by their kind's one row in ``_KINDS``.  A spec
+names a family: ``FormFactory.make(n, seed)`` alone gives a member its
+dimension and seed, and only ``dims=`` or a file fixes one shape.
 """
 
 from __future__ import annotations
@@ -123,27 +124,26 @@ def _gauss(seed: int, m=None, n=None, dims=None, scalar="real") -> MultilinearFo
 
 
 # One row per form kind: (builder, keys a spec may set, keys it must set, the
-# key make's n fills).  A kind is random exactly when its keys hold seed.
+# key make's n fills, whether make's seed is read).
 _KINDS = {
-    "dot": (make_dot, {"m", "n"}, ("m",), "n"),
-    "partial": (make_partial_dot, {"m", "n", "r"}, ("m", "r"), "n"),
-    "t0": (make_t0, {"n1", "n2"}, ("n1",), "n2"),
-    "sign": (make_sign_random, {"m", "n", "seed"}, ("m",), "n"),
-    "gauss": (_gauss, {"dims", "m", "n", "seed", "scalar"}, (), "n"),
-    "file": (load_tensor, {"path"}, ("path",), None),
+    "dot": (make_dot, {"m"}, ("m",), "n", False),
+    "partial": (make_partial_dot, {"m", "r"}, ("m", "r"), "n", False),
+    "t0": (make_t0, {"n1"}, ("n1",), "n2", False),
+    "sign": (make_sign_random, {"m"}, ("m",), "n", True),
+    "gauss": (_gauss, {"dims", "m", "scalar"}, (), "n", True),
+    "file": (load_tensor, {"path"}, ("path",), None, False),
 }
 
 
 @dataclass(frozen=True)
 class FormFactory:
-    """A parsed form spec; ``make`` builds a concrete form.
+    """A parsed form spec, which names a family; ``make`` builds one member.
 
-    ``takes_n`` and ``takes_seed`` state what a spec leaves free.  A spec
-    that pins its dimensions refuses an ``n`` passed to ``make``; a seed
-    pinned in the spec wins over a passed one, and a seedless kind ignores
-    it.  So a spec with no free seed denotes one form per dimension, while a
-    random one denotes a family (the harness fills n per sweep point and a
-    child seed per trial).
+    ``takes_n`` and ``takes_seed`` state what ``make`` reads.  A spec that
+    fixes its dimensions (``dims=`` or a file) refuses an ``n`` passed to
+    ``make``, and a seedless kind ignores the seed.  So a seedless spec has
+    one member per dimension, while a random one has one per seed too (the
+    harness fills n per sweep point and a child seed per trial).
     """
 
     kind: str
@@ -151,28 +151,27 @@ class FormFactory:
 
     @property
     def takes_n(self) -> bool:
-        """Whether ``make`` reads its ``n``: the spec pins no dimension."""
-        dim = _KINDS[self.kind][3]
-        return dim is not None and not self.params.keys() & {dim, "dims"}
+        """Whether ``make`` reads its ``n``: the kind has a free dimension and no dims=."""
+        return _KINDS[self.kind][3] is not None and self.params.get("dims") is None
 
     @property
     def takes_seed(self) -> bool:
-        """Whether ``make`` reads its ``seed``: a random kind with no seed pinned."""
-        return bool(_KINDS[self.kind][1] & ({"seed"} - self.params.keys()))
+        """Whether ``make`` reads its ``seed``: the kind is random."""
+        return _KINDS[self.kind][4]
 
     def make(self, n=None, seed=None, domain_p=None) -> MultilinearForm:
-        build, keys, _, dim = _KINDS[self.kind]
-        params = {**dict.fromkeys(keys & {"seed"}, seed), **self.params}   # pinned wins
+        build, _, _, dim, seeded = _KINDS[self.kind]
+        params = dict(self.params)
         if self.takes_n:
             if n is None:
-                raise ValueError("a dimension is required (pin n in the spec or pass one)")
+                raise ValueError("a dimension is required: pass n")
             params[dim] = int(n)
         elif n is not None:
             raise ValueError(f"the {self.kind} form spec fixes its dimensions, "
                              f"so a separate n = {n} cannot apply")
-        if None in params.values():   # only a random kind's seed can be missing
+        if seeded and seed is None:
             raise ValueError("a seed is required for random forms")
-        T = build(**params)
+        T = build(**params, **({"seed": seed} if seeded else {}))
         if domain_p is not None:
             if len(domain_p) != T.arity:
                 raise ValueError(f"this run needs forms of {len(domain_p)} slots, "
@@ -192,13 +191,15 @@ def parse_form_spec(text: str) -> FormFactory:
         if not rest:
             raise ValueError("file forms need a path: file:/path/to/tensor.json")
         return FormFactory("file", {"path": rest})
-    params: dict = {}
+    params, row = {}, _KINDS[kind]
     for item in rest.split(",") if rest else ():
         key, eq, val = (s.strip() for s in item.partition("="))
         if not eq or not val:
             raise ValueError(f"malformed parameter {item!r}; expected key=value")
-        if key not in _KINDS[kind][1]:
-            raise ValueError(f"parameter {key!r} does not apply to {kind!r} forms")
+        if key not in row[1]:
+            hint = ("; the dimension comes from --n" if key == row[3] else
+                    "; the seed comes from --seed" if key == "seed" and row[4] else "")
+            raise ValueError(f"parameter {key!r} does not apply to {kind!r} forms{hint}")
         if key in params:
             raise ValueError(f"parameter {key!r} is given twice")
         try:
@@ -207,9 +208,9 @@ def parse_form_spec(text: str) -> FormFactory:
         except ValueError:
             shape = "integers joined by x, like 4x8x6" if key == "dims" else "an integer"
             raise ValueError(f"parameter {key!r} must be {shape}, got {val!r}") from None
-    if "dims" in params and params.keys() & {"m", "n"}:
-        raise ValueError("dims= fixes the arity and every dimension, so give it without m= and n=")
-    for key in _KINDS[kind][2]:
+    if params.keys() >= {"dims", "m"}:
+        raise ValueError("dims= fixes the arity and every dimension, so give it without m=")
+    for key in row[2]:
         if key not in params:
             raise ValueError(f"{kind} forms need {key}=")
     if kind == "gauss" and not params.keys() & {"dims", "m"}:

@@ -178,7 +178,7 @@ def test_criterion_06_sharpness_slopes():
 
 def test_criterion_07_bilinear_law():
     tight = run_bilinear_law(ExperimentConfig(
-        experiment="bilinear-law", form="t0:n1=4,n2=64", a=1, b="inf"))
+        experiment="bilinear-law", form="t0:n1=4", n=64, a=1, b="inf"))
     signs = run_bilinear_law(ExperimentConfig(
         experiment="bilinear-law", form="sign:m=2", n=32, a=2, b=2, trials=100))
     ok = (abs(tight.trials[0]["ratio"] - 1) <= 1e-9

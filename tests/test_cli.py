@@ -160,20 +160,20 @@ def test_admissible_exit_codes(capsys):
 
 
 def test_norm_mixed(capsys):
-    assert main(["norm", "mixed", "--form", "dot:m=3,n=8",
+    assert main(["norm", "mixed", "--form", "dot:m=3", "--n", "8",
                  "--exponents", "inf,3,12/5"]) == 0
     assert capsys.readouterr().out.strip() == "1"
 
 
 def test_norm_mixed_variant_name(capsys):
     # "derived" resolves to (inf, 3, 12/5) at the form's arity
-    assert main(["norm", "mixed", "--form", "dot:m=3,n=8",
+    assert main(["norm", "mixed", "--form", "dot:m=3", "--n", "8",
                  "--exponents", "derived"]) == 0
     assert capsys.readouterr().out.strip() == "1"
 
 
 def test_norm_op_exact_case(capsys):
-    assert main(["norm", "op", "--form", "t0:n1=4,n2=9"]) == 0
+    assert main(["norm", "op", "--form", "t0:n1=4", "--n", "9"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["value"] == 3
     assert payload["method"] == "exact-singular"
@@ -181,7 +181,7 @@ def test_norm_op_exact_case(capsys):
 
 
 def test_norm_op_ascent_case(capsys):
-    assert main(["norm", "op", "--form", "partial:m=3,n=8,r=1",
+    assert main(["norm", "op", "--form", "partial:m=3,r=1", "--n", "8",
                  "--restarts", "6"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["method"] == "ascent"
@@ -325,8 +325,35 @@ def test_one_record_path_reaches_every_ratio_experiment(argv, monkeypatch, tmp_p
 
 
 def test_norm_mixed_needs_orders(capsys):
-    assert main(["norm", "mixed", "--form", "dot:m=2,n=4"]) == 2
-    assert "--exponents" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["norm", "mixed", "--form", "dot:m=2", "--n", "4"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --exponents" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["op", "--form", "dot:m=3", "--n", "8"], ["--exponents", "inf,3,2"]),
+    (["mixed", "--form", "dot:m=3", "--n", "8", "--exponents", "inf,3,2"], ["--restarts", "4"]),
+    (["mixed", "--form", "dot:m=3", "--n", "8", "--exponents", "inf,3,2"], ["--max-iters", "3"]),
+], ids=["op-exponents", "mixed-restarts", "mixed-max-iters"])
+def test_a_norm_mode_offers_only_the_options_it_reads(argv, flag, capsys):
+    """``norm mixed`` and ``norm op`` are subcommands: an option the mode
+    does not read is refused by the parser, with exit 2, before anything runs."""
+    with pytest.raises(SystemExit) as exc:
+        main(["norm", *argv, *flag])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+
+
+def test_norm_op_help_lists_the_ascent_settings_and_not_the_orders(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["norm", "op", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "--restarts" in out and "--max-iters" in out
+    assert "--exponents" not in out
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -334,12 +361,7 @@ def test_norm_mixed_needs_orders(capsys):
      "inclusion mode does not read --m"),
     (["exponents", "--r", "2", "--p", "2,2", "--q", "4,4", "--variant", "derived",
       "--constant", "abstract"], "inclusion mode does not read --variant, --constant"),
-    (["norm", "op", "--form", "dot:m=3", "--n", "8", "--exponents", "inf,3,2"],
-     "op mode does not read --exponents"),
-    (["norm", "mixed", "--form", "dot:m=3", "--n", "8", "--exponents", "inf,3,2",
-      "--restarts", "4", "--tol", "1e-3", "--max-iters", "3"],
-     "mixed mode does not read --restarts, --tol, --max-iters"),
-], ids=["exponents-m", "exponents-variant-constant", "norm-op", "norm-mixed"])
+], ids=["exponents-m", "exponents-variant-constant"])
 def test_an_option_its_mode_does_not_read_is_exit_2_with_one_error_line(argv, message, capsys):
     """An option is read or refused, never dropped silently; options at
     their default values are refused too, because they were given."""
@@ -412,7 +434,7 @@ def test_verify_csv_output(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["norm", "mixed", "--form", "dot:m=2,n=3", "--orders", "inf,2"],
+    ["norm", "mixed", "--form", "dot:m=2", "--n", "3", "--orders", "inf,2"],
     ["norm", "op", "--tensor", "{tensor}"],
     ["verify", "--form", "gauss:m=2", "--n", "3", "--output", "{out}"],
     ["verify", "--form", "gauss:m=2", "--n", "3", "--out", "{out}", "--format", "csv"],
@@ -520,33 +542,46 @@ def test_options_an_experiment_never_reads_are_rejected(command, flag, capsys):
     assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("spec", ["partial:m=3,n=8,r=1", "t0:n1=4,n2=16"])
-def test_sharpness_refuses_a_spec_that_pins_the_swept_dimension(spec, capsys):
-    assert main(["sharpness", "--form", spec, "--sweep", "4,8,16"]) == 2
+@pytest.mark.parametrize("spec", ["gauss:dims=8x8x8", "file:{path}"], ids=["dims", "file"])
+def test_sharpness_refuses_a_spec_that_pins_the_swept_dimension(spec, tmp_path, capsys):
+    path = tmp_path / "t.json"
+    save_tensor(make_gaussian_random((3, 3), seed=4), path)
+    assert main(["sharpness", "--form", spec.format(path=path), "--sweep", "4,8,16"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: the form spec pins the swept dimension" in captured.err
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["verify", "--form", "dot:m=3,n=8", "--n", "16"],
-     "error: the dot form spec fixes its dimensions, so a separate n = 16 cannot apply"),
-    (["verify", "--form", "gauss:m=3,seed=1", "--n", "6", "--trials", "3"],
-     "error: the form spec pins seed=1, so all 3 trials would be one form"),
-    (["bilinear-law", "--form", "t0:n1=4,n2=16", "--n", "8", "--a", "1", "--b", "inf"],
-     "error: the t0 form spec fixes its dimensions"),
-    (["norm", "op", "--form", "gauss:dims=4x4,seed=1", "--n", "8"],
+    (["verify", "--form", "file:{path}", "--n", "16"],
+     "error: the file form spec fixes its dimensions, so a separate n = 16 cannot apply"),
+    (["norm", "op", "--form", "gauss:dims=4x4", "--n", "8"],
      "error: the gauss form spec fixes its dimensions"),
-    # dims= fixes the arity and every dimension, so m= or n= beside it is refused
+    # dims= fixes the arity and every dimension, so m= beside it is refused
     (["verify", "--form", "gauss:m=3,dims=4x4", "--trials", "2"], "error: dims= fixes"),
-    (["verify", "--form", "gauss:dims=4x4,n=9", "--trials", "2"], "error: dims= fixes"),
-], ids=["pinned-n", "pinned-seed", "pinned-n2", "pinned-dims", "dims-and-m", "dims-and-n"])
-def test_a_spec_that_pins_what_an_option_sets_is_exit_2(argv, message, capsys):
-    assert main(argv) == 2
+], ids=["pinned-n", "pinned-dims", "dims-and-m"])
+def test_a_spec_that_pins_what_an_option_sets_is_exit_2(argv, message, tmp_path, capsys):
+    path = tmp_path / "t.json"
+    save_tensor(make_gaussian_random((3, 3), seed=4), path)
+    assert main([a.format(path=path) for a in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(message)
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--form", "dot:m=3,n=8"],
+     "parameter 'n' does not apply to 'dot' forms; the dimension comes from --n"),
+    (["bilinear-law", "--form", "t0:n1=4,n2=16", "--a", "1", "--b", "inf"],
+     "parameter 'n2' does not apply to 't0' forms; the dimension comes from --n"),
+    (["norm", "op", "--form", "gauss:m=3,seed=1", "--n", "4"],
+     "parameter 'seed' does not apply to 'gauss' forms; the seed comes from --seed"),
+], ids=["dot-n", "t0-n2", "gauss-seed"])
+def test_a_spec_that_sets_its_size_or_seed_is_exit_2_naming_the_option(argv, message, capsys):
+    """A spec names a family: ``--n`` and ``--seed`` alone pick its member."""
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 _NO_KIND = "unknown form kind ''; choose from ['dot', 'file', 'gauss', 'partial', 'sign', 't0']"
@@ -632,9 +667,22 @@ def test_bad_ascent_settings_are_exit_2_when_no_ascent_runs(argv, message, tmp_p
 
 
 def test_bilinear_law_cli(capsys):
-    assert main(["bilinear-law", "--form", "t0:n1=4,n2=64",
+    assert main(["bilinear-law", "--form", "t0:n1=4", "--n", "64",
                  "--a", "1", "--b", "inf"]) == 0
     assert capsys.readouterr().out.strip().endswith("max ratio 1")
+
+
+@pytest.mark.parametrize("n, ratio", [(4, 2), (16, 4)])
+def test_bilinear_law_is_false_past_a_2_on_the_identity(n, ratio, tmp_path, capsys):
+    """The bound is Hoelder's inequality for a <= 2 only: at a = inf, b = 1
+    the n x n identity has ratio n^(1/2 - 1/a) = sqrt(n), a counterexample
+    to the stated bound (exit 1), not to the critical inequality."""
+    path = tmp_path / "identity.json"
+    save_tensor(MultilinearForm(np.eye(n), domain_p=(2, 2)), path)
+    assert main(["bilinear-law", "--form", f"file:{path}", "--a", "inf", "--b", "1",
+                 "--trials", "1"]) == 1
+    assert capsys.readouterr().out == (f"bilinear-law: 1 trials, 1 violations, max ratio {ratio}\n"
+                                       f"  violation at 0: ratio {ratio}\n")
 
 
 def test_base_hl_cli(capsys):

@@ -248,6 +248,23 @@ def test_a_violation_that_survives_the_retry_is_reported(monkeypatch, run, cfg):
     assert rep.violations == 1
 
 
+@pytest.mark.parametrize("run, cfg", _RETRYING_RUNS, ids=["verify", "base-hl"])
+def test_a_retry_that_ends_lower_keeps_the_first_estimate(monkeypatch, run, cfg):
+    """Both passes give lower bounds on one norm, so a retried trial is
+    judged by the larger: estimate 1 is cut to flag the trial, and its
+    retry, estimate 2, is cut a thousandfold further."""
+    _low_estimates(monkeypatch, low={1, 2})
+    log = _low_estimates(monkeypatch, low={2})
+    rec = run(cfg).trials[0]
+    assert len(log) == 2
+    _assert_one_retry(log)
+    assert log[1][2] < log[0][2]
+    assert rec["retried"] is True
+    assert rec["norm"] == log[0][2]
+    assert rec["ratio"] == rec["lhs"] / log[0][2]
+    assert rec["violation"] is True
+
+
 def _count_calls(monkeypatch, owner, name):
     """Wrap ``owner.name`` with a call counter; returns the list of calls."""
     calls = []
@@ -475,7 +492,7 @@ def test_sharpness_needs_three_points():
 # -------------------------------------------------------------- bilinear law
 
 def test_bilinear_law_row_form_is_tight():
-    cfg = ExperimentConfig(experiment="bilinear-law", form="t0:n1=4,n2=64",
+    cfg = ExperimentConfig(experiment="bilinear-law", form="t0:n1=4", n=64,
                            a=1, b="inf")
     rep = run_bilinear_law(cfg)
     rec = rep.trials[0]

@@ -147,7 +147,7 @@ def test_a_denominator_is_a_lower_bound_by_its_estimate_alone():
 
 def test_every_setting_option_comes_from_the_settings_table():
     """In ``cli.py`` only the options that are no setting are spelled out
-    (``mode``, ``--json``, ``--out``); every other option is added by
+    (``--json``, ``--out``); every other option is added by
     ``_option`` from ``_SETTINGS``, so a setting has one declaration."""
     path = next(p for p in SOURCES if p.name == "cli.py")
     spelled, computed = set(), set()
@@ -160,14 +160,15 @@ def test_every_setting_option_comes_from_the_settings_table():
                 spelled |= names
                 if not names:
                     computed.add(function.name)
-    assert spelled == {"mode", "--json", "--out"}
+    assert spelled == {"--json", "--out"}
     assert computed == {"_option"}
 
 
 def test_every_experiment_subcommand_comes_from_the_experiments_table():
     """In ``cli.py`` the subcommands named by a literal are the three that
-    run no experiment; the one other ``add_parser`` call sits in a loop over
-    ``EXPERIMENTS``, so an experiment has one declaration."""
+    run no experiment and ``norm``'s two modes; the one other ``add_parser``
+    call sits in a loop over ``EXPERIMENTS``, so an experiment has one
+    declaration."""
     path = next(p for p in SOURCES if p.name == "cli.py")
     tree = ast.parse(path.read_text(encoding="utf-8"))
     named, computed = set(), []
@@ -177,7 +178,7 @@ def test_every_experiment_subcommand_comes_from_the_experiments_table():
                 named.add(node.args[0].value)
             else:
                 computed.append(node)
-    assert named == {"exponents", "admissible", "norm"}
+    assert named == {"exponents", "admissible", "norm", "mixed", "op"}
     loops = [node for node in ast.walk(tree) if isinstance(node, ast.For)
              and "EXPERIMENTS" in {getattr(n, "id", None) for n in ast.walk(node.iter)}]
     assert len(computed) == 1 and any(computed[0] in set(ast.walk(loop)) for loop in loops)

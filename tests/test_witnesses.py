@@ -212,10 +212,11 @@ def test_sign_random_slices_read_the_stream_as_one_draw(m, n, slice_, monkeypatc
 
 # ---------------------------------------------------------------- factories
 
-def test_parse_pinned_spec_builds_without_arguments():
-    fac = parse_form_spec("partial:m=3,n=8,r=1")
-    T = fac.make()
+def test_parse_partial_spec_takes_its_dimension_from_make():
+    fac = parse_form_spec("partial:m=3,r=1")
+    T = fac.make(n=8)
     assert T.dims == (8, 8, 8)
+    assert T.analytic_norm == 2.0
 
 
 def test_parse_family_spec_takes_sweep_dimension_and_seed():
@@ -227,27 +228,36 @@ def test_parse_family_spec_takes_sweep_dimension_and_seed():
     with pytest.raises(ValueError):
         fac.make(seed=11)       # no dimension anywhere
     with pytest.raises(ValueError):
-        parse_form_spec("gauss:m=3,n=4").make(n=4)  # no seed anywhere
+        fac.make(n=4)   # no seed anywhere
 
 
-def test_pinned_values_win_over_passed_ones():
-    fac = parse_form_spec("sign:m=2,n=4,seed=3")
-    T = fac.make(seed=999)
-    assert T.dims == (4, 4)
-    assert np.array_equal(T.coeffs, make_sign_random(2, 4, 3).coeffs)
+@pytest.mark.parametrize("spec, message", [
+    ("dot:m=3,n=8", "parameter 'n' does not apply to 'dot' forms; the dimension comes from --n"),
+    ("partial:m=3,r=1,n=8",
+     "parameter 'n' does not apply to 'partial' forms; the dimension comes from --n"),
+    ("t0:n1=4,n2=16", "parameter 'n2' does not apply to 't0' forms; the dimension comes from --n"),
+    ("sign:m=2,n=4", "parameter 'n' does not apply to 'sign' forms; the dimension comes from --n"),
+    ("gauss:m=3,seed=1",
+     "parameter 'seed' does not apply to 'gauss' forms; the seed comes from --seed"),
+    ("sign:m=2,seed=3",
+     "parameter 'seed' does not apply to 'sign' forms; the seed comes from --seed"),
+    ("dot:m=3,seed=1", "parameter 'seed' does not apply to 'dot' forms"),
+], ids=["dot-n", "partial-n", "t0-n2", "sign-n", "gauss-seed", "sign-seed", "dot-seed"])
+def test_a_spec_names_a_family_so_it_refuses_a_size_or_seed(spec, message):
+    """make's n and seed (``--n`` and ``--seed``) are the one spelling of a
+    member's dimension and seed; the refusal names the option, except for a
+    seed on a seedless kind, which reads none."""
+    with pytest.raises(ValueError) as exc:
+        parse_form_spec(spec)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("spec, takes_n, takes_seed", [
     ("dot:m=3", True, False),
-    ("dot:m=3,n=8", False, False),
     ("partial:m=3,r=1", True, False),
-    ("partial:m=3,n=8,r=1", False, False),
     ("t0:n1=4", True, False),
-    ("t0:n1=4,n2=16", False, False),
     ("sign:m=2", True, True),
-    ("sign:m=2,n=4,seed=3", False, False),
     ("gauss:m=3", True, True),
-    ("gauss:m=3,seed=1", True, False),
     ("gauss:dims=2x3", False, True),
     ("file:form.json", False, False),
 ])
@@ -260,29 +270,28 @@ def test_factory_states_what_a_spec_leaves_free(spec, takes_n, takes_seed):
 
 
 def test_gauss_dims_spec():
-    fac = parse_form_spec("gauss:dims=2x3x4,seed=5")
-    T = fac.make()
+    fac = parse_form_spec("gauss:dims=2x3x4")
+    T = fac.make(seed=5)
     assert T.dims == (2, 3, 4)
     with pytest.raises(ValueError):
-        fac.make(n=8)   # explicit dims exclude a sweep dimension
+        fac.make(n=8, seed=5)   # explicit dims exclude a sweep dimension
 
 
-@pytest.mark.parametrize("spec", ["gauss:m=3,dims=4x4", "gauss:dims=4x4,n=9",
-                                  "gauss:m=2,n=4,dims=4x4"])
-def test_gauss_dims_refuses_m_and_n(spec):
+@pytest.mark.parametrize("spec", ["gauss:m=3,dims=4x4", "gauss:dims=4x4,m=2"])
+def test_gauss_dims_refuses_m(spec):
     with pytest.raises(ValueError, match="dims= fixes the arity and every dimension"):
         parse_form_spec(spec)
 
 
 def test_gauss_scalar_parameter():
-    fac = parse_form_spec("gauss:m=2,n=3,seed=1,scalar=complex")
-    assert fac.make().is_complex
+    fac = parse_form_spec("gauss:m=2,scalar=complex")
+    assert fac.make(n=3, seed=1).is_complex
 
 
 def test_t0_spec_defaults_second_dimension_to_the_sweep():
     fac = parse_form_spec("t0:n1=4")
     assert fac.make(n=64).dims == (4, 64)
-    assert parse_form_spec("t0:n1=4,n2=9").make().dims == (4, 9)
+    assert fac.make(n=9).analytic_norm == 3.0
 
 
 def test_file_spec_round_trip(tmp_path):
@@ -297,8 +306,8 @@ def test_file_spec_round_trip(tmp_path):
 
 
 def test_make_with_domain_override():
-    fac = parse_form_spec("dot:m=3,n=4")
-    T = fac.make(domain_p=(4, 4, 4))
+    fac = parse_form_spec("dot:m=3")
+    T = fac.make(n=4, domain_p=(4, 4, 4))
     assert T.domain_p == ExponentVector.uniform(4, 3)
     assert T.analytic_norm is None  # metadata tied to the default domain drops
 
@@ -307,11 +316,11 @@ def test_spec_parse_errors():
     with pytest.raises(ValueError):
         parse_form_spec("hadamard:m=2")
     with pytest.raises(ValueError):
-        parse_form_spec("dot:n=4")          # missing m
+        parse_form_spec("dot:")             # missing m
     with pytest.raises(ValueError):
-        parse_form_spec("partial:m=3,n=4")  # missing r
+        parse_form_spec("partial:m=3")      # missing r
     with pytest.raises(ValueError):
-        parse_form_spec("t0:n2=4")          # missing n1
+        parse_form_spec("t0")               # missing n1
     with pytest.raises(ValueError):
         parse_form_spec("dot:m=3,r=1")      # r does not apply to dot
     with pytest.raises(ValueError):
@@ -320,14 +329,15 @@ def test_spec_parse_errors():
         parse_form_spec("file:")
 
 
-@pytest.mark.parametrize("spec, key", [("dot:m=3,m=4", "m"), ("gauss:seed=1,m=2,seed=1", "seed"),
-                                       ("t0:n1=4,n2=8,n2=8", "n2")])
+@pytest.mark.parametrize("spec, key", [("dot:m=3,m=4", "m"),
+                                       ("gauss:scalar=real,m=2,scalar=real", "scalar"),
+                                       ("t0:n1=4,n1=8", "n1")])
 def test_a_repeated_key_is_refused(spec, key):
     with pytest.raises(ValueError, match=f"^parameter '{key}' is given twice$"):
         parse_form_spec(spec)
 
 
-@pytest.mark.parametrize("spec", ["gauss", "gauss:", "gauss:n=4", "gauss:scalar=complex,seed=1"])
+@pytest.mark.parametrize("spec", ["gauss", "gauss:", "gauss:scalar=complex"])
 def test_a_gauss_spec_without_dims_or_m_is_refused_when_parsed(spec):
     with pytest.raises(ValueError, match=r"^gauss forms need dims=AxBx\.\.\. or m= plus"):
         parse_form_spec(spec)
@@ -336,20 +346,20 @@ def test_a_gauss_spec_without_dims_or_m_is_refused_when_parsed(spec):
 @pytest.mark.parametrize("kind", sorted(witnesses._KINDS))
 def test_every_kind_is_built_by_the_builder_of_its_row(kind, tmp_path, monkeypatch):
     """``make`` hands a kind's row builder the spec's keys, with n filled
-    into the row's dimension key and a free seed filled for a random kind."""
-    _, keys, required, dim = witnesses._KINDS[kind]
+    into the row's dimension key and the seed filled for a random kind."""
+    _, keys, required, dim, seeded = witnesses._KINDS[kind]
     calls = []
-    monkeypatch.setitem(witnesses._KINDS, kind,
-                        (lambda **kw: calls.append(kw) or make_dot(2, 2), keys, required, dim))
+    monkeypatch.setitem(witnesses._KINDS, kind, (lambda **kw: calls.append(kw) or make_dot(2, 2),
+                                                 keys, required, dim, seeded))
     spec = {"dot": "dot:m=3", "partial": "partial:m=3,r=1", "t0": "t0:n1=2", "sign": "sign:m=2",
             "gauss": "gauss:m=2,scalar=complex", "file": f"file:{tmp_path}"}[kind]
     parse_form_spec(spec).make(n=5 if dim else None, seed=9)
     expected = {**parse_form_spec(spec).params, **({dim: 5} if dim else {}),
-                **({"seed": 9} if "seed" in keys else {})}
+                **({"seed": 9} if seeded else {})}
     assert calls == [expected]
 
 
 def test_factory_is_frozen():
-    fac = parse_form_spec("dot:m=2,n=2")
+    fac = parse_form_spec("dot:m=2")
     with pytest.raises(AttributeError):
         fac.kind = "sign"
