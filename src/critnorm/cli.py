@@ -13,10 +13,12 @@ in ``harness.EXPERIMENTS``: its subcommand offers exactly the settings it
 reads plus ``--out``, so an option it does not read is a usage error, and
 requires exactly the settings it needs; it runs ``harness.run_<name>``,
 looked up when it is called, on a config that sets only what it reads.
-``norm mixed`` and ``norm op`` offer only the options each reads, too.
-``--exponents`` alone gives the orders of ``verify``, ``sharpness`` and
-``norm mixed``: a variant name, resolved at the form's arity, or a vector.
-``exponents`` refuses, with exit code 2, an option its mode does not read.
+The modes of ``exponents`` (``critical``, ``inclusion``) and of ``norm``
+(``mixed``, ``op``) are subcommands too, each offering only the options it
+reads, with its defaults set on the parser: no handler checks which options
+were given.  ``--exponents`` alone gives the orders of ``verify``,
+``sharpness`` and ``norm mixed``: a variant name, resolved at the form's
+arity, or a vector.
 ``--out`` writes the full report: CSV for a ``.csv`` path, else JSON.
 Options are spelled in full: no parser accepts an abbreviation.
 """
@@ -106,40 +108,25 @@ def _cmd_experiment(args) -> int:
     return 0 if report.violations == 0 else 1
 
 
-def _refuse_unread(args, mode: str, dests) -> None:
-    """Refuse those of the settings ``dests`` that were given: ``mode`` does
-    not read them, and an option must not be dropped silently."""
-    given = ["--" + dest.replace("_", "-") for dest in dests if getattr(args, dest) is not None]
-    if given:
-        raise ValueError(f"{mode} mode does not read {', '.join(given)}")
-
-
 def _cmd_exponents(args) -> int:
-    """Print an exponent family, and the critical family's constant, from
-    one payload: as one JSON object with --json, else as text lines.  All
-    of it is computed before anything is printed, so an error prints none.
-    The variant defaults to derived and the constant to ExperimentConfig's."""
-    if args.r is not None or args.p is not None or args.q is not None:
-        _refuse_unread(args, "inclusion", ("m", "variant", "constant"))
-        if args.r is None or args.p is None or args.q is None:
-            raise ValueError("inclusion mode needs --r, --p and --q together")
-        payload = {}
-        s = inclusion_exponents(args.r, args.p, args.q)
-    elif args.m is None:
-        raise ValueError("give --m for the critical family or --r/--p/--q")
+    """Print ``critical``'s family at --m with its constant, or
+    ``inclusion``'s orders for --r, --p and --q, from one payload: as one
+    JSON object with --json, else as text lines.  All of it is computed
+    before anything is printed, so an error prints none."""
+    if args.mode == "critical":
+        s = critical_exponents(args.m, args.variant)
+        c = inequality_constant(args.m, args.constant)
+        head = {"m": args.m, "variant": args.variant}
+        tail = {"constant": str(c), "constant_decimal": float(fmt12(c.value))}
     else:
-        payload = {"m": args.m, "variant": args.variant or "derived"}
-        s = critical_exponents(args.m, payload["variant"])
-    payload |= {"s": [str(v) for v in s], "s_decimal": _decimal_list(s)}
-    if "m" in payload:
-        c = inequality_constant(args.m, args.constant or ExperimentConfig.constant)
-        payload |= {"constant": str(c), "constant_decimal": float(fmt12(c.value))}
+        s, head, tail = inclusion_exponents(args.r, args.p, args.q), {}, {}
+    payload = {**head, "s": [str(v) for v in s], "s_decimal": _decimal_list(s), **tail}
     if args.json:
         print(json.dumps(payload))
         return 0
     print(f"s = {s}")
     print(f"s ~ {','.join(v if v == 'inf' else fmt12(v) for v in payload['s_decimal'])}")
-    if "constant" in payload:
+    if tail:
         print(f"constant = {payload['constant']} = {fmt12(payload['constant_decimal'])}")
     return 0
 
@@ -154,14 +141,13 @@ def _cmd_admissible(args) -> int:
 
 def _cmd_norm(args) -> int:
     """Print one norm of one form: ``mixed`` at its ``--exponents``, ``op``
-    by ``norms``, which takes the ascent settings left unset at their defaults."""
+    by ``norms`` at the ascent settings."""
     T = parse_form_spec(args.form).make(n=args.n, seed=args.seed)
     if args.mode == "mixed":
         print(fmt12(mixed_norm(T, orders_at(args.exponents, T.arity))))
         return 0
-    ascent = {k: getattr(args, k) for k in ("restarts", "tol", "max_iters")
-              if getattr(args, k) is not None}
-    est = norms([T], [args.seed], **ascent)[0]
+    est = norms([T], [args.seed], restarts=args.restarts, tol=args.tol,
+                max_iters=args.max_iters)[0]
     print(json.dumps({"value": float(fmt12(est.value)), "method": est.method,
                       "restarts_used": est.restarts_used,
                       "iterations": est.iterations,
@@ -181,14 +167,21 @@ def _build_parser() -> argparse.ArgumentParser:
                     "for multilinear forms.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("exponents", allow_abbrev=False,
-                          help="print a critical exponent family "
-                               "or the inclusion-shift orders for (r, p, q)")
-    for dest in ("m", "variant", "constant", "r", "p", "q"):
-        _option(sub, dest)
-    sub.add_argument("--json", action="store_true",
-                     help="print one JSON object instead of text lines")
-    sub.set_defaults(handler=_cmd_exponents)
+    modes = subs.add_parser("exponents", allow_abbrev=False,
+                            help="print a critical exponent family "
+                                 "or the inclusion-shift orders for (r, p, q)"
+                            ).add_subparsers(dest="mode", required=True)
+    critical = modes.add_parser("critical", allow_abbrev=False,
+                                help="the critical family at arity --m and its constant")
+    inclusion = modes.add_parser("inclusion", allow_abbrev=False,
+                                 help="the orders the inclusion shift gives for (r, p, q)")
+    for sub, dests in ((critical, ("m", "variant", "constant")), (inclusion, ("r", "p", "q"))):
+        for dest in dests:
+            _option(sub, dest, required=dest not in ("variant", "constant"))
+        sub.add_argument("--json", action="store_true",
+                         help="print one JSON object instead of text lines")
+        sub.set_defaults(handler=_cmd_exponents)
+    critical.set_defaults(variant="derived", constant=ExperimentConfig.constant)
 
     sub = subs.add_parser("admissible", allow_abbrev=False,
                           help="check the three stated bilinear admissibility conditions")
@@ -208,6 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
         for dest in ("n", "seed", *dests):
             _option(sub, dest, required=dest == "exponents")
         sub.set_defaults(handler=_cmd_norm, seed=ASCENT_DEFAULTS.seed)
+    op.set_defaults(**ASCENT_DEFAULTS._asdict())
 
     for name, (reads, needs, text) in EXPERIMENTS.items():
         sub = subs.add_parser(name, allow_abbrev=False, help=text)

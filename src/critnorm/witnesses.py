@@ -192,12 +192,17 @@ def parse_form_spec(text: str) -> FormFactory:
             raise ValueError("file forms need a path: file:/path/to/tensor.json")
         return FormFactory("file", {"path": rest})
     params, row = {}, _KINDS[kind]
-    for item in rest.split(",") if rest else ():
+    items = rest.split(",") if rest else []
+    # a refused key's hint depends on the whole spec: dims= leaves no dimension to --n
+    sized = ("; dims= fixes its dimensions"
+             if "dims" in {item.partition("=")[0].strip() for item in items}
+             else "; the dimension comes from --n")
+    for item in items:
         key, eq, val = (s.strip() for s in item.partition("="))
         if not eq or not val:
             raise ValueError(f"malformed parameter {item!r}; expected key=value")
         if key not in row[1]:
-            hint = ("; the dimension comes from --n" if key == row[3] else
+            hint = (sized if key == row[3] else
                     "; the seed comes from --seed" if key == "seed" and row[4] else "")
             raise ValueError(f"parameter {key!r} does not apply to {kind!r} forms{hint}")
         if key in params:

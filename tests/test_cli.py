@@ -29,7 +29,7 @@ def _save_with_bad_entry(T, index, bad, path):
 
 
 def test_exponents_critical_family(capsys):
-    assert main(["exponents", "--m", "3"]) == 0
+    assert main(["exponents", "critical", "--m", "3"]) == 0
     out = capsys.readouterr().out
     assert "s = inf,3,12/5" in out.splitlines()
     assert "s ~ inf,3,2.4" in out.splitlines()
@@ -37,7 +37,7 @@ def test_exponents_critical_family(capsys):
 
 
 def test_exponents_json_output(capsys):
-    assert main(["exponents", "--m", "3", "--json"]) == 0
+    assert main(["exponents", "critical", "--m", "3", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["s"] == ["inf", "3", "12/5"]
     assert payload["s_decimal"] == ["inf", 3, 2.4]
@@ -46,7 +46,7 @@ def test_exponents_json_output(capsys):
 
 
 def test_exponents_inclusion_json_output(capsys):
-    assert main(["exponents", "--r", "2", "--p", "4/3,4/3",
+    assert main(["exponents", "inclusion", "--r", "2", "--p", "4/3,4/3",
                  "--q", "3/2,3/2", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["s"] == ["3", "12/5"]
@@ -54,7 +54,7 @@ def test_exponents_inclusion_json_output(capsys):
 
 
 def test_exponents_variant_and_constant_flags(capsys):
-    assert main(["exponents", "--m", "4", "--variant", "printed",
+    assert main(["exponents", "critical", "--m", "4", "--variant", "printed",
                  "--constant", "theorem"]) == 0
     out = capsys.readouterr().out
     assert "s = inf,3,12/5,2" in out.splitlines()
@@ -62,12 +62,13 @@ def test_exponents_variant_and_constant_flags(capsys):
 
 
 def test_exponents_inclusion_mode(capsys):
-    assert main(["exponents", "--r", "2", "--p", "4/3,4/3", "--q", "3/2,3/2"]) == 0
+    assert main(["exponents", "inclusion", "--r", "2", "--p", "4/3,4/3", "--q", "3/2,3/2"]) == 0
     assert "s = 3,12/5" in capsys.readouterr().out.splitlines()
 
 
 def _printed_orders(capsys, argv) -> str:
-    """The value of the ``s =`` line that ``exponents`` prints for ``argv``."""
+    """The value of the ``s =`` line that ``exponents`` prints for ``argv``,
+    which starts with the mode."""
     assert main(["exponents", *argv]) == 0
     (line,) = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("s = ")]
     return line[len("s = "):]
@@ -79,9 +80,9 @@ def test_the_printed_orders_parse_back_and_run_as_the_variant(variant, tmp_path,
     the critical family at every m, and at m = 3 it runs ``verify`` to the
     trials that the variant's name gives."""
     for m in range(2, 13):
-        printed = _printed_orders(capsys, ["--m", str(m), "--variant", variant])
+        printed = _printed_orders(capsys, ["critical", "--m", str(m), "--variant", variant])
         assert ExponentVector(printed) == critical_exponents(m, variant)
-    printed = _printed_orders(capsys, ["--m", "3", "--variant", variant])
+    printed = _printed_orders(capsys, ["critical", "--m", "3", "--variant", variant])
     trials = []
     for orders in (printed, variant):
         out = tmp_path / f"{len(trials)}.json"
@@ -96,7 +97,7 @@ def test_the_printed_orders_parse_back_and_run_as_the_variant(variant, tmp_path,
 def test_the_printed_inclusion_orders_parse_back_and_run(r, p, q, capsys):
     """In inclusion mode the ``s =`` value parses to ``inclusion_exponents``
     and, given to ``norm mixed --exponents``, takes the lhs at those orders."""
-    printed = _printed_orders(capsys, ["--r", r, "--p", p, "--q", q])
+    printed = _printed_orders(capsys, ["inclusion", "--r", r, "--p", p, "--q", q])
     s = inclusion_exponents(r, p, q)
     assert ExponentVector(printed) == s
     form = f"gauss:m={len(s)}"
@@ -107,13 +108,26 @@ def test_the_printed_inclusion_orders_parse_back_and_run(r, p, q, capsys):
 
 
 def test_exponents_inapplicable_is_exit_2(capsys):
-    assert main(["exponents", "--r", "2", "--p", "3/2,3/2", "--q", "4/3,4/3"]) == 2
+    assert main(["exponents", "inclusion", "--r", "2", "--p", "3/2,3/2", "--q", "4/3,4/3"]) == 2
     assert "inapplicable:" in capsys.readouterr().err
 
 
-def test_exponents_usage_error(capsys):
-    assert main(["exponents"]) == 2
-    assert "error:" in capsys.readouterr().err
+@pytest.mark.parametrize("argv, missing", [
+    ([], "mode"),
+    (["critical", "--variant", "printed"], "--m"),
+    (["inclusion", "--p", "2,2", "--q", "4,4"], "--r"),
+    (["inclusion", "--r", "2", "--q", "4,4"], "--p"),
+    (["inclusion", "--r", "2", "--p", "2,2"], "--q"),
+], ids=["no-mode", "critical-m", "inclusion-r", "inclusion-p", "inclusion-q"])
+def test_exponents_without_what_its_mode_needs_is_a_usage_error(argv, missing, capsys):
+    """The parser requires a mode and each option that mode needs: exit 2
+    before anything runs."""
+    with pytest.raises(SystemExit) as exc:
+        main(["exponents", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: the following arguments are required: {missing}\n")
 
 
 @pytest.mark.parametrize("value, message", [
@@ -202,8 +216,8 @@ def test_norm_op_on_an_arity_1_form(capsys):
 
 def test_the_ascent_defaults_have_one_definition():
     """``ascent_norm``, ``norms``, ``ExperimentConfig`` and the ``norm``
-    command all default to ``opnorm.ASCENT_DEFAULTS``: the command seeds by
-    it and leaves an ascent setting it is not given to ``norms``."""
+    command all default to ``opnorm.ASCENT_DEFAULTS``: ``norm op``'s parser
+    sets each setting it is not given to it."""
     defaults = opnorm.ASCENT_DEFAULTS
     assert tuple(defaults) == (16, 1e-10, 500, 42)
     for fn in (opnorm.ascent_norm, opnorm.norms):
@@ -214,7 +228,7 @@ def test_the_ascent_defaults_have_one_definition():
     args = _build_parser().parse_args(["norm", "op", "--form", "dot:m=2"])
     for name in defaults._fields:
         assert getattr(cfg, name) == getattr(defaults, name)
-        assert getattr(args, name) == (defaults.seed if name == "seed" else None)
+        assert getattr(args, name) == getattr(defaults, name)
 
 
 def test_one_exact_norm_decision_reaches_every_caller(monkeypatch, capsys):
@@ -347,26 +361,18 @@ def test_a_norm_mode_offers_only_the_options_it_reads(argv, flag, capsys):
     assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
 
 
-def test_norm_op_help_lists_the_ascent_settings_and_not_the_orders(capsys):
+@pytest.mark.parametrize("command, own, other", [
+    ("norm op", ("--restarts", "--tol", "--max-iters", "--seed"), ("--exponents",)),
+    ("exponents critical", ("--m", "--variant", "--constant", "--json"), ("--r", "--p", "--q")),
+    ("exponents inclusion", ("--r", "--p", "--q", "--json"), ("--m", "--variant", "--constant")),
+])
+def test_a_mode_help_lists_only_its_own_options(command, own, other, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["norm", "op", "--help"])
+        main([*command.split(), "--help"])
     assert exc.value.code == 0
-    out = capsys.readouterr().out
-    assert "--restarts" in out and "--max-iters" in out
-    assert "--exponents" not in out
-
-
-@pytest.mark.parametrize("argv, message", [
-    (["exponents", "--m", "3", "--r", "2", "--p", "2,2", "--q", "4,4"],
-     "inclusion mode does not read --m"),
-    (["exponents", "--r", "2", "--p", "2,2", "--q", "4,4", "--variant", "derived",
-      "--constant", "abstract"], "inclusion mode does not read --variant, --constant"),
-], ids=["exponents-m", "exponents-variant-constant"])
-def test_an_option_its_mode_does_not_read_is_exit_2_with_one_error_line(argv, message, capsys):
-    """An option is read or refused, never dropped silently; options at
-    their default values are refused too, because they were given."""
-    assert main(argv) == 2
-    assert capsys.readouterr() == ("", f"error: {message}\n")
+    options = {word.strip("[],") for word in capsys.readouterr().out.split()}
+    assert set(own) <= options
+    assert options & set(other) == set()
 
 
 def test_both_norm_modes_read_the_seed_of_a_random_form(capsys):
@@ -454,7 +460,7 @@ def test_a_removed_alias_is_a_usage_error(argv, tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["verify", "--form", "gauss:m=2", "--n", "3", "--tri", "2", "--max", "5"],
-    ["exponents", "--m", "3", "--var", "printed"],
+    ["exponents", "critical", "--m", "3", "--var", "printed"],
     ["norm", "op", "--form", "gauss:m=2", "--n", "3", "--rest", "2"],
 ], ids=["verify", "exponents", "norm"])
 def test_an_abbreviated_option_is_a_usage_error(argv, capsys):
@@ -467,8 +473,9 @@ def test_an_abbreviated_option_is_a_usage_error(argv, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["exponents", "--m", "2050"], "error: 2^(1024) is past the float range\n"),
-    (["exponents", "--m", "2050", "--json"], "error: 2^(1024) is past the float range\n"),
+    (["exponents", "critical", "--m", "2050"], "error: 2^(1024) is past the float range\n"),
+    (["exponents", "critical", "--m", "2050", "--json"],
+     "error: 2^(1024) is past the float range\n"),
     (["verify", "--form", "dot:m=2050", "--n", "1"], "error: 2^(1024) is past the float range\n"),
     (["verify", "--form", "gauss:m=2", "--n", "3", "--trials", "99999999999999999999"], None),
     (["verify", "--form", "gauss:m=50", "--n", "2"], None),
@@ -521,8 +528,9 @@ def test_sharpness_refuses_trials_and_n(capsys):
     assert "error:" in captured.err and "--trials" in captured.err
 
 
-# experiment -> (a valid command line, the options it does not read); a
-# run's orders have one option, --exponents, so --variant is none of theirs
+# command words -> (a valid command line, the options it does not read); a
+# run's orders have one option, --exponents, so --variant is none of theirs,
+# and each exponents mode refuses the other's options
 _UNREAD_OPTIONS = {
     "verify": (["--form", "dot:m=3", "--n", "4", "--exponents", "inf,3,2"], ("--variant",)),
     "sharpness": (["--form", "dot:m=3", "--sweep", "4,8,16"], ("--n", "--trials", "--variant")),
@@ -530,16 +538,23 @@ _UNREAD_OPTIONS = {
                      ("--restarts", "--tol", "--max-iters")),
     "inclusion-instance": (["--r", "2", "--p", "2,2", "--q", "4,4", "--n", "3"],
                            ("--restarts", "--tol", "--max-iters")),
+    "exponents critical": (["--m", "3"], ("--r", "--p", "--q")),
+    "exponents inclusion": (["--r", "2", "--p", "2,2", "--q", "4,4"],
+                            ("--m", "--variant", "--constant")),
 }
 
 
 @pytest.mark.parametrize("command, flag", [(c, f) for c, (_, flags) in _UNREAD_OPTIONS.items()
                                            for f in flags])
 def test_options_an_experiment_never_reads_are_rejected(command, flag, capsys):
+    """An option is read or refused by the parser, never dropped silently:
+    exit 2 before anything runs."""
     with pytest.raises(SystemExit) as exc:
-        main([command, *_UNREAD_OPTIONS[command][0], flag, "1"])
+        main([*command.split(), *_UNREAD_OPTIONS[command][0], flag, "1"])
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag} 1" in captured.err
 
 
 @pytest.mark.parametrize("spec", ["gauss:dims=8x8x8", "file:{path}"], ids=["dims", "file"])
@@ -559,7 +574,10 @@ def test_sharpness_refuses_a_spec_that_pins_the_swept_dimension(spec, tmp_path, 
      "error: the gauss form spec fixes its dimensions"),
     # dims= fixes the arity and every dimension, so m= beside it is refused
     (["verify", "--form", "gauss:m=3,dims=4x4", "--trials", "2"], "error: dims= fixes"),
-], ids=["pinned-n", "pinned-dims", "dims-and-m"])
+    # the hint on n= reads the whole spec: beside dims= it does not send n to --n
+    (["verify", "--form", "gauss:dims=4x4,n=9"],
+     "error: parameter 'n' does not apply to 'gauss' forms; dims= fixes its dimensions"),
+], ids=["pinned-n", "pinned-dims", "dims-and-m", "dims-and-n"])
 def test_a_spec_that_pins_what_an_option_sets_is_exit_2(argv, message, tmp_path, capsys):
     path = tmp_path / "t.json"
     save_tensor(make_gaussian_random((3, 3), seed=4), path)
@@ -568,6 +586,7 @@ def test_a_spec_that_pins_what_an_option_sets_is_exit_2(argv, message, tmp_path,
     assert captured.out == ""
     assert captured.err.startswith(message)
     assert captured.err.count("\n") == 1
+    assert "--n" not in captured.err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -605,7 +624,7 @@ _NO_KIND = "unknown form kind ''; choose from ['dot', 'file', 'gauss', 'partial'
      "1 orders given for arity-2 forms"),
     (["inclusion-instance", "--r", "1/2", "--p", "2,2", "--q", "4,4", "--n", "3"],
      "r must be >= 1, got 1/2"),
-    (["exponents", "--r", "2", "--p", "2,2", "--q", "4"],
+    (["exponents", "inclusion", "--r", "2", "--p", "2,2", "--q", "4"],
      "length mismatch: p has 2 entries, q has 1"),
     (["inclusion-instance", "--r", "2", "--p", "2,2", "--q", "4,4", "--n", "3",
       "--datasets", "0"], "datasets must be >= 1, got 0"),
@@ -860,7 +879,7 @@ def test_a_broken_exponent_identity_is_exit_2(flags):
               "from critnorm.cli import main\n"
               "exponents.inclusion_exponents = "
               "lambda r, p, q: exponents.ExponentVector(['5'] * len(p))\n"
-              "sys.exit(main(['exponents', '--m', '3']))\n")
+              "sys.exit(main(['exponents', 'critical', '--m', '3']))\n")
     proc = subprocess.run([sys.executable, *flags, "-c", script],
                           capture_output=True, text=True)
     assert proc.returncode == 2
@@ -916,7 +935,7 @@ def test_unknown_command_raises_usage():
 
 def test_console_script_entry_point():
     proc = subprocess.run([sys.executable, "-m", "critnorm.cli", "exponents",
-                           "--m", "2"], capture_output=True, text=True)
+                           "critical", "--m", "2"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "s = inf,2" in proc.stdout.splitlines()
 

@@ -166,7 +166,8 @@ def test_every_setting_option_comes_from_the_settings_table():
 
 def test_every_experiment_subcommand_comes_from_the_experiments_table():
     """In ``cli.py`` the subcommands named by a literal are the three that
-    run no experiment and ``norm``'s two modes; the one other ``add_parser``
+    run no experiment and the two modes of ``exponents`` and of ``norm``;
+    the one other ``add_parser``
     call sits in a loop over ``EXPERIMENTS``, so an experiment has one
     declaration."""
     path = next(p for p in SOURCES if p.name == "cli.py")
@@ -178,10 +179,37 @@ def test_every_experiment_subcommand_comes_from_the_experiments_table():
                 named.add(node.args[0].value)
             else:
                 computed.append(node)
-    assert named == {"exponents", "admissible", "norm", "mixed", "op"}
+    assert named == {"exponents", "critical", "inclusion", "admissible", "norm", "mixed", "op"}
     loops = [node for node in ast.walk(tree) if isinstance(node, ast.For)
              and "EXPERIMENTS" in {getattr(n, "id", None) for n in ast.walk(node.iter)}]
     assert len(computed) == 1 and any(computed[0] in set(ast.walk(loop)) for loop in loops)
+
+
+def test_the_cli_raises_only_to_wrap_a_parser_error_and_to_exit():
+    """The parser alone decides which options a command takes and needs,
+    so no handler raises a usage error of its own: ``cli.py`` raises only
+    the ``ArgumentTypeError`` of ``_option``'s wrapper and the
+    ``SystemExit`` under ``__main__``."""
+    path = next(p for p in SOURCES if p.name == "cli.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+
+    def where(node):
+        while node in parents:
+            node = parents[node]
+            if isinstance(node, ast.FunctionDef):
+                return node.name
+            if isinstance(node, ast.If):
+                return ast.unparse(node.test)
+        return None
+
+    raised = sorted((where(node), ast.unparse(node.exc).partition("(")[0])
+                    for node in ast.walk(tree) if isinstance(node, ast.Raise))
+    assert raised == [("__name__ == '__main__'", "SystemExit"),
+                      ("typed", "argparse.ArgumentTypeError")]
+    option = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_option")
+    assert any(isinstance(n, ast.FunctionDef) and n.name == "typed" for n in option.body)
 
 
 def test_the_relative_imports_of_the_package_form_no_cycle():
@@ -249,10 +277,19 @@ def test_each_setting_parser_and_experiment_runner_is_declared_once():
                     if isinstance(node, ast.Call) for k in node.keywords if k.arg == "type")
     assert passed == ["ExtRational"]
     own = {("admissible", "p"): ExtRational, ("admissible", "q"): ExtRational}
-    subs = next(a for a in cli._build_parser()._actions
-                if isinstance(a, argparse._SubParsersAction)).choices
+
+    def commands(parser, words=()):
+        """(command words, parser) of every subcommand, modes included."""
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, sub in action.choices.items():
+                    yield " ".join((*words, name)), sub
+                    yield from commands(sub, (*words, name))
+
     typed = {(name, a.dest): getattr(a.type, "__wrapped__", a.type)
-             for name, sub in subs.items() for a in sub._actions if a.dest in PARSERS}
+             for name, sub in commands(cli._build_parser()) for a in sub._actions
+             if a.dest in PARSERS}
+    assert {("exponents inclusion", "p"), ("norm mixed", "exponents")} <= set(typed)
     assert {key: t for key, t in typed.items() if t is not PARSERS[key[1]]} == own
 
     path = next(p for p in SOURCES if p.name == "harness.py")
