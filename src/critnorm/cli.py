@@ -7,18 +7,18 @@ inclusion-instance, 1 marks a suspicion: its ratio divides one battery
 maximum by another, and a value above 1.05 is not evidence against the
 inclusion theorem.
 
-Each setting's option is declared once, in ``_SETTINGS``, with the
-parser that ``harness.PARSERS`` declares for it, and each experiment once,
-in ``harness.EXPERIMENTS``: its subcommand offers exactly the settings it
+Each setting's option is declared once, by its ``ExperimentConfig`` field
+(its default, parser and help), and each experiment once, in
+``harness.EXPERIMENTS``: its subcommand offers exactly the settings it
 reads plus ``--out``, so an option it does not read is a usage error, and
 requires exactly the settings it needs; it runs ``harness.run_<name>``,
 looked up when it is called, on a config that sets only what it reads.
 The modes of ``exponents`` (``critical``, ``inclusion``) and of ``norm``
 (``mixed``, ``op``) are subcommands too, each offering only the options it
-reads, with its defaults set on the parser: no handler checks which options
-were given.  ``--exponents`` alone gives the orders of ``verify``,
-``sharpness`` and ``norm mixed``: a variant name, resolved at the form's
-arity, or a vector.
+reads: no handler checks which options were given, and an option that a
+command does not offer is refused with that command's usage line.
+``--exponents`` alone gives the orders of ``verify``, ``sharpness`` and
+``norm mixed``: a variant name, resolved at the form's arity, or a vector.
 ``--out`` writes the full report: CSV for a ``.csv`` path, else JSON.
 Options are spelled in full: no parser accepts an abbreviation.
 """
@@ -31,7 +31,6 @@ import json
 import sys
 
 from .exponents import (
-    CONSTANT_CHOICES,
     ExtRational,
     InapplicableError,
     VARIANTS,
@@ -41,8 +40,8 @@ from .exponents import (
     inequality_constant,
 )
 from . import harness
-from .harness import EXPERIMENTS, PARSERS, ExperimentConfig, fmt12, orders_at
-from .opnorm import ASCENT_DEFAULTS, norms
+from .harness import EXPERIMENTS, ExperimentConfig, fmt12, orders_at
+from .opnorm import norms
 from .tensor import mixed_norm
 from .witnesses import parse_form_spec
 
@@ -54,25 +53,25 @@ def _decimal_list(s) -> list:
     return ["inf" if v.is_inf else float(fmt12(float(v))) for v in s]
 
 
-# The argparse keywords of each ExperimentConfig field and of exponents' --variant,
-# less the parsers that ``PARSERS`` declares.  An option left unset keeps its default.
-_SETTINGS = {
-    "form": {"help": "form spec, e.g. gauss:m=3 or file:tensor.json"},
-    "n": {"type": int, "help": "dimension per slot for size-free specs"},
-    "sweep": {"help": "comma list of dimensions, e.g. 4,8,16,32,64"},
-    "exponents": {"help": f"mixed-norm orders: a variant name ({', '.join(VARIANTS)}), "
-                          "resolved at the form's arity, or a vector like inf,3,12/5"},
-    "variant": {"choices": VARIANTS}, "constant": {"choices": CONSTANT_CHOICES},
-    "tol": {"type": float},
-    **dict.fromkeys(("m", "trials", "datasets", "seed", "restarts", "max_iters"), {"type": int}),
-}
+class _Parser(argparse.ArgumentParser):
+    """Every parser of the tree (a subparser takes its parent's class): options are spelled
+    in full, and the parser that got a leftover argument refuses it, with its own usage."""
+
+    __init__ = functools.partialmethod(argparse.ArgumentParser.__init__, allow_abbrev=False)
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
 
 def _option(sub: argparse.ArgumentParser, dest: str, **overrides) -> None:
-    """Add setting ``dest`` to ``sub``: its parser (an override ``type`` or its
-    ``PARSERS`` entry), its _SETTINGS keywords, then the other ``overrides``.
+    """Add setting ``dest`` to ``sub`` as its ``ExperimentConfig`` field declares it: its default,
+    its parser (unless ``overrides`` gives a ``type``), its keywords, then the other ``overrides``.
     The parser's ValueError becomes an ArgumentTypeError, so argparse prints its message."""
-    parse = overrides.pop("type", PARSERS.get(dest))
+    setting = ExperimentConfig.__dataclass_fields__[dest]
+    parse = overrides.pop("type", setting.metadata["parse"])
 
     @functools.wraps(parse, updated=())
     def typed(text):
@@ -80,19 +79,18 @@ def _option(sub: argparse.ArgumentParser, dest: str, **overrides) -> None:
             return parse(text)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(exc) from None
-    sub.add_argument("--" + dest.replace("_", "-"),
-                     **{"type": parse and typed, **_SETTINGS.get(dest, {}), **overrides})
+    sub.add_argument("--" + dest.replace("_", "-"), default=setting.default,
+                     **{"type": parse and typed, **setting.metadata["option"], **overrides})
 
 
 def _cmd_experiment(args) -> int:
-    """Run the subcommand's experiment on the config named by its options:
-    every setting the experiment reads, as given, or its default if unset.
-    The runner is ``harness.run_<name>``, looked up here, at call time,
-    rather than stored in the parser, which is built once: a runner rebound
-    later as a harness attribute (a tracing wrapper, say) is the one that
-    runs."""
-    given = {k: getattr(args, k) for k in EXPERIMENTS[args.command].reads}
-    cfg = ExperimentConfig(args.command, **{k: v for k, v in given.items() if v is not None})
+    """Run the subcommand's experiment on the config its options name: every
+    setting the experiment reads, as given or at its field's default.  The
+    runner is ``harness.run_<name>``, looked up here, at call time, rather
+    than stored in the parser, which is built once: a runner rebound later
+    as a harness attribute (a tracing wrapper, say) is the one that runs."""
+    reads = EXPERIMENTS[args.command].reads
+    cfg = ExperimentConfig(args.command, **{k: getattr(args, k) for k in reads})
     report = getattr(harness, "run_" + args.command.replace("-", "_"))(cfg)
     if args.out:
         report.write(args.out)
@@ -161,29 +159,28 @@ def _build_parser() -> argparse.ArgumentParser:
     module constants alone and holds no per-call state: ``parse_args``
     returns a fresh namespace on every call, so ``main`` reuses it.  It
     stores no harness runner either; ``_cmd_experiment`` looks that up."""
-    parser = argparse.ArgumentParser(
-        prog="critnorm", allow_abbrev=False,
-        description="Verify and stress-test critical mixed-norm inequalities "
-                    "for multilinear forms.")
+    parser = _Parser(prog="critnorm", description="Verify and stress-test critical mixed-norm "
+                                                   "inequalities for multilinear forms.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    modes = subs.add_parser("exponents", allow_abbrev=False,
-                            help="print a critical exponent family "
-                                 "or the inclusion-shift orders for (r, p, q)"
+    modes = subs.add_parser("exponents", help="print a critical exponent family or the "
+                                              "inclusion-shift orders for (r, p, q)"
                             ).add_subparsers(dest="mode", required=True)
-    critical = modes.add_parser("critical", allow_abbrev=False,
+    critical = modes.add_parser("critical",
                                 help="the critical family at arity --m and its constant")
-    inclusion = modes.add_parser("inclusion", allow_abbrev=False,
+    inclusion = modes.add_parser("inclusion",
                                  help="the orders the inclusion shift gives for (r, p, q)")
-    for sub, dests in ((critical, ("m", "variant", "constant")), (inclusion, ("r", "p", "q"))):
-        for dest in dests:
-            _option(sub, dest, required=dest not in ("variant", "constant"))
+    _option(critical, "m", required=True)
+    critical.add_argument("--variant", choices=VARIANTS, default="derived")
+    _option(critical, "constant")
+    for dest in ("r", "p", "q"):
+        _option(inclusion, dest, required=True)
+    for sub in (critical, inclusion):
         sub.add_argument("--json", action="store_true",
                          help="print one JSON object instead of text lines")
         sub.set_defaults(handler=_cmd_exponents)
-    critical.set_defaults(variant="derived", constant=ExperimentConfig.constant)
 
-    sub = subs.add_parser("admissible", allow_abbrev=False,
+    sub = subs.add_parser("admissible",
                           help="check the three stated bilinear admissibility conditions")
     for dest in ("p", "q"):   # scalar domain orders here, not the experiments' vectors
         _option(sub, dest, type=ExtRational, required=True)
@@ -191,20 +188,18 @@ def _build_parser() -> argparse.ArgumentParser:
         _option(sub, dest, required=True)
     sub.set_defaults(handler=_cmd_admissible)
 
-    modes = subs.add_parser("norm", allow_abbrev=False, help="evaluate one norm of one form"
+    modes = subs.add_parser("norm", help="evaluate one norm of one form"
                             ).add_subparsers(dest="mode", required=True)
-    mixed = modes.add_parser("mixed", allow_abbrev=False, help="the mixed norm at --exponents")
-    op = modes.add_parser("op", allow_abbrev=False,
-                          help="the operator norm: exact where it applies, else the ascent")
+    mixed = modes.add_parser("mixed", help="the mixed norm at --exponents")
+    op = modes.add_parser("op", help="the operator norm: exact where it applies, else the ascent")
     for sub, dests in ((mixed, ("exponents",)), (op, ("restarts", "tol", "max_iters"))):
         _option(sub, "form", required=True)
         for dest in ("n", "seed", *dests):
             _option(sub, dest, required=dest == "exponents")
-        sub.set_defaults(handler=_cmd_norm, seed=ASCENT_DEFAULTS.seed)
-    op.set_defaults(**ASCENT_DEFAULTS._asdict())
+        sub.set_defaults(handler=_cmd_norm)
 
     for name, (reads, needs, text) in EXPERIMENTS.items():
-        sub = subs.add_parser(name, allow_abbrev=False, help=text)
+        sub = subs.add_parser(name, help=text)
         for dest in reads:
             _option(sub, dest, required=dest in needs)
         sub.add_argument("--out", help="write the full report to this path: "

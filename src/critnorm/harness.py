@@ -31,12 +31,12 @@ from one function, ``verdict``.  Each experiment is declared once, by its
 set, its report's config block echoes and the CLI offers), the settings it
 needs (a config without one is refused) and its help line; its runner is
 ``run_<name>``, with ``-`` read as ``_``, which refuses a config made for
-another experiment.  A setting that is more than an int, a float or a
-string has its parser declared once, in ``PARSERS``, which
-``ExperimentConfig`` and the CLI apply; the config block writes it, and
-the orders the run used, in that parser's syntax (``str``), so the whole
-block parses back.  Floats are written at 12 significant digits
-(``fmt12``); a report is CSV when its path ends in ``.csv``, else JSON.
+another experiment.  Each setting is declared once, as its
+``ExperimentConfig`` field (``_setting``): its default, its option and, if
+it is more than an int, a float or a string, its parser; the config block
+writes a parsed setting, and the orders the run used, in that parser's
+syntax (``str``), so the whole block parses back.  Floats are written at 12
+significant digits (``fmt12``); a report is CSV for a ``.csv`` path, else JSON.
 """
 
 from __future__ import annotations
@@ -45,9 +45,10 @@ import csv
 import io
 import json
 import math
+import operator
 import os
 from collections import namedtuple
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -108,8 +109,13 @@ EXPERIMENTS = {
 
 
 def _sweep(value) -> tuple:
-    """Sweep dimensions from a comma list such as "4,8,16" or from any iterable."""
-    return tuple(int(v) for v in (value.split(",") if isinstance(value, str) else value))
+    """Sweep dimensions from a comma list such as "4,8,16" or from an iterable of integers."""
+    def entry(v):
+        try:
+            return int(v) if isinstance(v, str) else operator.index(v)
+        except (TypeError, ValueError):
+            raise ValueError(f"sweep entries must be integers, got {v!r}") from None
+    return tuple(map(entry, value.split(",") if isinstance(value, str) else value))
 
 
 def mixed_orders(value):
@@ -131,14 +137,10 @@ def orders_at(value, arity: int) -> ExponentVector:
     return s
 
 
-# The parser of each setting that is more than an int, a float or a string,
-# applied by ExperimentConfig to a given value and by the CLI to an option.
-PARSERS = {
-    **dict.fromkeys(("a", "b", "r", "space"), ExtRational),
-    **dict.fromkeys(("p", "q"), ExponentVector),
-    "exponents": mixed_orders,
-    "sweep": _sweep,
-}
+def _setting(default=None, parse=None, **option):
+    """An ExperimentConfig field, its setting's one declaration: its ``default``, its ``parse``
+    (only for more than an int, a float or a string) and its option's argparse keywords."""
+    return field(default=default, metadata={"parse": parse, "option": option})
 
 
 @dataclass
@@ -148,24 +150,27 @@ class ExperimentConfig:
     its default) or lacks one it needs is refused."""
 
     experiment: str
-    form: str | None = None
-    m: int | None = None
-    n: int | None = None
-    sweep: tuple[int, ...] | None = None
-    exponents: ExponentVector | str = "derived"
-    constant: str = "abstract"
-    a: ExtRational | None = None
-    b: ExtRational | None = None
-    r: ExtRational | None = None
-    p: ExponentVector | None = None
-    q: ExponentVector | None = None
-    space: ExtRational | None = None
-    trials: int = 1
-    datasets: int = 6
-    seed: int = ASCENT_DEFAULTS.seed
-    restarts: int = ASCENT_DEFAULTS.restarts
-    tol: float = ASCENT_DEFAULTS.tol
-    max_iters: int = ASCENT_DEFAULTS.max_iters
+    form: str | None = _setting(help="form spec, e.g. gauss:m=3 or file:tensor.json")
+    m: int | None = _setting(type=int)
+    n: int | None = _setting(type=int, help="dimension per slot for size-free specs")
+    sweep: tuple[int, ...] | None = _setting(
+        parse=_sweep, help="comma list of dimensions, e.g. 4,8,16,32,64")
+    exponents: ExponentVector | str = _setting("derived", mixed_orders, help=(
+        f"mixed-norm orders: a variant name ({', '.join(VARIANTS)}), "
+        "resolved at the form's arity, or a vector like inf,3,12/5"))
+    constant: str = _setting("abstract", choices=CONSTANT_CHOICES)
+    a: ExtRational | None = _setting(parse=ExtRational)
+    b: ExtRational | None = _setting(parse=ExtRational)
+    r: ExtRational | None = _setting(parse=ExtRational)
+    p: ExponentVector | None = _setting(parse=ExponentVector)
+    q: ExponentVector | None = _setting(parse=ExponentVector)
+    space: ExtRational | None = _setting(parse=ExtRational)
+    trials: int = _setting(1, type=int)
+    datasets: int = _setting(6, type=int)
+    seed: int = _setting(ASCENT_DEFAULTS.seed, type=int)
+    restarts: int = _setting(ASCENT_DEFAULTS.restarts, type=int)
+    tol: float = _setting(ASCENT_DEFAULTS.tol, type=float)
+    max_iters: int = _setting(ASCENT_DEFAULTS.max_iters, type=int)
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -186,10 +191,9 @@ class ExperimentConfig:
             raise ValueError(f"datasets must be >= 1, got {self.datasets}")
         if self.constant not in CONSTANT_CHOICES:
             raise ValueError(f"unknown constant choice {self.constant!r}")
-        for name, parse in PARSERS.items():
-            value = getattr(self, name)
-            if value is not None:
-                setattr(self, name, parse(value))
+        for f in fields(self)[1:]:
+            if f.metadata["parse"] and (value := getattr(self, f.name)) is not None:
+                setattr(self, f.name, f.metadata["parse"](value))
         if self.sweep is not None and any(y <= x for x, y in zip(self.sweep, self.sweep[1:])):
             raise ValueError("sweep values must increase strictly")
 

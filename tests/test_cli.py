@@ -18,6 +18,8 @@ from critnorm import harness, opnorm
 from critnorm.cli import _build_parser, main
 from critnorm.harness import EXPERIMENTS, fmt12, orders_at
 
+_FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+
 
 def _save_with_bad_entry(T, index, bad, path):
     """Write ``T`` as ``save_tensor`` does, with the coefficient at ``index``
@@ -136,7 +138,7 @@ def test_exponents_without_what_its_mode_needs_is_a_usage_error(argv, missing, c
 @pytest.mark.parametrize("option", ["--p", "--q"])
 def test_admissible_prints_its_parsers_message(option, value, message, capsys):
     """A bad scalar order prints ``ExtRational``'s own message, as a
-    ``harness.PARSERS`` option prints its parser's."""
+    setting's option prints its field's parser's."""
     argv = {"--p": "4", "--q": "4", "--a": "2", "--b": "inf", option: value}
     with pytest.raises(SystemExit) as exc:
         main(["admissible", *(t for kv in argv.items() for t in kv)])
@@ -216,8 +218,8 @@ def test_norm_op_on_an_arity_1_form(capsys):
 
 def test_the_ascent_defaults_have_one_definition():
     """``ascent_norm``, ``norms``, ``ExperimentConfig`` and the ``norm``
-    command all default to ``opnorm.ASCENT_DEFAULTS``: ``norm op``'s parser
-    sets each setting it is not given to it."""
+    command all default to ``opnorm.ASCENT_DEFAULTS``: ``norm op``'s options
+    take their defaults from ``ExperimentConfig``'s fields."""
     defaults = opnorm.ASCENT_DEFAULTS
     assert tuple(defaults) == (16, 1e-10, 500, 42)
     for fn in (opnorm.ascent_norm, opnorm.norms):
@@ -352,13 +354,16 @@ def test_norm_mixed_needs_orders(capsys):
 ], ids=["op-exponents", "mixed-restarts", "mixed-max-iters"])
 def test_a_norm_mode_offers_only_the_options_it_reads(argv, flag, capsys):
     """``norm mixed`` and ``norm op`` are subcommands: an option the mode
-    does not read is refused by the parser, with exit 2, before anything runs."""
+    does not read is refused by the mode's parser, with exit 2 and the mode's
+    usage line, before anything runs."""
     with pytest.raises(SystemExit) as exc:
         main(["norm", *argv, *flag])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+    assert captured.err.startswith(f"usage: critnorm norm {argv[0]} [-h] ")
+    assert captured.err.endswith(
+        f"critnorm norm {argv[0]}: error: unrecognized arguments: {' '.join(flag)}\n")
 
 
 @pytest.mark.parametrize("command, own, other", [
@@ -548,13 +553,14 @@ _UNREAD_OPTIONS = {
                                            for f in flags])
 def test_options_an_experiment_never_reads_are_rejected(command, flag, capsys):
     """An option is read or refused by the parser, never dropped silently:
-    exit 2 before anything runs."""
+    exit 2 before anything runs, under the usage line of the command given."""
     with pytest.raises(SystemExit) as exc:
         main([*command.split(), *_UNREAD_OPTIONS[command][0], flag, "1"])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"unrecognized arguments: {flag} 1" in captured.err
+    assert captured.err.startswith(f"usage: critnorm {command} [-h] ")
+    assert captured.err.endswith(f"critnorm {command}: error: unrecognized arguments: {flag} 1\n")
 
 
 @pytest.mark.parametrize("spec", ["gauss:dims=8x8x8", "file:{path}"], ids=["dims", "file"])
@@ -913,8 +919,9 @@ _NOT_ORDERS = ("'pritned' is neither a variant (derived, printed, corollary-prin
      "norm orders must be positive, got 0"),
 ], ids=["verify", "norm", "bad-entry", "nonpositive"])
 def test_a_bad_order_option_prints_its_parsers_message(argv, message, capsys):
-    """argparse prints the ``harness.PARSERS`` parser's own message, not
-    only an "invalid mixed_orders value"; the library raises the same one."""
+    """argparse prints the message of the parser that the setting's
+    ``ExperimentConfig`` field declares, not only an "invalid mixed_orders
+    value"; the library raises the same one."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -922,10 +929,49 @@ def test_a_bad_order_option_prints_its_parsers_message(argv, message, capsys):
     assert captured.out == ""
     assert captured.err.splitlines()[-1].endswith(f"error: argument {argv[-2]}: {message}")
     with pytest.raises(ValueError) as exc:
-        harness.PARSERS[argv[-2].lstrip("-")](argv[-1])
+        _FIELDS[argv[-2].lstrip("-")].metadata["parse"](argv[-1])
     assert str(exc.value) == message
     with pytest.raises(ValueError, match="^'pritned' is neither a variant"):
         ExperimentConfig("verify", form="dot:m=3", n=4, exponents="pritned")
+
+
+@pytest.mark.parametrize("sweep, bad", [("4,x,8", "'x'"), ("4,,8", "''"), ("4,8.7,16", "'8.7'")],
+                         ids=["letter", "empty", "fraction"])
+def test_a_sweep_entry_that_is_no_integer_is_named(sweep, bad, capsys):
+    """``--sweep`` refuses an entry that is not an integer, naming it, with exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(["sharpness", "--form", "dot:m=3", "--sweep", sweep])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == \
+        f"critnorm sharpness: error: argument --sweep: sweep entries must be integers, got {bad}"
+
+
+# command words -> the options it needs, at some valid value
+_NEEDED = {
+    "norm op": ["--form", "dot:m=3"],
+    "norm mixed": ["--form", "dot:m=3", "--exponents", "derived"],
+    "exponents critical": ["--m", "3"],
+    "verify": ["--form", "dot:m=3"],
+    "sharpness": ["--form", "dot:m=3", "--sweep", "4,8,16"],
+    "bilinear-law": ["--form", "t0:n1=4", "--a", "1", "--b", "inf"],
+    "base-hl": ["--m", "3"],
+    "inclusion-instance": ["--r", "2", "--p", "2,2", "--q", "4,4"],
+}
+
+
+@pytest.mark.parametrize("command", list(_NEEDED))
+def test_an_option_left_out_takes_its_fields_default(command):
+    """A command given only the options it needs parses every other setting
+    to its ``ExperimentConfig`` field's default, and ``exponents critical``'s
+    ``--variant`` to ``derived``."""
+    assert set(EXPERIMENTS) <= set(_NEEDED)
+    args = _build_parser().parse_args([*command.split(), *_NEEDED[command]])
+    given = {word.lstrip("-").replace("-", "_") for word in _NEEDED[command][::2]}
+    left = {k: v for k, v in vars(args).items() if k in _FIELDS and k not in given}
+    assert left and left == {k: _FIELDS[k].default for k in left}
+    assert getattr(args, "variant", "derived") == "derived"
 
 
 def test_unknown_command_raises_usage():

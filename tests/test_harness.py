@@ -52,6 +52,17 @@ def test_config_coerces_exact_fields():
     assert ExperimentConfig("sharpness", form="dot:m=3", sweep="4,8,16").sweep == (4, 8, 16)
 
 
+@pytest.mark.parametrize("sweep, bad", [((4, 8.7, 16), "8.7"), ("4,x,8", "'x'"),
+                                        ((4, "8", None), "None")],
+                         ids=["float", "letter", "none"])
+def test_config_refuses_a_sweep_entry_that_is_no_integer(sweep, bad):
+    """An entry is an integer, given as one or as text; any other is refused,
+    not truncated, and named."""
+    with pytest.raises(ValueError, match=f"^sweep entries must be integers, got {bad}$"):
+        ExperimentConfig("sharpness", form="dot:m=3", sweep=sweep)
+    assert ExperimentConfig("sharpness", form="dot:m=3", sweep=(np.int64(4), "8")).sweep == (4, 8)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(experiment="verify", form="gauss:m=2", trials=0)

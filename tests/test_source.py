@@ -145,10 +145,11 @@ def test_a_denominator_is_a_lower_bound_by_its_estimate_alone():
     assert found == []
 
 
-def test_every_setting_option_comes_from_the_settings_table():
+def test_every_setting_option_comes_from_its_config_field():
     """In ``cli.py`` only the options that are no setting are spelled out
-    (``--json``, ``--out``); every other option is added by
-    ``_option`` from ``_SETTINGS``, so a setting has one declaration."""
+    (``--json``, ``--out`` and ``exponents critical``'s ``--variant``);
+    every other option is added by ``_option`` from its ``ExperimentConfig``
+    field, so a setting has one declaration."""
     path = next(p for p in SOURCES if p.name == "cli.py")
     spelled, computed = set(), set()
     for function in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -160,7 +161,7 @@ def test_every_setting_option_comes_from_the_settings_table():
                 spelled |= names
                 if not names:
                     computed.add(function.name)
-    assert spelled == {"--json", "--out"}
+    assert spelled == {"--json", "--out", "--variant"}
     assert computed == {"_option"}
 
 
@@ -252,30 +253,34 @@ def test_a_failing_property_test_does_not_end_the_session(tmp_path):
 
 def test_each_setting_parser_and_experiment_runner_is_declared_once():
     """``cli.py`` binds no ``run_*`` name: the CLI calls ``harness.run_<name>``.
-    A setting that ``harness.PARSERS`` types has its parser declared there
-    alone: ``_SETTINGS`` gives no such setting a type, and each option of
-    one takes the table's parser (wrapped, so that argparse prints the
-    parser's own message), except where a subcommand's option means
-    something else: ``admissible``'s scalar domain orders ``--p``/``--q``,
-    whose ``type=`` (wrapped the same way) is the only one that ``cli.py``
-    passes.
+    Each setting is declared by its ``ExperimentConfig`` field alone: every
+    option of a setting, in every command and mode, takes the field's default,
+    its argparse keywords and its parser (wrapped, so that argparse prints the
+    parser's own message), except where a subcommand's option means something
+    else: ``admissible``'s scalar domain orders ``--p``/``--q``, whose
+    ``type=`` (wrapped the same way) is the only one that ``cli.py`` passes.
+    No ``set_defaults`` call gives a setting a default.
     ``ExperimentConfig.__post_init__`` names no parser: it coerces settings
-    in one loop over the table."""
+    in one loop over its fields."""
     import argparse
+    import dataclasses
 
     from critnorm import cli
     from critnorm.exponents import ExtRational
-    from critnorm.harness import PARSERS
+    from critnorm.harness import ExperimentConfig
 
     path = next(p for p in SOURCES if p.name == "cli.py")
-    bound = {alias.asname or alias.name for node in ast.walk(ast.parse(path.read_text("utf-8")))
+    tree = ast.parse(path.read_text("utf-8"))
+    bound = {alias.asname or alias.name for node in ast.walk(tree)
              if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
     assert [n for n in {*bound, *vars(cli)} if n.startswith("run_")] == []
-
-    assert [k for k, kw in cli._SETTINGS.items() if "type" in kw and k in PARSERS] == []
-    passed = sorted(ast.unparse(k.value) for node in ast.walk(ast.parse(path.read_text("utf-8")))
+    assert {"ASCENT_DEFAULTS", "CONSTANT_CHOICES"} & bound == set()
+    passed = sorted(ast.unparse(k.value) for node in ast.walk(tree)
                     if isinstance(node, ast.Call) for k in node.keywords if k.arg == "type")
     assert passed == ["ExtRational"]
+    defaults = {k.arg for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "set_defaults" for k in node.keywords}
+    assert defaults == {"handler"}
     own = {("admissible", "p"): ExtRational, ("admissible", "q"): ExtRational}
 
     def commands(parser, words=()):
@@ -286,11 +291,21 @@ def test_each_setting_parser_and_experiment_runner_is_declared_once():
                     yield " ".join((*words, name)), sub
                     yield from commands(sub, (*words, name))
 
-    typed = {(name, a.dest): getattr(a.type, "__wrapped__", a.type)
-             for name, sub in commands(cli._build_parser()) for a in sub._actions
-             if a.dest in PARSERS}
-    assert {("exponents inclusion", "p"), ("norm mixed", "exponents")} <= set(typed)
-    assert {key: t for key, t in typed.items() if t is not PARSERS[key[1]]} == own
+    settings = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+    options = [(name, a) for name, sub in commands(cli._build_parser()) for a in sub._actions
+               if a.dest in settings]
+    assert {("exponents inclusion", "p"), ("norm mixed", "exponents"), ("norm op", "tol"),
+            ("exponents critical", "constant")} <= {(name, a.dest) for name, a in options}
+    for name, action in options:
+        field = settings[action.dest]
+        keywords = {"type": None, "help": None, "choices": None, **field.metadata["option"]}
+        parse = own.get((name, action.dest), field.metadata["parse"])
+        if parse is not None:
+            assert action.type.__wrapped__ is parse, (name, action.dest)
+            keywords["type"] = action.type
+        assert (action.default, action.type, action.help, action.choices) == \
+            (field.default, keywords["type"], keywords["help"], keywords["choices"]), \
+            (name, action.dest)
 
     path = next(p for p in SOURCES if p.name == "harness.py")
     config = next(node for node in ast.parse(path.read_text("utf-8")).body
@@ -298,9 +313,10 @@ def test_each_setting_parser_and_experiment_runner_is_declared_once():
     post_init = next(node for node in config.body
                      if isinstance(node, ast.FunctionDef) and node.name == "__post_init__")
     names = {n.id for n in ast.walk(post_init) if isinstance(n, ast.Name)}
-    assert names & {"ExtRational", "ExponentVector", "_sweep", "int", "tuple"} == set()
+    assert names & {"ExtRational", "ExponentVector", "mixed_orders", "_sweep", "int",
+                    "tuple"} == set()
     loops = [node for node in ast.walk(post_init) if isinstance(node, ast.For)]
-    assert len(loops) == 1 and "PARSERS" in {getattr(n, "id", None) for n in ast.walk(loops[0])}
+    assert len(loops) == 1 and "fields" in {getattr(n, "id", None) for n in ast.walk(loops[0].iter)}
     setters = [n for n in ast.walk(post_init) if isinstance(n, ast.Call)
                and getattr(n.func, "id", None) == "setattr"]
     assert setters and all(n in set(ast.walk(loops[0])) for n in setters)
